@@ -2,7 +2,7 @@
 
 All output is JSON on stdout.  Exit codes: 0 success, 2 input error,
 3 capability mismatch (algorithm needs colour/orientation the graph
-lacks), 4 internal assertion failure.
+lacks), 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from fractions import Fraction
 from . import generators, graph as graphmod, oracles
 from .baselines import AllNodesDominatingSet, WhiteIndependentSet
 from .engine import run_local_algorithm
-from .errors import (EvenDeltaError, LocalGraphError, MissingInputError,
-                     MissingOrientationError, NotProperlyColouredError,
-                     ShorterPathExistsError)
+from .errors import (EvenDeltaError, InvariantError, LocalGraphError,
+                     MissingInputError, MissingOrientationError,
+                     NotProperlyColouredError, ShorterPathExistsError)
 from .graph import BLACK, ColouringClass, Graph, classify_colouring, normalize_edge
-from .matching import approximate_maximum_matching, run_matching_scheme
+from .matching import (approximate_maximum_matching, run_matching_scheme,
+                       scheme_round_budget)
 from .oddds import colouring_provider_from_file, odd_delta_pipeline
 from .oracles import Solution, SolutionKind, verify_solution
 from .starforest import run_star_forest, star_matching
@@ -28,6 +29,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPABILITY = 3
 EXIT_INTERNAL = 4
+
+# largest matching-scheme round budget `run` accepts; the budget grows like
+# k * delta * (delta-1)^(k-1), and the scheme loops over i = 1..k even
+# where t_i is 0, so k is capped by the same number
+MAX_SCHEME_ROUNDS = 10**6
 
 
 class _CliFailure(Exception):
@@ -90,7 +96,7 @@ def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: Fraction,
         ratio = (Fraction(solution_size, optimal_size) if minimization
                  else Fraction(optimal_size, solution_size))
     if ratio is not None and ratio > paper_bound:
-        raise AssertionError(
+        raise InvariantError(
             f"ratio {ratio} exceeds the guaranteed bound {paper_bound}")
     return {
         "algorithm": algorithm,
@@ -109,6 +115,12 @@ def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: Fraction,
 def _cmd_run(args) -> int:
     g = _load_graph(args.graph)
     delta = g.max_degree
+    if args.alg == "matching-scheme" and (
+            args.k > MAX_SCHEME_ROUNDS
+            or scheme_round_budget(delta, args.k) > MAX_SCHEME_ROUNDS):
+        raise _CliFailure(EXIT_INPUT,
+                          f"matching-scheme with k={args.k} on degree bound {delta} "
+                          f"needs more than {MAX_SCHEME_ROUNDS} rounds", "round-budget")
     want_oracle = args.oracle
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     trace = (lambda line: trace_fh.write(line + "\n")) if trace_fh else None
@@ -130,7 +142,7 @@ def _cmd_run(args) -> int:
             if args.assert_oracle:
                 check = approximate_maximum_matching(g, args.k, assert_oracle=True)
                 if check != matching:
-                    raise AssertionError("simulated and centralized schemes disagree")
+                    raise InvariantError("simulated and centralized schemes disagree")
             members = sorted(matching)
             opt = len(oracles.brute_max_matching(g, args.limit)) if want_oracle else None
             doc = _report("matching-scheme", g, len(members),
@@ -320,7 +332,7 @@ def main(argv=None) -> int:
             NotProperlyColouredError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_CAPABILITY
-    except (ShorterPathExistsError, AssertionError) as exc:
+    except (ShorterPathExistsError, InvariantError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_INTERNAL
     except (LocalGraphError, ValueError) as exc:

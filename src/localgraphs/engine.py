@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import MissingInputError
@@ -40,7 +41,9 @@ class LocalAlgorithm:
     ``init`` maps the node's view to an initial state plus the messages
     sent in round 0; ``step`` consumes one inbox per round; ``finalize``
     maps the final state to the node's output.  ``round_budget`` may
-    depend on the degree bound only, never on the node count.
+    depend on the degree bound only, never on the node count.  The
+    engine keeps only the state ``step`` returns, so ``step`` may update
+    its argument in place.
     """
 
     name = "local-algorithm"
@@ -49,10 +52,6 @@ class LocalAlgorithm:
 
     def round_budget(self, max_degree: int) -> int:
         raise NotImplementedError
-
-    def virtual_ports(self, view: NodeView) -> int:
-        """Number of simulated degree-1 attachments this node hosts."""
-        return 0
 
     def init(self, view: NodeView) -> tuple[Any, Sends]:
         raise NotImplementedError
@@ -71,16 +70,18 @@ class RunResult:
     max_message_bits: int
 
 
-def _base_view(g: Graph, v: int, max_degree: int) -> NodeView:
-    directions = None
-    if g.has_orientation:
-        dirs = []
-        for p in range(1, g.degree(v) + 1):
-            tail, _ = g.orientation[normalize_edge(v, g.port_neighbour(v, p))]
-            dirs.append(OUTGOING if tail == v else INCOMING)
-        directions = tuple(dirs)
-    return NodeView(degree=g.degree(v), max_degree=max_degree,
-                    colour=g.colour(v), port_directions=directions)
+# handed to every node that received nothing; read-only, so no step can alter it
+_EMPTY_INBOX: Inbox = MappingProxyType({})
+
+
+def _port_directions(g: Graph, v: int) -> tuple[str, ...] | None:
+    if not g.has_orientation:
+        return None
+    dirs = []
+    for p in range(1, g.degree(v) + 1):
+        tail, _ = g.orientation[normalize_edge(v, g.port_neighbour(v, p))]
+        dirs.append(OUTGOING if tail == v else INCOMING)
+    return tuple(dirs)
 
 
 def run_local_algorithm(g: Graph,
@@ -107,74 +108,60 @@ def run_local_algorithm(g: Graph,
     if sorted(order) != list(g.nodes):
         raise ValueError("node_order must be a permutation of the nodes")
 
-    # entities: real nodes (int) plus virtual degree-1 attachments (host, port)
-    states: dict[Any, Any] = {}
-    degrees: dict[Any, int] = {}
-    entities: list[Any] = []
-    virtuals: dict[int, int] = {}
+    # routes[v][p-1] = (neighbour, arrival port) of v's port p
+    routes = [tuple(zip(g.neighbours(v),
+                        [g.arrival_port(v, p) for p in range(1, g.degree(v) + 1)]))
+              for v in g.nodes]
+    states: list[Any] = [None] * g.n
+    inboxes: list[dict[int, bytes] | None] = [None] * g.n
     max_bits = 0
 
-    def route(entity, port):
-        if isinstance(entity, tuple):       # virtual node: its port 1 is the host
-            host, hport = entity
-            return host, hport
-        if port <= g.degree(entity):
-            return g.port_neighbour(entity, port), g.arrival_port(entity, port)
-        return (entity, port), 1            # into the virtual attachment
-
-    outbox: dict[tuple[Any, int], bytes] = {}
-
-    def record_sends(entity, sends, round_no):
+    def deliver(v: int, sends: Sends) -> None:
+        """Validate v's sends and place them in the next round's inboxes."""
         nonlocal max_bits
+        out = routes[v]
         for port, payload in sends.items():
             if not isinstance(payload, bytes):
                 raise TypeError(f"payload on port {port} is not bytes")
-            if not 1 <= port <= degrees[entity]:
+            if not 1 <= port <= len(out):
                 raise ValueError(f"send on invalid port {port}")
-            outbox[(entity, port)] = payload
-            max_bits = max(max_bits, 8 * len(payload))
-        if trace is not None and not isinstance(entity, tuple):
-            trace(json.dumps({
-                "round": round_no,
-                "node": entity,
-                "sent": sorted([p, payload.hex()] for p, payload in sends.items()),
-                "state_digest": _digest(states[entity]),
-            }, sort_keys=True))
+            target, arrival = out[port - 1]
+            box = inboxes[target]
+            if box is None:
+                inboxes[target] = {arrival: payload}
+            else:
+                box[arrival] = payload
+            if 8 * len(payload) > max_bits:
+                max_bits = 8 * len(payload)
+
+    def record(v: int, sends: Sends, round_no: int) -> None:
+        trace(json.dumps({
+            "round": round_no,
+            "node": v,
+            "sent": sorted([p, payload.hex()] for p, payload in sends.items()),
+            "state_digest": _digest(states[v]),
+        }, sort_keys=True))
 
     for v in order:
-        base = _base_view(g, v, delta)
-        k = alg.virtual_ports(base)
-        virtuals[v] = k
-        if k:
-            dirs = base.port_directions
-            if dirs is not None:
-                dirs = dirs + (OUTGOING,) * k
-            base = NodeView(degree=base.degree + k, max_degree=delta,
-                            colour=base.colour, port_directions=dirs)
-        degrees[v] = base.degree
-        entities.append(v)
-        states[v], sends = alg.init(base)
-        record_sends(v, sends, 0)
-        for i in range(k):
-            ent = (v, g.degree(v) + 1 + i)
-            vdirs = (INCOMING,) if g.has_orientation else None
-            degrees[ent] = 1
-            entities.append(ent)
-            states[ent], vsends = alg.init(
-                NodeView(degree=1, max_degree=delta, colour=None,
-                         port_directions=vdirs))
-            record_sends(ent, vsends, 0)
+        view = NodeView(degree=g.degree(v), max_degree=delta, colour=g.colour(v),
+                        port_directions=_port_directions(g, v))
+        states[v], sends = alg.init(view)
+        if sends:
+            deliver(v, sends)
+        if trace is not None:
+            record(v, sends, 0)
 
     budget = alg.round_budget(delta)
+    step = alg.step
     for round_no in range(1, budget + 1):
-        inboxes: dict[Any, dict[int, bytes]] = {}
-        for (entity, port), payload in outbox.items():
-            target, arrival = route(entity, port)
-            inboxes.setdefault(target, {})[arrival] = payload
-        outbox = {}
-        for entity in entities:
-            states[entity], sends = alg.step(states[entity], inboxes.get(entity, {}))
-            record_sends(entity, sends, round_no)
+        received, inboxes = inboxes, [None] * g.n
+        for v in order:
+            box = received[v]
+            states[v], sends = step(states[v], _EMPTY_INBOX if box is None else box)
+            if sends:
+                deliver(v, sends)
+            if trace is not None:
+                record(v, sends, round_no)
 
     outputs = {v: alg.finalize(states[v]) for v in g.nodes}
     return RunResult(outputs=outputs, rounds_used=budget, max_message_bits=max_bits)
@@ -187,14 +174,7 @@ def _digest(state: Any) -> str:
 # -- locality helper -----------------------------------------------------------
 
 def _node_label(g: Graph, v: int):
-    dirs = None
-    if g.has_orientation:
-        dirs = []
-        for p in range(1, g.degree(v) + 1):
-            tail, _ = g.orientation[normalize_edge(v, g.port_neighbour(v, p))]
-            dirs.append(OUTGOING if tail == v else INCOMING)
-        dirs = tuple(dirs)
-    return (g.degree(v), g.colour(v), dirs)
+    return (g.degree(v), g.colour(v), _port_directions(g, v))
 
 
 def _view_codes(g: Graph, radius: int, intern: dict) -> list[int]:

@@ -7,6 +7,14 @@ class LocalGraphError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvariantError(LocalGraphError):
+    """An internal invariant of an algorithm failed: a bug, not bad input.
+
+    Raised explicitly, never through ``assert``, so the check also runs
+    under ``python -O``.
+    """
+
+
 # --- graph construction and parsing ---------------------------------------
 
 class GraphBuildError(LocalGraphError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .engine import Inbox, LocalAlgorithm, NodeView, Sends, run_local_algorithm
-from .errors import (NotAugmentingError, NotProperlyColouredError,
+from .errors import (InvariantError, NotAugmentingError, NotProperlyColouredError,
                      PathsNotDisjointError, ShorterPathExistsError)
 from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph,
                     classify_colouring, normalize_edge)
@@ -101,7 +101,9 @@ def flood_phase(g: Graph, m, h: int, *, assert_no_shorter: bool = False) -> Augm
                     sends.append((v, g.port_of(v, partner[v])))
                 # matched white on the last hop: message discarded
             else:
-                assert v in partner and len(ports) == 1
+                if v not in partner or len(ports) != 1:
+                    raise InvariantError(
+                        f"flood reached black node {v} other than over one matched edge")
                 joined[v] = port
                 mp = g.port_of(v, partner[v])
                 sends.extend((v, p) for p in range(1, g.degree(v) + 1) if p != mp)
@@ -136,7 +138,9 @@ def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
             kids = children[cur]
             cur = min(kids, key=lambda c: g.port_of(path[-1], c))
             path.append(cur)
-        assert len(path) == forest.height + 1
+        if len(path) != forest.height + 1:
+            raise InvariantError(
+                f"proposal path {path} does not have {forest.height} edges")
         paths.append(tuple(path))
     return tuple(paths)
 
@@ -171,7 +175,8 @@ def augment_phase(g: Graph, m, paths: Sequence[Path]) -> Matching:
                 out.add(e)
             else:
                 out.discard(e)
-    assert len(out) == len(edges) + len(paths)
+    if len(out) != len(edges) + len(paths):
+        raise InvariantError("augmentation did not grow the matching by one edge per path")
     return frozenset(out)
 
 
@@ -246,17 +251,33 @@ def scheme_schedule(max_degree: int, k: int) -> list[tuple[int, int]]:
     Every invocation takes 3h rounds: h of flooding, h of proposals
     travelling up, h of acceptances travelling down.  The initial flood
     is sent at the end of the previous invocation (or at wake-up).
+    Invocations of one path length share their (h, round) tuples.
     """
     rounds: list[tuple[int, int]] = []
     for i in range(1, k + 1):
+        t = invocation_count(max_degree, i)
+        if t == 0:          # bound 0, or bound 1 past i = 1: every later t_i is 0 too
+            break
         h = 2 * i - 1
-        for _ in range(invocation_count(max_degree, i)):
-            rounds.extend((h, rho) for rho in range(1, 3 * h + 1))
+        rounds += [(h, rho) for rho in range(1, 3 * h + 1)] * t
     return rounds
 
 
 def scheme_round_budget(max_degree: int, k: int) -> int:
-    return len(scheme_schedule(max_degree, k))
+    """Sum over i = 1..k of 3(2i-1) t_i, in closed form.
+
+    With q = max_degree - 1, the sum over j < k of (2j+1) q^j is
+    ((2k-1) q^(k+1) - (2k+1) q^k + q + 1) / (q-1)^2 for q >= 2.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if max_degree <= 1:     # only t_1 = max_degree can be non-zero
+        return 3 * max_degree
+    q = max_degree - 1
+    if q == 1:
+        return 3 * max_degree * k * k
+    series = ((2 * k - 1) * q ** (k + 1) - (2 * k + 1) * q ** k + q + 1) // (q - 1) ** 2
+    return 3 * max_degree * series
 
 
 class MatchingSchemeAlgorithm(LocalAlgorithm):
@@ -277,14 +298,11 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
         self._schedules: dict[int, list[tuple[int, int]]] = {}
 
     def round_budget(self, max_degree: int) -> int:
-        return len(self._schedule(max_degree))
-
-    def _schedule(self, max_degree: int) -> list[tuple[int, int]]:
-        if max_degree not in self._schedules:
-            self._schedules[max_degree] = scheme_schedule(max_degree, self.k)
-        return self._schedules[max_degree]
+        return scheme_round_budget(max_degree, self.k)
 
     def init(self, view: NodeView) -> tuple[Any, Sends]:
+        if view.max_degree not in self._schedules:
+            self._schedules[view.max_degree] = scheme_schedule(view.max_degree, self.k)
         state = {
             "colour": view.colour,
             "degree": view.degree,
@@ -308,10 +326,11 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
         state["chosen_child_port"] = None
 
     def step(self, state: dict, inbox: Inbox) -> tuple[Any, Sends]:
-        state = dict(state)
         state["round"] = r = state["round"] + 1
-        schedule = self._schedule(state["delta"])
+        schedule = self._schedules[state["delta"]]
         h, rho = schedule[r - 1]
+        if not inbox and rho != 1 and rho != 3 * h:
+            return state, {}    # a silent mid-invocation round changes nothing else
         sends: dict[int, bytes] = {}
         black = state["colour"] == BLACK
         white = not black
@@ -322,45 +341,49 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                 state["joined"] = True
                 state["depth"] = 0
 
-        flood_ports = sorted(p for p, msg in inbox.items()
-                             if len(msg) == 2 and msg[0] == _FLOOD)
-        if flood_ports and not state["joined"]:
-            port = min(flood_ports)
-            matched = state["matched_port"]
-            if white and matched is None:
-                if rho < h:
-                    raise ShorterPathExistsError(
-                        f"flood reached an unmatched white node after {rho} < {h} hops")
-                state.update(joined=True, parent_port=port, depth=rho)
-                sends[port] = _PROPOSE
-            elif white:
-                if rho < h:
+        if inbox:
+            flood_ports = sorted(p for p, msg in inbox.items()
+                                 if len(msg) == 2 and msg[0] == _FLOOD)
+            if flood_ports and not state["joined"]:
+                port = min(flood_ports)
+                matched = state["matched_port"]
+                if white and matched is None:
+                    if rho < h:
+                        raise ShorterPathExistsError(
+                            f"flood reached an unmatched white node after {rho} < {h} hops")
                     state.update(joined=True, parent_port=port, depth=rho)
-                    sends[matched] = bytes([_FLOOD, rho + 1])
-                # discarded on the last hop
-            else:
-                assert matched is not None  # floods reach blacks via matched edges
-                state.update(joined=True, parent_port=port, depth=rho)
-                for p in range(1, state["degree"] + 1):
-                    if p != matched:
-                        sends[p] = bytes([_FLOOD, rho + 1])
+                    sends[port] = _PROPOSE
+                elif white:
+                    if rho < h:
+                        state.update(joined=True, parent_port=port, depth=rho)
+                        sends[matched] = bytes([_FLOOD, rho + 1])
+                    # discarded on the last hop
+                else:
+                    if matched is None:
+                        raise InvariantError(
+                            "flood reached an unmatched black node; floods reach "
+                            "blacks only over matched edges")
+                    state.update(joined=True, parent_port=port, depth=rho)
+                    for p in range(1, state["degree"] + 1):
+                        if p != matched:
+                            sends[p] = bytes([_FLOOD, rho + 1])
 
-        propose_ports = sorted(p for p, msg in inbox.items() if msg == _PROPOSE)
-        if propose_ports:
-            state["chosen_child_port"] = min(propose_ports)
-            if state["depth"] == 0:
-                state["matched_port"] = state["chosen_child_port"]
-                sends[state["chosen_child_port"]] = _ACCEPT
-            else:
-                sends[state["parent_port"]] = _PROPOSE
+            propose_ports = sorted(p for p, msg in inbox.items() if msg == _PROPOSE)
+            if propose_ports:
+                state["chosen_child_port"] = min(propose_ports)
+                if state["depth"] == 0:
+                    state["matched_port"] = state["chosen_child_port"]
+                    sends[state["chosen_child_port"]] = _ACCEPT
+                else:
+                    sends[state["parent_port"]] = _PROPOSE
 
-        if any(msg == _ACCEPT for msg in inbox.values()):
-            if white:
-                state["matched_port"] = state["parent_port"]
-            else:
-                state["matched_port"] = state["chosen_child_port"]
-            if state["chosen_child_port"] is not None and state["depth"] != h:
-                sends[state["chosen_child_port"]] = _ACCEPT
+            if any(msg == _ACCEPT for msg in inbox.values()):
+                if white:
+                    state["matched_port"] = state["parent_port"]
+                else:
+                    state["matched_port"] = state["chosen_child_port"]
+                if state["chosen_child_port"] is not None and state["depth"] != h:
+                    sends[state["chosen_child_port"]] = _ACCEPT
 
         if rho == 3 * h and r < len(schedule):
             if black and state["matched_port"] is None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .engine import RunResult, run_local_algorithm
-from .errors import (EvenDeltaError, MissingOrientationError, NotWeakOnAError,
-                     ProviderFailureError)
+from .errors import (EvenDeltaError, InvariantError, MissingOrientationError,
+                     NotWeakOnAError, ProviderFailureError)
 from .graph import (BLACK, WHITE, ColouringClass, Graph, build_graph,
                     classify_colouring, induced_subgraph, opposite,
                     with_colours)
@@ -46,9 +46,10 @@ def partition_abc(g: Graph) -> AbcPartition:
 class DummyAugmentedGraph:
     """The induced core plus one degree-1 dummy per even-degree core node.
 
-    ``graph`` materializes the dummies for centralized providers; in a
-    per-node run they live as virtual ports inside their host.  Real
-    nodes keep the ids 0..real_count-1 they have in ``base``.
+    ``graph`` materializes the dummies for the weak-colouring provider,
+    which runs centrally; the simulated star phase runs on ``base``,
+    without them.  Real nodes keep the ids 0..real_count-1 they have in
+    ``base``.
     """
 
     graph: Graph
@@ -81,7 +82,8 @@ def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
             dummy_hosts[next_id] = v
             next_id += 1
     graph = build_graph(next_id, specs)
-    assert all(graph.degree(v) % 2 == 1 for v in graph.nodes)
+    if any(graph.degree(v) % 2 == 0 for v in graph.nodes):
+        raise InvariantError("dummy-augmented core has an even-degree node")
     return DummyAugmentedGraph(graph=graph, base=base,
                                original_ids=original_ids,
                                dummy_hosts=dummy_hosts)

@@ -180,7 +180,6 @@ class StarForestAlgorithm(LocalAlgorithm):
         return state, {p: colour_byte for p in range(1, view.degree + 1)}
 
     def step(self, state: dict, inbox: Inbox) -> tuple[Any, Sends]:
-        state = dict(state)
         state["round"] = r = state["round"] + 1
         black = state["colour"] == BLACK
         sends: dict[int, bytes] = {}

@@ -8,6 +8,7 @@ import pytest
 
 from localgraphs import BLACK, WHITE
 from localgraphs.cli import main
+from localgraphs.generators import numbered_cycle, strong_blowup
 from localgraphs.graph import dumps, loads
 
 
@@ -139,6 +140,32 @@ class TestRun:
         path.write_text("{broken")
         code, _ = run_cli(capsys, "run", "--graph", str(path), "--alg", "star-ds")
         assert code == 2
+
+    def test_scheme_round_budget_cap_exit_2(self, capsys, tmp_path):
+        # delta = 3 and k = 20 need about 3.5e8 rounds
+        gpath = tmp_path / "blowup.json"
+        gpath.write_text(dumps(strong_blowup(numbered_cycle(8), 3)))
+        trace = tmp_path / "trace.jsonl"
+        code = main(["run", "--graph", str(gpath), "--alg", "matching-scheme",
+                     "--k", "20", "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "round-budget"
+        assert "Traceback" not in captured.err
+        assert not trace.exists()
+
+    def test_internal_invariant_exit_4(self, capsys, monkeypatch, p4_file):
+        import localgraphs.cli as cli
+        from localgraphs.errors import InvariantError
+
+        def broken(*args, **kwargs):
+            raise InvariantError("planted")
+
+        monkeypatch.setattr(cli, "run_matching_scheme", broken)
+        code, out = run_cli(capsys, "run", "--graph", p4_file,
+                            "--alg", "matching-scheme")
+        assert code == 4
+        assert json.loads(out) == {"error": "InvariantError", "message": "planted"}
 
     def test_reports_byte_identical(self, capsys, c4_file):
         outputs = set()

@@ -1,4 +1,4 @@
-"""Engine: barrier semantics, locality, determinism, virtual attachments."""
+"""Engine: barrier semantics, locality, determinism, send validation."""
 
 from __future__ import annotations
 
@@ -52,31 +52,6 @@ class CountEcho(LocalAlgorithm):
         return state
 
 
-class VirtualDegree(LocalAlgorithm):
-    """One virtual attachment per node; outputs replies heard in one round."""
-
-    name = "virtual-degree"
-
-    def round_budget(self, max_degree):
-        return 2
-
-    def virtual_ports(self, view):
-        return 0 if view.degree == 1 and view.colour is None else 1
-
-    def init(self, view):
-        return {"deg": view.degree, "heard": 0}, \
-            {p: b"?" for p in range(1, view.degree + 1)}
-
-    def step(self, state, inbox):
-        state = dict(state)
-        replies = {p: b"!" for p, m in inbox.items() if m == b"?"}
-        state["heard"] += sum(1 for m in inbox.values() if m == b"!")
-        return state, replies
-
-    def finalize(self, state):
-        return state["heard"]
-
-
 def test_colour_echo(single_edge):
     result = run_local_algorithm(single_edge, ColourEcho())
     assert result.outputs == {0: "black", 1: "white"}
@@ -119,12 +94,6 @@ def test_evaluation_order_independence(c4_coloured):
         assert permuted.outputs == base.outputs
 
 
-def test_virtual_ports_simulated_inside_host(p3_wbw):
-    result = run_local_algorithm(p3_wbw, VirtualDegree())
-    # every node hears one reply per real neighbour plus one per dummy
-    assert result.outputs == {0: 2, 1: 3, 2: 2}
-
-
 def test_payload_must_be_bytes(single_edge):
     class Bad(CountEcho):
         def init(self, view):
@@ -132,6 +101,38 @@ def test_payload_must_be_bytes(single_edge):
 
     with pytest.raises(TypeError):
         run_local_algorithm(single_edge, Bad())
+
+
+def test_step_payload_must_be_bytes(single_edge):
+    class Bad(CountEcho):
+        def step(self, state, inbox):
+            return state, {1: "not-bytes"}
+
+    with pytest.raises(TypeError):
+        run_local_algorithm(single_edge, Bad())
+
+
+@pytest.mark.parametrize("phase", ["init", "step"])
+@pytest.mark.parametrize("offset", [0, 1], ids=["port-0", "port-deg+1"])
+def test_send_outside_port_range(p3_wbw, phase, offset):
+    class Bad(CountEcho):
+        def init(self, view):
+            state, sends = super().init(view)
+            if phase == "init":
+                sends = {offset * (view.degree + 1): b"x"}
+            return view.degree, sends
+
+        def step(self, state, inbox):
+            return state, {offset * (state + 1): b"x"}
+
+    with pytest.raises(ValueError, match="invalid port"):
+        run_local_algorithm(p3_wbw, Bad())
+
+
+@pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3], [2, 1, 0, 0]])
+def test_node_order_must_be_a_permutation(p3_wbw, order):
+    with pytest.raises(ValueError, match="permutation"):
+        run_local_algorithm(p3_wbw, CountEcho(), node_order=order)
 
 
 def test_trace_lines(single_edge):

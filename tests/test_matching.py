@@ -13,12 +13,13 @@ from localgraphs import BLACK, WHITE, build_graph, disjoint_union
 from localgraphs.errors import (NotAugmentingError, NotProperlyColouredError,
                                 PathsNotDisjointError, ShorterPathExistsError)
 from localgraphs.generators import random_bipartite, strong_blowup, numbered_cycle
-from localgraphs.matching import (AugmentingForest, SchemeStats,
-                                  approximate_maximum_matching, augment_phase,
-                                  eliminate_length, flood_phase,
+from localgraphs.engine import NodeView
+from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
+                                  SchemeStats, approximate_maximum_matching,
+                                  augment_phase, eliminate_length, flood_phase,
                                   invocation_count,
                                   proposal_phase, run_matching_scheme,
-                                  scheme_round_budget)
+                                  scheme_round_budget, scheme_schedule)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  shortest_augmenting_path_length,
                                  verify_solution)
@@ -261,3 +262,32 @@ class TestSimulatedScheme:
         both, _ = run_matching_scheme(doubled, 2)
         shifted = {(u + 4, v + 4) for u, v in single}
         assert both == single | shifted
+
+    def test_round_budget_closed_form(self):
+        for delta in range(0, 7):
+            for k in range(1, 7):
+                total = sum(3 * (2 * i - 1) * invocation_count(delta, i)
+                            for i in range(1, k + 1))
+                assert scheme_round_budget(delta, k) == total
+                assert len(scheme_schedule(delta, k)) == total
+        with pytest.raises(ValueError):
+            scheme_round_budget(3, 0)
+
+    @pytest.mark.parametrize("colour", [BLACK, WHITE])
+    @pytest.mark.parametrize("matched_port", [None, 2])
+    def test_silent_round_changes_only_the_round(self, colour, matched_port):
+        alg = MatchingSchemeAlgorithm(2)
+        state, _ = alg.init(NodeView(degree=3, max_degree=3, colour=colour))
+        state["matched_port"] = matched_port
+        silent = 0
+        for h, rho in scheme_schedule(3, 2):
+            before = dict(state)
+            state, sends = alg.step(state, {})
+            if rho in (1, 3 * h):
+                continue
+            silent += 1
+            assert sends == {}
+            assert list(state) == list(before)
+            assert state == {**before, "round": before["round"] + 1}
+        assert silent == 3 * 1 + 6 * 7     # t_1 = 3 with rho = 2; t_2 = 6 with rho = 2..8
+
