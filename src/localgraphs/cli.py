@@ -17,10 +17,11 @@ from .baselines import AllNodesDominatingSet, WhiteIndependentSet
 from .engine import run_local_algorithm
 from .errors import (EvenDeltaError, InvariantError, LocalGraphError,
                      MissingInputError, MissingOrientationError,
-                     NotProperlyColouredError, ShorterPathExistsError)
+                     NotProperlyColouredError, RoundBudgetError,
+                     ShorterPathExistsError)
 from .graph import BLACK, ColouringClass, Graph, classify_colouring, normalize_edge
-from .matching import (approximate_maximum_matching, run_matching_scheme,
-                       scheme_round_budget)
+from .matching import (approximate_maximum_matching, check_round_budget,
+                       run_matching_scheme)
 from .oddds import colouring_provider_from_file, odd_delta_pipeline
 from .oracles import Solution, SolutionKind, verify_solution
 from .starforest import run_star_forest, star_matching
@@ -30,10 +31,9 @@ EXIT_INPUT = 2
 EXIT_CAPABILITY = 3
 EXIT_INTERNAL = 4
 
-# largest matching-scheme round budget `run` accepts; the budget grows like
-# k * delta * (delta-1)^(k-1), and the scheme loops over i = 1..k even
-# where t_i is 0, so k is capped by the same number
-MAX_SCHEME_ROUNDS = 10**6
+# largest nodes * maximum degree `gen` builds; a graph takes about 0.7 kB
+# per unit while it is generated and serialized
+MAX_GEN_SIZE = 10**6
 
 
 class _CliFailure(Exception):
@@ -47,13 +47,6 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _load_graph(path: str) -> Graph:
-    try:
-        return graphmod.load(path)
-    except OSError as exc:
-        raise _CliFailure(EXIT_INPUT, str(exc), "io-error") from exc
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -64,7 +57,21 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 # -- gen -----------------------------------------------------------------------
 
+def _gen_size(args) -> int:
+    """Nodes times maximum degree of the graph ``gen`` would build."""
+    n, d = args.n, args.delta
+    return {"cycle": 2 * n,
+            "cycle-power": 2 * args.k * n,
+            "strong-blowup": 2 * n * d,
+            "weak-layered": (d + 1) * n * max(d, 3),
+            "symmetric-complete": (d + 1) * d}.get(args.family, n * d)
+
+
 def _cmd_gen(args) -> int:
+    if _gen_size(args) > MAX_GEN_SIZE:
+        raise _CliFailure(EXIT_INPUT,
+                          f"{args.family} with n={args.n}, delta={args.delta}, k={args.k} "
+                          f"exceeds {MAX_GEN_SIZE} nodes times maximum degree", "gen-size")
     fam = args.family
     if fam in ("cycle", "cycle-power", "strong-blowup", "weak-layered"):
         cycle = generators.numbered_cycle(args.n)
@@ -113,14 +120,13 @@ def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: Fraction,
 
 
 def _cmd_run(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphmod.load(args.graph)
     delta = g.max_degree
-    if args.alg == "matching-scheme" and (
-            args.k > MAX_SCHEME_ROUNDS
-            or scheme_round_budget(delta, args.k) > MAX_SCHEME_ROUNDS):
-        raise _CliFailure(EXIT_INPUT,
-                          f"matching-scheme with k={args.k} on degree bound {delta} "
-                          f"needs more than {MAX_SCHEME_ROUNDS} rounds", "round-budget")
+    if args.alg == "matching-scheme":
+        try:
+            check_round_budget(delta, args.k)
+        except RoundBudgetError as exc:
+            raise _CliFailure(EXIT_INPUT, str(exc), "round-budget") from exc
     want_oracle = args.oracle
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     trace = (lambda line: trace_fh.write(line + "\n")) if trace_fh else None
@@ -188,7 +194,7 @@ def _cmd_run(args) -> int:
 # -- oracle / verify / export ------------------------------------------------
 
 def _cmd_oracle(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphmod.load(args.graph)
     if args.problem == "ds":
         members = sorted(oracles.brute_min_dominating_set(g, args.limit))
     elif args.problem == "matching":
@@ -199,6 +205,13 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _node_id(x) -> int:
+    """A JSON integer; no bool, float or string is coerced."""
+    if type(x) is not int:
+        raise TypeError(f"member {x!r} is not an integer node id")
+    return x
+
+
 def _load_solution(path: str) -> Solution:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -206,23 +219,23 @@ def _load_solution(path: str) -> Solution:
         kind = SolutionKind(doc["kind"])
         raw = doc["members"]
         if kind is SolutionKind.MATCHING:
-            members = frozenset(normalize_edge(int(u), int(v)) for u, v in raw)
+            members = frozenset(normalize_edge(_node_id(u), _node_id(v)) for u, v in raw)
         else:
-            members = frozenset(int(v) for v in raw)
+            members = frozenset(_node_id(v) for v in raw)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _CliFailure(EXIT_INPUT, f"bad solution file: {exc}", "bad-solution") from exc
     return Solution(kind, members)
 
 
 def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphmod.load(args.graph)
     report = verify_solution(g, _load_solution(args.solution))
     _emit({"ok": report.ok, "violations": report.violations})
     return EXIT_OK
 
 
 def _cmd_export_dot(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphmod.load(args.graph)
     solution = _load_solution(args.solution) if args.solution else None
     _write_or_print(export_dot(g, solution), args.out)
     return EXIT_OK
@@ -328,6 +341,9 @@ def main(argv=None) -> int:
     except _CliFailure as exc:
         _emit({"error": exc.kind, "message": str(exc)})
         return exc.code
+    except OSError as exc:      # a path named on the command line
+        _emit({"error": "io-error", "message": str(exc)})
+        return EXIT_INPUT
     except (MissingInputError, MissingOrientationError, EvenDeltaError,
             NotProperlyColouredError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})

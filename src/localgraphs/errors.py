@@ -93,6 +93,10 @@ class ShorterPathExistsError(LocalGraphError):
     """The flooding phase found an augmenting path shorter than requested."""
 
 
+class RoundBudgetError(LocalGraphError):
+    """A round budget exceeds the cap set before anything is allocated for it."""
+
+
 class PathsNotDisjointError(LocalGraphError):
     pass
 

@@ -227,25 +227,70 @@ def trivial_white_independent_set(g: Graph) -> frozenset[int]:
 
 # -- random families --------------------------------------------------------------
 
-def _fill_random_edges(n: int, delta: int, rng: random.Random, allowed,
-                       chosen: set[Edge]) -> list[Edge]:
-    """Add random extra edges to a covering set, respecting the degree cap."""
+# consecutive rejected draws after which the valid pairs are listed outright
+_MAX_MISSES = 64
+
+
+def _fill_random_edges(n: int, delta: int, rng: random.Random,
+                       colours: Sequence[str] | None, chosen: set[Edge]) -> list[Edge]:
+    """Add random extra edges to a covering set, respecting the degree cap.
+
+    A pair is valid when both ends have degree below ``delta``, it is not
+    chosen yet and, with ``colours``, its ends differ in colour.  Each
+    added edge is uniform over the pairs valid at that moment: draw ends
+    from the lists of open (unsaturated) nodes, one list per colour, and
+    reject invalid pairs.  A rejected pair never becomes valid again, so
+    after ``_MAX_MISSES`` misses in a row the remaining valid pairs are
+    listed once and drawn from that shrinking list.  Stops when the drawn
+    number of extra edges is placed or no valid pair is left.
+    """
     degree = [0] * n
     for u, v in chosen:
         degree[u] += 1
         degree[v] += 1
-    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)
-                  if allowed(u, v) and (u, v) not in chosen]
-    rng.shuffle(candidates)
     extra = rng.randint(0, max(0, delta * n // 2 - len(chosen)))
-    for u, v in candidates:
-        if extra <= 0:
-            break
-        if degree[u] < delta and degree[v] < delta:
-            chosen.add((u, v))
-            degree[u] += 1
-            degree[v] += 1
-            extra -= 1
+    side = [0] * n if colours is None else [int(c == WHITE) for c in colours]
+    groups: list[list[int]] = [[] for _ in range(max(side) + 1)]
+    slot = [0] * n
+    for v in range(n):
+        if degree[v] < delta:
+            slot[v] = len(groups[side[v]])
+            groups[side[v]].append(v)
+    first, second = groups[0], groups[-1]     # the same list without colours
+
+    def add(e: Edge) -> None:
+        chosen.add(e)
+        for x in e:
+            degree[x] += 1
+            if degree[x] == delta:            # swap-and-pop x from its open list
+                group = groups[side[x]]
+                last = group.pop()
+                if last != x:
+                    group[slot[x]] = last
+                    slot[last] = slot[x]
+
+    misses = 0
+    while extra > 0 and misses < _MAX_MISSES and first and second:
+        u = first[rng.randrange(len(first))]
+        v = second[rng.randrange(len(second))]
+        e = normalize_edge(u, v)
+        if u == v or e in chosen:
+            misses += 1
+            continue
+        add(e)
+        extra -= 1
+        misses = 0
+    if extra > 0:
+        pairs = [e for e in (normalize_edge(u, v) for u in first for v in second
+                             if u < v or first is not second)
+                 if e not in chosen]
+        while extra > 0 and pairs:
+            i = rng.randrange(len(pairs))
+            pairs[i], pairs[-1] = pairs[-1], pairs[i]
+            u, v = pairs.pop()
+            if degree[u] < delta and degree[v] < delta:
+                add((u, v))
+                extra -= 1
     return sorted(chosen)
 
 
@@ -298,11 +343,13 @@ def random_bipartite(n: int, delta: int, seed: int) -> Graph:
         raise DegenerateParamsError(f"need n >= 2 and delta >= 1, got {n}, {delta}")
     rng = random.Random(f"bipartite:{n}:{delta}:{seed}")
     lo = -(-n // (delta + 1))   # each side must be able to host the other
+    if lo > n - lo:
+        raise DegenerateParamsError(
+            f"no bipartite degree-{delta} graph without isolated nodes on {n} nodes")
     blacks = set(rng.sample(range(n), rng.randint(lo, n - lo)))
     colours = [BLACK if v in blacks else WHITE for v in range(n)]
     cover = _bipartite_cover(sorted(blacks), sorted(set(range(n)) - blacks), rng)
-    pairs = _fill_random_edges(n, delta, rng,
-                               lambda u, v: colours[u] != colours[v], cover)
+    pairs = _fill_random_edges(n, delta, rng, colours, cover)
     g = build_graph(n, _ascending_port_specs(n, pairs), colours)
     return shuffle_ports(g, rng.getrandbits(32))
 
@@ -312,16 +359,15 @@ def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
     if n < 2 or delta < 1:
         raise DegenerateParamsError(f"need n >= 2 and delta >= 1, got {n}, {delta}")
     rng = random.Random(f"weak:{n}:{delta}:{seed}")
-    pairs = _fill_random_edges(n, delta, rng, lambda u, v: True,
-                               _pairing_cover(n, delta, rng))
+    pairs = _fill_random_edges(n, delta, rng, None, _pairing_cover(n, delta, rng))
     directions = None
     if oriented:
         directions = {normalize_edge(u, v): (u, v) if rng.random() < 0.5 else (v, u)
                       for u, v in pairs}
-    g = build_graph(n, _ascending_port_specs(n, pairs, directions))
+    specs = _ascending_port_specs(n, pairs, directions)
     colours = fixup_weak_colouring(
-        g, [rng.choice((BLACK, WHITE)) for _ in range(n)])
-    g = build_graph(n, _ascending_port_specs(n, pairs, directions), colours)
+        build_graph(n, specs), [rng.choice((BLACK, WHITE)) for _ in range(n)])
+    g = build_graph(n, specs, colours)
     return shuffle_ports(g, rng.getrandbits(32))
 
 

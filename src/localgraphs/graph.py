@@ -340,8 +340,11 @@ def graph_from_json_dict(doc: dict) -> Graph:
         edge_docs = doc["edges"]
     except (TypeError, KeyError) as exc:
         raise GraphFormatError(f"missing field: {exc}") from exc
+    for name, docs in (("nodes", node_docs), ("edges", edge_docs)):
+        if not isinstance(docs, list) or not all(isinstance(d, dict) for d in docs):
+            raise GraphFormatError(f"{name} must be a list of objects")
     ids = [nd.get("id") for nd in node_docs]
-    if sorted(ids) != list(range(len(ids))):
+    if set(map(type, ids)) - {int} or sorted(ids) != list(range(len(ids))):
         raise GraphFormatError("node ids must be exactly 0..n-1")
     colour_by_id = {}
     for nd in node_docs:
@@ -363,8 +366,10 @@ def graph_from_json_dict(doc: dict) -> Graph:
     for ed in edge_docs:
         try:
             spec = (ed["u"], ed["v"], ed["port_u"], ed["port_v"], ed.get("dir"))
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise GraphFormatError(f"bad edge document: {ed!r}") from exc
+        if not type(spec[0]) is type(spec[1]) is type(spec[2]) is type(spec[3]) is int:
+            raise GraphFormatError(f"edge fields must be integers: {ed!r}")
         if spec[4] not in ("uv", "vu", None):
             raise GraphFormatError(f"bad dir {spec[4]!r}")
         specs.append(spec)

@@ -16,7 +16,8 @@ from typing import Any, Sequence
 
 from .engine import Inbox, LocalAlgorithm, NodeView, Sends, run_local_algorithm
 from .errors import (InvariantError, NotAugmentingError, NotProperlyColouredError,
-                     PathsNotDisjointError, ShorterPathExistsError)
+                     PathsNotDisjointError, RoundBudgetError,
+                     ShorterPathExistsError)
 from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph,
                     classify_colouring, normalize_edge)
 from .oracles import shortest_augmenting_path_length, validate_matching
@@ -50,6 +51,14 @@ def _check_proper(g: Graph) -> None:
         raise NotProperlyColouredError("scheme requires a proper 2-colouring")
 
 
+def _partners(edges) -> dict[int, int]:
+    partner: dict[int, int] = {}
+    for u, v in edges:
+        partner[u] = v
+        partner[v] = u
+    return partner
+
+
 def flood_phase(g: Graph, m, h: int, *, assert_no_shorter: bool = False) -> AugmentingForest:
     """Grow augmenting trees of height ``h`` from the unmatched black nodes.
 
@@ -66,11 +75,11 @@ def flood_phase(g: Graph, m, h: int, *, assert_no_shorter: bool = False) -> Augm
         spl = shortest_augmenting_path_length(g, edges)
         if spl is not None and spl < h:
             raise ShorterPathExistsError(f"an augmenting path of length {spl} exists")
-    partner: dict[int, int] = {}
-    for u, v in edges:
-        partner[u] = v
-        partner[v] = u
+    return _flood(g, _partners(edges), h)
 
+
+def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
+    """``flood_phase`` for a properly coloured g and a valid matching's partner map."""
     joined: dict[int, int | None] = {}       # node -> arrival port, None at roots
     leaves: set[int] = set()
     sends: list[tuple[int, int]] = []        # (sender, port)
@@ -147,8 +156,17 @@ def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
 
 def augment_phase(g: Graph, m, paths: Sequence[Path]) -> Matching:
     """Flip every path against the matching; grows it by one edge per path."""
-    edges = validate_matching(g, m)
-    matched_nodes = {x for e in edges for x in e}
+    edges = set(validate_matching(g, m))
+    _augment(g, edges, _partners(edges), paths)
+    return frozenset(edges)
+
+
+def _augment(g: Graph, edges: set[Edge], partner: dict[int, int],
+             paths: Sequence[Path]) -> None:
+    """Check the paths against a valid matching, then flip them in place.
+
+    ``partner`` is the matching's partner map and is kept in step.
+    """
     used: set[int] = set()
     for path in paths:
         nodes = set(path)
@@ -159,7 +177,7 @@ def augment_phase(g: Graph, m, paths: Sequence[Path]) -> Matching:
         if used & nodes:
             raise PathsNotDisjointError(f"path {path} overlaps another path")
         used |= nodes
-        if path[0] in matched_nodes or path[-1] in matched_nodes:
+        if path[0] in partner or path[-1] in partner:
             raise NotAugmentingError(f"path {path} does not join unmatched endpoints")
         for idx in range(len(path) - 1):
             e = normalize_edge(path[idx], path[idx + 1])
@@ -167,17 +185,18 @@ def augment_phase(g: Graph, m, paths: Sequence[Path]) -> Matching:
                 raise NotAugmentingError(f"{e} is not an edge")
             if (e in edges) != (idx % 2 == 1):
                 raise NotAugmentingError(f"path {path} does not alternate at {e}")
-    out = set(edges)
+    size = len(edges)
     for path in paths:
         for idx in range(len(path) - 1):
             e = normalize_edge(path[idx], path[idx + 1])
             if idx % 2 == 0:
-                out.add(e)
+                edges.add(e)
+                partner[path[idx]] = path[idx + 1]
+                partner[path[idx + 1]] = path[idx]
             else:
-                out.discard(e)
-    if len(out) != len(edges) + len(paths):
+                edges.discard(e)
+    if len(edges) != size + len(paths):
         raise InvariantError("augmentation did not grow the matching by one edge per path")
-    return frozenset(out)
 
 
 @dataclass
@@ -194,33 +213,44 @@ class SchemeStats:
         self.sizes.append(size)
 
 
+def _degree_bound(g: Graph, max_degree: int | None) -> int:
+    delta = g.max_degree if max_degree is None else max_degree
+    if delta < g.max_degree:
+        raise ValueError(f"declared degree bound {delta} below actual {g.max_degree}")
+    return delta
+
+
 def eliminate_length(g: Graph, m, i: int, *,
                      max_degree: int | None = None,
                      stats: SchemeStats | None = None,
                      assert_oracle: bool = False) -> Matching:
     """Invoke the subroutine exactly t_i times with path length 2i-1."""
-    delta = g.max_degree if max_degree is None else max_degree
-    if delta < g.max_degree:
-        raise ValueError(f"declared degree bound {delta} below actual {g.max_degree}")
+    delta = _degree_bound(g, max_degree)
+    edges = set(validate_matching(g, m))
+    _check_proper(g)
+    _eliminate(g, edges, _partners(edges), i, delta, stats, assert_oracle)
+    return frozenset(edges)
+
+
+def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
+               delta: int, stats: SchemeStats | None, assert_oracle: bool) -> None:
+    """``eliminate_length`` on a valid matching, updated in place with its partner map."""
     h = 2 * i - 1
-    matching = validate_matching(g, m)
     for _ in range(invocation_count(delta, i)):
-        forest = flood_phase(g, matching, h)
-        paths = proposal_phase(g, forest)
-        matching = augment_phase(g, matching, paths)
+        paths = proposal_phase(g, _flood(g, partner, h))
+        _augment(g, edges, partner, paths)
         if stats is not None:
-            stats.record(i, len(paths), len(matching))
+            stats.record(i, len(paths), len(edges))
         if assert_oracle:
-            spl = shortest_augmenting_path_length(g, matching)
+            spl = shortest_augmenting_path_length(g, edges)
             if spl is not None and spl < h:
                 raise ShorterPathExistsError(
                     f"invocation left an augmenting path of length {spl} < {h}")
     if assert_oracle:
-        spl = shortest_augmenting_path_length(g, matching)
+        spl = shortest_augmenting_path_length(g, edges)
         if spl is not None and spl <= h:
             raise ShorterPathExistsError(
                 f"length-{spl} augmenting path survived elimination at h={h}")
-    return matching
 
 
 def approximate_maximum_matching(g: Graph, k: int, *,
@@ -231,11 +261,12 @@ def approximate_maximum_matching(g: Graph, k: int, *,
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_proper(g)
-    matching: Matching = frozenset()
+    delta = _degree_bound(g, max_degree)
+    edges: set[Edge] = set()
+    partner: dict[int, int] = {}
     for i in range(1, k + 1):
-        matching = eliminate_length(g, matching, i, max_degree=max_degree,
-                                    stats=stats, assert_oracle=assert_oracle)
-    return matching
+        _eliminate(g, edges, partner, i, delta, stats, assert_oracle)
+    return frozenset(edges)
 
 
 # -- per-node implementation -----------------------------------------------------
@@ -280,6 +311,27 @@ def scheme_round_budget(max_degree: int, k: int) -> int:
     return 3 * max_degree * series
 
 
+# largest round budget the scheme accepts; the budget grows like
+# k * delta * (delta-1)^(k-1), and the scheme loops over i = 1..k even
+# where t_i is 0, so k is capped by the same number
+MAX_SCHEME_ROUNDS = 10**6
+
+
+def check_round_budget(max_degree: int, k: int) -> None:
+    """Raise RoundBudgetError if the budget exceeds MAX_SCHEME_ROUNDS.
+
+    Runs before anything of the budget's size is allocated.  The last
+    term alone, 3(2k-1) max_degree (max_degree-1)^(k-1), is at least
+    2^((k-1)(b-1)) for b the bit length of max_degree-1; that rejects a
+    large k before the closed form raises a large power.
+    """
+    cap = MAX_SCHEME_ROUNDS
+    if (k > cap or (k - 1) * ((max_degree - 1).bit_length() - 1) >= cap.bit_length()
+            or scheme_round_budget(max_degree, k) > cap):
+        raise RoundBudgetError(f"matching-scheme with k={k} on degree bound {max_degree} "
+                               f"needs more than {cap} rounds")
+
+
 class MatchingSchemeAlgorithm(LocalAlgorithm):
     """Port-numbering implementation of the whole scheme for a fixed k.
 
@@ -302,6 +354,7 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
 
     def init(self, view: NodeView) -> tuple[Any, Sends]:
         if view.max_degree not in self._schedules:
+            check_round_budget(view.max_degree, self.k)
             self._schedules[view.max_degree] = scheme_schedule(view.max_degree, self.k)
         state = {
             "colour": view.colour,

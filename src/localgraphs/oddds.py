@@ -119,7 +119,7 @@ def colouring_provider_from_file(path) -> WeakColouringProvider:
     """Provider returning a colour list loaded from a JSON document."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    colours = doc["colours"] if isinstance(doc, dict) else doc
+    colours = doc.get("colours") if isinstance(doc, dict) else doc
 
     def provider(h2: Graph) -> Sequence[str]:
         if not isinstance(colours, list) or len(colours) != h2.n:

@@ -55,6 +55,27 @@ class TestGen:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "random-weak", "--n", "3000000000"],
+        ["--family", "random-bipartite", "--n", "400000", "--delta", "3"],
+        ["--family", "symmetric-complete", "--delta", "100001"],
+        ["--family", "cycle-power", "--n", "1000", "--k", "1000"],
+    ])
+    def test_size_cap_exit_2_before_generating(self, capsys, monkeypatch, argv):
+        import localgraphs.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("generator called past the size cap")
+
+        for name in ("random_weak", "random_bipartite", "symmetric_complete",
+                     "numbered_cycle"):
+            monkeypatch.setattr(cli.generators, name, unreachable)
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "gen-size"
+        assert "Traceback" not in captured.err
+
     def test_degenerate_params_exit_2(self, capsys):
         code, out = run_cli(capsys, "gen", "--family", "cycle", "--n", "2")
         assert code == 2
@@ -154,6 +175,31 @@ class TestRun:
         assert "Traceback" not in captured.err
         assert not trace.exists()
 
+    def test_unwritable_trace_exit_2(self, capsys, tmp_path, c4_file):
+        code, out = run_cli(capsys, "run", "--graph", c4_file, "--alg", "star-ds",
+                            "--trace", str(tmp_path / "no-such-dir" / "t.jsonl"))
+        assert code == 2 and json.loads(out)["error"] == "io-error"
+
+    def test_missing_external_provider_exit_2(self, capsys, tmp_path, k4_oriented):
+        gpath = tmp_path / "k4.json"
+        gpath.write_text(dumps(k4_oriented))
+        code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
+                            "--weak-colouring", f"external:{tmp_path / 'missing.json'}")
+        assert code == 2 and json.loads(out)["error"] == "io-error"
+        cpath = tmp_path / "colours.json"      # no "colours" key
+        cpath.write_text(json.dumps({"colors": [WHITE, BLACK, BLACK, BLACK]}))
+        code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
+                            "--weak-colouring", f"external:{cpath}")
+        assert code == 2 and json.loads(out)["error"] == "ProviderFailureError"
+
+    @pytest.mark.parametrize("nodes", [["a", "b"], [True, 0]])
+    def test_non_object_nodes_exit_2(self, capsys, tmp_path, nodes):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"nodes": nodes, "edges": [
+            {"u": 0, "v": 1, "port_u": 1, "port_v": 1, "dir": None}]}))
+        code, out = run_cli(capsys, "run", "--graph", str(path), "--alg", "star-ds")
+        assert code == 2 and json.loads(out)["error"] == "GraphFormatError"
+
     def test_internal_invariant_exit_4(self, capsys, monkeypatch, p4_file):
         import localgraphs.cli as cli
         from localgraphs.errors import InvariantError
@@ -204,6 +250,14 @@ class TestOracleVerifyExport:
         code, out = run_cli(capsys, "verify", "--graph", c4_file,
                             "--solution", str(bad))
         assert code == 0 and not json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("members", [[0, 1.5], [True, 2], [[0, 1.5]], [[True, 0]]])
+    def test_verify_rejects_coerced_members(self, capsys, tmp_path, c4_file, members):
+        kind = "matching" if isinstance(members[0], list) else "dominating-set"
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps({"kind": kind, "members": members}))
+        code, out = run_cli(capsys, "verify", "--graph", c4_file, "--solution", str(path))
+        assert code == 2 and json.loads(out)["error"] == "bad-solution"
 
     def test_export_dot_plain(self, capsys, tmp_path, single_edge):
         path = tmp_path / "edge.json"

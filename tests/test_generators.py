@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from localgraphs import (BLACK, WHITE, ColouringClass, classify_colouring,
@@ -10,7 +12,10 @@ from localgraphs.errors import (DegenerateParamsError, DeltaTooSmallError,
                                 EvenDeltaError, NotIndependentError,
                                 NotInCycleError, NotProperlyColouredError,
                                 OddCycleLengthError, TooSmallError)
-from localgraphs.generators import (cycle_power, matching_to_independent_set,
+from localgraphs import generators
+from localgraphs.generators import (_bipartite_cover, _fill_random_edges,
+                                    _pairing_cover, cycle_power,
+                                    matching_to_independent_set,
                                     merge_layer_independent_sets,
                                     numbered_cycle, random_bipartite,
                                     random_weak, random_weak_colouring,
@@ -282,3 +287,77 @@ class TestRandomFamilies:
         for seed in range(10):
             colours = random_weak_colouring(g, seed)
             assert classify_colouring(g, colours) >= ColouringClass.WEAK
+
+
+def _fill_cases():
+    """(n, delta, colours, cover) covers as both random families draw them,
+    plus dense covers that leave few valid pairs among many open nodes."""
+    rng = random.Random(11)
+    for _ in range(120):
+        n, delta = rng.randrange(2, 40), rng.randrange(1, 6)
+        if n % 2 == 0 or delta >= 2:
+            yield n, delta, None, _pairing_cover(n, delta, rng)
+        lo = -(-n // (delta + 1))
+        if lo > n - lo:
+            continue
+        blacks = set(rng.sample(range(n), rng.randint(lo, n - lo)))
+        colours = [BLACK if v in blacks else WHITE for v in range(n)]
+        whites = sorted(set(range(n)) - blacks)
+        yield n, delta, colours, _bipartite_cover(sorted(blacks), whites, rng)
+    for n in (40, 41):      # K_n minus a near-perfect matching, delta = n - 1
+        cover = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if not (u % 2 == 0 and v == u + 1)}
+        yield n, n - 1, None, cover
+
+
+class TestFillRandomEdges:
+    @pytest.mark.parametrize("max_misses", [generators._MAX_MISSES, 0])
+    def test_properties_over_many_seeds(self, monkeypatch, max_misses):
+        # max_misses = 0 sends every draw through the listed-pairs path
+        monkeypatch.setattr(generators, "_MAX_MISSES", max_misses)
+        for seed, (n, delta, colours, cover) in enumerate(_fill_cases()):
+            rng = random.Random(seed)
+            probe = random.Random()
+            probe.setstate(rng.getstate())
+            target = probe.randint(0, max(0, delta * n // 2 - len(cover)))
+            edges = _fill_random_edges(n, delta, rng, colours, set(cover))
+            assert edges == sorted(set(edges))
+            assert cover <= set(edges)
+            degree = [0] * n
+            for u, v in edges:
+                assert u < v
+                assert colours is None or colours[u] != colours[v]
+                degree[u] += 1
+                degree[v] += 1
+            assert max(degree) <= delta
+            placed = len(edges) - len(cover)
+            assert placed <= target
+            if placed < target:     # short only when no valid pair is left
+                chosen = set(edges)
+                assert not any(
+                    degree[u] < delta and degree[v] < delta and (u, v) not in chosen
+                    and (colours is None or colours[u] != colours[v])
+                    for u in range(n) for v in range(u + 1, n))
+
+    def test_families_over_many_seeds(self):
+        for seed in range(60):
+            n, delta = 3 + seed % 23, 1 + seed % 5
+            if n % 2 and delta == 1:
+                for family in (random_bipartite, random_weak):
+                    with pytest.raises(DegenerateParamsError):
+                        family(n, delta, seed)
+                continue
+            g = random_bipartite(n, delta, seed)
+            assert g.max_degree <= delta and g.n == n
+            assert classify_colouring(g) is ColouringClass.PROPER
+            assert random_bipartite(n, delta, seed) == g
+            w = random_weak(n, delta, seed)
+            assert w.max_degree <= delta and w.n == n
+            assert classify_colouring(w) >= ColouringClass.WEAK
+            assert random_weak(n, delta, seed) == w
+
+    @pytest.mark.parametrize("family", [random_weak, random_bipartite])
+    def test_large_instance_smoke(self, family):
+        g = family(20_000, 3, 1)
+        assert g.n == 20_000 and g.max_degree <= 3
+        assert g.edge_count >= 10_000

@@ -5,7 +5,8 @@ and hashes every trace line, the sorted outputs, ``rounds_used`` and
 ``max_message_bits``.  A change to the engine or to a ``step`` function
 that alters any message, state or output changes the digest.  Only
 deterministic generators are used, so a change to the seeded random
-families leaves these digests alone.
+families leaves these digests alone; those families are pinned
+separately, by a digest of each instance's JSON document.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import json
 import pytest
 
 from localgraphs import run_local_algorithm
-from localgraphs.generators import numbered_cycle, strong_blowup, weak_layered
+from localgraphs.generators import (numbered_cycle, random_bipartite,
+                                    random_weak, strong_blowup, weak_layered)
+from localgraphs.graph import dumps
 from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.starforest import StarForestAlgorithm
 
@@ -54,3 +57,21 @@ GOLDEN = [
 def test_golden_run(make, digest):
     g, alg = make()
     assert run_digest(g, alg) == digest
+
+
+SEEDED = [
+    (random_weak, 200, 3, 1,
+     "d760f59e090c6c9d3ee0e4a5d184e76610455a89a79c3e882d2a0488a6733839"),
+    (random_weak, 60, 4, 7,
+     "6db133355c10a1f2cd02af37b9b06914b09d09e9e362e58860050f41039d7c1b"),
+    (random_bipartite, 200, 3, 1,
+     "fa0b984323e505f0135799013c83ade2dc91689b593b4fd4a4795a7808a5e5e8"),
+    (random_bipartite, 60, 4, 7,
+     "c9ea998f24c2353cace3569a2d1d7ce6777437042377ae177b77d570f5548e49"),
+]
+
+
+@pytest.mark.parametrize("family, n, delta, seed, digest", SEEDED,
+                         ids=[f"{f.__name__}({n}, {d}, {s})" for f, n, d, s, _ in SEEDED])
+def test_golden_seeded_instance(family, n, delta, seed, digest):
+    assert hashlib.sha256(dumps(family(n, delta, seed)).encode()).hexdigest() == digest

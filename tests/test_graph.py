@@ -146,6 +146,20 @@ class TestJson:
         with pytest.raises(GraphFormatError):
             graph_from_json_dict(doc)
 
+    @pytest.mark.parametrize("nodes, edges", [
+        (["a", "b"], []),
+        ([True, 0], []),
+        ([{"id": True}, {"id": 0}], []),
+        ([{"id": "0"}, {"id": 1}], []),
+        ({"id": 0}, []),
+        ([{"id": 0}, {"id": 1}], [[0, 1, 1, 1]]),
+        ([{"id": 0}, {"id": 1}], [{"u": "0", "v": 1, "port_u": 1, "port_v": 1}]),
+        ([{"id": 0}, {"id": 1}], [{"u": 0, "v": 1, "port_u": True, "port_v": 1}]),
+    ])
+    def test_non_object_or_non_integer_documents_rejected(self, nodes, edges):
+        with pytest.raises(GraphFormatError):
+            graph_from_json_dict({"nodes": nodes, "edges": edges})
+
     def test_garbage_rejected(self):
         with pytest.raises(GraphFormatError):
             loads("{not json")

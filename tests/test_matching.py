@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from localgraphs import BLACK, WHITE, build_graph, disjoint_union
 from localgraphs.errors import (NotAugmentingError, NotProperlyColouredError,
-                                PathsNotDisjointError, ShorterPathExistsError)
+                                PathsNotDisjointError, RoundBudgetError,
+                                ShorterPathExistsError)
 from localgraphs.generators import random_bipartite, strong_blowup, numbered_cycle
 from localgraphs.engine import NodeView
 from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
                                   SchemeStats, approximate_maximum_matching,
-                                  augment_phase, eliminate_length, flood_phase,
+                                  augment_phase, check_round_budget,
+                                  eliminate_length, flood_phase,
                                   invocation_count,
                                   proposal_phase, run_matching_scheme,
                                   scheme_round_budget, scheme_schedule)
@@ -183,6 +185,20 @@ class TestEliminateLength:
         m = frozenset({(0, 1), (2, 3)})
         assert eliminate_length(p4_coloured, m, 2, assert_oracle=True) == m
 
+    def test_validates_once_per_entry_point(self, monkeypatch):
+        import localgraphs.matching as matching
+        calls = {"validate_matching": 0, "classify_colouring": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(matching, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(matching, name, counted)
+        g = random_bipartite(14, 3, 0)
+        m = approximate_maximum_matching(g, 3)
+        assert calls == {"validate_matching": 0, "classify_colouring": 1}
+        assert eliminate_length(g, m, 2) == m
+        assert calls == {"validate_matching": 1, "classify_colouring": 2}
+
     def test_monotone_and_valid_throughout(self):
         for seed in range(20):
             g = random_bipartite(14, 3, seed)
@@ -262,6 +278,21 @@ class TestSimulatedScheme:
         both, _ = run_matching_scheme(doubled, 2)
         shifted = {(u + 4, v + 4) for u, v in single}
         assert both == single | shifted
+
+    def test_library_refuses_budget_before_allocating(self, monkeypatch):
+        import localgraphs.matching as matching
+
+        def unreachable(*args):
+            raise AssertionError("schedule built past the round budget")
+
+        monkeypatch.setattr(matching, "scheme_schedule", unreachable)
+        g = strong_blowup(numbered_cycle(8), 3)     # k = 20 needs about 3.5e8 rounds
+        with pytest.raises(RoundBudgetError):
+            run_matching_scheme(g, 20)
+        check_round_budget(3, 12)
+        for delta, k in ((3, 13), (1000, 10**6), (2, 10**6 + 1)):
+            with pytest.raises(RoundBudgetError):
+                check_round_budget(delta, k)
 
     def test_round_budget_closed_form(self):
         for delta in range(0, 7):
