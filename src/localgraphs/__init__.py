@@ -9,13 +9,11 @@ generators, and exact oracles for desk-scale verification.
 from .engine import (INCOMING, OUTGOING, LocalAlgorithm, NodeView, RunResult,
                      local_views_equivalent, run_local_algorithm)
 from .graph import (BLACK, WHITE, ColouringClass, Graph, build_graph,
-                    classify_colouring, disjoint_union, neighbour_via_port,
-                    relabel, with_colours)
+                    classify_colouring, disjoint_union, relabel, with_colours)
 
 __all__ = [
     "BLACK", "WHITE", "ColouringClass", "Graph", "build_graph",
-    "classify_colouring", "disjoint_union", "neighbour_via_port", "relabel",
-    "with_colours",
+    "classify_colouring", "disjoint_union", "relabel", "with_colours",
     "INCOMING", "OUTGOING", "LocalAlgorithm", "NodeView", "RunResult",
     "local_views_equivalent", "run_local_algorithm",
 ]

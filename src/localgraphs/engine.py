@@ -77,11 +77,8 @@ _EMPTY_INBOX: Inbox = MappingProxyType({})
 def _port_directions(g: Graph, v: int) -> tuple[str, ...] | None:
     if not g.has_orientation:
         return None
-    dirs = []
-    for p in range(1, g.degree(v) + 1):
-        tail, _ = g.orientation[normalize_edge(v, g.port_neighbour(v, p))]
-        dirs.append(OUTGOING if tail == v else INCOMING)
-    return tuple(dirs)
+    return tuple(OUTGOING if g.orientation[normalize_edge(v, u)][0] == v else INCOMING
+                 for u in g.neighbours(v))
 
 
 def run_local_algorithm(g: Graph,
@@ -190,9 +187,10 @@ def _view_codes(g: Graph, radius: int, intern: dict) -> list[int]:
             intern[key] = code
         return code
 
-    codes = [get(("leaf", _node_label(g, v))) for v in g.nodes]
+    labels = [_node_label(g, v) for v in g.nodes]
+    codes = [get(("leaf", label)) for label in labels]
     for _ in range(radius):
-        codes = [get((_node_label(g, v),
+        codes = [get((labels[v],
                       tuple((g.arrival_port(v, p), codes[g.port_neighbour(v, p)])
                             for p in range(1, g.degree(v) + 1))))
                  for v in g.nodes]

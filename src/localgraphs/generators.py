@@ -19,7 +19,7 @@ from .errors import (DegenerateParamsError, DeltaTooSmallError, EvenDeltaError,
                      NotProperlyColouredError, OddCycleLengthError,
                      TooSmallError)
 from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph, build_graph,
-                    classify_colouring, normalize_edge)
+                    classify_colouring, normalize_edge, with_colours)
 from .oddds import fixup_weak_colouring
 from .oracles import validate_matching
 
@@ -321,20 +321,12 @@ def _pairing_cover(n: int, delta: int, rng: random.Random) -> set[Edge]:
 def shuffle_ports(g: Graph, seed: int) -> Graph:
     """Same graph with freshly randomized port numberings."""
     rng = random.Random(seed)
-    order: dict[int, list[int]] = {}
+    port_to = []
     for v in g.nodes:
         nbrs = list(g.neighbours(v))
         rng.shuffle(nbrs)
-        order[v] = nbrs
-    specs = []
-    for u, v in sorted(g.edges):
-        direction = None
-        if g.orientation is not None:
-            tail, _ = g.orientation[(u, v)]
-            direction = "uv" if tail == u else "vu"
-        specs.append((u, v, order[u].index(v) + 1, order[v].index(u) + 1, direction))
-    colours = list(g.colours) if g.colours is not None else None
-    return build_graph(g.n, specs, colours)
+        port_to.append(tuple(nbrs))
+    return Graph(g.n, g.colours, g.edges, g.orientation, tuple(port_to))
 
 
 def random_bipartite(n: int, delta: int, seed: int) -> Graph:
@@ -364,10 +356,9 @@ def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
     if oriented:
         directions = {normalize_edge(u, v): (u, v) if rng.random() < 0.5 else (v, u)
                       for u, v in pairs}
-    specs = _ascending_port_specs(n, pairs, directions)
-    colours = fixup_weak_colouring(
-        build_graph(n, specs), [rng.choice((BLACK, WHITE)) for _ in range(n)])
-    g = build_graph(n, specs, colours)
+    g = build_graph(n, _ascending_port_specs(n, pairs, directions))
+    g = with_colours(g, fixup_weak_colouring(
+        g, [rng.choice((BLACK, WHITE)) for _ in range(n)]))
     return shuffle_ports(g, rng.getrandbits(32))
 
 

@@ -7,6 +7,7 @@ ports form a bijection {1..deg(v)} -> neighbours(v).
 
 from __future__ import annotations
 
+import copy
 import json
 from enum import IntEnum
 from typing import Callable, Iterable, Mapping, Sequence
@@ -46,20 +47,29 @@ class ColouringClass(IntEnum):
 
 
 class Graph:
-    """Immutable validated graph.  Build instances through :func:`build_graph`."""
+    """Immutable graph held as its port tables.
+
+    ``port_to[v]`` lists v's neighbours in port order; the constructor
+    derives the reverse tables from it and trusts its arguments.  New
+    structure is validated by :func:`build_graph`; copies of a valid
+    graph (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
+    :func:`induced_subgraph`) derive their tables from the source's.
+    """
 
     __slots__ = ("n", "colours", "edges", "orientation",
                  "_port_to", "_port_back", "_port_of", "_max_degree")
 
-    def __init__(self, n, colours, edges, orientation, port_to, port_back, port_of):
+    def __init__(self, n, colours, edges, orientation, port_to):
         self.n = n
         self.colours = colours          # tuple[str, ...] | None
         self.edges = edges              # frozenset[Edge], normalized u < v
-        self.orientation = orientation  # dict[Edge, (tail, head)] | None
+        self.orientation = orientation or None  # dict[Edge, (tail, head)] | None
         self._port_to = port_to         # tuple[tuple[int, ...], ...]
-        self._port_back = port_back     # arrival port at the far end, per port
-        self._port_of = port_of         # tuple[dict[neighbour, port], ...]
-        self._max_degree = max((len(p) for p in port_to), default=0)
+        self._port_of = tuple({u: p for p, u in enumerate(nbrs, start=1)}
+                              for nbrs in port_to)   # neighbour -> port, per node
+        self._port_back = tuple(tuple(self._port_of[u][v] for u in nbrs)
+                                for v, nbrs in enumerate(port_to))  # arrival ports
+        self._max_degree = max(map(len, port_to), default=0)
 
     # -- structure accessors --------------------------------------------
 
@@ -133,7 +143,7 @@ class Graph:
 def build_graph(node_count: int,
                 edges: Iterable[Sequence],
                 colours: Sequence[str] | Mapping[int, str] | None = None) -> Graph:
-    """Validate and build a Graph.
+    """Validate new structure and build a Graph.
 
     ``edges`` holds tuples ``(u, v, port_u, port_v)`` or
     ``(u, v, port_u, port_v, direction)`` with direction in
@@ -146,7 +156,6 @@ def build_graph(node_count: int,
     edge_set: set[Edge] = set()
     ports: list[dict[int, int]] = [dict() for _ in range(node_count)]
     orientation: dict[Edge, tuple[int, int]] = {}
-    directed_seen = 0
 
     for spec in edges:
         if len(spec) == 4:
@@ -175,9 +184,8 @@ def build_graph(node_count: int,
                 orientation[e] = (v, u)
             else:
                 raise ValueError(f"direction must be 'uv', 'vu' or None, got {direction!r}")
-            directed_seen += 1
 
-    if directed_seen not in (0, len(edge_set)):
+    if len(orientation) not in (0, len(edge_set)):
         raise GraphFormatError("orientation must be given for all edges or none")
 
     port_to: list[tuple[int, ...]] = []
@@ -190,13 +198,8 @@ def build_graph(node_count: int,
                 f"node {v}: ports {sorted(ports[v])} are not exactly 1..{deg}")
         port_to.append(tuple(ports[v][p] for p in range(1, deg + 1)))
 
-    port_of = tuple({u: p + 1 for p, u in enumerate(port_to[v])}
-                    for v in range(node_count))
-    port_back = tuple(tuple(port_of[u][v] for u in port_to[v])
-                      for v in range(node_count))
-    return Graph(node_count, colour_list, frozenset(edge_set),
-                 orientation if directed_seen else None,
-                 tuple(port_to), port_back, port_of)
+    return Graph(node_count, colour_list, frozenset(edge_set), orientation,
+                 tuple(port_to))
 
 
 def _normalize_colours(n, colours):
@@ -233,41 +236,52 @@ def classify_colouring(g: Graph, colours: Sequence[str] | None = None) -> Colour
     return ColouringClass.WEAK if weak else ColouringClass.NONE
 
 
-def neighbour_via_port(g: Graph, v: int, p: int) -> int:
-    """Module-level alias for :meth:`Graph.port_neighbour`."""
-    return g.port_neighbour(v, p)
-
-
 # -- structural utilities -----------------------------------------------------
 
-def _edge_specs(g: Graph, node_map: Callable[[int], int] | None = None):
-    """Edge tuples reconstructing g, with ids optionally remapped."""
-    f = node_map or (lambda x: x)
+def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
+    """``(u, v, port_u, port_v, direction)`` per edge, sorted: build_graph's input."""
     specs = []
     for u, v in sorted(g.edges):
         direction = None
         if g.orientation is not None:
-            tail, _ = g.orientation[(u, v)]
-            direction = "uv" if tail == u else "vu"
-        specs.append((f(u), f(v), g.port_of(u, v), g.port_of(v, u), direction))
+            direction = "uv" if g.orientation[(u, v)][0] == u else "vu"
+        specs.append((u, v, g.port_of(u, v), g.port_of(v, u), direction))
     return specs
 
 
+def _renamed_edges(g: Graph, f: Callable[[int], int], among: Iterable[Edge] | None = None):
+    """g's edges (or those ``among`` them) and orientation with v renamed f(v)."""
+    edges = []
+    orientation = None if g.orientation is None else {}
+    for u, v in g.edges if among is None else among:
+        e = normalize_edge(f(u), f(v))
+        edges.append(e)
+        if orientation is not None:
+            t, h = g.orientation[(u, v)]
+            orientation[e] = (f(t), f(h))
+    return frozenset(edges), orientation
+
+
 def with_colours(g: Graph, colours: Sequence[str] | None) -> Graph:
-    """Copy of g with the colour map replaced (or removed)."""
-    return build_graph(g.n, _edge_specs(g), colours)
+    """Copy of g with the colour map replaced (or removed); shares g's tables."""
+    h = copy.copy(g)
+    h.colours = _normalize_colours(g.n, colours)
+    return h
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Copy of g with node v renamed perm[v]; ports travel with their node."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    colours = None
-    if g.colours is not None:
-        colours = [BLACK] * g.n
-        for v in g.nodes:
+    port_to: list = [None] * g.n
+    colours: list | None = None if g.colours is None else [None] * g.n
+    for v, nbrs in enumerate(g._port_to):
+        port_to[perm[v]] = tuple(perm[u] for u in nbrs)
+        if colours is not None:
             colours[perm[v]] = g.colours[v]
-    return build_graph(g.n, _edge_specs(g, lambda v: perm[v]), colours)
+    edges, orientation = _renamed_edges(g, perm.__getitem__)
+    return Graph(g.n, None if colours is None else tuple(colours), edges,
+                 orientation, tuple(port_to))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -276,12 +290,13 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
         raise GraphFormatError("cannot union a coloured and an uncoloured graph")
     if g1.has_orientation != g2.has_orientation:
         raise GraphFormatError("cannot union an oriented and an unoriented graph")
-    colours = None
-    if g1.has_colours:
-        colours = list(g1.colours) + list(g2.colours)
-    shift = g1.n
-    specs = _edge_specs(g1) + _edge_specs(g2, lambda v: v + shift)
-    return build_graph(g1.n + g2.n, specs, colours)
+    ids = list(range(g1.n, g1.n + g2.n))  # one int object per node, shared by all tables
+    port_to = g1._port_to + tuple(tuple(ids[u] for u in nbrs) for nbrs in g2._port_to)
+    edges, orientation = _renamed_edges(g2, ids.__getitem__)
+    if orientation is not None:
+        orientation = {**g1.orientation, **orientation}
+    colours = g1.colours + g2.colours if g1.has_colours else None
+    return Graph(g1.n + g2.n, colours, g1.edges | edges, orientation, port_to)
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -291,46 +306,27 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
     node set must leave no node isolated.
     """
     kept = sorted(set(nodes))
+    if kept and not 0 <= kept[0] <= kept[-1] < g.n:
+        raise ValueError(f"kept nodes must lie in 0..{g.n - 1}")
     new_id = {old: i for i, old in enumerate(kept)}
-    kept_set = set(kept)
-    # renumber surviving ports at each kept node, keeping their order
-    new_port: dict[tuple[int, int], int] = {}
+    port_to = []
     for old in kept:
-        nxt = 1
-        for p, u in enumerate(g.neighbours(old), start=1):
-            if u in kept_set:
-                new_port[(old, p)] = nxt
-                nxt += 1
-    specs = []
-    for u, v in sorted(g.edges):
-        if u in kept_set and v in kept_set:
-            direction = None
-            if g.orientation is not None:
-                tail, _ = g.orientation[(u, v)]
-                direction = "uv" if tail == u else "vu"
-            specs.append((new_id[u], new_id[v],
-                          new_port[(u, g.port_of(u, v))],
-                          new_port[(v, g.port_of(v, u))],
-                          direction))
-    colours = None
-    if g.colours is not None:
-        colours = [g.colours[old] for old in kept]
-    return build_graph(len(kept), specs, colours), tuple(kept)
+        nbrs = tuple(new_id[u] for u in g._port_to[old] if u in new_id)
+        if not nbrs:
+            raise IsolatedNodeError(f"node {old} has no neighbours among the kept nodes")
+        port_to.append(nbrs)
+    edges, orientation = _renamed_edges(
+        g, new_id.__getitem__, [(u, v) for u, v in g.edges if u in new_id and v in new_id])
+    colours = None if g.colours is None else tuple(g.colours[old] for old in kept)
+    return Graph(len(kept), colours, edges, orientation, tuple(port_to)), tuple(kept)
 
 
 # -- JSON interchange ----------------------------------------------------------
 
 def graph_to_json_dict(g: Graph) -> dict:
     nodes = [{"id": v, "colour": g.colour(v)} for v in g.nodes]
-    edges = []
-    for u, v in sorted(g.edges):
-        direction = None
-        if g.orientation is not None:
-            tail, _ = g.orientation[(u, v)]
-            direction = "uv" if tail == u else "vu"
-        edges.append({"u": u, "v": v,
-                      "port_u": g.port_of(u, v), "port_v": g.port_of(v, u),
-                      "dir": direction})
+    edges = [{"u": u, "v": v, "port_u": pu, "port_v": pv, "dir": d}
+             for u, v, pu, pv, d in edge_specs(g)]
     return {"nodes": nodes, "edges": edges}
 
 

@@ -17,9 +17,8 @@ from typing import Callable, Sequence
 from .engine import RunResult, run_local_algorithm
 from .errors import (EvenDeltaError, InvariantError, MissingOrientationError,
                      NotWeakOnAError, ProviderFailureError)
-from .graph import (BLACK, WHITE, ColouringClass, Graph, build_graph,
-                    classify_colouring, induced_subgraph, opposite,
-                    with_colours)
+from .graph import (BLACK, WHITE, ColouringClass, Graph, classify_colouring,
+                    induced_subgraph, opposite, with_colours)
 from .starforest import StarForestAlgorithm, star_forest_from_outputs
 
 WeakColouringProvider = Callable[[Graph], Sequence[str]]
@@ -66,22 +65,20 @@ def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
     """Induce the core on a + b and give every even-degree node a dummy."""
     core = sorted(part.a | part.b)
     base, original_ids = induced_subgraph(g, core)
-    specs = []
-    for u, v in sorted(base.edges):
-        direction = None
-        if base.orientation is not None:
-            tail, _ = base.orientation[(u, v)]
-            direction = "uv" if tail == u else "vu"
-        specs.append((u, v, base.port_of(u, v), base.port_of(v, u), direction))
+    port_to = list(map(base.neighbours, base.nodes))
+    edges = set(base.edges)
+    orientation = None if base.orientation is None else dict(base.orientation)
     dummy_hosts: dict[int, int] = {}
-    next_id = base.n
     for v in base.nodes:
         if base.degree(v) % 2 == 0:
-            direction = "uv" if base.has_orientation else None
-            specs.append((v, next_id, base.degree(v) + 1, 1, direction))
-            dummy_hosts[next_id] = v
-            next_id += 1
-    graph = build_graph(next_id, specs)
+            dummy = len(port_to)
+            port_to[v] += (dummy,)
+            port_to.append((v,))
+            edges.add((v, dummy))
+            if orientation is not None:
+                orientation[(v, dummy)] = (v, dummy)
+            dummy_hosts[dummy] = v
+    graph = Graph(len(port_to), None, frozenset(edges), orientation, tuple(port_to))
     if any(graph.degree(v) % 2 == 0 for v in graph.nodes):
         raise InvariantError("dummy-augmented core has an even-degree node")
     return DummyAugmentedGraph(graph=graph, base=base,

@@ -6,21 +6,27 @@ and hashes every trace line, the sorted outputs, ``rounds_used`` and
 that alters any message, state or output changes the digest.  Only
 deterministic generators are used, so a change to the seeded random
 families leaves these digests alone; those families are pinned
-separately, by a digest of each instance's JSON document.
+separately, by a digest of each instance's JSON document, and so are
+the graph copies derived from them (recolouring, port shuffles,
+relabelling, unions, induced subgraphs and the dummy-augmented core).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from localgraphs import run_local_algorithm
 from localgraphs.generators import (numbered_cycle, random_bipartite,
-                                    random_weak, strong_blowup, weak_layered)
-from localgraphs.graph import dumps
+                                    random_weak, random_weak_colouring,
+                                    shuffle_ports, strong_blowup, weak_layered)
+from localgraphs.graph import (disjoint_union, dumps, induced_subgraph, relabel,
+                               with_colours)
 from localgraphs.matching import MatchingSchemeAlgorithm
+from localgraphs.oddds import build_h2, partition_abc
 from localgraphs.starforest import StarForestAlgorithm
 
 
@@ -75,3 +81,44 @@ SEEDED = [
                          ids=[f"{f.__name__}({n}, {d}, {s})" for f, n, d, s, _ in SEEDED])
 def test_golden_seeded_instance(family, n, delta, seed, digest):
     assert hashlib.sha256(dumps(family(n, delta, seed)).encode()).hexdigest() == digest
+
+
+def json_digest(g) -> str:
+    return hashlib.sha256(dumps(g).encode()).hexdigest()
+
+
+def recoloured_shuffled_relabelled():
+    g = random_weak(40, 3, 5, oriented=False)
+    g = shuffle_ports(with_colours(g, random_weak_colouring(g, 2)), 9)
+    return relabel(g, random.Random(3).sample(range(g.n), g.n))
+
+
+def odd_core(g):
+    part = partition_abc(g)
+    return induced_subgraph(g, part.a | part.b)[0]
+
+
+def dummy_augmented(g):
+    return build_h2(g, partition_abc(g)).graph
+
+
+DERIVED = [
+    ("with_colours-shuffle_ports-relabel random_weak(40, 3, 5)",
+     recoloured_shuffled_relabelled,
+     "b70acc3c2d0aea6b855df7a8df6f98f4596995f92043c1dd477eb85cbd19b543"),
+    ("disjoint_union random_weak(30, 3, 2) random_weak(20, 4, 3)",
+     lambda: disjoint_union(random_weak(30, 3, 2), random_weak(20, 4, 3)),
+     "36466e785c8237e5541f6746bd358b39e95dbc2d571d691ece9c239ebd085904"),
+    ("induced_subgraph odd core of random_weak(60, 4, 7)",
+     lambda: odd_core(random_weak(60, 4, 7)),
+     "a52058e9619682941d13edb1917848c9ab99d6990e5ed473230151ba164bed85"),
+    ("build_h2 random_weak(60, 3, 8)",
+     lambda: dummy_augmented(random_weak(60, 3, 8)),
+     "3f2cf3b95c18732f5a2171d7624acbb484b43a497f99e6d5e59ccfbc5cae6f50"),
+]
+
+
+@pytest.mark.parametrize("make, digest", [(m, d) for _, m, d in DERIVED],
+                         ids=[name for name, _, _ in DERIVED])
+def test_golden_derived_copy(make, digest):
+    assert json_digest(make()) == digest

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,12 @@ from localgraphs.errors import (DuplicateEdgeError, GraphFormatError,
                                 IsolatedNodeError, MissingColoursError,
                                 PortClashError, PortGapError,
                                 PortOutOfRangeError, SelfLoopError)
-from localgraphs.graph import (disjoint_union, dumps, graph_from_json_dict,
-                               graph_to_json_dict, induced_subgraph, loads,
-                               neighbour_via_port, relabel, with_colours)
-from localgraphs.generators import random_bipartite, random_weak
+from localgraphs.graph import (disjoint_union, dumps, edge_specs,
+                               graph_from_json_dict, graph_to_json_dict,
+                               induced_subgraph, loads, relabel, with_colours)
+from localgraphs.generators import (random_bipartite, random_weak,
+                                    random_weak_colouring, shuffle_ports)
+from localgraphs.oddds import build_h2, partition_abc
 
 from conftest import path_graph
 
@@ -86,20 +90,20 @@ class TestClassify:
 
 class TestPorts:
     def test_single_edge(self, single_edge):
-        assert neighbour_via_port(single_edge, 0, 1) == 1
+        assert single_edge.port_neighbour(0, 1) == 1
 
     def test_out_of_range(self, single_edge):
         with pytest.raises(PortOutOfRangeError):
-            neighbour_via_port(single_edge, 0, 2)
+            single_edge.port_neighbour(0, 2)
 
     def test_p3_port_map(self, p3_wbw):
-        assert neighbour_via_port(p3_wbw, 1, 2) == 2
-        assert neighbour_via_port(p3_wbw, 1, 1) == 0
+        assert p3_wbw.port_neighbour(1, 2) == 2
+        assert p3_wbw.port_neighbour(1, 1) == 0
 
     def test_ports_total_and_onto(self, p3_wbw, c4_coloured, k4_oriented):
         for g in (p3_wbw, c4_coloured, k4_oriented):
             for v in g.nodes:
-                image = {neighbour_via_port(g, v, p)
+                image = {g.port_neighbour(v, p)
                          for p in range(1, g.degree(v) + 1)}
                 expected = {u for e in g.edges for u in e if v in e} - {v}
                 assert image == expected
@@ -197,3 +201,71 @@ class TestUtilities:
         # node 1 kept both neighbours, so its relative port order survives
         assert [sub.port_neighbour(1, p) for p in (1, 2)] == \
             [c4_coloured.port_neighbour(1, p) for p in (1, 2)]
+
+    def test_induced_subgraph_isolating_a_node_raises(self, p4_coloured):
+        with pytest.raises(IsolatedNodeError):
+            induced_subgraph(p4_coloured, [0, 1, 3])
+        with pytest.raises(IsolatedNodeError):
+            induced_subgraph(p4_coloured, [0, 2])
+
+    def test_induced_subgraph_rejects_unknown_nodes(self, p4_coloured):
+        with pytest.raises(ValueError):
+            induced_subgraph(p4_coloured, [-1, 3])
+        with pytest.raises(ValueError):
+            induced_subgraph(p4_coloured, [2, 3, 4])
+
+    def test_with_colours_still_checks_colours(self, p4_coloured):
+        with pytest.raises(ValueError):
+            with_colours(p4_coloured, [BLACK] * 3)
+        with pytest.raises(ValueError):
+            with_colours(p4_coloured, ["red"] * 4)
+
+
+def assert_valid_copy(h):
+    """h equals its own rebuild through build_graph, and its ports invert."""
+    rebuilt = build_graph(h.n, edge_specs(h), h.colours)
+    assert rebuilt == h
+    assert rebuilt.edges == h.edges
+    assert rebuilt.max_degree == h.max_degree
+    for v in h.nodes:
+        for p in range(1, h.degree(v) + 1):
+            u = h.port_neighbour(v, p)
+            assert h.port_neighbour(u, h.arrival_port(v, p)) == v
+            assert h.port_of(v, u) == p
+
+
+def without_node(g, v):
+    """Every node but v and the neighbours v would leave isolated."""
+    return set(g.nodes) - {v} - {u for u in g.neighbours(v) if g.degree(u) == 1}
+
+
+DERIVED_SOURCES = (
+    [("weak", n, d, s, s % 2 == 0) for n, d, s in
+     ((8, 3, 1), (13, 3, 2), (21, 4, 3), (30, 5, 4), (17, 3, 5), (40, 3, 6))]
+    + [("bipartite", n, d, s, False) for n, d, s in
+       ((8, 3, 1), (15, 3, 2), (24, 4, 3), (31, 5, 4))])
+
+
+@pytest.mark.parametrize("family, n, delta, seed, oriented", DERIVED_SOURCES)
+def test_derived_copies_stay_valid(family, n, delta, seed, oriented):
+    g = (random_weak(n, delta, seed, oriented=oriented) if family == "weak"
+         else random_bipartite(n, delta, seed))
+    rng = random.Random(seed)
+    part = partition_abc(g)
+    h2 = build_h2(g, part)
+    copies = [
+        g,
+        with_colours(g, random_weak_colouring(g, seed)),
+        with_colours(g, None),
+        relabel(g, rng.sample(range(n), n)),
+        shuffle_ports(g, seed),
+        disjoint_union(g, shuffle_ports(g, seed + 1)),
+        disjoint_union(with_colours(g, None), with_colours(g, None)),
+        induced_subgraph(g, part.a | part.b)[0],
+        induced_subgraph(g, without_node(g, rng.randrange(n)))[0],
+        h2.graph,
+        h2.base,
+    ]
+    for h in copies:
+        assert_valid_copy(h)
+    assert relabel(g, range(n)) == g

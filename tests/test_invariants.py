@@ -1,11 +1,23 @@
-"""Invariant checks must survive ``python -O``: no ``assert`` in the package."""
+"""Package-wide invariants.
+
+Invariant checks must survive ``python -O``: no ``assert`` in the
+package.  Copies of a valid graph derive their port tables from the
+source's and never re-validate through ``build_graph``.
+"""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
+import pytest
+
 import localgraphs
+from localgraphs.generators import random_bipartite, random_weak, shuffle_ports
+from localgraphs.graph import (disjoint_union, induced_subgraph, relabel,
+                               with_colours)
+from localgraphs.oddds import build_h2, partition_abc
 
 PACKAGE = Path(localgraphs.__file__).resolve().parent
 
@@ -19,3 +31,28 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_derived_copies_never_reach_build_graph(monkeypatch):
+    weak = random_weak(30, 3, 4)
+    bip = random_bipartite(30, 4, 4)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_graph called for a derived copy")
+
+    patched = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "localgraphs" and hasattr(m, "build_graph")]
+    assert localgraphs.graph in patched and localgraphs.generators in patched
+    for module in patched:
+        monkeypatch.setattr(module, "build_graph", unreachable)
+    with pytest.raises(AssertionError):
+        localgraphs.graph.build_graph(2, [(0, 1, 1, 1)])
+    for g in (weak, bip):
+        part = partition_abc(g)
+        with_colours(g, None)
+        relabel(g, list(reversed(range(g.n))))
+        shuffle_ports(g, 1)
+        disjoint_union(g, g)
+        induced_subgraph(g, part.a | part.b)
+        h2 = build_h2(g, part)
+        assert h2.graph.n >= h2.base.n
