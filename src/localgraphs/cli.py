@@ -1,8 +1,9 @@
 """Batch front-end: generate instances, run algorithms, query oracles.
 
 All output is JSON on stdout.  Exit codes: 0 success, 2 input error,
-3 capability mismatch (algorithm needs colour/orientation the graph
-lacks), 4 internal invariant failure.
+3 capability mismatch (the graph lacks what the algorithm needs), 4
+internal invariant failure; the classes in :mod:`localgraphs.errors`
+decide which.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from fractions import Fraction
 from . import generators, graph as graphmod, oracles
 from .baselines import AllNodesDominatingSet, WhiteIndependentSet
 from .engine import run_local_algorithm
-from .errors import (EvenDeltaError, InvariantError, LocalGraphError,
-                     MissingInputError, MissingOrientationError,
-                     NotProperlyColouredError, RoundBudgetError,
-                     ShorterPathExistsError)
+from .errors import (CapabilityError, InvariantError, LocalGraphError,
+                     NotProperlyColouredError, RoundBudgetError)
 from .graph import BLACK, ColouringClass, Graph, classify_colouring, normalize_edge
 from .matching import (approximate_maximum_matching, check_round_budget,
                        run_matching_scheme)
@@ -73,27 +72,43 @@ def _cmd_gen(args) -> int:
                           f"{args.family} with n={args.n}, delta={args.delta}, k={args.k} "
                           f"exceeds {MAX_GEN_SIZE} nodes times maximum degree", "gen-size")
     fam = args.family
-    if fam in ("cycle", "cycle-power", "strong-blowup", "weak-layered"):
-        cycle = generators.numbered_cycle(args.n)
-    if fam == "cycle":
-        g = cycle.graph
-    elif fam == "cycle-power":
-        g = generators.cycle_power(cycle, args.k)
-    elif fam == "strong-blowup":
-        g = generators.strong_blowup(cycle, args.delta)
-    elif fam == "weak-layered":
-        g = generators.weak_layered(cycle, args.delta)
-    elif fam == "symmetric-complete":
-        g = generators.symmetric_complete(args.delta)
-    elif fam == "random-bipartite":
-        g = generators.random_bipartite(args.n, args.delta, args.seed)
-    else:
-        g = generators.random_weak(args.n, args.delta, args.seed)
+    try:
+        if fam in ("cycle", "cycle-power", "strong-blowup", "weak-layered"):
+            cycle = generators.numbered_cycle(args.n)
+        if fam == "cycle":
+            g = cycle.graph
+        elif fam == "cycle-power":
+            g = generators.cycle_power(cycle, args.k)
+        elif fam == "strong-blowup":
+            g = generators.strong_blowup(cycle, args.delta)
+        elif fam == "weak-layered":
+            g = generators.weak_layered(cycle, args.delta)
+        elif fam == "symmetric-complete":
+            g = generators.symmetric_complete(args.delta)
+        elif fam == "random-bipartite":
+            g = generators.random_bipartite(args.n, args.delta, args.seed)
+        else:
+            g = generators.random_weak(args.n, args.delta, args.seed)
+    except LocalGraphError as exc:     # gen reads no graph: every failure is a bad parameter
+        raise _CliFailure(EXIT_INPUT, str(exc), type(exc).__name__) from exc
     _write_or_print(graphmod.dumps(g), args.out)
     return EXIT_OK
 
 
 # -- run -----------------------------------------------------------------------
+
+# problem -> (exact solver's name in `oracles`, minimization); the name is
+# looked up per call, so a solver wrapped after import is the one called
+_ORACLES = {"ds": ("brute_min_dominating_set", True),
+            "matching": ("brute_max_matching", False),
+            "is": ("brute_max_independent_set", False)}
+
+
+def _oracle(problem: str):
+    """The exact solver for ``problem`` and whether it minimizes."""
+    name, minimization = _ORACLES[problem]
+    return getattr(oracles, name), minimization
+
 
 def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: Fraction,
             rounds_used: int, max_message_bits: int, delta: int,
@@ -127,22 +142,17 @@ def _cmd_run(args) -> int:
             check_round_budget(delta, args.k)
         except RoundBudgetError as exc:
             raise _CliFailure(EXIT_INPUT, str(exc), "round-budget") from exc
-    want_oracle = args.oracle
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     trace = (lambda line: trace_fh.write(line + "\n")) if trace_fh else None
     try:
         if args.alg == "star-ds":
             sf, run = run_star_forest(g, trace=trace)
             members = sorted(sf.roots)
-            opt = len(oracles.brute_min_dominating_set(g, args.limit)) if want_oracle else None
-            doc = _report("star-ds", g, len(members), Fraction(delta + 1, 2),
-                          run.rounds_used, run.max_message_bits, delta, opt, True)
+            problem, bound = "ds", Fraction(delta + 1, 2)
         elif args.alg == "star-matching":
             sf, run = run_star_forest(g, trace=trace)
             members = sorted(star_matching(g, sf))
-            opt = len(oracles.brute_max_matching(g, args.limit)) if want_oracle else None
-            doc = _report("star-matching", g, len(members), Fraction(delta + 1, 2),
-                          run.rounds_used, run.max_message_bits, delta, opt, False)
+            problem, bound = "matching", Fraction(delta + 1, 2)
         elif args.alg == "matching-scheme":
             matching, run = run_matching_scheme(g, args.k, trace=trace)
             if args.assert_oracle:
@@ -150,10 +160,7 @@ def _cmd_run(args) -> int:
                 if check != matching:
                     raise InvariantError("simulated and centralized schemes disagree")
             members = sorted(matching)
-            opt = len(oracles.brute_max_matching(g, args.limit)) if want_oracle else None
-            doc = _report("matching-scheme", g, len(members),
-                          Fraction(args.k + 1, args.k),
-                          run.rounds_used, run.max_message_bits, delta, opt, False)
+            problem, bound = "matching", Fraction(args.k + 1, args.k)
         elif args.alg == "odd-ds":
             provider = None
             if args.weak_colouring != "centralized":
@@ -163,30 +170,28 @@ def _cmd_run(args) -> int:
                 provider = colouring_provider_from_file(
                     args.weak_colouring.split(":", 1)[1])
             result = odd_delta_pipeline(g, provider)
+            run = result.star_run       # None when the core is empty
             members = sorted(result.dominating_set)
-            rounds = result.star_run.rounds_used if result.star_run else 0
-            bits = result.star_run.max_message_bits if result.star_run else 0
-            opt = len(oracles.brute_min_dominating_set(g, args.limit)) if want_oracle else None
-            doc = _report("odd-ds", g, len(members), Fraction(delta),
-                          rounds, bits, delta, opt, True)
+            problem, bound = "ds", Fraction(delta)
         elif args.alg == "all-nodes":
             run = run_local_algorithm(g, AllNodesDominatingSet(), trace=trace)
             members = sorted(v for v, joined in run.outputs.items() if joined)
-            opt = len(oracles.brute_min_dominating_set(g, args.limit)) if want_oracle else None
-            doc = _report("all-nodes", g, len(members), Fraction(delta + 1),
-                          run.rounds_used, run.max_message_bits, delta, opt, True)
+            problem, bound = "ds", Fraction(delta + 1)
         else:   # white-is
             if not g.has_colours or classify_colouring(g) != ColouringClass.PROPER:
                 raise NotProperlyColouredError("white-is needs a proper 2-colouring")
             run = run_local_algorithm(g, WhiteIndependentSet(), trace=trace)
             members = sorted(v for v, joined in run.outputs.items() if joined)
-            opt = len(oracles.brute_max_independent_set(g, args.limit)) if want_oracle else None
-            doc = _report("white-is", g, len(members), Fraction(delta),
-                          run.rounds_used, run.max_message_bits, delta, opt, False)
+            problem, bound = "is", Fraction(delta)
     finally:
         if trace_fh:
             trace_fh.close()
-    doc["members"] = [list(m) if isinstance(m, tuple) else m for m in members]
+    solver, minimization = _oracle(problem)
+    opt = len(solver(g, args.limit)) if args.oracle else None
+    doc = _report(args.alg, g, len(members), bound,
+                  run.rounds_used if run else 0, run.max_message_bits if run else 0,
+                  delta, opt, minimization)
+    doc["members"] = members
     _emit(doc)
     return EXIT_OK
 
@@ -195,12 +200,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = graphmod.load(args.graph)
-    if args.problem == "ds":
-        members = sorted(oracles.brute_min_dominating_set(g, args.limit))
-    elif args.problem == "matching":
-        members = [list(e) for e in sorted(oracles.brute_max_matching(g, args.limit))]
-    else:
-        members = sorted(oracles.brute_max_independent_set(g, args.limit))
+    solver, _ = _oracle(args.problem)
+    members = sorted(solver(g, args.limit))
     _emit({"size": len(members), "members": members})
     return EXIT_OK
 
@@ -344,11 +345,10 @@ def main(argv=None) -> int:
     except OSError as exc:      # a path named on the command line
         _emit({"error": "io-error", "message": str(exc)})
         return EXIT_INPUT
-    except (MissingInputError, MissingOrientationError, EvenDeltaError,
-            NotProperlyColouredError) as exc:
+    except CapabilityError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_CAPABILITY
-    except (ShorterPathExistsError, InvariantError) as exc:
+    except InvariantError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_INTERNAL
     except (LocalGraphError, ValueError) as exc:

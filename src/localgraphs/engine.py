@@ -48,7 +48,6 @@ class LocalAlgorithm:
 
     name = "local-algorithm"
     needs_colour = False
-    needs_orientation = False
 
     def round_budget(self, max_degree: int) -> int:
         raise NotImplementedError
@@ -81,6 +80,14 @@ def _port_directions(g: Graph, v: int) -> tuple[str, ...] | None:
                  for u in g.neighbours(v))
 
 
+def degree_bound(g: Graph, max_degree: int | None) -> int:
+    """The declared degree bound, or the graph's maximum degree if none is declared."""
+    delta = g.max_degree if max_degree is None else max_degree
+    if delta < g.max_degree:
+        raise ValueError(f"declared degree bound {delta} below actual {g.max_degree}")
+    return delta
+
+
 def run_local_algorithm(g: Graph,
                         alg: LocalAlgorithm,
                         *,
@@ -95,11 +102,7 @@ def run_local_algorithm(g: Graph,
     """
     if alg.needs_colour and not g.has_colours:
         raise MissingInputError(f"{alg.name} needs node colours")
-    if alg.needs_orientation and not g.has_orientation:
-        raise MissingInputError(f"{alg.name} needs an edge orientation")
-    delta = g.max_degree if max_degree is None else max_degree
-    if delta < g.max_degree:
-        raise ValueError(f"declared degree bound {delta} below actual {g.max_degree}")
+    delta = degree_bound(g, max_degree)
 
     order = list(node_order) if node_order is not None else list(g.nodes)
     if sorted(order) != list(g.nodes):

@@ -1,10 +1,26 @@
-"""Exception hierarchy shared by all localgraphs modules."""
+"""Exception hierarchy shared by all localgraphs modules.
+
+Classes are grouped by how a caller handles them, and the group decides
+the command line's exit code:
+
+* input (exit 2): a plain :class:`LocalGraphError` subclass; the input
+  or a parameter is malformed, out of range or too large;
+* capability (exit 3): a :class:`CapabilityError`; the graph lacks what
+  the algorithm needs: colours, a weak or proper 2-colouring, an
+  orientation or an odd degree bound;
+* internal (exit 4): an :class:`InvariantError`; a check inside an
+  algorithm failed, which is a bug, not bad input.
+"""
 
 from __future__ import annotations
 
 
 class LocalGraphError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class CapabilityError(LocalGraphError):
+    """The graph lacks an input the algorithm needs."""
 
 
 class InvariantError(LocalGraphError):
@@ -15,29 +31,25 @@ class InvariantError(LocalGraphError):
     """
 
 
-# --- graph construction and parsing ---------------------------------------
+# --- input: malformed or out-of-range graphs, documents and parameters -------
 
-class GraphBuildError(LocalGraphError):
-    """A graph violates a structural invariant."""
-
-
-class SelfLoopError(GraphBuildError):
+class SelfLoopError(LocalGraphError):
     pass
 
 
-class DuplicateEdgeError(GraphBuildError):
+class DuplicateEdgeError(LocalGraphError):
     pass
 
 
-class PortClashError(GraphBuildError):
+class PortClashError(LocalGraphError):
     """A port index is used for two different edges at the same node."""
 
 
-class PortGapError(GraphBuildError):
+class PortGapError(LocalGraphError):
     """The ports at some node are not exactly 1..deg."""
 
 
-class IsolatedNodeError(GraphBuildError):
+class IsolatedNodeError(LocalGraphError):
     """The model assumes every node has at least one neighbour."""
 
 
@@ -45,40 +57,12 @@ class GraphFormatError(LocalGraphError):
     """A serialized graph or solution document does not match the schema."""
 
 
-class MissingColoursError(LocalGraphError):
-    """An operation needs node colours but the graph has none."""
-
-
 class PortOutOfRangeError(LocalGraphError):
-    pass
-
-
-# --- simulation engine ------------------------------------------------------
-
-class MissingInputError(LocalGraphError):
-    """An algorithm requires colour/orientation input the graph lacks."""
-
-
-# --- algorithms -------------------------------------------------------------
-
-class NotWeaklyColouredError(LocalGraphError):
-    pass
-
-
-class NotProperlyColouredError(LocalGraphError):
     pass
 
 
 class MalformedForestError(LocalGraphError):
     """A rooted forest has depth > 2, a cycle, or a parentless non-root."""
-
-
-class EvenDeltaError(LocalGraphError):
-    """The odd-degree-bound pipeline was invoked with an even bound."""
-
-
-class MissingOrientationError(LocalGraphError):
-    pass
 
 
 class ProviderFailureError(LocalGraphError):
@@ -87,10 +71,6 @@ class ProviderFailureError(LocalGraphError):
 
 class NotWeakOnAError(LocalGraphError):
     """Colour repair cannot fix a colouring that is broken on odd-degree nodes."""
-
-
-class ShorterPathExistsError(LocalGraphError):
-    """The flooding phase found an augmenting path shorter than requested."""
 
 
 class RoundBudgetError(LocalGraphError):
@@ -105,17 +85,13 @@ class NotAugmentingError(LocalGraphError):
     pass
 
 
-# --- oracles ----------------------------------------------------------------
-
-class TooLargeError(LocalGraphError):
-    """Instance exceeds the exact solver's configured size limit."""
-
-
 class InvalidMatchingError(LocalGraphError):
     pass
 
 
-# --- generators ---------------------------------------------------------------
+class TooLargeError(LocalGraphError):
+    """Instance exceeds the exact solver's configured size limit."""
+
 
 class TooSmallError(LocalGraphError):
     pass
@@ -139,3 +115,35 @@ class NotInCycleError(LocalGraphError):
 
 class NotIndependentError(LocalGraphError):
     pass
+
+
+# --- capability: the graph lacks what the algorithm needs --------------------
+
+class MissingInputError(CapabilityError):
+    """An algorithm requires colour input the graph lacks."""
+
+
+class MissingColoursError(CapabilityError):
+    """An operation needs node colours but the graph has none."""
+
+
+class MissingOrientationError(CapabilityError):
+    pass
+
+
+class NotWeaklyColouredError(CapabilityError):
+    pass
+
+
+class NotProperlyColouredError(CapabilityError):
+    pass
+
+
+class EvenDeltaError(CapabilityError):
+    """The odd-degree-bound pipeline was invoked with an even bound."""
+
+
+# --- internal: a failed check inside an algorithm ----------------------------
+
+class ShorterPathExistsError(InvariantError):
+    """The flooding phase found an augmenting path shorter than requested."""

@@ -121,11 +121,6 @@ class Graph:
     def has_orientation(self) -> bool:
         return self.orientation is not None
 
-    def edge_direction(self, u: int, v: int) -> tuple[int, int] | None:
-        if self.orientation is None:
-            return None
-        return self.orientation[normalize_edge(u, v)]
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .engine import Inbox, LocalAlgorithm, NodeView, Sends, run_local_algorithm
+from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, degree_bound,
+                     run_local_algorithm)
 from .errors import (InvariantError, NotAugmentingError, NotProperlyColouredError,
                      PathsNotDisjointError, RoundBudgetError,
                      ShorterPathExistsError)
 from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph,
                     classify_colouring, normalize_edge)
-from .oracles import shortest_augmenting_path_length, validate_matching
+from .oracles import partner_map, shortest_augmenting_path_length, validate_matching
 
 Matching = frozenset[Edge]
 Path = tuple[int, ...]
@@ -51,14 +52,6 @@ def _check_proper(g: Graph) -> None:
         raise NotProperlyColouredError("scheme requires a proper 2-colouring")
 
 
-def _partners(edges) -> dict[int, int]:
-    partner: dict[int, int] = {}
-    for u, v in edges:
-        partner[u] = v
-        partner[v] = u
-    return partner
-
-
 def flood_phase(g: Graph, m, h: int, *, assert_no_shorter: bool = False) -> AugmentingForest:
     """Grow augmenting trees of height ``h`` from the unmatched black nodes.
 
@@ -75,7 +68,7 @@ def flood_phase(g: Graph, m, h: int, *, assert_no_shorter: bool = False) -> Augm
         spl = shortest_augmenting_path_length(g, edges)
         if spl is not None and spl < h:
             raise ShorterPathExistsError(f"an augmenting path of length {spl} exists")
-    return _flood(g, _partners(edges), h)
+    return _flood(g, partner_map(edges), h)
 
 
 def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
@@ -157,7 +150,7 @@ def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
 def augment_phase(g: Graph, m, paths: Sequence[Path]) -> Matching:
     """Flip every path against the matching; grows it by one edge per path."""
     edges = set(validate_matching(g, m))
-    _augment(g, edges, _partners(edges), paths)
+    _augment(g, edges, partner_map(edges), paths)
     return frozenset(edges)
 
 
@@ -213,22 +206,15 @@ class SchemeStats:
         self.sizes.append(size)
 
 
-def _degree_bound(g: Graph, max_degree: int | None) -> int:
-    delta = g.max_degree if max_degree is None else max_degree
-    if delta < g.max_degree:
-        raise ValueError(f"declared degree bound {delta} below actual {g.max_degree}")
-    return delta
-
-
 def eliminate_length(g: Graph, m, i: int, *,
                      max_degree: int | None = None,
                      stats: SchemeStats | None = None,
                      assert_oracle: bool = False) -> Matching:
     """Invoke the subroutine exactly t_i times with path length 2i-1."""
-    delta = _degree_bound(g, max_degree)
+    delta = degree_bound(g, max_degree)
     edges = set(validate_matching(g, m))
     _check_proper(g)
-    _eliminate(g, edges, _partners(edges), i, delta, stats, assert_oracle)
+    _eliminate(g, edges, partner_map(edges), i, delta, stats, assert_oracle)
     return frozenset(edges)
 
 
@@ -261,7 +247,7 @@ def approximate_maximum_matching(g: Graph, k: int, *,
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_proper(g)
-    delta = _degree_bound(g, max_degree)
+    delta = degree_bound(g, max_degree)
     edges: set[Edge] = set()
     partner: dict[int, int] = {}
     for i in range(1, k + 1):

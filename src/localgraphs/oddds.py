@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .engine import RunResult, run_local_algorithm
+from .engine import RunResult, degree_bound, run_local_algorithm
 from .errors import (EvenDeltaError, InvariantError, MissingOrientationError,
                      NotWeakOnAError, ProviderFailureError)
 from .graph import (BLACK, WHITE, ColouringClass, Graph, classify_colouring,
@@ -166,9 +166,7 @@ class OddDeltaResult:
 def odd_delta_pipeline(g: Graph,
                        provider: WeakColouringProvider | None = None,
                        max_degree: int | None = None) -> OddDeltaResult:
-    delta = g.max_degree if max_degree is None else max_degree
-    if delta < g.max_degree:
-        raise ValueError(f"declared degree bound {delta} below actual {g.max_degree}")
+    delta = degree_bound(g, max_degree)
     if delta % 2 == 0:
         raise EvenDeltaError(f"degree bound {delta} is even")
     if g.n and not g.has_orientation:

@@ -283,6 +283,15 @@ def validate_matching(g: Graph, m: Iterable[Edge]) -> frozenset[Edge]:
     return edges
 
 
+def partner_map(m: Iterable[Edge]) -> dict[int, int]:
+    """Each matched node's partner."""
+    partner: dict[int, int] = {}
+    for u, v in m:
+        partner[u] = v
+        partner[v] = u
+    return partner
+
+
 def shortest_augmenting_path_length(g: Graph, m: Iterable[Edge],
                                     limit: int = DEFAULT_LIMIT) -> int | None:
     """Edge count of a shortest augmenting path for m, or None if m is maximum.
@@ -290,11 +299,7 @@ def shortest_augmenting_path_length(g: Graph, m: Iterable[Edge],
     Bipartite graphs use alternating breadth-first search; other graphs
     fall back to exhaustive alternating-path search, capped by ``limit``.
     """
-    edges = validate_matching(g, m)
-    partner: dict[int, int] = {}
-    for u, v in edges:
-        partner[u] = v
-        partner[v] = u
+    partner = partner_map(validate_matching(g, m))
     side = try_bipartition(g)
     if side is not None:
         return _bipartite_shortest_augmenting(g, partner, side)

@@ -10,28 +10,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from localgraphs import BLACK, WHITE, build_graph
-from localgraphs.graph import Graph
+from localgraphs.generators import _ascending_port_specs
+from localgraphs.graph import Graph, normalize_edge
 
 
 def ascending_ports(n: int, pairs, colours=None, directions=None) -> Graph:
-    """Build a graph with each node's ports in ascending neighbour order."""
-    nbrs = {v: [] for v in range(n)}
-    for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    port = {}
-    for v in range(n):
-        for i, u in enumerate(sorted(nbrs[v]), start=1):
-            port[(v, u)] = i
-    specs = []
-    for u, v in pairs:
-        direction = None
-        if directions is not None:
-            direction = directions.get((u, v), "uv" if (u, v) in directions else None)
-            if direction is None and (v, u) in directions:
-                direction = "vu"
-        specs.append((u, v, port[(u, v)], port[(v, u)], direction))
-    return build_graph(n, specs, colours)
+    """Build a graph with each node's ports in ascending neighbour order.
+
+    ``directions`` maps every pair, as given, to "uv" or "vu".
+    """
+    if directions is not None:
+        directions = {normalize_edge(u, v): (u, v) if d == "uv" else (v, u)
+                      for (u, v), d in directions.items()}
+    return build_graph(n, _ascending_port_specs(n, pairs, directions), colours)
 
 
 def path_graph(colour_string: str) -> Graph:

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localgraphs import BLACK, WHITE
+from conftest import ascending_ports
+from localgraphs import BLACK, WHITE, errors
 from localgraphs.cli import main
 from localgraphs.generators import numbered_cycle, strong_blowup
-from localgraphs.graph import dumps, loads
+from localgraphs.graph import dumps, graph_to_json_dict, loads
 
 
 @pytest.fixture
@@ -286,3 +292,156 @@ class TestOracleVerifyExport:
         path.write_text("nope")
         code, _ = run_cli(capsys, "export-dot", "--graph", str(path))
         assert code == 2
+
+
+# every LocalGraphError subclass in `errors` and the exit code it must give
+_EXIT_CODES = {
+    "LocalGraphError": 2, "SelfLoopError": 2, "DuplicateEdgeError": 2,
+    "PortClashError": 2, "PortGapError": 2, "IsolatedNodeError": 2,
+    "GraphFormatError": 2, "PortOutOfRangeError": 2, "MalformedForestError": 2,
+    "ProviderFailureError": 2, "NotWeakOnAError": 2, "RoundBudgetError": 2,
+    "PathsNotDisjointError": 2, "NotAugmentingError": 2, "InvalidMatchingError": 2,
+    "TooLargeError": 2, "TooSmallError": 2, "DegenerateParamsError": 2,
+    "OddCycleLengthError": 2, "DeltaTooSmallError": 2, "NotInCycleError": 2,
+    "NotIndependentError": 2,
+    "CapabilityError": 3, "MissingInputError": 3, "MissingColoursError": 3,
+    "MissingOrientationError": 3, "NotWeaklyColouredError": 3,
+    "NotProperlyColouredError": 3, "EvenDeltaError": 3,
+    "InvariantError": 4, "ShorterPathExistsError": 4,
+}
+
+_ALGORITHMS = ["star-ds", "star-matching", "matching-scheme", "odd-ds", "all-nodes",
+               "white-is"]
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+_STAR = [(0, 1), (0, 2), (0, 3)]
+
+
+def _oriented(pairs):
+    return {pair: "uv" for pair in pairs}
+
+
+# instance -> (graph, the algorithms that need what it lacks)
+_CAPABILITY_MATRIX = {
+    "uncoloured": (ascending_ports(4, _K4, None, _oriented(_K4)),
+                   {"star-ds", "star-matching", "matching-scheme", "white-is"}),
+    "not-weak": (ascending_ports(4, _K4, [WHITE] * 4, _oriented(_K4)),
+                 {"star-ds", "star-matching", "matching-scheme", "white-is"}),
+    "weak-not-proper": (ascending_ports(4, _K4, [BLACK, WHITE, BLACK, WHITE],
+                                        _oriented(_K4)),
+                        {"matching-scheme", "white-is"}),
+    "unoriented": (ascending_ports(4, _STAR, [BLACK, WHITE, WHITE, WHITE]), {"odd-ds"}),
+    "even-bound": (ascending_ports(4, _C4, [BLACK, WHITE, BLACK, WHITE], _oriented(_C4)),
+                   {"odd-ds"}),
+    "complete": (ascending_ports(4, _STAR, [BLACK, WHITE, WHITE, WHITE],
+                                 _oriented(_STAR)), set()),
+}
+
+
+class TestExitCodeContract:
+    def test_table_covers_every_error_class(self):
+        defined = {name for name, cls in vars(errors).items()
+                   if isinstance(cls, type) and issubclass(cls, errors.LocalGraphError)}
+        assert defined == set(_EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(_EXIT_CODES))
+    def test_planted_error_exit_code(self, capsys, monkeypatch, p4_file, name):
+        import localgraphs.cli as cli
+
+        def broken(*args, **kwargs):
+            raise getattr(errors, name)("planted")
+
+        monkeypatch.setattr(cli, "run_matching_scheme", broken)
+        code, out = run_cli(capsys, "run", "--graph", p4_file, "--alg", "matching-scheme")
+        assert code == _EXIT_CODES[name]
+        assert json.loads(out) == {"error": name, "message": "planted"}
+
+    @pytest.mark.parametrize("alg", _ALGORITHMS)
+    @pytest.mark.parametrize("instance", sorted(_CAPABILITY_MATRIX))
+    def test_capability_matrix(self, capsys, tmp_path, instance, alg):
+        g, needing = _CAPABILITY_MATRIX[instance]
+        path = tmp_path / "g.json"
+        path.write_text(dumps(g))
+        code, out = run_cli(capsys, "run", "--graph", str(path), "--alg", alg)
+        assert code == (3 if alg in needing else 0), out
+
+    def test_gen_even_delta_is_input_error(self, capsys):
+        code, out = run_cli(capsys, "gen", "--family", "symmetric-complete", "--delta", "4")
+        assert code == 2
+        assert json.loads(out)["error"] == "EvenDeltaError"
+
+
+# -- malformed documents -------------------------------------------------------
+
+_KEYS = ["nodes", "edges", "id", "colour", "u", "v", "port_u", "port_v", "dir",
+         "kind", "members"]
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.integers(-2**80, 2**80),
+    st.floats(), st.text(max_size=4),
+    st.sampled_from([BLACK, WHITE, "uv", "vu", "matching", "dominating-set",
+                     "independent-set"]))
+_JUNK = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+_GRAPH_DOCS = [graph_to_json_dict(g) for g, _ in _CAPABILITY_MATRIX.values()]
+_SOLUTION_DOCS = [{"kind": "matching", "members": [[0, 1]]},
+                  {"kind": "dominating-set", "members": [0, 2]},
+                  {"kind": "independent-set", "members": [1]}]
+# command -> strategy for its arguments after --graph; SOLUTION names the solution file
+_ARGUMENTS = {
+    "run": st.tuples(st.sampled_from(_ALGORITHMS), st.booleans()).map(
+        lambda a: ["--alg", a[0]] + ["--oracle"] * a[1]),
+    "oracle": st.sampled_from(["ds", "matching", "is"]).map(lambda p: ["--problem", p]),
+    "verify": st.just(["--solution", "SOLUTION"]),
+    "export-dot": st.sampled_from([[], ["--solution", "SOLUTION"]]),
+}
+
+
+@st.composite
+def _mutated(draw, value):
+    """``value`` with one part deleted or replaced by junk, mostly deep inside."""
+    if isinstance(value, (dict, list)) and value and draw(st.integers(0, 3)):
+        out = copy.copy(value)
+        key = draw(st.sampled_from(list(value) if isinstance(value, dict)
+                                   else range(len(value))))
+        if draw(st.booleans()):
+            del out[key]
+        else:
+            out[key] = draw(_mutated(value[key]))
+        return out
+    return draw(_JUNK)
+
+
+@st.composite
+def _malformed(draw, docs):
+    """JSON text of a valid document with up to two mutations."""
+    doc = draw(st.sampled_from(docs))
+    for _ in range(draw(st.integers(0, 2))):
+        doc = draw(_mutated(doc))
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", sorted(_ARGUMENTS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), graph=_malformed(_GRAPH_DOCS), solution=_malformed(_SOLUTION_DOCS))
+def test_malformed_documents_keep_exit_contract(tmp_path_factory, command, data, graph,
+                                                 solution):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    (workdir / "g.json").write_text(graph)
+    (workdir / "s.json").write_text(solution)
+    argv = [command, "--graph", str(workdir / "g.json")] + [
+        str(workdir / "s.json") if a == "SOLUTION" else a
+        for a in data.draw(_ARGUMENTS[command])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if command == "export-dot" and code == 0:
+        assert lines[0] in ("graph g {", "digraph g {")
+    else:
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
