@@ -17,7 +17,7 @@ from . import generators, graph as graphmod, oracles
 from .baselines import AllNodesDominatingSet, WhiteIndependentSet
 from .engine import run_local_algorithm
 from .errors import (CapabilityError, InvariantError, LocalGraphError,
-                     NotProperlyColouredError, RoundBudgetError)
+                     NotProperlyColouredError, NotWeaklyColouredError, RoundBudgetError)
 from .graph import BLACK, ColouringClass, Graph, classify_colouring, normalize_edge
 from .matching import (approximate_maximum_matching, check_round_budget,
                        run_matching_scheme)
@@ -142,8 +142,22 @@ def _cmd_run(args) -> int:
             check_round_budget(delta, args.k)
         except RoundBudgetError as exc:
             raise _CliFailure(EXIT_INPUT, str(exc), "round-budget") from exc
-    trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    trace = (lambda line: trace_fh.write(line + "\n")) if trace_fh else None
+    # refused here, not in the star forest's first round, so that no trace
+    # line is written
+    if (args.alg in ("star-ds", "star-matching") and g.has_colours
+            and classify_colouring(g) < ColouringClass.WEAK):
+        raise NotWeaklyColouredError(f"{args.alg} needs a weak 2-colouring")
+    trace_fh = None
+
+    def write_trace(line: str) -> None:
+        # opened on the first line, so a run refused before the engine
+        # starts leaves an earlier trace at that path untouched
+        nonlocal trace_fh
+        if trace_fh is None:
+            trace_fh = open(args.trace, "w", encoding="utf-8")
+        trace_fh.write(line + "\n")
+
+    trace = write_trace if args.trace else None
     try:
         if args.alg == "star-ds":
             sf, run = run_star_forest(g, trace=trace)
@@ -169,7 +183,7 @@ def _cmd_run(args) -> int:
                                       f"bad provider {args.weak_colouring!r}", "bad-flag")
                 provider = colouring_provider_from_file(
                     args.weak_colouring.split(":", 1)[1])
-            result = odd_delta_pipeline(g, provider)
+            result = odd_delta_pipeline(g, provider, trace=trace)
             run = result.star_run       # None when the core is empty
             members = sorted(result.dominating_set)
             problem, bound = "ds", Fraction(delta)
@@ -183,6 +197,8 @@ def _cmd_run(args) -> int:
             run = run_local_algorithm(g, WhiteIndependentSet(), trace=trace)
             members = sorted(v for v, joined in run.outputs.items() if joined)
             problem, bound = "is", Fraction(delta)
+        if trace is not None and trace_fh is None:     # a run that wrote no line
+            trace_fh = open(args.trace, "w", encoding="utf-8")
     finally:
         if trace_fh:
             trace_fh.close()

@@ -9,7 +9,9 @@ the command line's exit code:
   the algorithm needs: colours, a weak or proper 2-colouring, an
   orientation or an odd degree bound;
 * internal (exit 4): an :class:`InvariantError`; a check inside an
-  algorithm failed, which is a bug, not bad input.
+  algorithm failed, which is a bug, not bad input.  An input class
+  raised on an algorithm's own output (a malformed star forest or
+  matching, a bad augmenting path) is re-raised as one.
 """
 
 from __future__ import annotations

@@ -382,11 +382,6 @@ def loads(text: str) -> Graph:
     return graph_from_json_dict(doc)
 
 
-def save(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(g) + "\n")
-
-
 def load(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, degree_bound,
                      run_local_algorithm)
 from .errors import (InvariantError, NotAugmentingError, NotProperlyColouredError,
-                     PathsNotDisjointError, RoundBudgetError,
+                     PathsNotDisjointError, PortOutOfRangeError, RoundBudgetError,
                      ShorterPathExistsError)
 from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph,
                     classify_colouring, normalize_edge)
@@ -200,17 +200,17 @@ class SchemeStats:
     augmentations: list[int] = field(default_factory=list)
     sizes: list[int] = field(default_factory=list)
 
-    def record(self, i: int, paths: int, size: int) -> None:
-        self.invocations[i] = self.invocations.get(i, 0) + 1
-        self.augmentations.append(paths)
-        self.sizes.append(size)
+    def record(self, i: int, paths: int, size: int, times: int = 1) -> None:
+        self.invocations[i] = self.invocations.get(i, 0) + times
+        self.augmentations += [paths] * times
+        self.sizes += [size] * times
 
 
 def eliminate_length(g: Graph, m, i: int, *,
                      max_degree: int | None = None,
                      stats: SchemeStats | None = None,
                      assert_oracle: bool = False) -> Matching:
-    """Invoke the subroutine exactly t_i times with path length 2i-1."""
+    """Remove every length-(2i-1) augmenting path: t_i invocations, see ``_eliminate``."""
     delta = degree_bound(g, max_degree)
     edges = set(validate_matching(g, m))
     _check_proper(g)
@@ -220,11 +220,28 @@ def eliminate_length(g: Graph, m, i: int, *,
 
 def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
                delta: int, stats: SchemeStats | None, assert_oracle: bool) -> None:
-    """``eliminate_length`` on a valid matching, updated in place with its partner map."""
+    """``eliminate_length`` on a valid matching, updated in place with its partner map.
+
+    Stops after the first invocation that augments no path.  Such an
+    invocation leaves ``edges`` and ``partner`` unchanged, and an
+    invocation depends only on them, g and h, so every later one of the
+    same length would be the same no-op.  The stop is also a proof: with
+    no shorter augmenting path left, the flood is a layered alternating
+    search (the phase argument of Hopcroft and Karp), so it reaches an
+    unmatched white node at hop h whenever a length-h augmenting path
+    exists.  ``stats`` still records t_i invocations, the skipped ones
+    with no path.  A local node cannot see that the matching is final,
+    so the simulated scheme runs all t_i; with ``assert_oracle`` this
+    reference does too, and checks each against the oracle.
+    """
     h = 2 * i - 1
-    for _ in range(invocation_count(delta, i)):
+    t = invocation_count(delta, i)
+    for done in range(1, t + 1):
         paths = proposal_phase(g, _flood(g, partner, h))
-        _augment(g, edges, partner, paths)
+        try:
+            _augment(g, edges, partner, paths)
+        except (NotAugmentingError, PathsNotDisjointError) as exc:
+            raise InvariantError(f"proposal phase chose bad paths: {exc}") from exc
         if stats is not None:
             stats.record(i, len(paths), len(edges))
         if assert_oracle:
@@ -232,6 +249,10 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
             if spl is not None and spl < h:
                 raise ShorterPathExistsError(
                     f"invocation left an augmenting path of length {spl} < {h}")
+        elif not paths:
+            if stats is not None:
+                stats.record(i, 0, len(edges), times=t - done)
+            break
     if assert_oracle:
         spl = shortest_augmenting_path_length(g, edges)
         if spl is not None and spl <= h:
@@ -452,4 +473,8 @@ def run_matching_scheme(g: Graph, k: int, **kwargs):
     """Simulate the scheme; returns (Matching, RunResult)."""
     _check_proper(g)
     result = run_local_algorithm(g, MatchingSchemeAlgorithm(k), **kwargs)
-    return matching_from_outputs(g, result.outputs), result
+    try:
+        matching = matching_from_outputs(g, result.outputs)
+    except (NotAugmentingError, PortOutOfRangeError) as exc:
+        raise InvariantError(f"matching-scheme output: {exc}") from exc
+    return matching, result

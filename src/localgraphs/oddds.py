@@ -14,12 +14,12 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .engine import RunResult, degree_bound, run_local_algorithm
+from .engine import RunResult, degree_bound
 from .errors import (EvenDeltaError, InvariantError, MissingOrientationError,
                      NotWeakOnAError, ProviderFailureError)
 from .graph import (BLACK, WHITE, ColouringClass, Graph, classify_colouring,
                     induced_subgraph, opposite, with_colours)
-from .starforest import StarForestAlgorithm, star_forest_from_outputs
+from .starforest import run_star_forest
 
 WeakColouringProvider = Callable[[Graph], Sequence[str]]
 
@@ -165,7 +165,9 @@ class OddDeltaResult:
 
 def odd_delta_pipeline(g: Graph,
                        provider: WeakColouringProvider | None = None,
-                       max_degree: int | None = None) -> OddDeltaResult:
+                       max_degree: int | None = None, *,
+                       trace: Callable[[str], None] | None = None) -> OddDeltaResult:
+    """Dominating set within ``delta`` of optimal; ``trace`` goes to the star phase's run."""
     delta = degree_bound(g, max_degree)
     if delta % 2 == 0:
         raise EvenDeltaError(f"degree bound {delta} is even")
@@ -187,9 +189,7 @@ def odd_delta_pipeline(g: Graph,
     star_run = None
     core_roots: frozenset[int] = frozenset()
     if h2.base.n:
-        coloured = with_colours(h2.base, core_colours)
-        star_run = run_local_algorithm(coloured, StarForestAlgorithm())
-        sf = star_forest_from_outputs(coloured, star_run.outputs)
+        sf, star_run = run_star_forest(with_colours(h2.base, core_colours), trace=trace)
         core_roots = frozenset(h2.original_ids[v] for v in sf.roots)
 
     return OddDeltaResult(

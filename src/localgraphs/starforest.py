@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .engine import Inbox, LocalAlgorithm, NodeView, Sends, run_local_algorithm
-from .errors import MalformedForestError, NotWeaklyColouredError
+from .errors import (InvariantError, MalformedForestError, NotWeaklyColouredError,
+                     PortOutOfRangeError)
 from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph,
                     classify_colouring, normalize_edge)
 
@@ -263,4 +264,8 @@ def star_forest_from_outputs(g: Graph, outputs: Mapping[int, dict]) -> StarFores
 def run_star_forest(g: Graph, **kwargs):
     """Simulate the per-node algorithm; returns (StarForest, RunResult)."""
     result = run_local_algorithm(g, StarForestAlgorithm(), **kwargs)
-    return star_forest_from_outputs(g, result.outputs), result
+    try:
+        sf = star_forest_from_outputs(g, result.outputs)
+    except (MalformedForestError, PortOutOfRangeError) as exc:
+        raise InvariantError(f"star-forest output: {exc}") from exc
+    return sf, result

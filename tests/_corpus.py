@@ -64,10 +64,11 @@ def bipartite_graphs_with_unions(max_n: int = 10):
             out.append(_union([comps[i] for i in chosen]))
         for i in range(start, len(comps)):
             n, _ = comps[i]
-            if n <= budget:
-                chosen.append(i)
-                rec(budget - n, i, chosen)
-                chosen.pop()
+            if n > budget:
+                break           # the corpus lists components by ascending n
+            chosen.append(i)
+            rec(budget - n, i, chosen)
+            chosen.pop()
 
     rec(max_n, 0, [])
     return out

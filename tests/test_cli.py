@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ascending_ports
-from localgraphs import BLACK, WHITE, errors
+from localgraphs import BLACK, WHITE, errors, run_local_algorithm, with_colours
 from localgraphs.cli import main
-from localgraphs.generators import numbered_cycle, strong_blowup
+from localgraphs.generators import numbered_cycle, random_weak, strong_blowup
 from localgraphs.graph import dumps, graph_to_json_dict, loads
+from localgraphs.oddds import odd_delta_pipeline
+from localgraphs.starforest import StarForestAlgorithm
 
 
 @pytest.fixture
@@ -235,6 +237,66 @@ class TestRun:
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert {d["round"] for d in lines} == {0, 1, 2, 3, 4, 5}
         assert all({"node", "sent", "state_digest"} <= set(d) for d in lines)
+
+    def test_odd_ds_trace_is_the_star_phase(self, capsys, tmp_path, k4_oriented):
+        for g in (k4_oriented, random_weak(14, 3, seed=5, oriented=True)):
+            path, trace = tmp_path / "g.json", tmp_path / "trace.jsonl"
+            path.write_text(dumps(g))
+            code, _ = run_cli(capsys, "run", "--graph", str(path), "--alg", "odd-ds",
+                              "--trace", str(trace))
+            assert code == 0
+            result = odd_delta_pipeline(g)
+            assert result.h2.base.n > 0
+            lines = []
+            run_local_algorithm(with_colours(result.h2.base, result.core_colours),
+                                StarForestAlgorithm(), trace=lines.append)
+            assert trace.read_text() == "".join(line + "\n" for line in lines)
+
+    def test_failed_run_keeps_an_earlier_trace(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_bytes(b"earlier trace\n")
+        blowup = tmp_path / "blowup.json"
+        blowup.write_text(dumps(strong_blowup(numbered_cycle(8), 3)))
+        failing = []
+        for instance, alg in (("uncoloured", "matching-scheme"), ("not-weak", "star-ds")):
+            path = tmp_path / f"{instance}.json"
+            path.write_text(dumps(_CAPABILITY_MATRIX[instance][0]))
+            failing.append((["--graph", str(path), "--alg", alg], 3))
+        failing.append((["--graph", str(blowup), "--alg", "matching-scheme",
+                         "--k", "20"], 2))
+        for argv, expected in failing:
+            code, _ = run_cli(capsys, "run", *argv, "--trace", str(trace))
+            assert code == expected
+            assert trace.read_bytes() == b"earlier trace\n"
+        empty = tmp_path / "empty.json"        # a successful run that writes no line
+        empty.write_text(json.dumps({"nodes": [], "edges": []}))
+        code, _ = run_cli(capsys, "run", "--graph", str(empty), "--alg", "all-nodes",
+                          "--trace", str(trace))
+        assert code == 0 and trace.read_bytes() == b""
+
+    @pytest.mark.parametrize("alg, output", [
+        ("star-ds", {"parent_port": 1, "matched_port": None}),     # no node is a root
+        ("star-ds", {"parent_port": 9, "matched_port": None}),     # no such port
+        ("odd-ds", {"parent_port": 1, "matched_port": None}),
+        ("matching-scheme", {"matched_port": 1}),      # the two ends disagree
+        ("matching-scheme", {"matched_port": 9}),
+    ])
+    def test_malformed_algorithm_output_exit_4(self, capsys, monkeypatch, tmp_path,
+                                               k4_oriented, p4_coloured, alg, output):
+        import localgraphs.matching as matching
+        import localgraphs.starforest as starforest
+        owner = (matching.MatchingSchemeAlgorithm if alg == "matching-scheme"
+                 else starforest.StarForestAlgorithm)
+        monkeypatch.setattr(owner, "finalize", lambda self, state: dict(output))
+        g = p4_coloured if alg == "matching-scheme" else with_colours(
+            k4_oriented, [BLACK, WHITE, WHITE, WHITE])
+        path = tmp_path / "g.json"
+        path.write_text(dumps(g))
+        code = main(["run", "--graph", str(path), "--alg", alg])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["error"] == "InvariantError"
+        assert "Traceback" not in captured.err
 
 
 class TestOracleVerifyExport:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localgraphs import BLACK, WHITE, build_graph, disjoint_union
-from localgraphs.errors import (NotAugmentingError, NotProperlyColouredError,
-                                PathsNotDisjointError, RoundBudgetError,
-                                ShorterPathExistsError)
+import _corpus
+from localgraphs import BLACK, WHITE, build_graph, disjoint_union, with_colours
+from localgraphs.errors import (InvariantError, NotAugmentingError,
+                                NotProperlyColouredError, PathsNotDisjointError,
+                                RoundBudgetError, ShorterPathExistsError)
 from localgraphs.generators import random_bipartite, strong_blowup, numbered_cycle
 from localgraphs.engine import NodeView
 from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
@@ -24,7 +25,7 @@ from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
                                   scheme_round_budget, scheme_schedule)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  shortest_augmenting_path_length,
-                                 verify_solution)
+                                 try_bipartition, verify_solution)
 
 from conftest import ascending_ports, path_graph
 
@@ -209,6 +210,76 @@ class TestEliminateLength:
             assert stats.sizes == sorted(stats.sizes)
             assert stats.invocations == {1: g.max_degree,
                                          2: invocation_count(g.max_degree, 2)}
+
+
+def _idle_stop_instances():
+    """Both polarities of every bipartite corpus graph on up to 8 nodes,
+    then random_bipartite seeds 0-39 (n 6..40, degree bound 2..4)."""
+    for n, pairs in _corpus.bipartite_graphs_with_unions(8):
+        base = ascending_ports(n, pairs)
+        side = try_bipartition(base)
+        for flip in (False, True):
+            yield with_colours(base, [BLACK if (s == 0) != flip else WHITE for s in side])
+    for seed in range(40):
+        n = 6 + seed % 35
+        yield random_bipartite(n, min(2 + seed % 3, n - 1), seed)
+
+
+class TestIdleStop:
+    """The centralized scheme stops a path length at its first idle invocation."""
+
+    def test_same_result_as_the_full_schedule(self):
+        runs = 0
+        for g in _idle_stop_instances():
+            for k in (1, 2, 3):
+                fast, full = SchemeStats(), SchemeStats()
+                m = approximate_maximum_matching(g, k, stats=fast)
+                assert m == approximate_maximum_matching(g, k, stats=full,
+                                                         assert_oracle=True)
+                assert fast == full
+                runs += 1
+        assert runs == 3 * (2 * 302 + 40)
+
+    def test_floods_once_past_the_last_augmenting_invocation(self, monkeypatch):
+        import localgraphs.matching as matching
+        floods = {}
+
+        def counted(g, partner, h, _flood=matching._flood):
+            i = (h + 1) // 2
+            floods[i] = floods.get(i, 0) + 1
+            return _flood(g, partner, h)
+
+        monkeypatch.setattr(matching, "_flood", counted)
+        skipped = 0
+        for seed in range(40):
+            g = random_bipartite(6 + seed % 35, 2 + seed % 3, seed)
+            k = 1 + seed % 3
+            for assert_oracle in (False, True):
+                floods.clear()
+                stats = SchemeStats()
+                approximate_maximum_matching(g, k, stats=stats,
+                                             assert_oracle=assert_oracle)
+                t = {i: invocation_count(g.max_degree, i) for i in range(1, k + 1)}
+                assert stats.invocations == t
+                if assert_oracle:
+                    assert floods == t
+                    continue
+                found = stats.augmentations
+                for i in range(1, k + 1):
+                    start = sum(t[j] for j in range(1, i))
+                    useful = sum(1 for paths in found[start:start + t[i]] if paths)
+                    assert floods[i] == min(t[i], useful + 1)
+                    skipped += t[i] - floods[i]
+        assert skipped > 0
+
+    def test_bad_paths_from_the_proposal_phase_are_internal(self, monkeypatch, p4_coloured):
+        import localgraphs.matching as matching
+        for bad in ([(0, 1), (1, 2)], [(0, 2)]):      # overlapping; not an edge
+            monkeypatch.setattr(matching, "proposal_phase", lambda g, forest: bad)
+            with pytest.raises(InvariantError) as info:
+                approximate_maximum_matching(p4_coloured, 1)
+            assert isinstance(info.value.__cause__,
+                              (NotAugmentingError, PathsNotDisjointError))
 
 
 class TestApproximateMatching:
