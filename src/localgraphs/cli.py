@@ -17,7 +17,7 @@ from . import generators, graph as graphmod, oracles
 from .baselines import AllNodesDominatingSet, WhiteIndependentSet
 from .engine import run_local_algorithm
 from .errors import (CapabilityError, InvariantError, LocalGraphError,
-                     NotProperlyColouredError, NotWeaklyColouredError, RoundBudgetError)
+                     NotProperlyColouredError, RoundBudgetError)
 from .graph import BLACK, ColouringClass, Graph, classify_colouring, normalize_edge
 from .matching import (approximate_maximum_matching, check_round_budget,
                        run_matching_scheme)
@@ -142,11 +142,6 @@ def _cmd_run(args) -> int:
             check_round_budget(delta, args.k)
         except RoundBudgetError as exc:
             raise _CliFailure(EXIT_INPUT, str(exc), "round-budget") from exc
-    # refused here, not in the star forest's first round, so that no trace
-    # line is written
-    if (args.alg in ("star-ds", "star-matching") and g.has_colours
-            and classify_colouring(g) < ColouringClass.WEAK):
-        raise NotWeaklyColouredError(f"{args.alg} needs a weak 2-colouring")
     trace_fh = None
 
     def write_trace(line: str) -> None:

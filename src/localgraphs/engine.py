@@ -41,9 +41,10 @@ class LocalAlgorithm:
     ``init`` maps the node's view to an initial state plus the messages
     sent in round 0; ``step`` consumes one inbox per round; ``finalize``
     maps the final state to the node's output.  ``round_budget`` may
-    depend on the degree bound only, never on the node count.  The
-    engine keeps only the state ``step`` returns, so ``step`` may update
-    its argument in place.
+    depend on the degree bound only, never on the node count; it is
+    asked for before ``init``, so it may refuse a run before round 0.
+    The engine keeps only the state ``step`` returns, so ``step`` may
+    update its argument in place.
     """
 
     name = "local-algorithm"
@@ -103,6 +104,7 @@ def run_local_algorithm(g: Graph,
     if alg.needs_colour and not g.has_colours:
         raise MissingInputError(f"{alg.name} needs node colours")
     delta = degree_bound(g, max_degree)
+    budget = alg.round_budget(delta)
 
     order = list(node_order) if node_order is not None else list(g.nodes)
     if sorted(order) != list(g.nodes):
@@ -151,7 +153,6 @@ def run_local_algorithm(g: Graph,
         if trace is not None:
             record(v, sends, 0)
 
-    budget = alg.round_budget(delta)
     step = alg.step
     for round_no in range(1, budget + 1):
         received, inboxes = inboxes, [None] * g.n

@@ -19,7 +19,7 @@ from .errors import (DegenerateParamsError, DeltaTooSmallError, EvenDeltaError,
                      NotProperlyColouredError, OddCycleLengthError,
                      TooSmallError)
 from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph, build_graph,
-                    classify_colouring, normalize_edge, with_colours)
+                    classify_colouring, normalize_edge)
 from .oddds import fixup_weak_colouring
 from .oracles import validate_matching
 
@@ -55,25 +55,32 @@ def numbered_cycle(n: int) -> DirectedCycle:
     return DirectedCycle(n, build_graph(n, specs))
 
 
-def _ascending_port_specs(n: int, pairs: Iterable[Edge],
-                          directions: dict[Edge, tuple[int, int]] | None = None):
-    """Edge specs with each node's ports in ascending neighbour-id order."""
+def _neighbour_lists(n: int, pairs: Iterable[Edge]) -> list[list[int]]:
+    """Every node's neighbours in ascending id order."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    port = {}
-    for v in range(n):
-        for idx, u in enumerate(sorted(nbrs[v]), start=1):
-            port[(v, u)] = idx
+    return [sorted(lst) for lst in nbrs]
+
+
+def _port_specs(pairs: Iterable[Edge], nbrs: Sequence[Sequence[int]],
+                directions: dict[Edge, tuple[int, int]] | None = None):
+    """Edge specs for ``pairs`` that give node v port p toward ``nbrs[v][p-1]``."""
+    port = [{u: p for p, u in enumerate(lst, start=1)} for lst in nbrs]
     specs = []
     for u, v in sorted(normalize_edge(a, b) for a, b in pairs):
         direction = None
         if directions is not None:
-            tail, _ = directions[(u, v)]
-            direction = "uv" if tail == u else "vu"
-        specs.append((u, v, port[(u, v)], port[(v, u)], direction))
+            direction = "uv" if directions[(u, v)][0] == u else "vu"
+        specs.append((u, v, port[u][v], port[v][u], direction))
     return specs
+
+
+def _ascending_port_specs(n: int, pairs: Sequence[Edge],
+                          directions: dict[Edge, tuple[int, int]] | None = None):
+    """Edge specs with each node's ports in ascending neighbour-id order."""
+    return _port_specs(pairs, _neighbour_lists(n, pairs), directions)
 
 
 def cycle_power(c: DirectedCycle, k: int) -> Graph:
@@ -318,15 +325,18 @@ def _pairing_cover(n: int, delta: int, rng: random.Random) -> set[Edge]:
     return cover
 
 
+def _shuffle_each(nbrs: Sequence[list[int]], seed: int) -> None:
+    """Shuffle every node's neighbour list in place, in node order."""
+    rng = random.Random(seed)
+    for lst in nbrs:
+        rng.shuffle(lst)
+
+
 def shuffle_ports(g: Graph, seed: int) -> Graph:
     """Same graph with freshly randomized port numberings."""
-    rng = random.Random(seed)
-    port_to = []
-    for v in g.nodes:
-        nbrs = list(g.neighbours(v))
-        rng.shuffle(nbrs)
-        port_to.append(tuple(nbrs))
-    return Graph(g.n, g.colours, g.edges, g.orientation, tuple(port_to))
+    nbrs = [list(g.neighbours(v)) for v in g.nodes]
+    _shuffle_each(nbrs, seed)
+    return Graph(g.n, g.colours, g.edges, g.orientation, tuple(map(tuple, nbrs)))
 
 
 def random_bipartite(n: int, delta: int, seed: int) -> Graph:
@@ -342,8 +352,9 @@ def random_bipartite(n: int, delta: int, seed: int) -> Graph:
     colours = [BLACK if v in blacks else WHITE for v in range(n)]
     cover = _bipartite_cover(sorted(blacks), sorted(set(range(n)) - blacks), rng)
     pairs = _fill_random_edges(n, delta, rng, colours, cover)
-    g = build_graph(n, _ascending_port_specs(n, pairs), colours)
-    return shuffle_ports(g, rng.getrandbits(32))
+    nbrs = _neighbour_lists(n, pairs)
+    _shuffle_each(nbrs, rng.getrandbits(32))
+    return build_graph(n, _port_specs(pairs, nbrs), colours)
 
 
 def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
@@ -356,13 +367,14 @@ def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
     if oriented:
         directions = {normalize_edge(u, v): (u, v) if rng.random() < 0.5 else (v, u)
                       for u, v in pairs}
-    g = build_graph(n, _ascending_port_specs(n, pairs, directions))
-    g = with_colours(g, fixup_weak_colouring(
-        g, [rng.choice((BLACK, WHITE)) for _ in range(n)]))
-    return shuffle_ports(g, rng.getrandbits(32))
+    nbrs = _neighbour_lists(n, pairs)
+    colours = fixup_weak_colouring(nbrs, [rng.choice((BLACK, WHITE)) for _ in range(n)])
+    _shuffle_each(nbrs, rng.getrandbits(32))
+    return build_graph(n, _port_specs(pairs, nbrs, directions), colours)
 
 
 def random_weak_colouring(g: Graph, seed: int) -> list[str]:
     """A random valid weak 2-colouring of g."""
     rng = random.Random(f"colouring:{seed}")
-    return fixup_weak_colouring(g, [rng.choice((BLACK, WHITE)) for _ in range(g.n)])
+    return fixup_weak_colouring([g.neighbours(v) for v in g.nodes],
+                                [rng.choice((BLACK, WHITE)) for _ in range(g.n)])

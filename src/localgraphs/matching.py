@@ -278,27 +278,9 @@ def approximate_maximum_matching(g: Graph, k: int, *,
 
 # -- per-node implementation -----------------------------------------------------
 
-_FLOOD = 0x01
+_FLOOD = b"\x01"
 _PROPOSE = b"\x02"
 _ACCEPT = b"\x03"
-
-
-def scheme_schedule(max_degree: int, k: int) -> list[tuple[int, int]]:
-    """(path length, round within invocation) for every simulated round.
-
-    Every invocation takes 3h rounds: h of flooding, h of proposals
-    travelling up, h of acceptances travelling down.  The initial flood
-    is sent at the end of the previous invocation (or at wake-up).
-    Invocations of one path length share their (h, round) tuples.
-    """
-    rounds: list[tuple[int, int]] = []
-    for i in range(1, k + 1):
-        t = invocation_count(max_degree, i)
-        if t == 0:          # bound 0, or bound 1 past i = 1: every later t_i is 0 too
-            break
-        h = 2 * i - 1
-        rounds += [(h, rho) for rho in range(1, 3 * h + 1)] * t
-    return rounds
 
 
 def scheme_round_budget(max_degree: int, k: int) -> int:
@@ -327,8 +309,8 @@ MAX_SCHEME_ROUNDS = 10**6
 def check_round_budget(max_degree: int, k: int) -> None:
     """Raise RoundBudgetError if the budget exceeds MAX_SCHEME_ROUNDS.
 
-    Runs before anything of the budget's size is allocated.  The last
-    term alone, 3(2k-1) max_degree (max_degree-1)^(k-1), is at least
+    Runs before the first round.  The last term alone,
+    3(2k-1) max_degree (max_degree-1)^(k-1), is at least
     2^((k-1)(b-1)) for b the bit length of max_degree-1; that rejects a
     large k before the closed form raises a large power.
     """
@@ -342,9 +324,11 @@ def check_round_budget(max_degree: int, k: int) -> None:
 class MatchingSchemeAlgorithm(LocalAlgorithm):
     """Port-numbering implementation of the whole scheme for a fixed k.
 
-    Every node derives the same global schedule from the degree bound,
-    so phase boundaries need no coordination.  Output is the port of the
-    node's matched edge, or None.
+    For h = 2i-1 the schedule runs t_i invocations of 3h rounds: h of
+    flooding, h of proposals going up, h of acceptances going down.  Each
+    node counts its own place in it from the degree bound, so phase
+    boundaries need no coordination.  Every message is one byte.  Output
+    is the port of the node's matched edge, or None.
     """
 
     name = "matching-scheme"
@@ -354,20 +338,19 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
-        self._schedules: dict[int, list[tuple[int, int]]] = {}
 
     def round_budget(self, max_degree: int) -> int:
+        check_round_budget(max_degree, self.k)
         return scheme_round_budget(max_degree, self.k)
 
     def init(self, view: NodeView) -> tuple[Any, Sends]:
-        if view.max_degree not in self._schedules:
-            check_round_budget(view.max_degree, self.k)
-            self._schedules[view.max_degree] = scheme_schedule(view.max_degree, self.k)
         state = {
             "colour": view.colour,
             "degree": view.degree,
             "delta": view.max_degree,
-            "round": 0,
+            "h": 1,
+            "rho": 0,
+            "left": invocation_count(view.max_degree, 1),
             "matched_port": None,
         }
         self._reset_invocation(state)
@@ -375,7 +358,7 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
         if view.colour == BLACK:
             state["joined"] = True
             state["depth"] = 0
-            sends = {p: bytes([_FLOOD, 1]) for p in range(1, view.degree + 1)}
+            sends = {p: _FLOOD for p in range(1, view.degree + 1)}
         return state, sends
 
     @staticmethod
@@ -386,11 +369,16 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
         state["chosen_child_port"] = None
 
     def step(self, state: dict, inbox: Inbox) -> tuple[Any, Sends]:
-        state["round"] = r = state["round"] + 1
-        schedule = self._schedules[state["delta"]]
-        h, rho = schedule[r - 1]
+        h = state["h"]
+        state["rho"] = rho = state["rho"] + 1
+        if rho > 3 * h:             # the next invocation starts
+            state["rho"] = rho = 1
+            state["left"] -= 1
+            if not state["left"]:
+                state["h"] = h = h + 2
+                state["left"] = invocation_count(state["delta"], (h + 1) // 2)
         if not inbox and rho != 1 and rho != 3 * h:
-            return state, {}    # a silent mid-invocation round changes nothing else
+            return state, {}    # a silent mid-invocation round changes only rho
         sends: dict[int, bytes] = {}
         black = state["colour"] == BLACK
         white = not black
@@ -402,10 +390,8 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                 state["depth"] = 0
 
         if inbox:
-            flood_ports = sorted(p for p, msg in inbox.items()
-                                 if len(msg) == 2 and msg[0] == _FLOOD)
-            if flood_ports and not state["joined"]:
-                port = min(flood_ports)
+            port = min((p for p, msg in inbox.items() if msg == _FLOOD), default=None)
+            if port is not None and not state["joined"]:
                 matched = state["matched_port"]
                 if white and matched is None:
                     if rho < h:
@@ -416,7 +402,7 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                 elif white:
                     if rho < h:
                         state.update(joined=True, parent_port=port, depth=rho)
-                        sends[matched] = bytes([_FLOOD, rho + 1])
+                        sends[matched] = _FLOOD
                     # discarded on the last hop
                 else:
                     if matched is None:
@@ -426,14 +412,14 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                     state.update(joined=True, parent_port=port, depth=rho)
                     for p in range(1, state["degree"] + 1):
                         if p != matched:
-                            sends[p] = bytes([_FLOOD, rho + 1])
+                            sends[p] = _FLOOD
 
-            propose_ports = sorted(p for p, msg in inbox.items() if msg == _PROPOSE)
-            if propose_ports:
-                state["chosen_child_port"] = min(propose_ports)
+            child = min((p for p, msg in inbox.items() if msg == _PROPOSE), default=None)
+            if child is not None:
+                state["chosen_child_port"] = child
                 if state["depth"] == 0:
-                    state["matched_port"] = state["chosen_child_port"]
-                    sends[state["chosen_child_port"]] = _ACCEPT
+                    state["matched_port"] = child
+                    sends[child] = _ACCEPT
                 else:
                     sends[state["parent_port"]] = _PROPOSE
 
@@ -445,10 +431,12 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                 if state["chosen_child_port"] is not None and state["depth"] != h:
                     sends[state["chosen_child_port"]] = _ACCEPT
 
-        if rho == 3 * h and r < len(schedule):
-            if black and state["matched_port"] is None:
+        # every invocation but the schedule's last ends with the next wake-up flood
+        if rho == 3 * h and black and state["matched_port"] is None:
+            i = (h + 1) // 2
+            if state["left"] > 1 or (i < self.k and invocation_count(state["delta"], i + 1)):
                 for p in range(1, state["degree"] + 1):
-                    sends[p] = bytes([_FLOOD, 1])
+                    sends[p] = _FLOOD
         return state, sends
 
     def finalize(self, state: dict) -> dict:

@@ -88,16 +88,17 @@ def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
 
 # -- weak-colouring providers ---------------------------------------------------
 
-def fixup_weak_colouring(g: Graph, colours: Sequence[str]) -> list[str]:
-    """One sweep flipping every node whose neighbours all share its colour.
+def fixup_weak_colouring(neighbours: Sequence[Sequence[int]],
+                         colours: Sequence[str]) -> list[str]:
+    """One sweep flipping every node v whose ``neighbours[v]`` all share its colour.
 
     A flip gives all of the node's neighbours an opposite-coloured
     neighbour and never removes one, so a single sweep repairs any
     starting assignment on a graph without isolated nodes.
     """
     out = list(colours)
-    for v in g.nodes:
-        if all(out[u] == out[v] for u in g.neighbours(v)):
+    for v, nbrs in enumerate(neighbours):
+        if all(out[u] == out[v] for u in nbrs):
             out[v] = opposite(out[v])
     return out
 
@@ -109,7 +110,7 @@ def centralized_weak_colouring(g: Graph) -> list[str]:
         prior = next((colours[u] for u in sorted(g.neighbours(v))
                       if colours[u] is not None), None)
         colours[v] = WHITE if prior is None else opposite(prior)
-    return fixup_weak_colouring(g, colours)
+    return fixup_weak_colouring([g.neighbours(v) for v in g.nodes], colours)
 
 
 def colouring_provider_from_file(path) -> WeakColouringProvider:

@@ -233,8 +233,6 @@ class StarForestAlgorithm(LocalAlgorithm):
                     leaf_ports.append(state["parent_port"])
                 state["parent_port"] = None
                 state["leaf_ports"] = tuple(sorted(leaf_ports))
-        elif r == 5 and not black and state["is_root"]:
-            pass
         return state, sends
 
     def finalize(self, state: dict) -> dict:
@@ -262,7 +260,11 @@ def star_forest_from_outputs(g: Graph, outputs: Mapping[int, dict]) -> StarFores
 
 
 def run_star_forest(g: Graph, **kwargs):
-    """Simulate the per-node algorithm; returns (StarForest, RunResult)."""
+    """Simulate the per-node algorithm; returns (StarForest, RunResult).
+
+    A colouring that is not weak is refused before round 0."""
+    if g.has_colours and classify_colouring(g) < ColouringClass.WEAK:
+        raise NotWeaklyColouredError("star forest needs a weak 2-colouring")
     result = run_local_algorithm(g, StarForestAlgorithm(), **kwargs)
     try:
         sf = star_forest_from_outputs(g, result.outputs)

@@ -8,6 +8,7 @@ All ratio bounds are checked exactly, in rational arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -89,49 +90,66 @@ def _weak_variants(base, index):
                 shuffle_ports(coloured, 7000 * index + pseed)
 
 
-def _check_star_ds(g, ds_opt):
-    ds = star_dominating_set(star_forest(g))
+def _check_star_ds(g, sf, ds_opt):
+    ds = star_dominating_set(sf)
     assert verify_solution(g, Solution(SolutionKind.DOMINATING_SET, ds)).ok
     assert len(ds) <= g.n // 2
     assert Fraction(len(ds), ds_opt) <= Fraction(g.max_degree + 1, 2)
 
 
-def _check_star_matching(g, m_opt):
-    m = star_matching(g, star_forest(g))
+def _check_star_matching(g, sf, m_opt):
+    m = star_matching(g, sf)
     assert verify_solution(g, Solution(SolutionKind.MATCHING, m)).ok
     assert len(m) >= math.ceil(Fraction(g.n, g.max_degree + 1))
     assert Fraction(m_opt, len(m)) <= Fraction(g.max_degree + 1, 2)
 
 
-def test_criterion_1_star_dominating_set(weak_base_graphs, weak_optima,
-                                         random_weak_corpus):
+@pytest.fixture(scope="module")
+def star_runs(weak_base_graphs, weak_optima, random_weak_corpus):
+    """Criteria 1 and 2 in one pass over their instances.
+
+    Each variant is generated, and its star forest computed, once; both
+    criteria's checks run on it before the next one is generated, so the
+    variants are never held all at once.  Returns the pass's start time,
+    the run count and each criterion's first failed check.
+    """
     started = time.perf_counter()
+    failures: dict[int, AssertionError] = {}
+    instances = itertools.chain(
+        ((g, weak_optima["ds"][idx], weak_optima["matching"][idx])
+         for idx, base in enumerate(weak_base_graphs)
+         for g in _weak_variants(base, idx)),
+        ((g, len(brute_min_dominating_set(g)), len(brute_max_matching(g)))
+         for g in random_weak_corpus))
     runs = 0
-    for idx, base in enumerate(weak_base_graphs):
-        for g in _weak_variants(base, idx):
-            _check_star_ds(g, weak_optima["ds"][idx])
-            runs += 1
-    for g in random_weak_corpus:
-        _check_star_ds(g, len(brute_min_dominating_set(g)))
+    for g, ds_opt, m_opt in instances:
+        sf = star_forest(g)
+        for num, check, opt in ((1, _check_star_ds, ds_opt),
+                                (2, _check_star_matching, m_opt)):
+            try:
+                check(g, sf, opt)
+            except AssertionError as exc:
+                failures.setdefault(num, exc)
         runs += 1
+    return started, runs, failures
+
+
+def test_criterion_1_star_dominating_set(star_runs, weak_base_graphs,
+                                         random_weak_corpus):
+    started, runs, failures = star_runs
+    if 1 in failures:
+        raise failures[1]
     _pass(1, started, f"star dominating set valid and within (max degree + 1)/2 "
           f"on {runs} runs ({len(weak_base_graphs)} exhaustive graphs, "
-          f"{len(random_weak_corpus)} random)")
+          f"{len(random_weak_corpus)} random; one pass shared with criterion 2)")
 
 
-def test_criterion_2_star_matching(weak_base_graphs, weak_optima,
-                                   random_weak_corpus):
-    started = time.perf_counter()
-    runs = 0
-    for idx, base in enumerate(weak_base_graphs):
-        for g in _weak_variants(base, idx):
-            _check_star_matching(g, weak_optima["matching"][idx])
-            runs += 1
-    for g in random_weak_corpus:
-        _check_star_matching(g, len(brute_max_matching(g)))
-        runs += 1
+def test_criterion_2_star_matching(star_runs):
+    started, runs, failures = star_runs
+    if 2 in failures:
+        raise failures[2]
     _pass(2, started, f"star matching valid and within (max degree + 1)/2 "
-          f"on {runs} runs")
+          f"on {runs} runs (one pass shared with criterion 1)")
 
 
 def _check_scheme(g, k):

@@ -3,7 +3,10 @@
 Each case runs one per-node algorithm on a deterministic construction
 and hashes every trace line, the sorted outputs, ``rounds_used`` and
 ``max_message_bits``.  A change to the engine or to a ``step`` function
-that alters any message, state or output changes the digest.  Only
+that alters any message, state or output changes the digest.  The
+scheme's sends, outputs and round counts are also pinned without the
+state digests, so a change to a state's layout alone can be told from a
+change in behaviour.  Only
 deterministic generators are used, so a change to the seeded random
 families leaves these digests alone; those families are pinned
 separately, by a digest of each instance's JSON document, and so are
@@ -48,13 +51,13 @@ GOLDEN = [
      "0fcfee108b7bddcba1fc4b4fd97c6999b7507ce0672849edf0ccdecd793f19bd"),
     ("matching-scheme k=1 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(1)),
-     "5ba7b3e65235f0b510d4cb3bf88ae848e9f71cc86676fda136259c4430977d13"),
+     "0ff470ad0b794fc6834345a7ceeff3039d39dea8c2171aaa77ca8055dd94cb81"),
     ("matching-scheme k=2 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(2)),
-     "bcd0a8a646567fde31f8e42ca54c3adc519b9d7c39ed6297a8cf07298638dafa"),
+     "fcd7f975f3eec5d35097974d83579df9b09e1e5248e5d17a8c555de7486ee20c"),
     ("matching-scheme k=3 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(3)),
-     "29f88f2d80287a55c272332c61715aee6dbfc702ad6bb40f1012686ccbde2f0f"),
+     "dab823ce589a26cec288be787651b3eebfd648f2b5c3db8f0cafb1fa0dafe437"),
 ]
 
 
@@ -63,6 +66,37 @@ GOLDEN = [
 def test_golden_run(make, digest):
     g, alg = make()
     assert run_digest(g, alg) == digest
+
+
+def sends_digest(g, alg) -> str:
+    """``run_digest`` without the state digests and ``max_message_bits``.
+
+    It pins what every node sends in every round, the outputs and
+    ``rounds_used``, so it survives a change to a state's layout.
+    """
+    lines: list[str] = []
+    result = run_local_algorithm(g, alg, trace=lines.append)
+    h = hashlib.sha256()
+    for line in lines:
+        d = json.loads(line)
+        h.update(json.dumps([d["round"], d["node"], d["sent"]]).encode() + b"\n")
+    h.update(json.dumps(sorted(result.outputs.items()), sort_keys=True).encode())
+    h.update(str(result.rounds_used).encode())
+    return h.hexdigest()
+
+
+SENDS = [
+    (1, "ec0800642376730be3a6d6b09f6b866ddd3894aad2b9fb5ff000427592a74f77"),
+    (2, "9eda8e3a564f2711fa460018676b6ce6c963cca65bdf386b4f916914798c1735"),
+    (3, "e211a9a45c305a70d38127f1678484217db884f383db4b8692ce876f8422bfb6"),
+]
+
+
+@pytest.mark.parametrize("k, digest", SENDS,
+                         ids=[f"matching-scheme k={k} strong_blowup(C8, 3)" for k, _ in SENDS])
+def test_golden_scheme_sends(k, digest):
+    g = strong_blowup(numbered_cycle(8), 3)
+    assert sends_digest(g, MatchingSchemeAlgorithm(k)) == digest
 
 
 SEEDED = [

@@ -22,7 +22,7 @@ from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
                                   eliminate_length, flood_phase,
                                   invocation_count,
                                   proposal_phase, run_matching_scheme,
-                                  scheme_round_budget, scheme_schedule)
+                                  scheme_round_budget)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  shortest_augmenting_path_length,
                                  try_bipartition, verify_solution)
@@ -341,7 +341,7 @@ class TestSimulatedScheme:
         r_small = run_matching_scheme(small, 2)[1]
         r_large = run_matching_scheme(large, 2)[1]
         assert r_small.rounds_used == r_large.rounds_used
-        assert r_small.max_message_bits == r_large.max_message_bits == 16
+        assert r_small.max_message_bits == r_large.max_message_bits == 8
 
     def test_per_copy_agreement_on_union(self, p4_coloured):
         doubled = disjoint_union(p4_coloured, p4_coloured)
@@ -350,28 +350,34 @@ class TestSimulatedScheme:
         shifted = {(u + 4, v + 4) for u, v in single}
         assert both == single | shifted
 
-    def test_library_refuses_budget_before_allocating(self, monkeypatch):
-        import localgraphs.matching as matching
-
-        def unreachable(*args):
-            raise AssertionError("schedule built past the round budget")
-
-        monkeypatch.setattr(matching, "scheme_schedule", unreachable)
+    def test_library_refuses_budget_before_allocating(self):
         g = strong_blowup(numbered_cycle(8), 3)     # k = 20 needs about 3.5e8 rounds
+        lines = []
         with pytest.raises(RoundBudgetError):
-            run_matching_scheme(g, 20)
+            run_matching_scheme(g, 20, trace=lines.append)
+        assert lines == []
         check_round_budget(3, 12)
         for delta, k in ((3, 13), (1000, 10**6), (2, 10**6 + 1)):
             with pytest.raises(RoundBudgetError):
                 check_round_budget(delta, k)
 
     def test_round_budget_closed_form(self):
+        """One node steps through its whole budget; its (h, rho) must follow
+        t_i invocations of 3h rounds for each h = 2i-1."""
         for delta in range(0, 7):
             for k in range(1, 7):
-                total = sum(3 * (2 * i - 1) * invocation_count(delta, i)
-                            for i in range(1, k + 1))
-                assert scheme_round_budget(delta, k) == total
-                assert len(scheme_schedule(delta, k)) == total
+                reference = [(2 * i - 1, rho)
+                             for i in range(1, k + 1)
+                             for _ in range(invocation_count(delta, i))
+                             for rho in range(1, 3 * (2 * i - 1) + 1)]
+                assert scheme_round_budget(delta, k) == len(reference)
+                alg = MatchingSchemeAlgorithm(k)
+                state, _ = alg.init(NodeView(degree=delta, max_degree=delta, colour=WHITE))
+                positions = []
+                for _ in range(alg.round_budget(delta)):
+                    state, _ = alg.step(state, {})
+                    positions.append((state["h"], state["rho"]))
+                assert positions == reference
         with pytest.raises(ValueError):
             scheme_round_budget(3, 0)
 
@@ -381,15 +387,25 @@ class TestSimulatedScheme:
         alg = MatchingSchemeAlgorithm(2)
         state, _ = alg.init(NodeView(degree=3, max_degree=3, colour=colour))
         state["matched_port"] = matched_port
-        silent = 0
-        for h, rho in scheme_schedule(3, 2):
+        budget = alg.round_budget(3)
+        silent = floods = 0
+        for r in range(1, budget + 1):
             before = dict(state)
             state, sends = alg.step(state, {})
+            h, rho = state["h"], state["rho"]
             if rho in (1, 3 * h):
+                # only an unmatched black wakes the next invocation, and not
+                # in the last round
+                if rho == 3 * h and colour == BLACK and matched_port is None and r < budget:
+                    assert sends == {1: b"\x01", 2: b"\x01", 3: b"\x01"}
+                    floods += 1
+                else:
+                    assert sends == {}
                 continue
             silent += 1
             assert sends == {}
             assert list(state) == list(before)
-            assert state == {**before, "round": before["round"] + 1}
+            assert state == {**before, "rho": before["rho"] + 1}
         assert silent == 3 * 1 + 6 * 7     # t_1 = 3 with rho = 2; t_2 = 6 with rho = 2..8
+        assert floods == (3 + 6 - 1 if colour == BLACK and matched_port is None else 0)
 

@@ -125,7 +125,7 @@ class TestProviders:
 
     def test_fixup_from_constant(self):
         g = ascending_ports(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        out = fixup_weak_colouring(g, [WHITE] * 5)
+        out = fixup_weak_colouring([g.neighbours(v) for v in g.nodes], [WHITE] * 5)
         assert classify_colouring(g, out) >= ColouringClass.WEAK
 
     def test_bad_provider_rejected(self, k4_oriented):

@@ -171,6 +171,12 @@ class TestInvariants:
         assert result.rounds_used == 5
         assert result.max_message_bits == 8
 
+    def test_distributed_refuses_unweak_before_round_0(self, c4_coloured):
+        lines = []
+        with pytest.raises(NotWeaklyColouredError):
+            run_star_forest(with_colours(c4_coloured, [BLACK] * 4), trace=lines.append)
+        assert lines == []
+
     def test_distributed_matches_on_port_shuffles(self, c4_coloured):
         for seed in range(6):
             g = shuffle_ports(c4_coloured, seed)
