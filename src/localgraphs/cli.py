@@ -17,10 +17,10 @@ from . import generators, graph as graphmod, oracles
 from .baselines import AllNodesDominatingSet, WhiteIndependentSet
 from .engine import run_local_algorithm
 from .errors import (CapabilityError, InvariantError, LocalGraphError,
-                     NotProperlyColouredError, RoundBudgetError)
-from .graph import BLACK, ColouringClass, Graph, classify_colouring, normalize_edge
-from .matching import (approximate_maximum_matching, check_round_budget,
-                       run_matching_scheme)
+                     NotProperlyColouredError)
+from .graph import (BLACK, INCOMING, ColouringClass, Graph, classify_colouring,
+                    normalize_edge)
+from .matching import approximate_maximum_matching, run_matching_scheme
 from .oddds import colouring_provider_from_file, odd_delta_pipeline
 from .oracles import Solution, SolutionKind, verify_solution
 from .starforest import run_star_forest, star_matching
@@ -137,11 +137,6 @@ def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: Fraction,
 def _cmd_run(args) -> int:
     g = graphmod.load(args.graph)
     delta = g.max_degree
-    if args.alg == "matching-scheme":
-        try:
-            check_round_budget(delta, args.k)
-        except RoundBudgetError as exc:
-            raise _CliFailure(EXIT_INPUT, str(exc), "round-budget") from exc
     trace_fh = None
 
     def write_trace(line: str) -> None:
@@ -282,8 +277,8 @@ def export_dot(g: Graph, solution: Solution | None = None) -> str:
     connector = "->" if directed else "--"
     for u, v in sorted(g.edges):
         a, b = (u, v)
-        if directed:
-            a, b = g.orientation[(u, v)]
+        if directed and g.port_directions(u)[g.port_of(u, v) - 1] == INCOMING:
+            a, b = (v, u)
         attrs = []
         if (u, v) in matched:
             attrs.append('color="black:invis:black"')    # double line

@@ -16,10 +16,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import MissingInputError
-from .graph import Graph, normalize_edge
-
-OUTGOING = "out"
-INCOMING = "in"
+from .graph import INCOMING, OUTGOING, Graph   # the directions are re-exported
 
 Sends = Mapping[int, bytes]          # port -> payload
 Inbox = Mapping[int, bytes]          # port -> payload received this round
@@ -72,13 +69,6 @@ class RunResult:
 
 # handed to every node that received nothing; read-only, so no step can alter it
 _EMPTY_INBOX: Inbox = MappingProxyType({})
-
-
-def _port_directions(g: Graph, v: int) -> tuple[str, ...] | None:
-    if not g.has_orientation:
-        return None
-    return tuple(OUTGOING if g.orientation[normalize_edge(v, u)][0] == v else INCOMING
-                 for u in g.neighbours(v))
 
 
 def degree_bound(g: Graph, max_degree: int | None) -> int:
@@ -146,7 +136,7 @@ def run_local_algorithm(g: Graph,
 
     for v in order:
         view = NodeView(degree=g.degree(v), max_degree=delta, colour=g.colour(v),
-                        port_directions=_port_directions(g, v))
+                        port_directions=g.port_directions(v))
         states[v], sends = alg.init(view)
         if sends:
             deliver(v, sends)
@@ -175,7 +165,7 @@ def _digest(state: Any) -> str:
 # -- locality helper -----------------------------------------------------------
 
 def _node_label(g: Graph, v: int):
-    return (g.degree(v), g.colour(v), _port_directions(g, v))
+    return (g.degree(v), g.colour(v), g.port_directions(v))
 
 
 def _view_codes(g: Graph, radius: int, intern: dict) -> list[int]:

@@ -333,10 +333,15 @@ def _shuffle_each(nbrs: Sequence[list[int]], seed: int) -> None:
 
 
 def shuffle_ports(g: Graph, seed: int) -> Graph:
-    """Same graph with freshly randomized port numberings."""
-    nbrs = [list(g.neighbours(v)) for v in g.nodes]
-    _shuffle_each(nbrs, seed)
-    return Graph(g.n, g.colours, g.edges, g.orientation, tuple(map(tuple, nbrs)))
+    """Same graph with freshly randomized port numberings; directions move with their ports."""
+    orders = [list(range(g.degree(v))) for v in g.nodes]
+    _shuffle_each(orders, seed)     # same draws as shuffling the neighbour lists
+
+    def reordered(rows):
+        return tuple(tuple(row[i] for i in order) for row, order in zip(rows, orders))
+
+    directions = reordered(map(g.port_directions, g.nodes)) if g.has_orientation else None
+    return Graph(g.n, g.colours, reordered(map(g.neighbours, g.nodes)), directions)
 
 
 def random_bipartite(n: int, delta: int, seed: int) -> Graph:

@@ -2,7 +2,8 @@
 
 Node ids are dense integers 0..n-1 used by the harness and the oracles only;
 simulated algorithms never see them.  Ports are 1-based: at every node the
-ports form a bijection {1..deg(v)} -> neighbours(v).
+ports form a bijection {1..deg(v)} -> neighbours(v), and an orientation
+gives each port the direction of the edge behind it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import copy
 import json
 from enum import IntEnum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -26,6 +27,9 @@ from .errors import (
 BLACK = "black"
 WHITE = "white"
 COLOURS = (BLACK, WHITE)
+
+OUTGOING = "out"
+INCOMING = "in"
 
 Edge = tuple[int, int]
 
@@ -49,26 +53,28 @@ class ColouringClass(IntEnum):
 class Graph:
     """Immutable graph held as its port tables.
 
-    ``port_to[v]`` lists v's neighbours in port order; the constructor
-    derives the reverse tables from it and trusts its arguments.  New
-    structure is validated by :func:`build_graph`; copies of a valid
-    graph (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
-    :func:`induced_subgraph`) derive their tables from the source's.
+    ``port_to[v]`` lists v's neighbours in port order.  ``directions[v]``
+    gives, in the same order, OUTGOING or INCOMING for the edge behind
+    each port; ``directions`` is None on an unoriented graph.  The
+    constructor derives the edge set and the reverse tables from
+    ``port_to`` and trusts its arguments.  New structure is validated by
+    :func:`build_graph`; copies of a valid graph (:func:`with_colours`,
+    :func:`relabel`, :func:`disjoint_union`, :func:`induced_subgraph`)
+    derive their tables from the source's.
     """
 
-    __slots__ = ("n", "colours", "edges", "orientation",
-                 "_port_to", "_port_back", "_port_of", "_max_degree")
+    __slots__ = ("n", "colours", "edges", "_port_to", "_directions", "_port_of",
+                 "_max_degree")
 
-    def __init__(self, n, colours, edges, orientation, port_to):
+    def __init__(self, n, colours, port_to, directions):
         self.n = n
         self.colours = colours          # tuple[str, ...] | None
-        self.edges = edges              # frozenset[Edge], normalized u < v
-        self.orientation = orientation or None  # dict[Edge, (tail, head)] | None
         self._port_to = port_to         # tuple[tuple[int, ...], ...]
+        self._directions = directions or None   # tuple[tuple[str, ...], ...] | None
         self._port_of = tuple({u: p for p, u in enumerate(nbrs, start=1)}
                               for nbrs in port_to)   # neighbour -> port, per node
-        self._port_back = tuple(tuple(self._port_of[u][v] for u in nbrs)
-                                for v, nbrs in enumerate(port_to))  # arrival ports
+        self.edges = frozenset((v, u) for v, nbrs in enumerate(port_to)
+                               for u in nbrs if v < u)   # normalized u < v
         self._max_degree = max(map(len, port_to), default=0)
 
     # -- structure accessors --------------------------------------------
@@ -101,14 +107,15 @@ class Graph:
 
     def arrival_port(self, v: int, p: int) -> int:
         """The port at the far endpoint through which v's port p arrives."""
-        if not 1 <= p <= len(self._port_back[v]):
-            raise PortOutOfRangeError(
-                f"node {v} has ports 1..{len(self._port_back[v])}, got {p}")
-        return self._port_back[v][p - 1]
+        return self._port_of[self.port_neighbour(v, p)][v]
 
     def port_of(self, v: int, u: int) -> int:
         """The port at v leading to neighbour u."""
         return self._port_of[v][u]
+
+    def port_directions(self, v: int) -> tuple[str, ...] | None:
+        """OUTGOING or INCOMING per port of v, in port order; None if unoriented."""
+        return None if self._directions is None else self._directions[v]
 
     def colour(self, v: int) -> str | None:
         return None if self.colours is None else self.colours[v]
@@ -119,14 +126,14 @@ class Graph:
 
     @property
     def has_orientation(self) -> bool:
-        return self.orientation is not None
+        return self._directions is not None
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.n == other.n and self.colours == other.colours
                 and self._port_to == other._port_to
-                and self.orientation == other.orientation)
+                and self._directions == other._directions)
 
     __hash__ = None  # mutable-free but identity hashing would be a trap
 
@@ -150,7 +157,8 @@ def build_graph(node_count: int,
 
     edge_set: set[Edge] = set()
     ports: list[dict[int, int]] = [dict() for _ in range(node_count)]
-    orientation: dict[Edge, tuple[int, int]] = {}
+    dirs: list[dict[int, str]] = [dict() for _ in range(node_count)]   # port -> direction
+    directed = 0
 
     for spec in edges:
         if len(spec) == 4:
@@ -173,14 +181,14 @@ def build_graph(node_count: int,
                 raise PortClashError(f"port {port} reused at node {node}")
             ports[node][port] = v if node == u else u
         if direction is not None:
-            if direction == "uv":
-                orientation[e] = (u, v)
-            elif direction == "vu":
-                orientation[e] = (v, u)
-            else:
+            if direction not in ("uv", "vu"):
                 raise ValueError(f"direction must be 'uv', 'vu' or None, got {direction!r}")
+            forward = direction == "uv"
+            dirs[u][pu] = OUTGOING if forward else INCOMING
+            dirs[v][pv] = INCOMING if forward else OUTGOING
+            directed += 1
 
-    if len(orientation) not in (0, len(edge_set)):
+    if directed not in (0, len(edge_set)):
         raise GraphFormatError("orientation must be given for all edges or none")
 
     port_to: list[tuple[int, ...]] = []
@@ -193,8 +201,11 @@ def build_graph(node_count: int,
                 f"node {v}: ports {sorted(ports[v])} are not exactly 1..{deg}")
         port_to.append(tuple(ports[v][p] for p in range(1, deg + 1)))
 
-    return Graph(node_count, colour_list, frozenset(edge_set), orientation,
-                 tuple(port_to))
+    directions = None
+    if directed:
+        directions = tuple(tuple(dirs[v][p] for p in range(1, len(nbrs) + 1))
+                           for v, nbrs in enumerate(port_to))
+    return Graph(node_count, colour_list, tuple(port_to), directions)
 
 
 def _normalize_colours(n, colours):
@@ -237,24 +248,12 @@ def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
     """``(u, v, port_u, port_v, direction)`` per edge, sorted: build_graph's input."""
     specs = []
     for u, v in sorted(g.edges):
+        pu = g.port_of(u, v)
         direction = None
-        if g.orientation is not None:
-            direction = "uv" if g.orientation[(u, v)][0] == u else "vu"
-        specs.append((u, v, g.port_of(u, v), g.port_of(v, u), direction))
+        if g._directions is not None:
+            direction = "uv" if g._directions[u][pu - 1] == OUTGOING else "vu"
+        specs.append((u, v, pu, g.port_of(v, u), direction))
     return specs
-
-
-def _renamed_edges(g: Graph, f: Callable[[int], int], among: Iterable[Edge] | None = None):
-    """g's edges (or those ``among`` them) and orientation with v renamed f(v)."""
-    edges = []
-    orientation = None if g.orientation is None else {}
-    for u, v in g.edges if among is None else among:
-        e = normalize_edge(f(u), f(v))
-        edges.append(e)
-        if orientation is not None:
-            t, h = g.orientation[(u, v)]
-            orientation[e] = (f(t), f(h))
-    return frozenset(edges), orientation
 
 
 def with_colours(g: Graph, colours: Sequence[str] | None) -> Graph:
@@ -268,15 +267,18 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Copy of g with node v renamed perm[v]; ports travel with their node."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    port_to: list = [None] * g.n
-    colours: list | None = None if g.colours is None else [None] * g.n
-    for v, nbrs in enumerate(g._port_to):
-        port_to[perm[v]] = tuple(perm[u] for u in nbrs)
-        if colours is not None:
-            colours[perm[v]] = g.colours[v]
-    edges, orientation = _renamed_edges(g, perm.__getitem__)
-    return Graph(g.n, None if colours is None else tuple(colours), edges,
-                 orientation, tuple(port_to))
+    port_to = _moved([tuple(perm[u] for u in nbrs) for nbrs in g._port_to], perm)
+    return Graph(g.n, _moved(g.colours, perm), port_to, _moved(g._directions, perm))
+
+
+def _moved(rows: Sequence | None, perm: Sequence[int]) -> tuple | None:
+    """``rows`` with row v moved to index perm[v]; None stays None."""
+    if rows is None:
+        return None
+    out: list = [None] * len(rows)
+    for v, row in enumerate(rows):
+        out[perm[v]] = row
+    return tuple(out)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -287,11 +289,9 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
         raise GraphFormatError("cannot union an oriented and an unoriented graph")
     ids = list(range(g1.n, g1.n + g2.n))  # one int object per node, shared by all tables
     port_to = g1._port_to + tuple(tuple(ids[u] for u in nbrs) for nbrs in g2._port_to)
-    edges, orientation = _renamed_edges(g2, ids.__getitem__)
-    if orientation is not None:
-        orientation = {**g1.orientation, **orientation}
     colours = g1.colours + g2.colours if g1.has_colours else None
-    return Graph(g1.n + g2.n, colours, g1.edges | edges, orientation, port_to)
+    directions = g1._directions + g2._directions if g1.has_orientation else None
+    return Graph(g1.n + g2.n, colours, port_to, directions)
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -305,15 +305,18 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
         raise ValueError(f"kept nodes must lie in 0..{g.n - 1}")
     new_id = {old: i for i, old in enumerate(kept)}
     port_to = []
+    directions = None if g._directions is None else []
     for old in kept:
-        nbrs = tuple(new_id[u] for u in g._port_to[old] if u in new_id)
-        if not nbrs:
+        nbrs = g._port_to[old]
+        ports = [i for i, u in enumerate(nbrs) if u in new_id]   # kept, 0-based
+        if not ports:
             raise IsolatedNodeError(f"node {old} has no neighbours among the kept nodes")
-        port_to.append(nbrs)
-    edges, orientation = _renamed_edges(
-        g, new_id.__getitem__, [(u, v) for u, v in g.edges if u in new_id and v in new_id])
+        port_to.append(tuple(new_id[nbrs[i]] for i in ports))
+        if directions is not None:
+            directions.append(tuple(g._directions[old][i] for i in ports))
     colours = None if g.colours is None else tuple(g.colours[old] for old in kept)
-    return Graph(len(kept), colours, edges, orientation, tuple(port_to)), tuple(kept)
+    return (Graph(len(kept), colours, tuple(port_to),
+                  None if directions is None else tuple(directions)), tuple(kept))
 
 
 # -- JSON interchange ----------------------------------------------------------

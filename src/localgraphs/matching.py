@@ -75,17 +75,16 @@ def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
     """``flood_phase`` for a properly coloured g and a valid matching's partner map."""
     joined: dict[int, int | None] = {}       # node -> arrival port, None at roots
     leaves: set[int] = set()
-    sends: list[tuple[int, int]] = []        # (sender, port)
+    sends: list[tuple[int, int]] = []        # (sender, target)
     for b in g.nodes:
         if g.colour(b) == BLACK and b not in partner:
             joined[b] = None
-            sends.extend((b, p) for p in range(1, g.degree(b) + 1))
+            sends.extend((b, u) for u in g.neighbours(b))
 
     for t in range(1, h + 1):
         arrivals: dict[int, list[int]] = {}
-        for sender, port in sends:
-            target = g.port_neighbour(sender, port)
-            arrivals.setdefault(target, []).append(g.arrival_port(sender, port))
+        for sender, target in sends:
+            arrivals.setdefault(target, []).append(g.port_of(target, sender))
         sends = []
         for v, ports in arrivals.items():
             if v in joined:
@@ -100,15 +99,15 @@ def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
                     leaves.add(v)
                 elif t < h:
                     joined[v] = port
-                    sends.append((v, g.port_of(v, partner[v])))
+                    sends.append((v, partner[v]))
                 # matched white on the last hop: message discarded
             else:
                 if v not in partner or len(ports) != 1:
                     raise InvariantError(
                         f"flood reached black node {v} other than over one matched edge")
                 joined[v] = port
-                mp = g.port_of(v, partner[v])
-                sends.extend((v, p) for p in range(1, g.degree(v) + 1) if p != mp)
+                mate = partner[v]
+                sends.extend((v, u) for u in g.neighbours(v) if u != mate)
 
     parent_port: dict[int, int] = {}
     roots: set[int] = set()

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 from .engine import RunResult, degree_bound
 from .errors import (EvenDeltaError, InvariantError, MissingOrientationError,
                      NotWeakOnAError, ProviderFailureError)
-from .graph import (BLACK, WHITE, ColouringClass, Graph, classify_colouring,
-                    induced_subgraph, opposite, with_colours)
+from .graph import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass, Graph,
+                    classify_colouring, induced_subgraph, opposite, with_colours)
 from .starforest import run_star_forest
 
 WeakColouringProvider = Callable[[Graph], Sequence[str]]
@@ -66,19 +66,19 @@ def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
     core = sorted(part.a | part.b)
     base, original_ids = induced_subgraph(g, core)
     port_to = list(map(base.neighbours, base.nodes))
-    edges = set(base.edges)
-    orientation = None if base.orientation is None else dict(base.orientation)
+    directions = list(map(base.port_directions, base.nodes)) if base.has_orientation else None
     dummy_hosts: dict[int, int] = {}
     for v in base.nodes:
         if base.degree(v) % 2 == 0:
             dummy = len(port_to)
             port_to[v] += (dummy,)
             port_to.append((v,))
-            edges.add((v, dummy))
-            if orientation is not None:
-                orientation[(v, dummy)] = (v, dummy)
+            if directions is not None:
+                directions[v] += (OUTGOING,)
+                directions.append((INCOMING,))
             dummy_hosts[dummy] = v
-    graph = Graph(len(port_to), None, frozenset(edges), orientation, tuple(port_to))
+    graph = Graph(len(port_to), None, tuple(port_to),
+                  None if directions is None else tuple(directions))
     if any(graph.degree(v) % 2 == 0 for v in graph.nodes):
         raise InvariantError("dummy-augmented core has an even-degree node")
     return DummyAugmentedGraph(graph=graph, base=base,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import ascending_ports
 from localgraphs import BLACK, WHITE, errors, run_local_algorithm, with_colours
-from localgraphs.cli import main
+from localgraphs.cli import export_dot, main
 from localgraphs.generators import numbered_cycle, random_weak, strong_blowup
 from localgraphs.graph import dumps, graph_to_json_dict, loads
 from localgraphs.oddds import odd_delta_pipeline
@@ -179,7 +179,7 @@ class TestRun:
                      "--k", "20", "--trace", str(trace)])
         captured = capsys.readouterr()
         assert code == 2
-        assert json.loads(captured.out)["error"] == "round-budget"
+        assert json.loads(captured.out)["error"] == "RoundBudgetError"
         assert "Traceback" not in captured.err
         assert not trace.exists()
 
@@ -348,6 +348,12 @@ class TestOracleVerifyExport:
         path.write_text(dumps(k4_oriented))
         code, out = run_cli(capsys, "export-dot", "--graph", str(path))
         assert code == 0 and out.startswith("digraph g {") and "->" in out
+
+    def test_export_dot_numbered_cycle_arrows_follow_successors(self):
+        out = export_dot(numbered_cycle(5).graph)
+        arrows = sorted(line.strip().rstrip(";") for line in out.splitlines()
+                        if "->" in line)
+        assert arrows == sorted(f"{v} -> {(v + 1) % 5}" for v in range(5))
 
     def test_export_dot_bad_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

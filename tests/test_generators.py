@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from localgraphs import (BLACK, WHITE, ColouringClass, classify_colouring,
-                         local_views_equivalent)
+from localgraphs import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass,
+                         classify_colouring, local_views_equivalent)
 from localgraphs.errors import (DegenerateParamsError, DeltaTooSmallError,
                                 EvenDeltaError, NotIndependentError,
                                 NotInCycleError, NotProperlyColouredError,
@@ -24,6 +24,7 @@ from localgraphs.generators import (_bipartite_cover, _fill_random_edges,
                                     trivial_white_independent_set,
                                     weak_layered,
                                     weak_layered_perfect_matching)
+from localgraphs.graph import edge_specs
 from localgraphs.oracles import (Solution, SolutionKind,
                                  brute_max_independent_set,
                                  brute_min_dominating_set, verify_solution)
@@ -34,13 +35,14 @@ from conftest import ascending_ports
 class TestNumberedCycle:
     def test_triangle(self):
         c = numbered_cycle(3)
-        assert c.graph.n == 3 and len(c.graph.orientation) == 3
+        specs = edge_specs(c.graph)
+        assert c.graph.n == 3 and len(specs) == 3
+        assert all(d is not None for *_, d in specs)
 
     def test_in_and_out_degree_one(self):
         c = numbered_cycle(4)
-        tails = [t for t, _ in c.graph.orientation.values()]
-        heads = [h for _, h in c.graph.orientation.values()]
-        assert sorted(tails) == sorted(heads) == list(range(4))
+        for v in c.graph.nodes:
+            assert sorted(c.graph.port_directions(v)) == sorted((INCOMING, OUTGOING))
 
     def test_too_small(self):
         with pytest.raises(TooSmallError):

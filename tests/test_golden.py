@@ -6,7 +6,8 @@ and hashes every trace line, the sorted outputs, ``rounds_used`` and
 that alters any message, state or output changes the digest.  The
 scheme's sends, outputs and round counts are also pinned without the
 state digests, so a change to a state's layout alone can be told from a
-change in behaviour.  Only
+change in behaviour; two small cases that end with unmatched black
+nodes pin the scheme's silent last round.  Only
 deterministic generators are used, so a change to the seeded random
 families leaves these digests alone; those families are pinned
 separately, by a digest of each instance's JSON document, and so are
@@ -22,7 +23,7 @@ import random
 
 import pytest
 
-from localgraphs import run_local_algorithm
+from localgraphs import BLACK, WHITE, build_graph, run_local_algorithm
 from localgraphs.generators import (numbered_cycle, random_bipartite,
                                     random_weak, random_weak_colouring,
                                     shuffle_ports, strong_blowup, weak_layered)
@@ -99,6 +100,31 @@ def test_golden_scheme_sends(k, digest):
     assert sends_digest(g, MatchingSchemeAlgorithm(k)) == digest
 
 
+# cases that end with unmatched blacks, whose last-round silence the digest pins
+UNMATCHED = [
+    ("path black-white-black",
+     lambda: build_graph(3, [(0, 1, 1, 1), (1, 2, 2, 1)], [BLACK, WHITE, BLACK])),
+    ("K1,3 white centre",
+     lambda: build_graph(4, [(0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1)],
+                         [WHITE, BLACK, BLACK, BLACK])),
+]
+
+UNMATCHED_SENDS = [
+    (0, 1, "4efa81ed9039fd3dbc806370669ea74fc6d3056a03ae45a10bc8b08dcf59b536"),
+    (0, 2, "34da737a29b4037160064c5a5278c26fe3758e251411b5e7757ef775069f2209"),
+    (1, 1, "8e08331a99d3b55ababaaa08a87ccd3731a922cf8df8bdddedcb9ce20e603e31"),
+    (1, 2, "d49808454242d20bca9f026368e6f8e1f01ccf7ec2c3e8188fde55cd9d10d784"),
+]
+
+
+@pytest.mark.parametrize("case, k, digest", UNMATCHED_SENDS,
+                         ids=[f"matching-scheme k={k} {UNMATCHED[c][0]}"
+                              for c, k, _ in UNMATCHED_SENDS])
+def test_golden_scheme_sends_unmatched_blacks(case, k, digest):
+    g = UNMATCHED[case][1]()
+    assert sends_digest(g, MatchingSchemeAlgorithm(k)) == digest
+
+
 SEEDED = [
     (random_weak, 200, 3, 1,
      "d760f59e090c6c9d3ee0e4a5d184e76610455a89a79c3e882d2a0488a6733839"),
@@ -127,6 +153,12 @@ def recoloured_shuffled_relabelled():
     return relabel(g, random.Random(3).sample(range(g.n), g.n))
 
 
+def oriented_recoloured_shuffled_relabelled():
+    g = random_weak(40, 3, 5)
+    g = shuffle_ports(with_colours(g, random_weak_colouring(g, 2)), 9)
+    return relabel(g, random.Random(3).sample(range(g.n), g.n))
+
+
 def odd_core(g):
     part = partition_abc(g)
     return induced_subgraph(g, part.a | part.b)[0]
@@ -140,6 +172,9 @@ DERIVED = [
     ("with_colours-shuffle_ports-relabel random_weak(40, 3, 5)",
      recoloured_shuffled_relabelled,
      "b70acc3c2d0aea6b855df7a8df6f98f4596995f92043c1dd477eb85cbd19b543"),
+    ("with_colours-shuffle_ports-relabel oriented random_weak(40, 3, 5)",
+     oriented_recoloured_shuffled_relabelled,
+     "1351a5c3567da67853b01cd785e63294ce97e27627cb2e6d21b94b65b8ae730a"),
     ("disjoint_union random_weak(30, 3, 2) random_weak(20, 4, 3)",
      lambda: disjoint_union(random_weak(30, 3, 2), random_weak(20, 4, 3)),
      "36466e785c8237e5541f6746bd358b39e95dbc2d571d691ece9c239ebd085904"),

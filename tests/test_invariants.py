@@ -2,12 +2,14 @@
 
 Invariant checks must survive ``python -O``: no ``assert`` in the
 package.  Copies of a valid graph derive their port tables from the
-source's and never re-validate through ``build_graph``.
+source's and never re-validate through ``build_graph``.  Every function
+the benchmark's traced run wraps still exists under its name.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from localgraphs.graph import (disjoint_union, induced_subgraph, relabel,
 from localgraphs.oddds import build_h2, partition_abc
 
 PACKAGE = Path(localgraphs.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_package_has_no_assert_statements():
@@ -56,3 +59,17 @@ def test_derived_copies_never_reach_build_graph(monkeypatch):
         induced_subgraph(g, part.a | part.b)
         h2 = build_h2(g, part)
         assert h2.graph.n >= h2.base.n
+
+
+def test_bench_trace_targets_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    targets = importlib.import_module("layers").TARGETS
+    assert targets
+    missing = []
+    for t in targets:
+        obj = importlib.import_module(t.module)
+        for part in t.attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{t.module}.{t.attr}")
+    assert missing == []
