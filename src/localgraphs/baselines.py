@@ -6,7 +6,7 @@ import hashlib
 from typing import Any
 
 from .engine import Inbox, LocalAlgorithm, NodeView, Sends
-from .graph import WHITE
+from .graph import WHITE, ColouringClass
 
 
 class AllNodesDominatingSet(LocalAlgorithm):
@@ -31,7 +31,7 @@ class WhiteIndependentSet(LocalAlgorithm):
     """All white nodes of a properly 2-coloured graph; zero rounds."""
 
     name = "white-is"
-    needs_colour = True
+    needs_colouring = ColouringClass.PROPER
 
     def round_budget(self, max_degree: int) -> int:
         return 0

@@ -16,10 +16,8 @@ from fractions import Fraction
 from . import generators, graph as graphmod, oracles
 from .baselines import AllNodesDominatingSet, WhiteIndependentSet
 from .engine import run_local_algorithm
-from .errors import (CapabilityError, InvariantError, LocalGraphError,
-                     NotProperlyColouredError)
-from .graph import (BLACK, INCOMING, ColouringClass, Graph, classify_colouring,
-                    normalize_edge)
+from .errors import CapabilityError, InvariantError, LocalGraphError
+from .graph import BLACK, INCOMING, Graph, normalize_edge
 from .matching import approximate_maximum_matching, run_matching_scheme
 from .oddds import colouring_provider_from_file, odd_delta_pipeline
 from .oracles import Solution, SolutionKind, verify_solution
@@ -182,8 +180,6 @@ def _cmd_run(args) -> int:
             members = sorted(v for v, joined in run.outputs.items() if joined)
             problem, bound = "ds", Fraction(delta + 1)
         else:   # white-is
-            if not g.has_colours or classify_colouring(g) != ColouringClass.PROPER:
-                raise NotProperlyColouredError("white-is needs a proper 2-colouring")
             run = run_local_algorithm(g, WhiteIndependentSet(), trace=trace)
             members = sorted(v for v, joined in run.outputs.items() if joined)
             problem, bound = "is", Fraction(delta)

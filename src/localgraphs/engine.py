@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
-from .errors import MissingInputError
-from .graph import INCOMING, OUTGOING, Graph   # the directions are re-exported
+from .errors import MissingColoursError, NotProperlyColouredError, NotWeaklyColouredError
+from .graph import (INCOMING, OUTGOING,   # the directions are re-exported
+                    ColouringClass, Graph, classify_colouring)
 
 Sends = Mapping[int, bytes]          # port -> payload
 Inbox = Mapping[int, bytes]          # port -> payload received this round
@@ -37,15 +38,17 @@ class LocalAlgorithm:
 
     ``init`` maps the node's view to an initial state plus the messages
     sent in round 0; ``step`` consumes one inbox per round; ``finalize``
-    maps the final state to the node's output.  ``round_budget`` may
-    depend on the degree bound only, never on the node count; it is
-    asked for before ``init``, so it may refuse a run before round 0.
-    The engine keeps only the state ``step`` returns, so ``step`` may
-    update its argument in place.
+    maps the final state to the node's output.  ``needs_colouring`` is
+    the weakest colouring the algorithm is defined on; the engine refuses
+    a graph below it before anything else, so ``init`` and ``step`` may
+    rely on it.  ``round_budget`` may depend on the degree bound only,
+    never on the node count; it is asked for before ``init``, so it may
+    refuse a run before round 0.  The engine keeps only the state
+    ``step`` returns, so ``step`` may update its argument in place.
     """
 
     name = "local-algorithm"
-    needs_colour = False
+    needs_colouring = ColouringClass.NONE
 
     def round_budget(self, max_degree: int) -> int:
         raise NotImplementedError
@@ -66,6 +69,10 @@ class RunResult:
     rounds_used: int
     max_message_bits: int
 
+
+# the error for a colouring weaker than the algorithm needs
+_REFUSED = {ColouringClass.WEAK: NotWeaklyColouredError,
+            ColouringClass.PROPER: NotProperlyColouredError}
 
 # handed to every node that received nothing; read-only, so no step can alter it
 _EMPTY_INBOX: Inbox = MappingProxyType({})
@@ -89,10 +96,15 @@ def run_local_algorithm(g: Graph,
 
     ``node_order`` only permutes the engine's evaluation order inside a
     round; outputs are independent of it.  ``trace`` receives one JSON
-    line per (round, node).
+    line per (round, node).  A graph whose colouring is weaker than
+    ``alg.needs_colouring`` is refused before round 0.
     """
-    if alg.needs_colour and not g.has_colours:
-        raise MissingInputError(f"{alg.name} needs node colours")
+    need = alg.needs_colouring
+    if need:
+        if not g.has_colours:
+            raise MissingColoursError(f"{alg.name} needs node colours")
+        if classify_colouring(g) < need:
+            raise _REFUSED[need](f"{alg.name} needs a {need.name.lower()} 2-colouring")
     delta = degree_bound(g, max_degree)
     budget = alg.round_budget(delta)
 

@@ -7,7 +7,9 @@ the command line's exit code:
   or a parameter is malformed, out of range or too large;
 * capability (exit 3): a :class:`CapabilityError`; the graph lacks what
   the algorithm needs: colours, a weak or proper 2-colouring, an
-  orientation or an odd degree bound;
+  orientation or an odd degree bound.  A simulated algorithm declares
+  the colouring it needs, and the engine alone refuses a graph without
+  it, before round 0;
 * internal (exit 4): an :class:`InvariantError`; a check inside an
   algorithm failed, which is a bug, not bad input.  An input class
   raised on an algorithm's own output (a malformed star forest or
@@ -120,10 +122,6 @@ class NotIndependentError(LocalGraphError):
 
 
 # --- capability: the graph lacks what the algorithm needs --------------------
-
-class MissingInputError(CapabilityError):
-    """An algorithm requires colour input the graph lacks."""
-
 
 class MissingColoursError(CapabilityError):
     """An operation needs node colours but the graph has none."""

@@ -347,16 +347,8 @@ def graph_from_json_dict(doc: dict) -> Graph:
     if given and len(given) != len(ids):
         raise GraphFormatError("colours must be given for all nodes or none")
     colours = [colour_by_id[v] for v in range(len(ids))] if given else None
-    if colours is not None:
-        for c in colours:
-            if c not in COLOURS:
-                raise GraphFormatError(f"unknown colour {c!r}")
 
     specs = []
-    dirs = [ed.get("dir") for ed in edge_docs]
-    given_dirs = [d for d in dirs if d is not None]
-    if given_dirs and len(given_dirs) != len(edge_docs):
-        raise GraphFormatError("dir must be given for all edges or none")
     for ed in edge_docs:
         try:
             spec = (ed["u"], ed["v"], ed["port_u"], ed["port_v"], ed.get("dir"))
@@ -364,8 +356,6 @@ def graph_from_json_dict(doc: dict) -> Graph:
             raise GraphFormatError(f"bad edge document: {ed!r}") from exc
         if not type(spec[0]) is type(spec[1]) is type(spec[2]) is type(spec[3]) is int:
             raise GraphFormatError(f"edge fields must be integers: {ed!r}")
-        if spec[4] not in ("uv", "vu", None):
-            raise GraphFormatError(f"bad dir {spec[4]!r}")
         specs.append(spec)
     try:
         return build_graph(len(ids), specs, colours)

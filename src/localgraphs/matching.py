@@ -282,42 +282,34 @@ _PROPOSE = b"\x02"
 _ACCEPT = b"\x03"
 
 
-def scheme_round_budget(max_degree: int, k: int) -> int:
-    """Sum over i = 1..k of 3(2i-1) t_i, in closed form.
-
-    With q = max_degree - 1, the sum over j < k of (2j+1) q^j is
-    ((2k-1) q^(k+1) - (2k+1) q^k + q + 1) / (q-1)^2 for q >= 2.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if max_degree <= 1:     # only t_1 = max_degree can be non-zero
-        return 3 * max_degree
-    q = max_degree - 1
-    if q == 1:
-        return 3 * max_degree * k * k
-    series = ((2 * k - 1) * q ** (k + 1) - (2 * k + 1) * q ** k + q + 1) // (q - 1) ** 2
-    return 3 * max_degree * series
-
-
 # largest round budget the scheme accepts; the budget grows like
 # k * delta * (delta-1)^(k-1), and the scheme loops over i = 1..k even
 # where t_i is 0, so k is capped by the same number
 MAX_SCHEME_ROUNDS = 10**6
 
 
-def check_round_budget(max_degree: int, k: int) -> None:
-    """Raise RoundBudgetError if the budget exceeds MAX_SCHEME_ROUNDS.
+def scheme_round_budget(max_degree: int, k: int) -> int:
+    """Sum over i = 1..k of 3(2i-1) t_i, refused above MAX_SCHEME_ROUNDS.
 
-    Runs before the first round.  The last term alone,
-    3(2k-1) max_degree (max_degree-1)^(k-1), is at least
-    2^((k-1)(b-1)) for b the bit length of max_degree-1; that rejects a
-    large k before the closed form raises a large power.
+    Raises RoundBudgetError when k or the sum exceeds the cap.  The sum
+    stops at the first t_i = 0, since every later t_i is 0 too, or once
+    it passes the cap, so no large power is ever raised.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     cap = MAX_SCHEME_ROUNDS
-    if (k > cap or (k - 1) * ((max_degree - 1).bit_length() - 1) >= cap.bit_length()
-            or scheme_round_budget(max_degree, k) > cap):
+    total = 0
+    for i in range(1, min(k, cap) + 1):
+        t = invocation_count(max_degree, i)
+        if not t:
+            break
+        total += 3 * (2 * i - 1) * t
+        if total > cap:
+            break
+    if k > cap or total > cap:
         raise RoundBudgetError(f"matching-scheme with k={k} on degree bound {max_degree} "
                                f"needs more than {cap} rounds")
+    return total
 
 
 class MatchingSchemeAlgorithm(LocalAlgorithm):
@@ -327,19 +319,17 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
     flooding, h of proposals going up, h of acceptances going down.  Each
     node counts its own place in it from the degree bound, so phase
     boundaries need no coordination.  Every message is one byte.  Output
-    is the port of the node's matched edge, or None.
+    is the port of the node's matched edge, or None.  ``k`` is checked
+    with the round budget, after the engine's colouring check.
     """
 
     name = "matching-scheme"
-    needs_colour = True
+    needs_colouring = ColouringClass.PROPER
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("k must be at least 1")
         self.k = k
 
     def round_budget(self, max_degree: int) -> int:
-        check_round_budget(max_degree, self.k)
         return scheme_round_budget(max_degree, self.k)
 
     def init(self, view: NodeView) -> tuple[Any, Sends]:
@@ -458,7 +448,6 @@ def matching_from_outputs(g: Graph, outputs) -> Matching:
 
 def run_matching_scheme(g: Graph, k: int, **kwargs):
     """Simulate the scheme; returns (Matching, RunResult)."""
-    _check_proper(g)
     result = run_local_algorithm(g, MatchingSchemeAlgorithm(k), **kwargs)
     try:
         matching = matching_from_outputs(g, result.outputs)

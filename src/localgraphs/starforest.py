@@ -162,7 +162,7 @@ class StarForestAlgorithm(LocalAlgorithm):
     """
 
     name = "star-forest"
-    needs_colour = True
+    needs_colouring = ColouringClass.WEAK
 
     def round_budget(self, max_degree: int) -> int:
         return ROUND_BUDGET
@@ -260,11 +260,7 @@ def star_forest_from_outputs(g: Graph, outputs: Mapping[int, dict]) -> StarFores
 
 
 def run_star_forest(g: Graph, **kwargs):
-    """Simulate the per-node algorithm; returns (StarForest, RunResult).
-
-    A colouring that is not weak is refused before round 0."""
-    if g.has_colours and classify_colouring(g) < ColouringClass.WEAK:
-        raise NotWeaklyColouredError("star forest needs a weak 2-colouring")
+    """Simulate the per-node algorithm; returns (StarForest, RunResult)."""
     result = run_local_algorithm(g, StarForestAlgorithm(), **kwargs)
     try:
         sf = star_forest_from_outputs(g, result.outputs)

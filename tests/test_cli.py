@@ -372,7 +372,7 @@ _EXIT_CODES = {
     "TooLargeError": 2, "TooSmallError": 2, "DegenerateParamsError": 2,
     "OddCycleLengthError": 2, "DeltaTooSmallError": 2, "NotInCycleError": 2,
     "NotIndependentError": 2,
-    "CapabilityError": 3, "MissingInputError": 3, "MissingColoursError": 3,
+    "CapabilityError": 3, "MissingColoursError": 3,
     "MissingOrientationError": 3, "NotWeaklyColouredError": 3,
     "NotProperlyColouredError": 3, "EvenDeltaError": 3,
     "InvariantError": 4, "ShorterPathExistsError": 4,
@@ -389,20 +389,27 @@ def _oriented(pairs):
     return {pair: "uv" for pair in pairs}
 
 
-# instance -> (graph, the algorithms that need what it lacks)
+_COLOUR_ALGS = ["star-ds", "star-matching", "matching-scheme", "white-is"]
+
+# instance -> (graph, the error each algorithm that needs what it lacks reports)
 _CAPABILITY_MATRIX = {
     "uncoloured": (ascending_ports(4, _K4, None, _oriented(_K4)),
-                   {"star-ds", "star-matching", "matching-scheme", "white-is"}),
+                   dict.fromkeys(_COLOUR_ALGS, "MissingColoursError")),
     "not-weak": (ascending_ports(4, _K4, [WHITE] * 4, _oriented(_K4)),
-                 {"star-ds", "star-matching", "matching-scheme", "white-is"}),
+                 {"star-ds": "NotWeaklyColouredError",
+                  "star-matching": "NotWeaklyColouredError",
+                  "matching-scheme": "NotProperlyColouredError",
+                  "white-is": "NotProperlyColouredError"}),
     "weak-not-proper": (ascending_ports(4, _K4, [BLACK, WHITE, BLACK, WHITE],
                                         _oriented(_K4)),
-                        {"matching-scheme", "white-is"}),
-    "unoriented": (ascending_ports(4, _STAR, [BLACK, WHITE, WHITE, WHITE]), {"odd-ds"}),
+                        {"matching-scheme": "NotProperlyColouredError",
+                         "white-is": "NotProperlyColouredError"}),
+    "unoriented": (ascending_ports(4, _STAR, [BLACK, WHITE, WHITE, WHITE]),
+                   {"odd-ds": "MissingOrientationError"}),
     "even-bound": (ascending_ports(4, _C4, [BLACK, WHITE, BLACK, WHITE], _oriented(_C4)),
-                   {"odd-ds"}),
+                   {"odd-ds": "EvenDeltaError"}),
     "complete": (ascending_ports(4, _STAR, [BLACK, WHITE, WHITE, WHITE],
-                                 _oriented(_STAR)), set()),
+                                 _oriented(_STAR)), {}),
 }
 
 
@@ -427,11 +434,13 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("alg", _ALGORITHMS)
     @pytest.mark.parametrize("instance", sorted(_CAPABILITY_MATRIX))
     def test_capability_matrix(self, capsys, tmp_path, instance, alg):
-        g, needing = _CAPABILITY_MATRIX[instance]
+        g, refusals = _CAPABILITY_MATRIX[instance]
         path = tmp_path / "g.json"
         path.write_text(dumps(g))
         code, out = run_cli(capsys, "run", "--graph", str(path), "--alg", alg)
-        assert code == (3 if alg in needing else 0), out
+        assert code == (3 if alg in refusals else 0), out
+        if alg in refusals:
+            assert json.loads(out)["error"] == refusals[alg]
 
     def test_gen_even_delta_is_input_error(self, capsys):
         code, out = run_cli(capsys, "gen", "--family", "symmetric-complete", "--delta", "4")

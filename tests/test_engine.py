@@ -6,20 +6,23 @@ import json
 
 import pytest
 
-from localgraphs import (LocalAlgorithm, build_graph, disjoint_union,
-                         local_views_equivalent, relabel, run_local_algorithm)
-from localgraphs.baselines import NeighbourhoodProbe
-from localgraphs.errors import MissingInputError
+from localgraphs import (BLACK, WHITE, ColouringClass, LocalAlgorithm, build_graph,
+                         disjoint_union, local_views_equivalent, relabel,
+                         run_local_algorithm)
+from localgraphs.baselines import NeighbourhoodProbe, WhiteIndependentSet
+from localgraphs.errors import (MissingColoursError, NotProperlyColouredError,
+                                NotWeaklyColouredError)
+from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.starforest import StarForestAlgorithm
 
-from conftest import path_graph
+from conftest import ascending_ports, path_graph
 
 
 class ColourEcho(LocalAlgorithm):
     """Zero rounds; every node outputs its own colour."""
 
     name = "colour-echo"
-    needs_colour = True
+    needs_colouring = ColouringClass.WEAK
 
     def round_budget(self, max_degree):
         return 0
@@ -67,8 +70,32 @@ def test_echo_handshake(single_edge):
 
 def test_missing_colour_raises(single_edge):
     from localgraphs.graph import with_colours
-    with pytest.raises(MissingInputError):
+    with pytest.raises(MissingColoursError):
         run_local_algorithm(with_colours(single_edge, None), ColourEcho())
+
+
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_BWBW = [BLACK, WHITE, BLACK, WHITE]     # weak but not proper on K4
+_UNDER_COLOURED = [
+    pytest.param(_BWBW, WhiteIndependentSet, NotProperlyColouredError, id="bwbw-white-is"),
+    pytest.param(_BWBW, lambda: MatchingSchemeAlgorithm(1), NotProperlyColouredError,
+                 id="bwbw-scheme"),
+    pytest.param([WHITE] * 4, StarForestAlgorithm, NotWeaklyColouredError,
+                 id="white-star-forest"),
+    pytest.param(None, WhiteIndependentSet, MissingColoursError, id="none-white-is"),
+    pytest.param(None, lambda: MatchingSchemeAlgorithm(1), MissingColoursError,
+                 id="none-scheme"),
+    pytest.param(None, StarForestAlgorithm, MissingColoursError, id="none-star-forest"),
+]
+
+
+@pytest.mark.parametrize("colours, make, error", _UNDER_COLOURED)
+def test_colouring_refused_before_round_0(colours, make, error):
+    alg = make()
+    lines = []
+    with pytest.raises(error, match=alg.name):
+        run_local_algorithm(ascending_ports(4, _K4, colours), alg, trace=lines.append)
+    assert lines == []
 
 
 def test_star_forest_output_on_p3(p3_wbw):

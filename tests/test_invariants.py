@@ -3,7 +3,8 @@
 Invariant checks must survive ``python -O``: no ``assert`` in the
 package.  Copies of a valid graph derive their port tables from the
 source's and never re-validate through ``build_graph``.  Every function
-the benchmark's traced run wraps still exists under its name.
+the benchmark's traced run wraps still exists under its name.  No code
+names the retired ``needs_colour`` flag.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from localgraphs.graph import (disjoint_union, induced_subgraph, relabel,
 from localgraphs.oddds import build_h2, partition_abc
 
 PACKAGE = Path(localgraphs.__file__).resolve().parent
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def test_package_has_no_assert_statements():
@@ -73,3 +75,16 @@ def test_bench_trace_targets_resolve(monkeypatch):
         if not callable(obj):
             missing.append(f"{t.module}.{t.attr}")
     assert missing == []
+
+
+def test_no_retired_colour_flag():
+    # the engine reads only ``needs_colouring``; an algorithm that still set
+    # ``needs_colour`` would silently lose its refusal
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    fields = ("id", "attr", "arg", "name")    # names, attributes, parameters, definitions
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if any(getattr(node, f, None) == "needs_colour" for f in fields)]
+    assert found == []

@@ -18,8 +18,7 @@ from localgraphs.generators import random_bipartite, strong_blowup, numbered_cyc
 from localgraphs.engine import NodeView
 from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
                                   SchemeStats, approximate_maximum_matching,
-                                  augment_phase, check_round_budget,
-                                  eliminate_length, flood_phase,
+                                  augment_phase, eliminate_length, flood_phase,
                                   invocation_count,
                                   proposal_phase, run_matching_scheme,
                                   scheme_round_budget)
@@ -356,10 +355,10 @@ class TestSimulatedScheme:
         with pytest.raises(RoundBudgetError):
             run_matching_scheme(g, 20, trace=lines.append)
         assert lines == []
-        check_round_budget(3, 12)
-        for delta, k in ((3, 13), (1000, 10**6), (2, 10**6 + 1)):
+        scheme_round_budget(3, 12)
+        for delta, k in ((3, 13), (1000, 10**6), (2, 10**6 + 1), (1, 10**6 + 1)):
             with pytest.raises(RoundBudgetError):
-                check_round_budget(delta, k)
+                scheme_round_budget(delta, k)
 
     def test_round_budget_closed_form(self):
         """One node steps through its whole budget; its (h, rho) must follow
