@@ -20,7 +20,7 @@ class AllNodesDominatingSet(LocalAlgorithm):
     def init(self, view: NodeView) -> tuple[Any, Sends]:
         return None, {}
 
-    def step(self, state, inbox):
+    def step(self, state, inbox, round_no):
         return state, {}
 
     def finalize(self, state) -> bool:
@@ -39,7 +39,7 @@ class WhiteIndependentSet(LocalAlgorithm):
     def init(self, view: NodeView) -> tuple[Any, Sends]:
         return view.colour == WHITE, {}
 
-    def step(self, state, inbox):
+    def step(self, state, inbox, round_no):
         return state, {}
 
     def finalize(self, state) -> bool:
@@ -72,7 +72,7 @@ class NeighbourhoodProbe(LocalAlgorithm):
         state = {"label": label, "code": code, "degree": view.degree}
         return state, {p: code for p in range(1, view.degree + 1)}
 
-    def step(self, state: dict, inbox: Inbox) -> tuple[Any, Sends]:
+    def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends]:
         state = dict(state)
         heard = tuple(sorted((p, msg.hex()) for p, msg in inbox.items()))
         state["code"] = _digest((state["label"], heard))

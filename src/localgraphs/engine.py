@@ -37,8 +37,11 @@ class LocalAlgorithm:
     """Behavioural contract for a deterministic per-node algorithm.
 
     ``init`` maps the node's view to an initial state plus the messages
-    sent in round 0; ``step`` consumes one inbox per round; ``finalize``
-    maps the final state to the node's output.  ``needs_colouring`` is
+    sent in round 0; ``step`` consumes one inbox and the round number;
+    ``finalize`` maps the final state to the node's output.  A node is
+    stepped only in a round where it has mail or where ``next_wake``,
+    asked after ``init`` and each ``step``, said to wake it (None: only
+    on mail; by default the next round).  ``needs_colouring`` is
     the weakest colouring the algorithm is defined on; the engine refuses
     a graph below it before anything else, so ``init`` and ``step`` may
     rely on it.  ``round_budget`` may depend on the degree bound only,
@@ -56,8 +59,11 @@ class LocalAlgorithm:
     def init(self, view: NodeView) -> tuple[Any, Sends]:
         raise NotImplementedError
 
-    def step(self, state: Any, inbox: Inbox) -> tuple[Any, Sends]:
+    def step(self, state: Any, inbox: Inbox, round_no: int) -> tuple[Any, Sends]:
         raise NotImplementedError
+
+    def next_wake(self, state: Any, round_no: int) -> int | None:
+        return round_no + 1
 
     def finalize(self, state: Any) -> Any:
         raise NotImplementedError
@@ -68,6 +74,7 @@ class RunResult:
     outputs: dict[int, Any]
     rounds_used: int
     max_message_bits: int
+    steps: int          # calls of ``step``: n * rounds_used if every node wakes every round
 
 
 # the error for a colouring weaker than the algorithm needs
@@ -96,7 +103,8 @@ def run_local_algorithm(g: Graph,
 
     ``node_order`` only permutes the engine's evaluation order inside a
     round; outputs are independent of it.  ``trace`` receives one JSON
-    line per (round, node).  A graph whose colouring is weaker than
+    line per (round, node); a node not stepped in a round sent nothing
+    and keeps its state digest.  A graph whose colouring is weaker than
     ``alg.needs_colouring`` is refused before round 0.
     """
     need = alg.needs_colouring
@@ -113,10 +121,9 @@ def run_local_algorithm(g: Graph,
         raise ValueError("node_order must be a permutation of the nodes")
 
     # routes[v][p-1] = (neighbour, arrival port) of v's port p
-    routes = [tuple(zip(g.neighbours(v),
-                        [g.arrival_port(v, p) for p in range(1, g.degree(v) + 1)]))
-              for v in g.nodes]
+    routes = [tuple((u, g.port_of(u, v)) for u in g.neighbours(v)) for v in g.nodes]
     states: list[Any] = [None] * g.n
+    wake: list[int | None] = [None] * g.n     # the round each node next asked to wake
     inboxes: list[dict[int, bytes] | None] = [None] * g.n
     max_bits = 0
 
@@ -150,24 +157,31 @@ def run_local_algorithm(g: Graph,
         view = NodeView(degree=g.degree(v), max_degree=delta, colour=g.colour(v),
                         port_directions=g.port_directions(v))
         states[v], sends = alg.init(view)
+        wake[v] = alg.next_wake(states[v], 0)
         if sends:
             deliver(v, sends)
         if trace is not None:
             record(v, sends, 0)
 
-    step = alg.step
+    step, next_wake, steps = alg.step, alg.next_wake, 0
     for round_no in range(1, budget + 1):
         received, inboxes = inboxes, [None] * g.n
         for v in order:
             box = received[v]
-            states[v], sends = step(states[v], _EMPTY_INBOX if box is None else box)
+            if box is None and (wake[v] is None or wake[v] > round_no):
+                if trace is not None:
+                    record(v, {}, round_no)
+                continue
+            states[v], sends = step(states[v], box or _EMPTY_INBOX, round_no)
+            wake[v] = next_wake(states[v], round_no)
+            steps += 1
             if sends:
                 deliver(v, sends)
             if trace is not None:
                 record(v, sends, round_no)
 
     outputs = {v: alg.finalize(states[v]) for v in g.nodes}
-    return RunResult(outputs=outputs, rounds_used=budget, max_message_bits=max_bits)
+    return RunResult(outputs, rounds_used=budget, max_message_bits=max_bits, steps=steps)
 
 
 def _digest(state: Any) -> str:

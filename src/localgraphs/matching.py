@@ -12,6 +12,7 @@ times the maximum size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Sequence
 
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, degree_bound,
@@ -288,28 +289,45 @@ _ACCEPT = b"\x03"
 MAX_SCHEME_ROUNDS = 10**6
 
 
-def scheme_round_budget(max_degree: int, k: int) -> int:
-    """Sum over i = 1..k of 3(2i-1) t_i, refused above MAX_SCHEME_ROUNDS.
+@lru_cache(maxsize=64)
+def _schedule(max_degree: int, k: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The budget, and (first round, h, first invocation) of each length h = 2i-1.
 
-    Raises RoundBudgetError when k or the sum exceeds the cap.  The sum
-    stops at the first t_i = 0, since every later t_i is 0 too, or once
-    it passes the cap, so no large power is ever raised.
+    Raises RoundBudgetError when k or the budget exceeds the cap.  The
+    loop stops at the first t_i = 0, since every later t_i is 0 too, or
+    once the budget passes the cap, so no large power is ever raised.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     cap = MAX_SCHEME_ROUNDS
-    total = 0
+    lengths = []
+    total = invocations = 0
     for i in range(1, min(k, cap) + 1):
         t = invocation_count(max_degree, i)
         if not t:
             break
+        lengths.append((total + 1, 2 * i - 1, invocations))
         total += 3 * (2 * i - 1) * t
+        invocations += t
         if total > cap:
             break
     if k > cap or total > cap:
         raise RoundBudgetError(f"matching-scheme with k={k} on degree bound {max_degree} "
                                f"needs more than {cap} rounds")
-    return total
+    return total, tuple(lengths)
+
+
+def scheme_round_budget(max_degree: int, k: int) -> int:
+    """Sum over i = 1..k of 3(2i-1) t_i, refused above MAX_SCHEME_ROUNDS."""
+    return _schedule(max_degree, k)[0]
+
+
+def _position(max_degree: int, k: int, round_no: int) -> tuple[int, int, int]:
+    """(h, rho 1..3h, invocation from 0) of a round 1..budget of the schedule."""
+    for first, h, invocation in reversed(_schedule(max_degree, k)[1]):
+        if first <= round_no:
+            done, rho = divmod(round_no - first, 3 * h)
+            return h, rho + 1, invocation + done
 
 
 class MatchingSchemeAlgorithm(LocalAlgorithm):
@@ -317,10 +335,13 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
 
     For h = 2i-1 the schedule runs t_i invocations of 3h rounds: h of
     flooding, h of proposals going up, h of acceptances going down.  Each
-    node counts its own place in it from the degree bound, so phase
-    boundaries need no coordination.  Every message is one byte.  Output
-    is the port of the node's matched edge, or None.  ``k`` is checked
-    with the round budget, after the engine's colouring check.
+    node reads its place in it from the round number and the degree
+    bound, so phase boundaries need no coordination.  A node is stepped
+    only on mail, except that an unmatched black wakes at rho = 3h to
+    send the next wake-up flood; the first step in a new invocation
+    resets the per-invocation fields.  Every message is one byte.
+    Output is the port of the node's matched edge, or None.  ``k`` is
+    checked with the round budget, after the engine's colouring check.
     """
 
     name = "matching-scheme"
@@ -337,46 +358,33 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
             "colour": view.colour,
             "degree": view.degree,
             "delta": view.max_degree,
-            "h": 1,
-            "rho": 0,
-            "left": invocation_count(view.max_degree, 1),
+            "invocation": None,     # of joined, parent_port, depth and chosen_child_port
             "matched_port": None,
         }
-        self._reset_invocation(state)
-        sends: dict[int, bytes] = {}
-        if view.colour == BLACK:
-            state["joined"] = True
-            state["depth"] = 0
-            sends = {p: _FLOOD for p in range(1, view.degree + 1)}
-        return state, sends
+        if view.colour == BLACK:        # every black starts unmatched: flood invocation 0
+            return state, {p: _FLOOD for p in range(1, view.degree + 1)}
+        return state, {}
 
-    @staticmethod
-    def _reset_invocation(state: dict) -> None:
-        state["joined"] = False
-        state["parent_port"] = None
-        state["depth"] = None
-        state["chosen_child_port"] = None
+    def next_wake(self, state: dict, round_no: int) -> int | None:
+        if state["colour"] != BLACK or state["matched_port"] is not None:
+            return None
+        budget = scheme_round_budget(state["delta"], self.k)
+        if round_no + 1 >= budget:
+            return None
+        h, rho, _ = _position(state["delta"], self.k, round_no + 1)
+        wake = round_no + 1 + 3 * h - rho      # rho = 3h of this or the next invocation
+        return wake if wake < budget else None
 
-    def step(self, state: dict, inbox: Inbox) -> tuple[Any, Sends]:
-        h = state["h"]
-        state["rho"] = rho = state["rho"] + 1
-        if rho > 3 * h:             # the next invocation starts
-            state["rho"] = rho = 1
-            state["left"] -= 1
-            if not state["left"]:
-                state["h"] = h = h + 2
-                state["left"] = invocation_count(state["delta"], (h + 1) // 2)
-        if not inbox and rho != 1 and rho != 3 * h:
-            return state, {}    # a silent mid-invocation round changes only rho
+    def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends]:
+        h, rho, invocation = _position(state["delta"], self.k, round_no)
         sends: dict[int, bytes] = {}
         black = state["colour"] == BLACK
         white = not black
 
-        if rho == 1:
-            self._reset_invocation(state)
-            if black and state["matched_port"] is None:
-                state["joined"] = True
-                state["depth"] = 0
+        if invocation != state["invocation"]:     # the first step in a new invocation
+            root = black and state["matched_port"] is None
+            state.update(invocation=invocation, joined=root, parent_port=None,
+                         depth=0 if root else None, chosen_child_port=None)
 
         if inbox:
             port = min((p for p, msg in inbox.items() if msg == _FLOOD), default=None)
@@ -421,11 +429,10 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                     sends[state["chosen_child_port"]] = _ACCEPT
 
         # every invocation but the schedule's last ends with the next wake-up flood
-        if rho == 3 * h and black and state["matched_port"] is None:
-            i = (h + 1) // 2
-            if state["left"] > 1 or (i < self.k and invocation_count(state["delta"], i + 1)):
-                for p in range(1, state["degree"] + 1):
-                    sends[p] = _FLOOD
+        if (rho == 3 * h and black and state["matched_port"] is None
+                and round_no < scheme_round_budget(state["delta"], self.k)):
+            for p in range(1, state["degree"] + 1):
+                sends[p] = _FLOOD
         return state, sends
 
     def finalize(self, state: dict) -> dict:

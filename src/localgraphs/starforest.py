@@ -180,8 +180,8 @@ class StarForestAlgorithm(LocalAlgorithm):
         colour_byte = b"B" if view.colour == BLACK else b"W"
         return state, {p: colour_byte for p in range(1, view.degree + 1)}
 
-    def step(self, state: dict, inbox: Inbox) -> tuple[Any, Sends]:
-        state["round"] = r = state["round"] + 1
+    def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends]:
+        state["round"] = r = round_no
         black = state["colour"] == BLACK
         sends: dict[int, bytes] = {}
 

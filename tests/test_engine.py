@@ -12,6 +12,7 @@ from localgraphs import (BLACK, WHITE, ColouringClass, LocalAlgorithm, build_gra
 from localgraphs.baselines import NeighbourhoodProbe, WhiteIndependentSet
 from localgraphs.errors import (MissingColoursError, NotProperlyColouredError,
                                 NotWeaklyColouredError)
+from localgraphs.generators import numbered_cycle, random_bipartite, weak_layered
 from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.starforest import StarForestAlgorithm
 
@@ -30,7 +31,7 @@ class ColourEcho(LocalAlgorithm):
     def init(self, view):
         return view.colour, {}
 
-    def step(self, state, inbox):
+    def step(self, state, inbox, round_no):
         return state, {}
 
     def finalize(self, state):
@@ -48,7 +49,7 @@ class CountEcho(LocalAlgorithm):
     def init(self, view):
         return 0, {p: b"x" for p in range(1, view.degree + 1)}
 
-    def step(self, state, inbox):
+    def step(self, state, inbox, round_no):
         return len(inbox), {}
 
     def finalize(self, state):
@@ -114,11 +115,11 @@ def test_determinism(c4_coloured):
 
 
 def test_evaluation_order_independence(c4_coloured):
-    base = run_local_algorithm(c4_coloured, StarForestAlgorithm())
-    for order in ([3, 2, 1, 0], [2, 0, 3, 1]):
-        permuted = run_local_algorithm(c4_coloured, StarForestAlgorithm(),
-                                       node_order=order)
-        assert permuted.outputs == base.outputs
+    for make in (StarForestAlgorithm, lambda: MatchingSchemeAlgorithm(2)):
+        base = run_local_algorithm(c4_coloured, make())
+        for order in ([3, 2, 1, 0], [2, 0, 3, 1]):
+            permuted = run_local_algorithm(c4_coloured, make(), node_order=order)
+            assert permuted.outputs == base.outputs
 
 
 def test_payload_must_be_bytes(single_edge):
@@ -132,7 +133,7 @@ def test_payload_must_be_bytes(single_edge):
 
 def test_step_payload_must_be_bytes(single_edge):
     class Bad(CountEcho):
-        def step(self, state, inbox):
+        def step(self, state, inbox, round_no):
             return state, {1: "not-bytes"}
 
     with pytest.raises(TypeError):
@@ -149,7 +150,7 @@ def test_send_outside_port_range(p3_wbw, phase, offset):
                 sends = {offset * (view.degree + 1): b"x"}
             return view.degree, sends
 
-        def step(self, state, inbox):
+        def step(self, state, inbox, round_no):
             return state, {offset * (state + 1): b"x"}
 
     with pytest.raises(ValueError, match="invalid port"):
@@ -168,6 +169,75 @@ def test_trace_lines(single_edge):
     docs = [json.loads(line) for line in lines]
     assert {(d["round"], d["node"]) for d in docs} == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert docs[0]["sent"] == [[1, b"x".hex()]] or docs[0]["sent"] == [[1, "78"]]
+
+
+class Echo(LocalAlgorithm):
+    """Five rounds; leaves send b"x" in round 0, a node answers b"x" with b"y"
+    on the same port, and every node outputs the (round, inbox) of its steps.
+
+    Nodes ask to be stepped only on mail, except that leaves ask to wake
+    at round ``leaf_wake``, if it is set and still ahead.
+    """
+
+    name = "echo"
+
+    def __init__(self, leaf_wake=None):
+        self.leaf_wake = leaf_wake
+
+    def round_budget(self, max_degree):
+        return 5
+
+    def init(self, view):
+        leaf = view.degree == 1
+        return {"leaf": leaf, "steps": []}, ({1: b"x"} if leaf else {})
+
+    def step(self, state, inbox, round_no):
+        state["steps"].append((round_no, dict(inbox)))
+        return state, {p: b"y" for p, msg in inbox.items() if msg == b"x"}
+
+    def next_wake(self, state, round_no):
+        wake = self.leaf_wake
+        return wake if state["leaf"] and wake is not None and wake > round_no else None
+
+    def finalize(self, state):
+        return state["steps"]
+
+
+def test_nodes_without_mail_are_not_stepped(p3_wbw):
+    result = run_local_algorithm(p3_wbw, Echo())
+    assert result.outputs == {0: [(2, {1: b"y"})],
+                              1: [(1, {1: b"x", 2: b"x"})],
+                              2: [(2, {1: b"y"})]}
+    assert result.steps == 3 and result.rounds_used == 5
+
+
+def test_wake_steps_the_node_exactly_then_with_an_empty_inbox(p3_wbw):
+    result = run_local_algorithm(p3_wbw, Echo(leaf_wake=4))
+    assert result.outputs[0] == result.outputs[2] == [(2, {1: b"y"}), (4, {})]
+    assert result.outputs[1] == [(1, {1: b"x", 2: b"x"})]
+    assert result.steps == 5
+
+
+def test_trace_keeps_a_line_for_every_idle_node(p3_wbw):
+    lines = []
+    run_local_algorithm(p3_wbw, Echo(leaf_wake=4), trace=lines.append)
+    docs = [json.loads(line) for line in lines]
+    assert [(d["round"], d["node"]) for d in docs] == [(r, v) for r in range(6) for v in range(3)]
+    stepped = {(1, 1), (2, 0), (2, 2), (4, 0), (4, 2)}
+    for d, previous in zip(docs[3:], docs):
+        if (d["round"], d["node"]) not in stepped:
+            assert d["sent"] == [] and d["state_digest"] == previous["state_digest"]
+        else:
+            assert d["state_digest"] != previous["state_digest"]
+
+
+def test_steps_count_every_call():
+    g = weak_layered(numbered_cycle(4), 3)
+    dense = run_local_algorithm(g, StarForestAlgorithm())
+    assert dense.steps == g.n * dense.rounds_used
+    g = random_bipartite(200, 4, 1)
+    sparse = run_local_algorithm(g, MatchingSchemeAlgorithm(3))
+    assert sparse.steps < 0.1 * g.n * sparse.rounds_used
 
 
 class TestViewEquivalence:

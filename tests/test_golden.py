@@ -13,6 +13,8 @@ families leaves these digests alone; those families are pinned
 separately, by a digest of each instance's JSON document, and so are
 the graph copies derived from them (recolouring, port shuffles,
 relabelling, unions, induced subgraphs and the dummy-augmented core).
+The scheme's sparse stepping, only on mail or a requested wake-up, is
+checked against a run that steps every node in every round.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 
 import pytest
 
-from localgraphs import BLACK, WHITE, build_graph, run_local_algorithm
+from localgraphs import BLACK, WHITE, LocalAlgorithm, build_graph, run_local_algorithm
 from localgraphs.generators import (numbered_cycle, random_bipartite,
                                     random_weak, random_weak_colouring,
                                     shuffle_ports, strong_blowup, weak_layered)
@@ -52,13 +54,13 @@ GOLDEN = [
      "0fcfee108b7bddcba1fc4b4fd97c6999b7507ce0672849edf0ccdecd793f19bd"),
     ("matching-scheme k=1 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(1)),
-     "0ff470ad0b794fc6834345a7ceeff3039d39dea8c2171aaa77ca8055dd94cb81"),
+     "9fc28c78507c05a7e9cb60155dcf09138e39096e0a2eda7ea8b870422ea2007b"),
     ("matching-scheme k=2 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(2)),
-     "fcd7f975f3eec5d35097974d83579df9b09e1e5248e5d17a8c555de7486ee20c"),
+     "4f1ddb3b823499e05455fbcf2def135943da989033cac926e323cd5f2234d1bf"),
     ("matching-scheme k=3 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(3)),
-     "dab823ce589a26cec288be787651b3eebfd648f2b5c3db8f0cafb1fa0dafe437"),
+     "ca3d1e3f55fb8f309d0da5f436062b07e6f99e9c5cee22172fbcc5dda84726da"),
 ]
 
 
@@ -123,6 +125,35 @@ UNMATCHED_SENDS = [
 def test_golden_scheme_sends_unmatched_blacks(case, k, digest):
     g = UNMATCHED[case][1]()
     assert sends_digest(g, MatchingSchemeAlgorithm(k)) == digest
+
+
+class DenseScheme(MatchingSchemeAlgorithm):
+    """The scheme stepped at every node in every round: what sparse stepping must match."""
+
+    next_wake = LocalAlgorithm.next_wake
+
+
+def sends_and_bits(g, alg):
+    """What ``sends_digest`` hashes, and ``max_message_bits``, from one run."""
+    lines: list[str] = []
+    result = run_local_algorithm(g, alg, trace=lines.append)
+    sent = [(d["round"], d["node"], d["sent"]) for d in map(json.loads, lines)]
+    return sent, sorted(result.outputs.items()), result.rounds_used, result.max_message_bits
+
+
+EXACT = ([("strong_blowup(C8, 3)", lambda: strong_blowup(numbered_cycle(8), 3))]
+         + UNMATCHED
+         + [(f"random_bipartite(40, {d}, {s})", lambda d=d, s=s: random_bipartite(40, d, s))
+            for d in (2, 3, 4) for s in range(10)])
+
+
+@pytest.mark.parametrize("make", [m for _, m in EXACT], ids=[name for name, _ in EXACT])
+def test_sparse_stepping_is_exact(make):
+    """Stepping only nodes with mail or a wake-up changes no send, output,
+    round count or message size against stepping every node every round."""
+    g = make()
+    for k in (1, 2, 3):
+        assert sends_and_bits(g, MatchingSchemeAlgorithm(k)) == sends_and_bits(g, DenseScheme(k))
 
 
 SEEDED = [

@@ -21,7 +21,7 @@ from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
                                   augment_phase, eliminate_length, flood_phase,
                                   invocation_count,
                                   proposal_phase, run_matching_scheme,
-                                  scheme_round_budget)
+                                  scheme_round_budget, _position)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  shortest_augmenting_path_length,
                                  try_bipartition, verify_solution)
@@ -361,50 +361,44 @@ class TestSimulatedScheme:
                 scheme_round_budget(delta, k)
 
     def test_round_budget_closed_form(self):
-        """One node steps through its whole budget; its (h, rho) must follow
-        t_i invocations of 3h rounds for each h = 2i-1."""
+        """At every round of the budget the schedule lookup gives (h, rho,
+        invocation) of t_i invocations of 3h rounds for each h = 2i-1."""
         for delta in range(0, 7):
             for k in range(1, 7):
-                reference = [(2 * i - 1, rho)
-                             for i in range(1, k + 1)
-                             for _ in range(invocation_count(delta, i))
-                             for rho in range(1, 3 * (2 * i - 1) + 1)]
+                lengths = [2 * i - 1 for i in range(1, k + 1)
+                           for _ in range(invocation_count(delta, i))]
+                reference = [(h, rho, invocation) for invocation, h in enumerate(lengths)
+                             for rho in range(1, 3 * h + 1)]
                 assert scheme_round_budget(delta, k) == len(reference)
-                alg = MatchingSchemeAlgorithm(k)
-                state, _ = alg.init(NodeView(degree=delta, max_degree=delta, colour=WHITE))
-                positions = []
-                for _ in range(alg.round_budget(delta)):
-                    state, _ = alg.step(state, {})
-                    positions.append((state["h"], state["rho"]))
-                assert positions == reference
+                assert [_position(delta, k, r)
+                        for r in range(1, len(reference) + 1)] == reference
         with pytest.raises(ValueError):
             scheme_round_budget(3, 0)
 
     @pytest.mark.parametrize("colour", [BLACK, WHITE])
     @pytest.mark.parametrize("matched_port", [None, 2])
     def test_silent_round_changes_only_the_round(self, colour, matched_port):
+        """Stepped in every round with an empty inbox, a node sends only the
+        wake-up flood, and only in the rounds its ``next_wake`` names; a
+        silent round after its invocation's first changes nothing."""
         alg = MatchingSchemeAlgorithm(2)
         state, _ = alg.init(NodeView(degree=3, max_degree=3, colour=colour))
         state["matched_port"] = matched_port
         budget = alg.round_budget(3)
-        silent = floods = 0
+        named = [alg.next_wake(state, 0)]
+        floods = []
         for r in range(1, budget + 1):
             before = dict(state)
-            state, sends = alg.step(state, {})
-            h, rho = state["h"], state["rho"]
-            if rho in (1, 3 * h):
-                # only an unmatched black wakes the next invocation, and not
-                # in the last round
-                if rho == 3 * h and colour == BLACK and matched_port is None and r < budget:
-                    assert sends == {1: b"\x01", 2: b"\x01", 3: b"\x01"}
-                    floods += 1
-                else:
-                    assert sends == {}
-                continue
-            silent += 1
-            assert sends == {}
-            assert list(state) == list(before)
-            assert state == {**before, "rho": before["rho"] + 1}
-        assert silent == 3 * 1 + 6 * 7     # t_1 = 3 with rho = 2; t_2 = 6 with rho = 2..8
-        assert floods == (3 + 6 - 1 if colour == BLACK and matched_port is None else 0)
+            state, sends = alg.step(state, {}, r)
+            named.append(alg.next_wake(state, r))
+            if sends:
+                assert sends == {1: b"\x01", 2: b"\x01", 3: b"\x01"}
+                floods.append(r)
+            elif state["invocation"] == before["invocation"]:
+                assert state == before
+        assert named == [min((f for f in floods if f > r), default=None)
+                         for r in range(budget + 1)]
+        # rho = 3h of each invocation but the last: t_1 = 3 with h = 1, t_2 = 6 with h = 3
+        unmatched_black = colour == BLACK and matched_port is None
+        assert floods == ([3, 6, 9, 18, 27, 36, 45, 54] if unmatched_black else [])
 
