@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any
 
-from .engine import Inbox, LocalAlgorithm, NodeView, Sends
+from .engine import Inbox, LocalAlgorithm, NodeView, Sends, _digest
 from .graph import WHITE, ColouringClass
 
 
@@ -44,10 +43,6 @@ class WhiteIndependentSet(LocalAlgorithm):
 
     def finalize(self, state) -> bool:
         return state
-
-
-def _digest(value) -> bytes:
-    return hashlib.sha256(repr(value).encode()).digest()[:8]
 
 
 class NeighbourhoodProbe(LocalAlgorithm):

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from .errors import MissingColoursError, NotProperlyColouredError, NotWeaklyColouredError
 from .graph import (INCOMING, OUTGOING,   # the directions are re-exported
@@ -40,8 +41,9 @@ class LocalAlgorithm:
     sent in round 0; ``step`` consumes one inbox and the round number;
     ``finalize`` maps the final state to the node's output.  A node is
     stepped only in a round where it has mail or where ``next_wake``,
-    asked after ``init`` and each ``step``, said to wake it (None: only
-    on mail; by default the next round).  ``needs_colouring`` is
+    asked after ``init`` and each ``step``, said to wake it: a later
+    round, or None for only on mail; by default the next round.  Only
+    the latest answer counts.  ``needs_colouring`` is
     the weakest colouring the algorithm is defined on; the engine refuses
     a graph below it before anything else, so ``init`` and ``step`` may
     rely on it.  ``round_budget`` may depend on the degree bound only,
@@ -97,15 +99,15 @@ def run_local_algorithm(g: Graph,
                         alg: LocalAlgorithm,
                         *,
                         max_degree: int | None = None,
-                        node_order: Sequence[int] | None = None,
                         trace: Callable[[str], None] | None = None) -> RunResult:
     """Run ``alg`` on every node of ``g`` for exactly its round budget.
 
-    ``node_order`` only permutes the engine's evaluation order inside a
-    round; outputs are independent of it.  ``trace`` receives one JSON
-    line per (round, node); a node not stepped in a round sent nothing
-    and keeps its state digest.  A graph whose colouring is weaker than
-    ``alg.needs_colouring`` is refused before round 0.
+    Each round visits only its agenda: the nodes with mail and the nodes
+    whose latest ``next_wake`` named it, in ascending id order.
+    ``trace`` receives one JSON line per ``init`` (round 0) and one per
+    ``step``, in that order; a node not stepped in a round writes none.
+    A graph whose colouring is weaker than ``alg.needs_colouring`` is
+    refused before round 0.
     """
     need = alg.needs_colouring
     if need:
@@ -116,15 +118,12 @@ def run_local_algorithm(g: Graph,
     delta = degree_bound(g, max_degree)
     budget = alg.round_budget(delta)
 
-    order = list(node_order) if node_order is not None else list(g.nodes)
-    if sorted(order) != list(g.nodes):
-        raise ValueError("node_order must be a permutation of the nodes")
-
     # routes[v][p-1] = (neighbour, arrival port) of v's port p
     routes = [tuple((u, g.port_of(u, v)) for u in g.neighbours(v)) for v in g.nodes]
     states: list[Any] = [None] * g.n
-    wake: list[int | None] = [None] * g.n     # the round each node next asked to wake
-    inboxes: list[dict[int, bytes] | None] = [None] * g.n
+    wake: list[int | None] = [None] * g.n     # the round each node last asked to wake
+    due: defaultdict[int, list[int]] = defaultdict(list)   # round -> nodes that named it
+    inboxes: dict[int, dict[int, bytes]] = {}               # only the nodes with mail
     max_bits = 0
 
     def deliver(v: int, sends: Sends) -> None:
@@ -137,7 +136,7 @@ def run_local_algorithm(g: Graph,
             if not 1 <= port <= len(out):
                 raise ValueError(f"send on invalid port {port}")
             target, arrival = out[port - 1]
-            box = inboxes[target]
+            box = inboxes.get(target)
             if box is None:
                 inboxes[target] = {arrival: payload}
             else:
@@ -150,30 +149,36 @@ def run_local_algorithm(g: Graph,
             "round": round_no,
             "node": v,
             "sent": sorted([p, payload.hex()] for p, payload in sends.items()),
-            "state_digest": _digest(states[v]),
+            "state_digest": _digest(states[v]).hex(),
         }, sort_keys=True))
 
-    for v in order:
+    step, next_wake, steps = alg.step, alg.next_wake, 0
+    for v in g.nodes:
         view = NodeView(degree=g.degree(v), max_degree=delta, colour=g.colour(v),
                         port_directions=g.port_directions(v))
         states[v], sends = alg.init(view)
-        wake[v] = alg.next_wake(states[v], 0)
+        w = wake[v] = next_wake(states[v], 0)
+        if w is not None:
+            if w <= 0:
+                raise ValueError(f"next_wake named round {w} after round 0")
+            due[w].append(v)
         if sends:
             deliver(v, sends)
         if trace is not None:
             record(v, sends, 0)
 
-    step, next_wake, steps = alg.step, alg.next_wake, 0
     for round_no in range(1, budget + 1):
-        received, inboxes = inboxes, [None] * g.n
-        for v in order:
-            box = received[v]
-            if box is None and (wake[v] is None or wake[v] > round_no):
-                if trace is not None:
-                    record(v, {}, round_no)
-                continue
+        received, inboxes = inboxes, {}
+        for v in sorted(received.keys() | due.pop(round_no, ())):
+            box = received.get(v)
+            if box is None and wake[v] != round_no:
+                continue                # a wake-up that a later answer replaced
             states[v], sends = step(states[v], box or _EMPTY_INBOX, round_no)
-            wake[v] = next_wake(states[v], round_no)
+            w = wake[v] = next_wake(states[v], round_no)
+            if w is not None:
+                if w <= round_no:
+                    raise ValueError(f"next_wake named round {w} after round {round_no}")
+                due[w].append(v)
             steps += 1
             if sends:
                 deliver(v, sends)
@@ -184,8 +189,9 @@ def run_local_algorithm(g: Graph,
     return RunResult(outputs, rounds_used=budget, max_message_bits=max_bits, steps=steps)
 
 
-def _digest(state: Any) -> str:
-    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+def _digest(value: Any) -> bytes:
+    """The first 8 bytes of the SHA-256 of ``repr(value)``."""
+    return hashlib.sha256(repr(value).encode()).digest()[:8]
 
 
 # -- locality helper -----------------------------------------------------------

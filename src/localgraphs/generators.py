@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (DegenerateParamsError, DeltaTooSmallError, EvenDeltaError,
-                     NotInCycleError, NotIndependentError,
-                     NotProperlyColouredError, OddCycleLengthError,
+                     NotInCycleError, NotIndependentError, OddCycleLengthError,
                      TooSmallError)
-from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph, build_graph,
-                    classify_colouring, normalize_edge)
+from .graph import BLACK, WHITE, Edge, Graph, build_graph, normalize_edge
 from .oddds import fixup_weak_colouring
 from .oracles import validate_matching
 
@@ -223,13 +221,6 @@ def merge_layer_independent_sets(c: DirectedCycle,
                 for j in range(i, len(working)):
                     working[j].discard(w)
     return frozenset(result)
-
-
-def trivial_white_independent_set(g: Graph) -> frozenset[int]:
-    """All white nodes of a properly 2-coloured graph."""
-    if classify_colouring(g) != ColouringClass.PROPER:
-        raise NotProperlyColouredError("needs a proper 2-colouring")
-    return frozenset(v for v in g.nodes if g.colour(v) == WHITE)
 
 
 # -- random families --------------------------------------------------------------

@@ -171,30 +171,27 @@ class StarForestAlgorithm(LocalAlgorithm):
         state = {
             "colour": view.colour,
             "degree": view.degree,
-            "round": 0,
             "parent_port": None,
             "child_ports": (),
             "leaf_ports": (),
-            "is_root": False,
         }
         colour_byte = b"B" if view.colour == BLACK else b"W"
         return state, {p: colour_byte for p in range(1, view.degree + 1)}
 
     def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends]:
-        state["round"] = r = round_no
         black = state["colour"] == BLACK
         sends: dict[int, bytes] = {}
 
-        if r == 1 and black:
+        if round_no == 1 and black:
             whites = sorted(p for p, msg in inbox.items() if msg == b"W")
             if not whites:
                 raise NotWeaklyColouredError("black node has no white neighbour")
             state["parent_port"] = whites[0]
             sends[whites[0]] = _CLAIM
-        elif r == 1:
+        elif round_no == 1:
             state["black_ports"] = tuple(
                 sorted(p for p, msg in inbox.items() if msg == b"B"))
-        elif r == 2 and not black:
+        elif round_no == 2 and not black:
             claims = tuple(sorted(p for p, msg in inbox.items() if msg == _CLAIM))
             state["child_ports"] = claims
             if not claims:
@@ -202,18 +199,16 @@ class StarForestAlgorithm(LocalAlgorithm):
                     raise NotWeaklyColouredError("white node has no black neighbour")
                 state["parent_port"] = state["black_ports"][0]
                 sends[state["parent_port"]] = _CLAIM
-        elif r == 3 and black:
+        elif round_no == 3 and black:
             claims = tuple(sorted(p for p, msg in inbox.items() if msg == _CLAIM))
             state["child_ports"] = claims
             sends[state["parent_port"]] = _HAS_KIDS if claims else _NO_KIDS
-        elif r == 4 and not black and state["child_ports"]:
+        elif round_no == 4 and not black and state["child_ports"]:
             leaf_kids = sorted(p for p in state["child_ports"] if inbox.get(p) == _NO_KIDS)
             branch_kids = sorted(p for p in state["child_ports"] if inbox.get(p) == _HAS_KIDS)
             if not branch_kids:                               # case 1
-                state["is_root"] = True
                 state["leaf_ports"] = tuple(state["child_ports"])
             elif leaf_kids:                                   # case 2
-                state["is_root"] = True
                 state["leaf_ports"] = tuple(leaf_kids)
                 for p in branch_kids:
                     sends[p] = _DETACH
@@ -223,11 +218,10 @@ class StarForestAlgorithm(LocalAlgorithm):
                 sends[x] = _REVERSE
                 for p in branch_kids[1:]:
                     sends[p] = _DETACH
-        elif r == 5 and black:
+        elif round_no == 5 and black:
             order = next(((p, msg) for p, msg in inbox.items()), None)
             if order is not None:
                 p, msg = order
-                state["is_root"] = True
                 leaf_ports = list(state["child_ports"])
                 if msg == _REVERSE:
                     leaf_ports.append(state["parent_port"])
@@ -236,10 +230,9 @@ class StarForestAlgorithm(LocalAlgorithm):
         return state, sends
 
     def finalize(self, state: dict) -> dict:
-        is_root = state["parent_port"] is None
-        matched = min(state["leaf_ports"]) if is_root else None
-        return {"parent_port": None if is_root else state["parent_port"],
-                "matched_port": matched}
+        parent = state["parent_port"]
+        return {"parent_port": parent,
+                "matched_port": min(state["leaf_ports"]) if parent is None else None}
 
 
 def star_forest_from_outputs(g: Graph, outputs: Mapping[int, dict]) -> StarForest:

@@ -114,14 +114,6 @@ def test_determinism(c4_coloured):
     assert a.outputs == b.outputs and a.max_message_bits == b.max_message_bits
 
 
-def test_evaluation_order_independence(c4_coloured):
-    for make in (StarForestAlgorithm, lambda: MatchingSchemeAlgorithm(2)):
-        base = run_local_algorithm(c4_coloured, make())
-        for order in ([3, 2, 1, 0], [2, 0, 3, 1]):
-            permuted = run_local_algorithm(c4_coloured, make(), node_order=order)
-            assert permuted.outputs == base.outputs
-
-
 def test_payload_must_be_bytes(single_edge):
     class Bad(CountEcho):
         def init(self, view):
@@ -155,12 +147,6 @@ def test_send_outside_port_range(p3_wbw, phase, offset):
 
     with pytest.raises(ValueError, match="invalid port"):
         run_local_algorithm(p3_wbw, Bad())
-
-
-@pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3], [2, 1, 0, 0]])
-def test_node_order_must_be_a_permutation(p3_wbw, order):
-    with pytest.raises(ValueError, match="permutation"):
-        run_local_algorithm(p3_wbw, CountEcho(), node_order=order)
 
 
 def test_trace_lines(single_edge):
@@ -218,17 +204,34 @@ def test_wake_steps_the_node_exactly_then_with_an_empty_inbox(p3_wbw):
     assert result.steps == 5
 
 
-def test_trace_keeps_a_line_for_every_idle_node(p3_wbw):
+@pytest.mark.parametrize("first", [0, 1], ids=["init", "step"])
+def test_wake_must_name_a_later_round(p3_wbw, first):
+    class Bad(Echo):
+        def next_wake(self, state, round_no):
+            return round_no if round_no >= first else None
+
+    with pytest.raises(ValueError, match="next_wake"):
+        run_local_algorithm(p3_wbw, Bad())
+
+
+def test_trace_has_a_line_per_init_and_step(p3_wbw):
     lines = []
     run_local_algorithm(p3_wbw, Echo(leaf_wake=4), trace=lines.append)
     docs = [json.loads(line) for line in lines]
-    assert [(d["round"], d["node"]) for d in docs] == [(r, v) for r in range(6) for v in range(3)]
-    stepped = {(1, 1), (2, 0), (2, 2), (4, 0), (4, 2)}
-    for d, previous in zip(docs[3:], docs):
-        if (d["round"], d["node"]) not in stepped:
-            assert d["sent"] == [] and d["state_digest"] == previous["state_digest"]
-        else:
-            assert d["state_digest"] != previous["state_digest"]
+    assert [(d["round"], d["node"]) for d in docs] == [
+        (0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (2, 2), (4, 0), (4, 2)]
+    # every step appends to the node's state, so its digest moves
+    last = {}
+    for d in docs:
+        assert d["state_digest"] != last.get(d["node"])
+        last[d["node"]] = d["state_digest"]
+
+
+def test_traced_scheme_run_writes_a_line_per_init_and_step():
+    g = random_bipartite(200, 4, 1)
+    lines = []
+    result = run_local_algorithm(g, MatchingSchemeAlgorithm(3), trace=lines.append)
+    assert len(lines) == g.n + result.steps == 11174
 
 
 def test_steps_count_every_call():
@@ -291,9 +294,10 @@ def test_locality_of_probe_on_union(c4_coloured):
 
 
 def test_relabelling_invariance(c4_coloured):
-    perm = [2, 0, 3, 1]
-    relabelled = relabel(c4_coloured, perm)
-    base = run_local_algorithm(c4_coloured, StarForestAlgorithm())
-    moved = run_local_algorithm(relabelled, StarForestAlgorithm())
-    for v in c4_coloured.nodes:
-        assert moved.outputs[perm[v]] == base.outputs[v]
+    # new ids change the order the engine steps nodes in, but no output
+    for make in (StarForestAlgorithm, lambda: MatchingSchemeAlgorithm(2)):
+        base = run_local_algorithm(c4_coloured, make())
+        for perm in ([2, 0, 3, 1], [3, 2, 1, 0]):
+            moved = run_local_algorithm(relabel(c4_coloured, perm), make())
+            for v in c4_coloured.nodes:
+                assert moved.outputs[perm[v]] == base.outputs[v]

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from localgraphs import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass,
-                         classify_colouring, local_views_equivalent)
+                         classify_colouring, local_views_equivalent,
+                         run_local_algorithm)
+from localgraphs.baselines import WhiteIndependentSet
 from localgraphs.errors import (DegenerateParamsError, DeltaTooSmallError,
                                 EvenDeltaError, NotIndependentError,
                                 NotInCycleError, NotProperlyColouredError,
@@ -21,7 +23,6 @@ from localgraphs.generators import (_bipartite_cover, _fill_random_edges,
                                     random_weak, random_weak_colouring,
                                     shuffle_ports, strong_blowup,
                                     symmetric_complete,
-                                    trivial_white_independent_set,
                                     weak_layered,
                                     weak_layered_perfect_matching)
 from localgraphs.graph import edge_specs
@@ -219,28 +220,34 @@ class TestMergeLayers:
             assert len(merged) * (2 * len(layers) - 1) >= total
 
 
+def white_set(g):
+    """The nodes ``WhiteIndependentSet`` puts in its set, run through the engine."""
+    return {v for v, joined in run_local_algorithm(g, WhiteIndependentSet()).outputs.items()
+            if joined}
+
+
 class TestTrivialWhiteSet:
     def test_single_edge(self, single_edge):
-        assert trivial_white_independent_set(single_edge) == {1}
+        assert white_set(single_edge) == {1}
 
     def test_star_white_leaves(self):
         g = ascending_ports(4, [(0, 1), (0, 2), (0, 3)],
                             colours=[BLACK, WHITE, WHITE, WHITE])
-        out = trivial_white_independent_set(g)
+        out = white_set(g)
         assert out == {1, 2, 3}
         assert len(out) == len(brute_max_independent_set(g))
 
     def test_c6_optimal(self):
         g = ascending_ports(6, [(i, (i + 1) % 6) for i in range(6)],
                             colours=[BLACK, WHITE] * 3)
-        out = trivial_white_independent_set(g)
+        out = white_set(g)
         assert len(out) == 3 == len(brute_max_independent_set(g))
 
     def test_requires_proper(self):
         g = ascending_ports(3, [(0, 1), (1, 2), (0, 2)],
                             colours=[BLACK, WHITE, WHITE])
         with pytest.raises(NotProperlyColouredError):
-            trivial_white_independent_set(g)
+            white_set(g)
 
 
 class TestRatioStress:

@@ -4,9 +4,10 @@ Each case runs one per-node algorithm on a deterministic construction
 and hashes every trace line, the sorted outputs, ``rounds_used`` and
 ``max_message_bits``.  A change to the engine or to a ``step`` function
 that alters any message, state or output changes the digest.  The
-scheme's sends, outputs and round counts are also pinned without the
-state digests, so a change to a state's layout alone can be told from a
-change in behaviour; two small cases that end with unmatched black
+sends, outputs and round counts of the same cases are also pinned
+without the state digests and without the lines that send nothing, so a
+change to a state's layout or to which idle nodes the trace shows can be
+told from a change in behaviour; two small cases that end with unmatched black
 nodes pin the scheme's silent last round.  Only
 deterministic generators are used, so a change to the seeded random
 families leaves these digests alone; those families are pinned
@@ -48,24 +49,29 @@ def run_digest(g, alg) -> str:
     return h.hexdigest()
 
 
+# (name, make, run_digest, sends_digest)
 GOLDEN = [
     ("star-forest weak_layered(C4, 3)",
      lambda: (weak_layered(numbered_cycle(4), 3), StarForestAlgorithm()),
-     "0fcfee108b7bddcba1fc4b4fd97c6999b7507ce0672849edf0ccdecd793f19bd"),
+     "f1f3601083939dde761b4936ea5b15431ca6f3295949a8a79a88a0e5934271a3",
+     "6db9ee52716f8157d6606d656ee36ebbced691408bb9fa662cc3bcaa3bc64dc4"),
     ("matching-scheme k=1 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(1)),
-     "9fc28c78507c05a7e9cb60155dcf09138e39096e0a2eda7ea8b870422ea2007b"),
+     "0389ddb38e5eae2a12660c7fc29fed548374d6d4148ba58967a47d332a6fcd1b",
+     "73bbc4f437ae0c814338ecb529e3ee7d684ab5568bf0ed0b82074f3cc93c7768"),
     ("matching-scheme k=2 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(2)),
-     "4f1ddb3b823499e05455fbcf2def135943da989033cac926e323cd5f2234d1bf"),
+     "9ef0e08577bf1230640f664a526ad27b422fdbfe53b0c6fea3828089e50b3a84",
+     "916628eaefb84d0f2ffd937f75db1bd14771a194d26e3951ee3259ca76c99c79"),
     ("matching-scheme k=3 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(3)),
-     "ca3d1e3f55fb8f309d0da5f436062b07e6f99e9c5cee22172fbcc5dda84726da"),
+     "660c5b59980bfcada90356dbbc42bc125116ebbced9acb5676b1862c841c294d",
+     "7a36df3143905210a6d4f71f4db8bf5c035922b3ab6fc373a4faccde905eb6e6"),
 ]
+GOLDEN_IDS = [name for name, *_ in GOLDEN]
 
 
-@pytest.mark.parametrize("make, digest", [(m, d) for _, m, d in GOLDEN],
-                         ids=[name for name, _, _ in GOLDEN])
+@pytest.mark.parametrize("make, digest", [(m, d) for _, m, d, _ in GOLDEN], ids=GOLDEN_IDS)
 def test_golden_run(make, digest):
     g, alg = make()
     assert run_digest(g, alg) == digest
@@ -75,31 +81,31 @@ def sends_digest(g, alg) -> str:
     """``run_digest`` without the state digests and ``max_message_bits``.
 
     It pins what every node sends in every round, the outputs and
-    ``rounds_used``, so it survives a change to a state's layout.
+    ``rounds_used``, so it survives a change to a state's layout.  A
+    line that sends nothing pins no send, so it is left out.
     """
-    lines: list[str] = []
-    result = run_local_algorithm(g, alg, trace=lines.append)
+    sent, outputs, rounds_used, _ = sends_and_bits(g, alg)
     h = hashlib.sha256()
-    for line in lines:
-        d = json.loads(line)
-        h.update(json.dumps([d["round"], d["node"], d["sent"]]).encode() + b"\n")
-    h.update(json.dumps(sorted(result.outputs.items()), sort_keys=True).encode())
-    h.update(str(result.rounds_used).encode())
+    for line in sent:
+        h.update(json.dumps(line).encode() + b"\n")
+    h.update(json.dumps(outputs, sort_keys=True).encode())
+    h.update(str(rounds_used).encode())
     return h.hexdigest()
 
 
-SENDS = [
-    (1, "ec0800642376730be3a6d6b09f6b866ddd3894aad2b9fb5ff000427592a74f77"),
-    (2, "9eda8e3a564f2711fa460018676b6ce6c963cca65bdf386b4f916914798c1735"),
-    (3, "e211a9a45c305a70d38127f1678484217db884f383db4b8692ce876f8422bfb6"),
-]
+def sends_and_bits(g, alg):
+    """Every (round, node, sends) with a send, the sorted outputs,
+    ``rounds_used`` and ``max_message_bits``, from one run."""
+    lines: list[str] = []
+    result = run_local_algorithm(g, alg, trace=lines.append)
+    sent = [[d["round"], d["node"], d["sent"]] for d in map(json.loads, lines) if d["sent"]]
+    return sent, sorted(result.outputs.items()), result.rounds_used, result.max_message_bits
 
 
-@pytest.mark.parametrize("k, digest", SENDS,
-                         ids=[f"matching-scheme k={k} strong_blowup(C8, 3)" for k, _ in SENDS])
-def test_golden_scheme_sends(k, digest):
-    g = strong_blowup(numbered_cycle(8), 3)
-    assert sends_digest(g, MatchingSchemeAlgorithm(k)) == digest
+@pytest.mark.parametrize("make, digest", [(m, d) for _, m, _, d in GOLDEN], ids=GOLDEN_IDS)
+def test_golden_scheme_sends(make, digest):
+    g, alg = make()
+    assert sends_digest(g, alg) == digest
 
 
 # cases that end with unmatched blacks, whose last-round silence the digest pins
@@ -112,10 +118,10 @@ UNMATCHED = [
 ]
 
 UNMATCHED_SENDS = [
-    (0, 1, "4efa81ed9039fd3dbc806370669ea74fc6d3056a03ae45a10bc8b08dcf59b536"),
-    (0, 2, "34da737a29b4037160064c5a5278c26fe3758e251411b5e7757ef775069f2209"),
-    (1, 1, "8e08331a99d3b55ababaaa08a87ccd3731a922cf8df8bdddedcb9ce20e603e31"),
-    (1, 2, "d49808454242d20bca9f026368e6f8e1f01ccf7ec2c3e8188fde55cd9d10d784"),
+    (0, 1, "aa4e35ed97903c702fbb0ee92efec1d26004a87bb8eb1d9a902efa55709f5f8a"),
+    (0, 2, "2684619d6bbab105a0bbe1a2afc8510fd6b3a7c72bb5c1ed152a1fbff71fe679"),
+    (1, 1, "3e6e63f8c33c4c8eb0096f99f7d110f2ff89393c4f8f9868827820f76921fb62"),
+    (1, 2, "10b517cb3d57aa07f411d5bb28650a99e637c2a86621b7cfcc9e44cf2fbbcb76"),
 ]
 
 
@@ -131,14 +137,6 @@ class DenseScheme(MatchingSchemeAlgorithm):
     """The scheme stepped at every node in every round: what sparse stepping must match."""
 
     next_wake = LocalAlgorithm.next_wake
-
-
-def sends_and_bits(g, alg):
-    """What ``sends_digest`` hashes, and ``max_message_bits``, from one run."""
-    lines: list[str] = []
-    result = run_local_algorithm(g, alg, trace=lines.append)
-    sent = [(d["round"], d["node"], d["sent"]) for d in map(json.loads, lines)]
-    return sent, sorted(result.outputs.items()), result.rounds_used, result.max_message_bits
 
 
 EXACT = ([("strong_blowup(C8, 3)", lambda: strong_blowup(numbered_cycle(8), 3))]
