@@ -225,7 +225,7 @@ def _load_solution(path: str) -> Solution:
             members = frozenset(normalize_edge(_node_id(u), _node_id(v)) for u, v in raw)
         else:
             members = frozenset(_node_id(v) for v in raw)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise _CliFailure(EXIT_INPUT, f"bad solution file: {exc}", "bad-solution") from exc
     return Solution(kind, members)
 

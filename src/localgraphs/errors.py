@@ -73,10 +73,6 @@ class ProviderFailureError(LocalGraphError):
     """A weak-colouring provider returned an invalid colouring."""
 
 
-class NotWeakOnAError(LocalGraphError):
-    """Colour repair cannot fix a colouring that is broken on odd-degree nodes."""
-
-
 class RoundBudgetError(LocalGraphError):
     """A round budget exceeds the cap set before anything is allocated for it."""
 

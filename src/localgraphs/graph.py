@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import json
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -144,7 +144,7 @@ class Graph:
 
 def build_graph(node_count: int,
                 edges: Iterable[Sequence],
-                colours: Sequence[str] | Mapping[int, str] | None = None) -> Graph:
+                colours: Sequence[str] | None = None) -> Graph:
     """Validate new structure and build a Graph.
 
     ``edges`` holds tuples ``(u, v, port_u, port_v)`` or
@@ -211,10 +211,6 @@ def build_graph(node_count: int,
 def _normalize_colours(n, colours):
     if colours is None:
         return None
-    if isinstance(colours, Mapping):
-        if set(colours) != set(range(n)):
-            raise ValueError("colour map must cover exactly the nodes 0..n-1")
-        colours = [colours[v] for v in range(n)]
     colours = tuple(colours)
     if len(colours) != n:
         raise ValueError(f"expected {n} colours, got {len(colours)}")
@@ -370,7 +366,7 @@ def dumps(g: Graph) -> str:
 def loads(text: str) -> Graph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deeply
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     return graph_from_json_dict(doc)
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .engine import RunResult, degree_bound
 from .errors import (EvenDeltaError, InvariantError, MissingOrientationError,
-                     NotWeakOnAError, ProviderFailureError)
+                     ProviderFailureError)
 from .graph import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass, Graph,
                     classify_colouring, induced_subgraph, opposite, with_colours)
 from .starforest import run_star_forest
@@ -47,18 +47,13 @@ class DummyAugmentedGraph:
 
     ``graph`` materializes the dummies for the weak-colouring provider,
     which runs centrally; the simulated star phase runs on ``base``,
-    without them.  Real nodes keep the ids 0..real_count-1 they have in
-    ``base``.
+    without them.  Real nodes keep the ids 0..base.n-1 they have in
+    ``base``; a dummy ``d`` hangs off its host ``graph.neighbours(d)[0]``.
     """
 
     graph: Graph
     base: Graph
     original_ids: tuple[int, ...]     # base id -> id in the source graph
-    dummy_hosts: dict[int, int]       # dummy id in graph -> base id
-
-    @property
-    def real_count(self) -> int:
-        return self.base.n
 
 
 def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
@@ -67,7 +62,6 @@ def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
     base, original_ids = induced_subgraph(g, core)
     port_to = list(map(base.neighbours, base.nodes))
     directions = list(map(base.port_directions, base.nodes)) if base.has_orientation else None
-    dummy_hosts: dict[int, int] = {}
     for v in base.nodes:
         if base.degree(v) % 2 == 0:
             dummy = len(port_to)
@@ -76,14 +70,11 @@ def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
             if directions is not None:
                 directions[v] += (OUTGOING,)
                 directions.append((INCOMING,))
-            dummy_hosts[dummy] = v
     graph = Graph(len(port_to), None, tuple(port_to),
                   None if directions is None else tuple(directions))
     if any(graph.degree(v) % 2 == 0 for v in graph.nodes):
         raise InvariantError("dummy-augmented core has an even-degree node")
-    return DummyAugmentedGraph(graph=graph, base=base,
-                               original_ids=original_ids,
-                               dummy_hosts=dummy_hosts)
+    return DummyAugmentedGraph(graph=graph, base=base, original_ids=original_ids)
 
 
 # -- weak-colouring providers ---------------------------------------------------
@@ -114,15 +105,16 @@ def centralized_weak_colouring(g: Graph) -> list[str]:
 
 
 def colouring_provider_from_file(path) -> WeakColouringProvider:
-    """Provider returning a colour list loaded from a JSON document."""
+    """Provider returning a JSON document's ``colours`` value (or the whole
+    document, if it is not an object); the pipeline checks it."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise ProviderFailureError("colour file is nested too deeply") from exc
     colours = doc.get("colours") if isinstance(doc, dict) else doc
 
     def provider(h2: Graph) -> Sequence[str]:
-        if not isinstance(colours, list) or len(colours) != h2.n:
-            raise ProviderFailureError(
-                f"colour file must list exactly {h2.n} colours")
         return colours
 
     return provider
@@ -130,24 +122,27 @@ def colouring_provider_from_file(path) -> WeakColouringProvider:
 
 # -- colour repair ---------------------------------------------------------------
 
-def repair_b_colours(h: Graph, a_nodes, b_nodes, colours: Sequence[str]) -> list[str]:
-    """Flip each even-degree core node all of whose odd-degree neighbours
-    share its colour; validate that the result weakly 2-colours the core.
+def repair_b_colours(h: Graph, a_nodes, colours: Sequence[str]) -> list[str]:
+    """Flip each B node (a node of the core ``h`` not in ``a_nodes``) all
+    of whose A-neighbours share its colour; A nodes are never touched.
 
-    Odd-degree nodes are never touched.  If the result is not weak, the
-    input already violated the precondition on the odd-degree side.
+    If ``colours`` starts a weak 2-colouring of the dummy-augmented core,
+    the result weakly 2-colours ``h``, so it is not checked again: a B
+    node is flipped only when all its A-neighbours share its colour, and
+    then they are all opposite to it; no node is flipped away from an
+    opposite-coloured A-neighbour; and an A node keeps all its edges in
+    the core and gets no dummy, so the provider already gave it an
+    opposite neighbour.  A flip reads only A colours, so the order B is
+    visited in does not matter.
     """
     a_set = set(a_nodes)
     out = list(colours)
-    for v in sorted(b_nodes):
+    for v in h.nodes:
+        if v in a_set:
+            continue
         a_nbrs = [u for u in h.neighbours(v) if u in a_set]
         if a_nbrs and all(out[u] == out[v] for u in a_nbrs):
             out[v] = opposite(out[v])
-    if h.n and classify_colouring(h, out) < ColouringClass.WEAK:
-        bad = [v for v in h.nodes
-               if all(out[u] == out[v] for u in h.neighbours(v))]
-        raise NotWeakOnAError(
-            f"input colouring is broken beyond repair at nodes {bad}")
     return out
 
 
@@ -157,7 +152,6 @@ def repair_b_colours(h: Graph, a_nodes, b_nodes, colours: Sequence[str]) -> list
 class OddDeltaResult:
     partition: AbcPartition
     h2: DummyAugmentedGraph
-    h2_colours: list[str]
     core_colours: list[str]
     core_roots: frozenset[int]        # in source-graph ids
     dominating_set: frozenset[int]
@@ -178,14 +172,11 @@ def odd_delta_pipeline(g: Graph,
 
     part = partition_abc(g)
     h2 = build_h2(g, part)
-    h2_colours = list(provider(h2.graph))
+    h2_colours = provider(h2.graph)
     _check_provider_output(h2.graph, h2_colours)
 
-    base_ids = {orig: i for i, orig in enumerate(h2.original_ids)}
-    a_core = [base_ids[v] for v in part.a]
-    b_core = [base_ids[v] for v in part.b]
-    core_colours = repair_b_colours(h2.base, a_core, b_core,
-                                    h2_colours[:h2.real_count])
+    a_core = [i for i, v in enumerate(h2.original_ids) if v in part.a]
+    core_colours = repair_b_colours(h2.base, a_core, h2_colours[:h2.base.n])
 
     star_run = None
     core_roots: frozenset[int] = frozenset()
@@ -196,7 +187,6 @@ def odd_delta_pipeline(g: Graph,
     return OddDeltaResult(
         partition=part,
         h2=h2,
-        h2_colours=h2_colours,
         core_colours=core_colours,
         core_roots=core_roots,
         dominating_set=core_roots | part.c,
@@ -205,7 +195,9 @@ def odd_delta_pipeline(g: Graph,
 
 
 def _check_provider_output(h2_graph: Graph, colours) -> None:
-    if len(colours) != h2_graph.n or any(c not in (BLACK, WHITE) for c in colours):
+    """The one check of a provider's output: a weak 2-colouring of ``h2_graph``."""
+    if (not isinstance(colours, (list, tuple)) or len(colours) != h2_graph.n
+            or any(c not in (BLACK, WHITE) for c in colours)):
         raise ProviderFailureError("provider must return one colour per node")
     if h2_graph.n and classify_colouring(h2_graph, colours) < ColouringClass.WEAK:
         raise ProviderFailureError("provider output is not a weak 2-colouring")

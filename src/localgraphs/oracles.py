@@ -136,23 +136,36 @@ def brute_max_matching(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[Edge]:
 
 
 def _bipartite_max_matching(g: Graph, side: list[int]) -> frozenset[Edge]:
-    partner: dict[int, int] = {}
-    lefts = [v for v in g.nodes if side[v] == 0]
+    """Kuhn's augmenting-path search from each free left node in id order.
 
-    def try_augment(v: int, visited: set[int]) -> bool:
-        for u in g.neighbours(v):
-            if u in visited:
+    The depth-first search keeps an explicit stack, so a long path cannot
+    exceed the recursion limit; neighbours are tried in port order.
+    """
+    partner: dict[int, int] = {}
+    for root in g.nodes:
+        if side[root] or root in partner:
+            continue
+        visited: set[int] = set()
+        path = [root]                           # left, right, left, ... nodes
+        todo = [iter(g.neighbours(root))]       # one per left node on the path
+        while todo:
+            for u in todo[-1]:
+                if u not in visited:
+                    break
+            else:                               # a dead end: back up one left node
+                todo.pop()
+                del path[-2:]
                 continue
             visited.add(u)
-            if u not in partner or try_augment(partner[u], visited):
-                partner[u] = v
-                partner[v] = u
-                return True
-        return False
-
-    for v in lefts:
-        if v not in partner:
-            try_augment(v, set())
+            path.append(u)
+            if u not in partner:                # augmenting: flip the path
+                nodes = iter(path)
+                for v, w in zip(nodes, nodes):
+                    partner[v] = w
+                    partner[w] = v
+                break
+            path.append(partner[u])
+            todo.append(iter(g.neighbours(partner[u])))
     return frozenset(normalize_edge(v, u) for v, u in partner.items() if v < u)
 
 

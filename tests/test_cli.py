@@ -194,11 +194,13 @@ class TestRun:
         code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
                             "--weak-colouring", f"external:{tmp_path / 'missing.json'}")
         assert code == 2 and json.loads(out)["error"] == "io-error"
-        cpath = tmp_path / "colours.json"      # no "colours" key
-        cpath.write_text(json.dumps({"colors": [WHITE, BLACK, BLACK, BLACK]}))
-        code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
-                            "--weak-colouring", f"external:{cpath}")
-        assert code == 2 and json.loads(out)["error"] == "ProviderFailureError"
+        cpath = tmp_path / "colours.json"
+        for doc in ({"colors": [WHITE, BLACK, BLACK, BLACK]},     # no "colours" key
+                    {"colours": None}):
+            cpath.write_text(json.dumps(doc))
+            code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
+                                "--weak-colouring", f"external:{cpath}")
+            assert code == 2 and json.loads(out)["error"] == "ProviderFailureError"
 
     @pytest.mark.parametrize("nodes", [["a", "b"], [True, 0]])
     def test_non_object_nodes_exit_2(self, capsys, tmp_path, nodes):
@@ -355,6 +357,20 @@ class TestOracleVerifyExport:
                         if "->" in line)
         assert arrows == sorted(f"{v} -> {(v + 1) % 5}" for v in range(5))
 
+    def test_long_augmenting_path(self, capsys, tmp_path):
+        # a properly coloured 3000-node path whose ids make the oracle's
+        # augmenting searches run along the whole path
+        n = 3000
+        ids = [1499 - p // 2 if p % 2 == 0 else 1500 + p // 2 for p in range(n)]
+        colours = [BLACK if v < n // 2 else WHITE for v in range(n)]
+        path = tmp_path / "path.json"
+        path.write_text(dumps(ascending_ports(n, list(zip(ids, ids[1:])), colours)))
+        code, out = run_cli(capsys, "oracle", "--graph", str(path), "--problem", "matching")
+        assert code == 0 and json.loads(out)["size"] == 1500
+        code, out = run_cli(capsys, "run", "--graph", str(path), "--alg", "star-matching",
+                            "--oracle")
+        assert code == 0 and json.loads(out)["optimal_size"] == 1500
+
     def test_export_dot_bad_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("nope")
@@ -362,12 +378,44 @@ class TestOracleVerifyExport:
         assert code == 2
 
 
+# which document is nested too deeply -> argv after the graph, error reported
+_DEEP = {
+    "run-graph": (["run", "--alg", "star-ds"], "GraphFormatError"),
+    "oracle-graph": (["oracle", "--problem", "ds"], "GraphFormatError"),
+    "verify-graph": (["verify", "--solution", "SOLUTION"], "GraphFormatError"),
+    "export-graph": (["export-dot"], "GraphFormatError"),
+    "verify-solution": (["verify", "--solution", "DEEP"], "bad-solution"),
+    "export-solution": (["export-dot", "--solution", "DEEP"], "bad-solution"),
+    "colour-file": (["run", "--alg", "odd-ds", "--weak-colouring", "external:DEEP"],
+                    "ProviderFailureError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEEP))
+def test_deeply_nested_json_exit_2(capsys, tmp_path, k4_oriented, case):
+    argv, error = _DEEP[case]
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    good = tmp_path / "g.json"
+    good.write_text(dumps(k4_oriented))
+    solution = tmp_path / "s.json"
+    solution.write_text(json.dumps({"kind": "dominating-set", "members": [0]}))
+    graph = deep if case.endswith("-graph") else good
+    argv = [argv[0], "--graph", str(graph)] + [
+        a.replace("SOLUTION", str(solution)).replace("DEEP", str(deep)) for a in argv[1:]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    assert json.loads(captured.out)["error"] == error
+    assert "Traceback" not in captured.err
+
+
 # every LocalGraphError subclass in `errors` and the exit code it must give
 _EXIT_CODES = {
     "LocalGraphError": 2, "SelfLoopError": 2, "DuplicateEdgeError": 2,
     "PortClashError": 2, "PortGapError": 2, "IsolatedNodeError": 2,
     "GraphFormatError": 2, "PortOutOfRangeError": 2, "MalformedForestError": 2,
-    "ProviderFailureError": 2, "NotWeakOnAError": 2, "RoundBudgetError": 2,
+    "ProviderFailureError": 2, "RoundBudgetError": 2,
     "PathsNotDisjointError": 2, "NotAugmentingError": 2, "InvalidMatchingError": 2,
     "TooLargeError": 2, "TooSmallError": 2, "DegenerateParamsError": 2,
     "OddCycleLengthError": 2, "DeltaTooSmallError": 2, "NotInCycleError": 2,

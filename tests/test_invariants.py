@@ -4,7 +4,8 @@ Invariant checks must survive ``python -O``: no ``assert`` in the
 package.  Copies of a valid graph derive their port tables from the
 source's and never re-validate through ``build_graph``.  Every function
 the benchmark's traced run wraps still exists under its name.  No code
-names the retired ``needs_colour`` flag.
+names the retired ``needs_colour`` flag.  Every error class is raised
+or extended somewhere.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import localgraphs
+from localgraphs import errors
 from localgraphs.generators import random_bipartite, random_weak, shuffle_ports
 from localgraphs.graph import (disjoint_union, induced_subgraph, relabel,
                                with_colours)
@@ -88,3 +90,20 @@ def test_no_retired_colour_flag():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if any(getattr(node, f, None) == "needs_colour" for f in fields)]
     assert found == []
+
+
+def test_every_error_class_is_raised_or_extended():
+    # an error class nothing raises is a dead feature, and it would still
+    # claim an exit code in the CLI's contract
+    raised, bases = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+            elif isinstance(node, ast.ClassDef):
+                bases.update(getattr(b, "id", None) for b in node.bases)
+    classes = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.LocalGraphError)}
+    assert sorted(classes - raised - bases) == []

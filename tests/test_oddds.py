@@ -8,7 +8,7 @@ import pytest
 
 from localgraphs import BLACK, WHITE, ColouringClass, build_graph, classify_colouring
 from localgraphs.errors import (EvenDeltaError, MissingOrientationError,
-                                NotWeakOnAError, ProviderFailureError)
+                                ProviderFailureError)
 from localgraphs.generators import random_weak
 from localgraphs.oddds import (build_h2, centralized_weak_colouring,
                                fixup_weak_colouring, odd_delta_dominating_set,
@@ -23,6 +23,11 @@ from conftest import ascending_ports
 def oriented_path(n):
     return ascending_ports(n, [(i, i + 1) for i in range(n - 1)],
                            directions={(i, i + 1): "uv" for i in range(n - 1)})
+
+
+def dummy_hosts(h2):
+    """Dummy id -> base id of its host, read off the augmented graph."""
+    return {d: h2.graph.neighbours(d)[0] for d in range(h2.base.n, h2.graph.n)}
 
 
 class TestPartition:
@@ -53,18 +58,18 @@ class TestBuildH2:
     def test_p3_middle_gets_dummy(self):
         g = oriented_path(3)
         h2 = build_h2(g, partition_abc(g))
-        assert h2.real_count == 3
+        assert h2.base.n == 3
         assert h2.graph.n == 4
-        assert h2.dummy_hosts == {3: 1}
+        assert dummy_hosts(h2) == {3: 1}
         assert all(h2.graph.degree(v) % 2 == 1 for v in h2.graph.nodes)
 
     def test_k4_needs_no_dummies(self, k4_oriented):
         h2 = build_h2(k4_oriented, partition_abc(k4_oriented))
-        assert h2.graph.n == 4 and not h2.dummy_hosts
+        assert h2.graph.n == 4 and not dummy_hosts(h2)
 
     def test_empty_core(self, c4_coloured):
         h2 = build_h2(c4_coloured, partition_abc(c4_coloured))
-        assert h2.graph.n == 0 and h2.real_count == 0
+        assert h2.graph.n == 0 and h2.base.n == 0
 
     def test_all_odd_everywhere(self):
         for seed in range(30):
@@ -79,41 +84,36 @@ class TestBuildH2:
             part = partition_abc(g)
             h2 = build_h2(g, part)
             a_core = {i for i, orig in enumerate(h2.original_ids) if orig in part.a}
-            hosts = set(h2.dummy_hosts.values())
+            hosts = set(dummy_hosts(h2).values())
             assert not (hosts & a_core)
 
 
 class TestRepair:
     def test_flip_when_all_a_neighbours_match(self):
         h = oriented_path(3)
-        out = repair_b_colours(h, [0, 2], [1], [WHITE, WHITE, WHITE])
+        out = repair_b_colours(h, [0, 2], [WHITE, WHITE, WHITE])
         assert out == [WHITE, BLACK, WHITE]
         assert classify_colouring(h, out) >= ColouringClass.WEAK
 
     def test_no_flip_with_opposite_neighbour(self):
         h = oriented_path(3)
-        out = repair_b_colours(h, [0, 2], [1], [BLACK, WHITE, BLACK])
+        out = repair_b_colours(h, [0, 2], [BLACK, WHITE, BLACK])
         assert out == [BLACK, WHITE, BLACK]
-
-    def test_unrepairable_raises(self):
-        h = build_graph(2, [(0, 1, 1, 1)])
-        with pytest.raises(NotWeakOnAError):
-            repair_b_colours(h, [0, 1], [], [WHITE, WHITE])
 
     def test_never_touches_odd_nodes(self):
         for seed in range(20):
             g = random_weak(14, 5, seed)
             part = partition_abc(g)
             h2 = build_h2(g, part)
-            if not h2.real_count:
+            if not h2.base.n:
                 continue
-            colours = centralized_weak_colouring(h2.graph)[:h2.real_count]
-            ids = {orig: i for i, orig in enumerate(h2.original_ids)}
-            a_core = [ids[v] for v in part.a]
-            b_core = [ids[v] for v in part.b]
-            repaired = repair_b_colours(h2.base, a_core, b_core, colours)
+            colours = centralized_weak_colouring(h2.graph)[:h2.base.n]
+            a_core = [i for i, v in enumerate(h2.original_ids) if v in part.a]
+            repaired = repair_b_colours(h2.base, a_core, colours)
             for v in a_core:
                 assert repaired[v] == colours[v]
+            # the repair is not checked in the pipeline: its output must be weak
+            assert classify_colouring(h2.base, repaired) >= ColouringClass.WEAK
 
 
 class TestProviders:
@@ -133,6 +133,9 @@ class TestProviders:
             odd_delta_dominating_set(k4_oriented, provider=lambda h: [WHITE] * h.n)
         with pytest.raises(ProviderFailureError):
             odd_delta_dominating_set(k4_oriented, provider=lambda h: [WHITE])
+        for output in (None, {0: WHITE, 1: BLACK, 2: BLACK, 3: BLACK}):
+            with pytest.raises(ProviderFailureError):
+                odd_delta_dominating_set(k4_oriented, provider=lambda h: output)
 
 
 class TestPipeline:
