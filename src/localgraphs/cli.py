@@ -101,6 +101,10 @@ _ORACLES = {"ds": ("brute_min_dominating_set", True),
             "matching": ("brute_max_matching", False),
             "is": ("brute_max_independent_set", False)}
 
+LIMIT_HELP = ("largest node count the exact oracles accept for dominating set, "
+              "independent set and matching on a non-bipartite graph "
+              "(default %(default)s); bipartite matching is never capped")
+
 
 def _oracle(problem: str):
     """The exact solver for ``problem`` and whether it minimizes."""
@@ -312,7 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also compute the exact optimum and the ratio")
     run.add_argument("--assert-oracle", action="store_true",
                      help="re-check every scheme invocation against the oracle")
-    run.add_argument("--limit", type=int, default=oracles.DEFAULT_LIMIT)
+    run.add_argument("--limit", type=int, default=oracles.DEFAULT_LIMIT,
+                     help=LIMIT_HELP)
     run.add_argument("--weak-colouring", default="centralized",
                      help="centralized or external:<colour-map.json>")
     run.add_argument("--trace", help="write a JSON-lines execution trace")
@@ -321,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exact optimum for a small instance")
     oracle.add_argument("--graph", required=True)
     oracle.add_argument("--problem", required=True, choices=["ds", "matching", "is"])
-    oracle.add_argument("--limit", type=int, default=oracles.DEFAULT_LIMIT)
+    oracle.add_argument("--limit", type=int, default=oracles.DEFAULT_LIMIT,
+                        help=LIMIT_HELP)
     oracle.set_defaults(func=_cmd_oracle)
 
     verify = sub.add_parser("verify", help="validate a solution file")

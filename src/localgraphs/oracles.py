@@ -1,9 +1,12 @@
 """Exact solvers and verifiers for desk-scale instances.
 
 These are the ground truth every approximation claim is checked against.
-Set-search solvers use bitmask branch-and-bound and are capped by a size
-limit; the matching solver switches to augmenting-path search on
-bipartite graphs, which admits larger instances.
+The dominating-set and independent-set solvers use bitmask branch and
+bound, which is exponential, and are capped by a size limit.  Maximum
+matching is polynomial: Kuhn's augmenting-path search on bipartite
+graphs (never capped) and Edmonds' blossom algorithm on the others,
+which keep the size limit.  Both matching solvers walk their paths in
+loops, so a long path or cycle cannot exhaust the recursion limit.
 """
 
 from __future__ import annotations
@@ -74,15 +77,15 @@ def brute_min_dominating_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[
     # greedy max-coverage incumbent
     dominated, greedy = 0, []
     while dominated != full:
-        best_u = max(g.nodes, key=lambda u: (bin(closed[u] & ~dominated).count("1"), -u))
+        best_u = max(g.nodes, key=lambda u: ((closed[u] & ~dominated).bit_count(), -u))
         greedy.append(best_u)
         dominated |= closed[best_u]
 
     def lower_bound(undom: int) -> int:
         if not undom:
             return 0
-        cover = max(bin(closed[u] & undom).count("1") for u in g.nodes)
-        return -(-bin(undom).count("1") // cover)
+        cover = max((closed[u] & undom).bit_count() for u in g.nodes)
+        return -(-undom.bit_count() // cover)
 
     chosen: list[int] = []
     found: list[int] | None = None
@@ -103,7 +106,7 @@ def brute_min_dominating_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[
             return False
         v = (undom & -undom).bit_length() - 1
         cands = sorted(_bits(closed[v]),
-                       key=lambda u: -bin(closed[u] & undom).count("1"))
+                       key=lambda u: -(closed[u] & undom).bit_count())
         for u in cands:
             chosen.append(u)
             if dfs(dominated | closed[u], target, seen):
@@ -124,8 +127,11 @@ def brute_min_dominating_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[
 def brute_max_matching(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[Edge]:
     """An exact maximum matching.
 
-    Bipartite graphs use augmenting-path search (any size); other graphs
-    fall back to memoized branching over the vertices, capped by ``limit``.
+    Bipartite graphs use Kuhn's augmenting-path search (any size); other
+    graphs use Edmonds' blossom algorithm, which is polynomial but still
+    refuses more than ``limit`` nodes with ``TooLargeError``.  Both are
+    deterministic for a given port numbering; which maximum matching is
+    returned is otherwise unspecified.
     """
     side = try_bipartition(g)
     if side is not None:
@@ -170,41 +176,92 @@ def _bipartite_max_matching(g: Graph, side: list[int]) -> frozenset[Edge]:
 
 
 def _general_max_matching(g: Graph) -> frozenset[Edge]:
-    adj, _ = _adch_masks(g)
-    memo: dict[int, int] = {}
+    """Edmonds' blossom algorithm (Edmonds, "Paths, trees, and flowers", 1965).
 
-    def size(avail: int) -> int:
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            if adj[v] & avail & ~_bit(v):
-                break
-            avail &= ~_bit(v)      # vertex with no available neighbour
-        else:
-            return 0
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        best = size(avail & ~_bit(v))
-        for u in _bits(adj[v] & avail):
-            best = max(best, 1 + size(avail & ~_bit(v) & ~_bit(u)))
-        memo[avail] = best
-        return best
+    Starts from a greedy matching, then grows one alternating BFS tree
+    from each free node in id order, neighbours in port order.  An edge
+    between two even tree nodes closes an odd cycle (a blossom), which is
+    contracted at the lowest common ancestor of its two ends by pointing
+    every member's ``base`` at that ancestor; reaching a free node flips
+    the augmenting path.  Every walk is a loop, so no recursion limit
+    applies, and the work is O(n^3) in the worst case.
+    """
+    n = g.n
+    match = [-1] * n
+    for v in g.nodes:
+        if match[v] == -1:
+            for u in g.neighbours(v):
+                if match[u] == -1:
+                    match[v], match[u] = u, v
+                    break
+    for root in g.nodes:
+        if match[root] == -1:
+            end, parent = _augmenting_tree(g, match, root)
+            while end != -1:                    # flip the path back to root
+                v = parent[end]
+                after = match[v]
+                match[end], match[v] = v, end
+                end = after
+    return frozenset((v, u) for v, u in enumerate(match) if v < u)
 
-    edges: list[Edge] = []
-    avail = (1 << g.n) - 1
-    target = size(avail)
-    while target:
-        v = next(u for u in _bits(avail) if adj[u] & avail & ~_bit(u))
-        if size(avail & ~_bit(v)) == target:
-            avail &= ~_bit(v)
-            continue
-        for u in _bits(adj[v] & avail):
-            if 1 + size(avail & ~_bit(v) & ~_bit(u)) == target:
-                edges.append(normalize_edge(v, u))
-                avail &= ~_bit(v) & ~_bit(u)
-                target -= 1
+
+def _augmenting_tree(g: Graph, match: list[int], root: int) -> tuple[int, list[int]]:
+    """A free node reached from root by an alternating path, or -1.
+
+    ``parent`` links each odd (inner) node to the even node it was reached
+    from; an even node steps back through its partner.  Contracting a
+    blossom also sets ``parent`` on its formerly even members, pointing
+    the other way round the odd cycle, so partner and parent steps from
+    any member still walk an alternating path back to root.
+    """
+    n = g.n
+    parent = [-1] * n
+    base = list(range(n))
+    even = [False] * n
+    even[root] = True
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
                 break
-    return frozenset(edges)
+            a = parent[match[a]]
+        while not seen[base[b]]:
+            b = parent[match[base[b]]]
+        return base[b]
+
+    def mark_path(v: int, stem: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != stem:
+            blossom[base[v]] = blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[child]
+
+    for v in queue:                             # the queue grows while it is read
+        for u in g.neighbours(v):
+            if base[v] == base[u] or match[v] == u:
+                continue
+            if even[u]:                         # an odd cycle: contract it
+                stem = lca(v, u)
+                blossom = [False] * n
+                mark_path(v, stem, u, blossom)
+                mark_path(u, stem, v, blossom)
+                for w in range(n):
+                    if blossom[base[w]]:
+                        base[w] = stem
+                        if not even[w]:
+                            even[w] = True
+                            queue.append(w)
+            elif parent[u] == -1:
+                parent[u] = v
+                if match[u] == -1:
+                    return u, parent
+                even[match[u]] = True
+                queue.append(match[u])
+    return -1, parent
 
 
 # -- maximum independent set -----------------------------------------------
@@ -235,7 +292,7 @@ def brute_max_independent_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset
             seen |= comp
             members = sorted(_bits(comp))
             k = len(members)
-            degs = {w: bin(adj[w] & comp).count("1") for w in members}
+            degs = {w: (adj[w] & comp).bit_count() for w in members}
             if all(d == 2 for d in degs.values()) and k >= 3:
                 take = k // 2          # cycle
                 path = _walk_path(members[0], adj, comp, cycle=True)
@@ -247,12 +304,12 @@ def brute_max_independent_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset
         return len(picked), picked
 
     def rec(cand: int):
-        if len(chosen) + bin(cand).count("1") <= len(best):
+        if len(chosen) + cand.bit_count() <= len(best):
             return
         if not cand:
             best[:] = chosen
             return
-        degs = [(bin(adj[v] & cand).count("1"), v) for v in _bits(cand)]
+        degs = [((adj[v] & cand).bit_count(), v) for v in _bits(cand)]
         maxdeg, v = max(degs)
         if maxdeg <= 2:
             got, extra = sparse_value(cand)

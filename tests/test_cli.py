@@ -371,6 +371,19 @@ class TestOracleVerifyExport:
                             "--oracle")
         assert code == 0 and json.loads(out)["optimal_size"] == 1500
 
+    def test_long_odd_cycle_matching(self, capsys, tmp_path):
+        # a non-bipartite graph far above the default limit: the general
+        # solver must neither recurse per node nor search subsets
+        path = tmp_path / "c1501.json"
+        code, _ = run_cli(capsys, "gen", "--family", "cycle", "--n", "1501",
+                          "--out", str(path))
+        assert code == 0
+        code = main(["oracle", "--graph", str(path), "--problem", "matching",
+                     "--limit", "5000"])
+        captured = capsys.readouterr()
+        assert code == 0 and json.loads(captured.out)["size"] == 750
+        assert "Traceback" not in captured.err
+
     def test_export_dot_bad_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("nope")

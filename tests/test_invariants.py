@@ -5,7 +5,8 @@ package.  Copies of a valid graph derive their port tables from the
 source's and never re-validate through ``build_graph``.  Every function
 the benchmark's traced run wraps still exists under its name.  No code
 names the retired ``needs_colour`` flag.  Every error class is raised
-or extended somewhere.
+or extended somewhere.  Bits are counted with ``int.bit_count``, never
+through a binary string.
 """
 
 from __future__ import annotations
@@ -107,3 +108,17 @@ def test_every_error_class_is_raised_or_extended():
     classes = {name for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.LocalGraphError)}
     assert sorted(classes - raised - bases) == []
+
+
+def test_no_binary_string_popcount():
+    # ``bin(x).count("1")`` builds a string per call; ``x.bit_count()``
+    # gives the same count without one (Python >= 3.10)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "count"
+                  and isinstance(node.func.value, ast.Call)
+                  and getattr(node.func.value.func, "id", None) == "bin"]
+    assert found == []

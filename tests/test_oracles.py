@@ -14,7 +14,7 @@ from localgraphs.oracles import (Solution, SolutionKind,
                                  brute_max_matching,
                                  brute_min_dominating_set,
                                  shortest_augmenting_path_length,
-                                 verify_solution)
+                                 try_bipartition, verify_solution)
 
 import _corpus
 from conftest import ascending_ports
@@ -172,6 +172,35 @@ class TestAgreementWithEnumeration:
         for n, edges in _corpus.bipartite_connected_graphs(max_n=7):
             g = ascending_ports(n, edges)
             assert len(brute_max_matching(g)) == enum_min_vertex_cover_size(g)
+
+
+class TestBlossom:
+    def test_augmenting_path_through_odd_cycle(self):
+        # the greedy start matches 0-1 and 2-3 and leaves 4 and 5 free; both
+        # of 4's neighbours (0 and 3) enter its search tree as odd nodes, so
+        # the only augmenting paths, 4-0=1-2=3-5 and 4-3=2-1=0-5, run through
+        # the 5-cycle 4-0-1-2-3 and are found only once it is contracted
+        g = ascending_ports(6, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 4), (0, 5), (3, 5)])
+        m = brute_max_matching(g)
+        assert verify_solution(g, Solution(SolutionKind.MATCHING, m)).ok
+        assert len(m) == enum_max_matching_size(g) == 3
+
+    def test_random_non_bipartite_leave_no_augmenting_path(self):
+        # n = 9..16, where the enumerator is not run: by Berge's theorem a
+        # matching that the separate exhaustive search finds no augmenting
+        # path for is maximum
+        checked = 0
+        for n in range(9, 17):
+            for delta in (3, 4, 5, 6):
+                for s in range(40):
+                    g = random_weak(n, delta, s, oriented=False)
+                    if try_bipartition(g) is not None:
+                        continue
+                    m = brute_max_matching(g)
+                    assert verify_solution(g, Solution(SolutionKind.MATCHING, m)).ok
+                    assert shortest_augmenting_path_length(g, m) is None
+                    checked += 1
+        assert checked > 900
 
 
 class TestVerify:
