@@ -336,12 +336,17 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
     For h = 2i-1 the schedule runs t_i invocations of 3h rounds: h of
     flooding, h of proposals going up, h of acceptances going down.  Each
     node reads its place in it from the round number and the degree
-    bound, so phase boundaries need no coordination.  A node is stepped
-    only on mail, except that an unmatched black wakes at rho = 3h to
-    send the next wake-up flood; the first step in a new invocation
-    resets the per-invocation fields.  Every message is one byte.
-    Output is the port of the node's matched edge, or None.  ``k`` is
-    checked with the round budget, after the engine's colouring check.
+    bound, so phase boundaries need no coordination.  That place is the
+    same for every node of a round, so it is computed once per round and
+    shared by ``step`` and ``next_wake``; the instance keeps only that
+    lookup, never a node's state.  A node is stepped only on mail,
+    except that an unmatched black wakes at rho = 3h to send the next
+    wake-up flood; the first step in a new invocation resets the
+    per-invocation fields.  ``step`` writes the state dict item by item,
+    so its keys and their order are the ones ``init`` and that first
+    reset create.  Every message is one byte.  Output is the port of the
+    node's matched edge, or None.  ``k`` is checked with the round
+    budget, after the engine's colouring check.
     """
 
     name = "matching-scheme"
@@ -349,9 +354,37 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
 
     def __init__(self, k: int):
         self.k = k
+        self._last = (None, None, None, False, None)    # see _facts
 
     def round_budget(self, max_degree: int) -> int:
         return scheme_round_budget(max_degree, self.k)
+
+    def _facts(self, delta: int, round_no: int) -> tuple:
+        """(delta, round_no, position, wake-up flood, wake) of a round.
+
+        ``position`` is ``_position``'s (h, rho, invocation), None for
+        round 0; the wake-up flood is due at rho = 3h of every invocation
+        but the schedule's last; ``wake`` is what ``next_wake`` answers an
+        unmatched black.  The engine asks about one round for every node
+        it steps in it, so the last answer is kept, keyed on the degree
+        bound as well as the round: one instance may run on graphs with
+        different bounds.
+        """
+        last = self._last
+        if last[1] == round_no and last[0] == delta:
+            return last
+        budget = scheme_round_budget(delta, self.k)
+        position = _position(delta, self.k, round_no)
+        flood = (position is not None and position[1] == 3 * position[0]
+                 and round_no < budget)
+        wake = None
+        if round_no + 1 < budget:
+            h, rho, _ = _position(delta, self.k, round_no + 1)
+            wake = round_no + 1 + 3 * h - rho   # rho = 3h of this or the next invocation
+            if wake >= budget:
+                wake = None
+        self._last = (delta, round_no, position, flood, wake)
+        return self._last
 
     def init(self, view: NodeView) -> tuple[Any, Sends]:
         state = {
@@ -368,37 +401,50 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
     def next_wake(self, state: dict, round_no: int) -> int | None:
         if state["colour"] != BLACK or state["matched_port"] is not None:
             return None
-        budget = scheme_round_budget(state["delta"], self.k)
-        if round_no + 1 >= budget:
-            return None
-        h, rho, _ = _position(state["delta"], self.k, round_no + 1)
-        wake = round_no + 1 + 3 * h - rho      # rho = 3h of this or the next invocation
-        return wake if wake < budget else None
+        return self._facts(state["delta"], round_no)[4]
 
     def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends]:
-        h, rho, invocation = _position(state["delta"], self.k, round_no)
+        _, _, (h, rho, invocation), wakeup_flood, _ = self._facts(state["delta"], round_no)
         sends: dict[int, bytes] = {}
         black = state["colour"] == BLACK
         white = not black
 
         if invocation != state["invocation"]:     # the first step in a new invocation
             root = black and state["matched_port"] is None
-            state.update(invocation=invocation, joined=root, parent_port=None,
-                         depth=0 if root else None, chosen_child_port=None)
+            state["invocation"] = invocation
+            state["joined"] = root
+            state["parent_port"] = None
+            state["depth"] = 0 if root else None
+            state["chosen_child_port"] = None
 
         if inbox:
-            port = min((p for p, msg in inbox.items() if msg == _FLOOD), default=None)
+            port = child = None         # the lowest port of a flood and of a proposal
+            accepted = False
+            for p, msg in inbox.items():
+                if msg == _FLOOD:
+                    if port is None or p < port:
+                        port = p
+                elif msg == _PROPOSE:
+                    if child is None or p < child:
+                        child = p
+                elif msg == _ACCEPT:
+                    accepted = True
+
             if port is not None and not state["joined"]:
                 matched = state["matched_port"]
                 if white and matched is None:
                     if rho < h:
                         raise ShorterPathExistsError(
                             f"flood reached an unmatched white node after {rho} < {h} hops")
-                    state.update(joined=True, parent_port=port, depth=rho)
+                    state["joined"] = True
+                    state["parent_port"] = port
+                    state["depth"] = rho
                     sends[port] = _PROPOSE
                 elif white:
                     if rho < h:
-                        state.update(joined=True, parent_port=port, depth=rho)
+                        state["joined"] = True
+                        state["parent_port"] = port
+                        state["depth"] = rho
                         sends[matched] = _FLOOD
                     # discarded on the last hop
                 else:
@@ -406,12 +452,13 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                         raise InvariantError(
                             "flood reached an unmatched black node; floods reach "
                             "blacks only over matched edges")
-                    state.update(joined=True, parent_port=port, depth=rho)
+                    state["joined"] = True
+                    state["parent_port"] = port
+                    state["depth"] = rho
                     for p in range(1, state["degree"] + 1):
                         if p != matched:
                             sends[p] = _FLOOD
 
-            child = min((p for p, msg in inbox.items() if msg == _PROPOSE), default=None)
             if child is not None:
                 state["chosen_child_port"] = child
                 if state["depth"] == 0:
@@ -420,7 +467,7 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                 else:
                     sends[state["parent_port"]] = _PROPOSE
 
-            if any(msg == _ACCEPT for msg in inbox.values()):
+            if accepted:
                 if white:
                     state["matched_port"] = state["parent_port"]
                 else:
@@ -429,8 +476,7 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                     sends[state["chosen_child_port"]] = _ACCEPT
 
         # every invocation but the schedule's last ends with the next wake-up flood
-        if (rho == 3 * h and black and state["matched_port"] is None
-                and round_no < scheme_round_budget(state["delta"], self.k)):
+        if wakeup_flood and black and state["matched_port"] is None:
             for p in range(1, state["degree"] + 1):
                 sends[p] = _FLOOD
         return state, sends

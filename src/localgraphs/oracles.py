@@ -145,15 +145,22 @@ def _bipartite_max_matching(g: Graph, side: list[int]) -> frozenset[Edge]:
     """Kuhn's augmenting-path search from each free left node in id order.
 
     The depth-first search keeps an explicit stack, so a long path cannot
-    exceed the recursion limit; neighbours are tried in port order.
+    exceed the recursion limit; neighbours are tried in port order.  A
+    root whose first neighbour is free is matched to it directly, as the
+    search would, without setting up the stack.
     """
     partner: dict[int, int] = {}
     for root in g.nodes:
         if side[root] or root in partner:
             continue
+        nbrs = g.neighbours(root)
+        if nbrs and nbrs[0] not in partner:
+            partner[root] = nbrs[0]
+            partner[nbrs[0]] = root
+            continue
         visited: set[int] = set()
         path = [root]                           # left, right, left, ... nodes
-        todo = [iter(g.neighbours(root))]       # one per left node on the path
+        todo = [iter(nbrs)]                     # one per left node on the path
         while todo:
             for u in todo[-1]:
                 if u not in visited:

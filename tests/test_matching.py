@@ -15,7 +15,7 @@ from localgraphs.errors import (InvariantError, NotAugmentingError,
                                 NotProperlyColouredError, PathsNotDisjointError,
                                 RoundBudgetError, ShorterPathExistsError)
 from localgraphs.generators import random_bipartite, strong_blowup, numbered_cycle
-from localgraphs.engine import NodeView
+from localgraphs.engine import NodeView, run_local_algorithm
 from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
                                   SchemeStats, approximate_maximum_matching,
                                   augment_phase, eliminate_length, flood_phase,
@@ -402,3 +402,62 @@ class TestSimulatedScheme:
         unmatched_black = colour == BLACK and matched_port is None
         assert floods == ([3, 6, 9, 18, 27, 36, 45, 54] if unmatched_black else [])
 
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_instance_across_degree_bounds(self, seed):
+        """An instance reused on runs with degree bounds 3, 4, then 3 again
+        gives every run what a fresh instance gives: its per-round schedule
+        lookup is keyed on the bound as well as the round."""
+        g = random_bipartite(40, 3, seed)
+        shared = MatchingSchemeAlgorithm(2)
+        for delta in (3, 4, 3):
+            got = run_local_algorithm(g, shared, max_degree=delta)
+            want = run_local_algorithm(g, MatchingSchemeAlgorithm(2), max_degree=delta)
+            assert got.outputs == want.outputs
+            assert (got.steps, got.rounds_used) == (want.steps, want.rounds_used)
+
+    def test_one_instance_steps_two_bounds_in_one_round(self):
+        """Nodes of runs with different degree bounds, stepped alternately in
+        the same rounds by one instance, each see their own schedule."""
+        shared = MatchingSchemeAlgorithm(2)
+        fresh = {3: MatchingSchemeAlgorithm(2), 4: MatchingSchemeAlgorithm(2)}
+        for r in range(1, scheme_round_budget(3, 2) + 1):
+            for delta in (3, 4):
+                view = NodeView(degree=3, max_degree=delta, colour=BLACK)
+                state, _ = shared.init(view)
+                want, _ = fresh[delta].init(view)
+                assert shared.step(state, {}, r) == fresh[delta].step(want, {}, r)
+                assert shared.next_wake(state, r) == fresh[delta].next_wake(want, r)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_inbox_takes_the_lowest_port_of_each_kind(self, reverse):
+        """A flood is taken from its lowest port and a proposal from the
+        lowest proposing child, whatever order the inbox lists them in.
+        Degree bound 4, k = 2: h = 1 in rounds 1-12, h = 3 from round 13."""
+        flood, propose, accept = b"\x01", b"\x02", b"\x03"
+        alg = MatchingSchemeAlgorithm(2)
+
+        def node(colour, matched_port=None):
+            state, _ = alg.init(NodeView(degree=4, max_degree=4, colour=colour))
+            state["matched_port"] = matched_port
+            return state
+
+        def inbox(*items):
+            return dict(reversed(items) if reverse else items)
+
+        # unmatched white at rho = h = 1: joins below port 1 and proposes there
+        state, sends = alg.step(node(WHITE), inbox((3, flood), (1, flood)), 1)
+        assert (state["parent_port"], sends) == (1, {1: propose})
+        # matched white at rho = 1 < h = 3: joins below port 1, floods its mate
+        white, sends = alg.step(node(WHITE, 3), inbox((3, flood), (1, flood)), 13)
+        assert (white["parent_port"], sends) == (1, {3: flood})
+        # matched black at rho = 2: joins below port 1, floods all but its mate
+        state, sends = alg.step(node(BLACK, 2), inbox((3, flood), (1, flood)), 14)
+        assert (state["parent_port"], sends) == (1, {1: flood, 3: flood, 4: flood})
+        # unmatched black root at rho = 2 of h = 1: accepts child port 2
+        state, sends = alg.step(node(BLACK), inbox((4, propose), (2, propose)), 2)
+        assert (state["chosen_child_port"], state["matched_port"]) == (2, 2)
+        assert sends == {2: accept}
+        # the joined white at rho = 4: chooses child port 2, proposes to its parent
+        state, sends = alg.step(white, inbox((4, propose), (2, propose)), 16)
+        assert (state["chosen_child_port"], sends) == (2, {1: propose})
