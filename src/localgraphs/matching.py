@@ -53,23 +53,23 @@ def _check_proper(g: Graph) -> None:
         raise NotProperlyColouredError("scheme requires a proper 2-colouring")
 
 
-def flood_phase(g: Graph, m, h: int, *, assert_no_shorter: bool = False) -> AugmentingForest:
+def flood_phase(g: Graph, m, h: int) -> AugmentingForest:
     """Grow augmenting trees of height ``h`` from the unmatched black nodes.
 
-    Assumes no augmenting path shorter than ``h`` exists; an unmatched
-    white node reached early is a witness against that assumption and
-    raises.  With ``assert_no_shorter`` the assumption is checked up
-    front with the path-length oracle.
+    Raises ShorterPathExistsError exactly when an augmenting path shorter
+    than ``h`` exists.  In a properly coloured graph an alternating path
+    from an unmatched black leaves each black by an unmatched edge and
+    each white by its matched edge, and so does the flood; a node joins
+    at its first arrival, so the flood is a breadth-first search over
+    those directed edges, the layered search of Hopcroft and Karp (1973).
+    Each node joins at its alternating distance from the unmatched
+    blacks, and the first unmatched white reached is at the length of a
+    shortest augmenting path.  Reached before hop ``h``, it raises.
     """
     _check_proper(g)
     if h < 1 or h % 2 == 0:
         raise ValueError(f"path length must be a positive odd number, got {h}")
-    edges = validate_matching(g, m)
-    if assert_no_shorter:
-        spl = shortest_augmenting_path_length(g, edges)
-        if spl is not None and spl < h:
-            raise ShorterPathExistsError(f"an augmenting path of length {spl} exists")
-    return _flood(g, partner_map(edges), h)
+    return _flood(g, partner_map(validate_matching(g, m)), h)
 
 
 def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:

@@ -25,6 +25,18 @@ def ascending_ports(n: int, pairs, colours=None, directions=None) -> Graph:
     return build_graph(n, _ascending_port_specs(n, pairs, directions), colours)
 
 
+def greedy_random_matching(g: Graph, rng, keep: float = 0.7) -> frozenset:
+    """Greedy over the edges in random order, taking a free edge with chance ``keep``."""
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    used, out = set(), set()
+    for u, v in edges:
+        if u not in used and v not in used and rng.random() < keep:
+            used.update((u, v))
+            out.add((u, v))
+    return frozenset(out)
+
+
 def path_graph(colour_string: str) -> Graph:
     """Path with one node per character, 'b' black and 'w' white."""
     n = len(colour_string)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  shortest_augmenting_path_length,
                                  try_bipartition, verify_solution)
 
-from conftest import ascending_ports, path_graph
+from conftest import ascending_ports, greedy_random_matching, path_graph
 
 
 def adversarial_p4():
@@ -81,9 +82,25 @@ class TestFloodPhase:
         with pytest.raises(ShorterPathExistsError):
             flood_phase(p4_coloured, frozenset(), 3)
 
-    def test_oracle_precheck_flag(self, p4_coloured):
-        with pytest.raises(ShorterPathExistsError):
-            flood_phase(p4_coloured, frozenset(), 3, assert_no_shorter=True)
+    def test_flood_is_an_exact_detector(self):
+        # the flood raises exactly when a shorter augmenting path exists
+        lengths = set()
+        for n in (6, 10, 16, 30):
+            for delta in (2, 3, 4):
+                for seed in range(60):
+                    g = random_bipartite(n, delta, seed)
+                    m = greedy_random_matching(g, random.Random(seed), keep=0.9)
+                    spl = shortest_augmenting_path_length(g, m)
+                    lengths.add(spl)
+                    for h in (1, 3, 5, 7, 9):
+                        shorter = spl is not None and spl < h
+                        try:
+                            flood_phase(g, m, h)
+                        except ShorterPathExistsError:
+                            assert shorter, (n, delta, seed, h)
+                        else:
+                            assert not shorter, (n, delta, seed, h)
+        assert {1, 3, 5, 7, None} <= lengths
 
     def test_requires_proper_colouring(self):
         tri = ascending_ports(3, [(0, 1), (0, 2), (1, 2)],

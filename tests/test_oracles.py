@@ -12,12 +12,13 @@ from localgraphs.generators import random_bipartite, random_weak
 from localgraphs.oracles import (Solution, SolutionKind,
                                  brute_max_independent_set,
                                  brute_max_matching,
-                                 brute_min_dominating_set,
+                                 brute_min_dominating_set, partner_map,
                                  shortest_augmenting_path_length,
-                                 try_bipartition, verify_solution)
+                                 try_bipartition, validate_matching,
+                                 verify_solution)
 
 import _corpus
-from conftest import ascending_ports
+from conftest import ascending_ports, greedy_random_matching
 
 
 def star_k13():
@@ -53,6 +54,42 @@ def enum_max_matching_size(g):
         return best
 
     return rec(0, frozenset())
+
+
+def _dfs_shortest_augmenting(g, partner):
+    best: int | None = None
+    unmatched = [v for v in g.nodes if v not in partner]
+    visited: set[int] = set()
+
+    def dfs(v: int, length: int, want_matched: bool):
+        nonlocal best
+        if best is not None and length >= best:
+            return
+        for u in g.neighbours(v):
+            if u in visited:
+                continue
+            is_matched = partner.get(v) == u
+            if is_matched != want_matched:
+                continue
+            if not want_matched and u not in partner:
+                best = length + 1
+                continue
+            if u in partner:
+                visited.add(u)
+                dfs(u, length + 1, not want_matched)
+                visited.discard(u)
+
+    for a in unmatched:
+        visited = {a}
+        dfs(a, 0, want_matched=False)
+        if best == 1:
+            return 1
+    return best
+
+
+def dfs_shortest_augmenting_path_length(g, m):
+    """The oracle's answer by exhaustive search, on bipartite graphs or not."""
+    return _dfs_shortest_augmenting(g, partner_map(validate_matching(g, m)))
 
 
 def enum_max_independent_set_size(g):
@@ -113,8 +150,12 @@ class TestShortestAugmentingPath:
 
     def test_odd_cycle_fixture(self):
         c5 = cycle(5)
-        assert shortest_augmenting_path_length(c5, {(0, 1), (2, 3)}) is None
-        assert shortest_augmenting_path_length(c5, {(1, 2)}) == 1
+        assert dfs_shortest_augmenting_path_length(c5, {(0, 1), (2, 3)}) is None
+        assert dfs_shortest_augmenting_path_length(c5, {(1, 2)}) == 1
+
+    def test_refuses_non_bipartite(self):
+        with pytest.raises(ValueError, match="bipartite"):
+            shortest_augmenting_path_length(cycle(5), {(1, 2)})
 
     def test_invalid_matching(self, p4_coloured):
         with pytest.raises(InvalidMatchingError):
@@ -124,24 +165,18 @@ class TestShortestAugmentingPath:
 
     def test_none_iff_maximum(self):
         rng = random.Random(7)
+        bipartite = 0
         for trial in range(60):
             n = rng.randrange(4, 11)
             g = random_weak(n, 3, trial, oriented=False)
-            matching = _greedy_random_matching(g, rng)
+            matching = greedy_random_matching(g, rng)
             is_max = len(matching) == len(brute_max_matching(g))
-            spl = shortest_augmenting_path_length(g, matching)
+            spl = dfs_shortest_augmenting_path_length(g, matching)
             assert (spl is None) == is_max
-
-
-def _greedy_random_matching(g, rng):
-    edges = sorted(g.edges)
-    rng.shuffle(edges)
-    used, out = set(), set()
-    for u, v in edges:
-        if u not in used and v not in used and rng.random() < 0.7:
-            used.update((u, v))
-            out.add((u, v))
-    return frozenset(out)
+            if try_bipartition(g) is not None:
+                assert shortest_augmenting_path_length(g, matching) == spl
+                bipartite += 1
+        assert bipartite > 20
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +233,7 @@ class TestBlossom:
                         continue
                     m = brute_max_matching(g)
                     assert verify_solution(g, Solution(SolutionKind.MATCHING, m)).ok
-                    assert shortest_augmenting_path_length(g, m) is None
+                    assert dfs_shortest_augmenting_path_length(g, m) is None
                     checked += 1
         assert checked > 900
 
