@@ -226,13 +226,13 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
     invocation leaves ``edges`` and ``partner`` unchanged, and an
     invocation depends only on them, g and h, so every later one of the
     same length would be the same no-op.  The stop is also a proof: with
-    no shorter augmenting path left, the flood is a layered alternating
-    search (the phase argument of Hopcroft and Karp), so it reaches an
-    unmatched white node at hop h whenever a length-h augmenting path
-    exists.  ``stats`` still records t_i invocations, the skipped ones
-    with no path.  A local node cannot see that the matching is final,
-    so the simulated scheme runs all t_i; with ``assert_oracle`` this
-    reference does too, and checks each against the oracle.
+    no shorter augmenting path left, the flood reaches an unmatched white
+    node at hop h whenever a length-h augmenting path exists (see
+    ``flood_phase``).  ``stats`` still records t_i invocations, the
+    skipped ones with no path.  A local node cannot see that the
+    matching is final, so the simulated scheme runs all t_i; with
+    ``assert_oracle`` this reference does too, and checks each against
+    the oracle.
     """
     h = 2 * i - 1
     t = invocation_count(delta, i)

@@ -5,7 +5,7 @@ The dominating-set and independent-set solvers use bitmask branch and
 bound, which is exponential, and are capped by a size limit.  Maximum
 matching is polynomial: Kuhn's augmenting-path search on bipartite
 graphs (never capped) and Edmonds' blossom algorithm on the others,
-which keep the size limit: its time grows much faster than n^2 (see
+which keep the size limit: its time grows faster than n^2 (see
 ``brute_max_matching``).  Both matching solvers walk their paths in
 loops, so a long path or cycle cannot exhaust the recursion limit.
 """
@@ -131,12 +131,13 @@ def brute_max_matching(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[Edge]:
     Bipartite graphs use Kuhn's augmenting-path search (any size); other
     graphs use Edmonds' blossom algorithm, which is polynomial but still
     refuses more than ``limit`` nodes with ``TooLargeError``.  The cap
-    bounds its time, which grows much faster than n^2 and lies in the
-    searches, not their set-up: on random_weak(n, 3, 1), 0.003 s at
-    n = 1000, 0.5 s at 8000, 2.3 s at 16000, 13 s at 32000 and 68 s at
-    64000, where the generators allow n up to about 333k.  Both solvers
-    are deterministic for a given port numbering; which maximum matching
-    is returned is otherwise unspecified.
+    bounds its time, which grows about fivefold per doubling of n, most
+    of it in each contraction's scan over all n nodes: on
+    random_weak(n, 3, 1), 0.003 s at n = 1000, 0.5 s at 8000, 2.3 s at
+    16000, 13 s at 32000 and 68 s at 64000, where the generators allow
+    n up to about 333k.  Both solvers are deterministic for a given port
+    numbering; which maximum matching is returned is otherwise
+    unspecified.
     """
     side = try_bipartition(g)
     if side is not None:
