@@ -10,13 +10,13 @@ algorithm.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
-from .errors import MissingColoursError, NotProperlyColouredError, NotWeaklyColouredError
+from .errors import (InvariantError, MissingColoursError, NotProperlyColouredError,
+                     NotWeaklyColouredError)
 from .graph import (INCOMING, OUTGOING,   # the directions are re-exported
                     ColouringClass, Graph, classify_colouring)
 
@@ -26,7 +26,11 @@ Inbox = Mapping[int, bytes]          # port -> payload received this round
 
 @dataclass(frozen=True)
 class NodeView:
-    """Exactly what one node may legally see before any message arrives."""
+    """Exactly what one node may legally see before any message arrives.
+
+    Frozen, so the engine hands one view to every node with the same
+    degree, colour and port directions.
+    """
 
     degree: int
     max_degree: int
@@ -39,7 +43,9 @@ class LocalAlgorithm:
 
     ``init`` maps the node's view to an initial state plus the messages
     sent in round 0; ``step`` consumes one inbox and the round number;
-    ``finalize`` maps the final state to the node's output.  A node is
+    ``finalize`` maps the final state to the node's output.  Sends map a
+    port, an ``int`` in 1..degree, to a ``bytes`` payload; the engine
+    raises :class:`InvariantError` on any other send.  A node is
     stepped only in a round where it has mail or where ``next_wake``,
     asked after ``init`` and each ``step``, said to wake it: a later
     round, or None for only on mail; by default the next round.  Only
@@ -106,6 +112,8 @@ def run_local_algorithm(g: Graph,
     whose latest ``next_wake`` named it, in ascending id order.
     ``trace`` receives one JSON line per ``init`` (round 0) and one per
     ``step``, in that order; a node not stepped in a round writes none.
+    A send that breaks the contract, or a ``next_wake`` that names a
+    round not after the current one, raises :class:`InvariantError`.
     A graph whose colouring is weaker than ``alg.needs_colouring`` is
     refused before round 0.
     """
@@ -118,8 +126,7 @@ def run_local_algorithm(g: Graph,
     delta = degree_bound(g, max_degree)
     budget = alg.round_budget(delta)
 
-    # routes[v][p-1] = (neighbour, arrival port) of v's port p
-    routes = [tuple((u, g.port_of(u, v)) for u in g.neighbours(v)) for v in g.nodes]
+    routes = g.routes()
     states: list[Any] = [None] * g.n
     wake: list[int | None] = [None] * g.n     # the round each node last asked to wake
     due: defaultdict[int, list[int]] = defaultdict(list)   # round -> nodes that named it
@@ -132,9 +139,10 @@ def run_local_algorithm(g: Graph,
         out = routes[v]
         for port, payload in sends.items():
             if not isinstance(payload, bytes):
-                raise TypeError(f"payload on port {port} is not bytes")
-            if not 1 <= port <= len(out):
-                raise ValueError(f"send on invalid port {port}")
+                raise InvariantError(f"{alg.name} sent a {type(payload).__name__} payload, "
+                                     f"not bytes, on port {port!r}")
+            if type(port) is not int or not 1 <= port <= len(out):
+                raise InvariantError(f"{alg.name} sent on invalid port {port!r}")
             target, arrival = out[port - 1]
             box = inboxes.get(target)
             if box is None:
@@ -145,22 +153,24 @@ def run_local_algorithm(g: Graph,
                 max_bits = 8 * len(payload)
 
     def record(v: int, sends: Sends, round_no: int) -> None:
-        trace(json.dumps({
-            "round": round_no,
-            "node": v,
-            "sent": sorted([p, payload.hex()] for p, payload in sends.items()),
-            "state_digest": _digest(states[v]).hex(),
-        }, sort_keys=True))
+        """One trace line, byte for byte ``json.dumps(..., sort_keys=True)``."""
+        sent = ", ".join([f'[{p}, "{sends[p].hex()}"]' for p in sorted(sends)])
+        trace(f'{{"node": {v}, "round": {round_no}, "sent": [{sent}], '
+              f'"state_digest": "{_digest(states[v]).hex()}"}}')
 
     step, next_wake, steps = alg.step, alg.next_wake, 0
+    views: dict[tuple, NodeView] = {}     # one frozen view per distinct label
     for v in g.nodes:
-        view = NodeView(degree=g.degree(v), max_degree=delta, colour=g.colour(v),
-                        port_directions=g.port_directions(v))
+        label = _node_label(g, v)
+        view = views.get(label)
+        if view is None:
+            degree, colour, directions = label
+            view = views[label] = NodeView(degree, delta, colour, directions)
         states[v], sends = alg.init(view)
         w = wake[v] = next_wake(states[v], 0)
         if w is not None:
             if w <= 0:
-                raise ValueError(f"next_wake named round {w} after round 0")
+                raise InvariantError(f"next_wake named round {w} after round 0")
             due[w].append(v)
         if sends:
             deliver(v, sends)
@@ -177,7 +187,8 @@ def run_local_algorithm(g: Graph,
             w = wake[v] = next_wake(states[v], round_no)
             if w is not None:
                 if w <= round_no:
-                    raise ValueError(f"next_wake named round {w} after round {round_no}")
+                    raise InvariantError(
+                        f"next_wake named round {w} after round {round_no}")
                 due[w].append(v)
             steps += 1
             if sends:
@@ -214,11 +225,10 @@ def _view_codes(g: Graph, radius: int, intern: dict) -> list[int]:
         return code
 
     labels = [_node_label(g, v) for v in g.nodes]
+    routes = g.routes()
     codes = [get(("leaf", label)) for label in labels]
     for _ in range(radius):
-        codes = [get((labels[v],
-                      tuple((g.arrival_port(v, p), codes[g.port_neighbour(v, p)])
-                            for p in range(1, g.degree(v) + 1))))
+        codes = [get((labels[v], tuple((arrival, codes[u]) for u, arrival in routes[v])))
                  for v in g.nodes]
     return codes
 

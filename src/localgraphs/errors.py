@@ -11,7 +11,8 @@ the command line's exit code:
   the colouring it needs, and the engine alone refuses a graph without
   it, before round 0;
 * internal (exit 4): an :class:`InvariantError`; a check inside an
-  algorithm failed, which is a bug, not bad input.  An input class
+  algorithm failed, or a simulated algorithm broke the engine's send
+  contract, which is a bug, not bad input.  An input class
   raised on an algorithm's own output (a malformed star forest or
   matching, a bad augmenting path) is re-raised as one.
 """

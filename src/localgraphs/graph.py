@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 from enum import IntEnum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -113,6 +114,12 @@ class Graph:
         """The port at v leading to neighbour u."""
         return self._port_of[v][u]
 
+    def routes(self) -> list[tuple[tuple[int, int], ...]]:
+        """``routes()[v][p-1]`` is (neighbour, arrival port) of v's port p."""
+        port_of = self._port_of
+        return [tuple([(u, port_of[u][v]) for u in nbrs])
+                for v, nbrs in enumerate(self._port_to)]
+
     def port_directions(self, v: int) -> tuple[str, ...] | None:
         """OUTGOING or INCOMING per port of v, in port order; None if unoriented."""
         return None if self._directions is None else self._directions[v]
@@ -156,8 +163,9 @@ def build_graph(node_count: int,
     colour_list = _normalize_colours(node_count, colours)
 
     edge_set: set[Edge] = set()
-    ports: list[dict[int, int]] = [dict() for _ in range(node_count)]
-    dirs: list[dict[int, str]] = [dict() for _ in range(node_count)]   # port -> direction
+    add_edge = edge_set.add
+    # port -> neighbour, or -> (neighbour, direction) on an oriented edge
+    ports: list[dict] = [{} for _ in range(node_count)]
     directed = 0
 
     for spec in edges:
@@ -172,40 +180,45 @@ def build_graph(node_count: int,
             raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
         if u == v:
             raise SelfLoopError(f"self-loop at node {u}")
-        e = normalize_edge(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in edge_set:
             raise DuplicateEdgeError(f"edge {e} listed twice")
-        edge_set.add(e)
-        for node, port in ((u, pu), (v, pv)):
-            if port in ports[node]:
-                raise PortClashError(f"port {port} reused at node {node}")
-            ports[node][port] = v if node == u else u
-        if direction is not None:
-            if direction not in ("uv", "vu"):
-                raise ValueError(f"direction must be 'uv', 'vu' or None, got {direction!r}")
-            forward = direction == "uv"
-            dirs[u][pu] = OUTGOING if forward else INCOMING
-            dirs[v][pv] = INCOMING if forward else OUTGOING
+        add_edge(e)
+        at_u, at_v = ports[u], ports[v]
+        if pu in at_u:
+            raise PortClashError(f"port {pu} reused at node {u}")
+        if pv in at_v:
+            raise PortClashError(f"port {pv} reused at node {v}")
+        if direction is None:
+            at_u[pu] = v
+            at_v[pv] = u
+        elif direction == "uv":
+            at_u[pu] = (v, OUTGOING)
+            at_v[pv] = (u, INCOMING)
             directed += 1
+        elif direction == "vu":
+            at_u[pu] = (v, INCOMING)
+            at_v[pv] = (u, OUTGOING)
+            directed += 1
+        else:
+            raise ValueError(f"direction must be 'uv', 'vu' or None, got {direction!r}")
 
     if directed not in (0, len(edge_set)):
         raise GraphFormatError("orientation must be given for all edges or none")
 
-    port_to: list[tuple[int, ...]] = []
-    for v in range(node_count):
-        deg = len(ports[v])
-        if deg == 0:
+    rows = []
+    for v, at in enumerate(ports):
+        if not at:
             raise IsolatedNodeError(f"node {v} has no neighbours")
-        if set(ports[v]) != set(range(1, deg + 1)):
+        try:    # deg distinct keys, all found in 1..deg: exactly 1..deg
+            rows.append(tuple(map(at.__getitem__, range(1, len(at) + 1))))
+        except KeyError:
             raise PortGapError(
-                f"node {v}: ports {sorted(ports[v])} are not exactly 1..{deg}")
-        port_to.append(tuple(ports[v][p] for p in range(1, deg + 1)))
-
-    directions = None
+                f"node {v}: ports {sorted(at)} are not exactly 1..{len(at)}") from None
     if directed:
-        directions = tuple(tuple(dirs[v][p] for p in range(1, len(nbrs) + 1))
-                           for v, nbrs in enumerate(port_to))
-    return Graph(node_count, colour_list, tuple(port_to), directions)
+        port_to, directions = zip(*[zip(*row) for row in rows])
+        return Graph(node_count, colour_list, port_to, directions)
+    return Graph(node_count, colour_list, tuple(rows), None)
 
 
 def _normalize_colours(n, colours):
@@ -242,13 +255,14 @@ def classify_colouring(g: Graph, colours: Sequence[str] | None = None) -> Colour
 
 def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
     """``(u, v, port_u, port_v, direction)`` per edge, sorted: build_graph's input."""
+    port_of, dirs = g._port_of, g._directions
     specs = []
     for u, v in sorted(g.edges):
-        pu = g.port_of(u, v)
+        pu = port_of[u][v]
         direction = None
-        if g._directions is not None:
-            direction = "uv" if g._directions[u][pu - 1] == OUTGOING else "vu"
-        specs.append((u, v, pu, g.port_of(v, u), direction))
+        if dirs is not None:
+            direction = "uv" if dirs[u][pu - 1] == OUTGOING else "vu"
+        specs.append((u, v, pu, port_of[v][u], direction))
     return specs
 
 
@@ -318,10 +332,12 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
 # -- JSON interchange ----------------------------------------------------------
 
 def graph_to_json_dict(g: Graph) -> dict:
-    nodes = [{"id": v, "colour": g.colour(v)} for v in g.nodes]
-    edges = [{"u": u, "v": v, "port_u": pu, "port_v": pv, "dir": d}
+    """The graph's JSON document; every object's keys are inserted in sorted order."""
+    nodes = [{"colour": c, "id": v}
+             for v, c in enumerate(g.colours or [None] * g.n)]
+    edges = [{"dir": d, "port_u": pu, "port_v": pv, "u": u, "v": v}
              for u, v, pu, pv, d in edge_specs(g)]
-    return {"nodes": nodes, "edges": edges}
+    return {"edges": edges, "nodes": nodes}
 
 
 def graph_from_json_dict(doc: dict) -> Graph:
@@ -330,37 +346,50 @@ def graph_from_json_dict(doc: dict) -> Graph:
         edge_docs = doc["edges"]
     except (TypeError, KeyError) as exc:
         raise GraphFormatError(f"missing field: {exc}") from exc
-    for name, docs in (("nodes", node_docs), ("edges", edge_docs)):
-        if not isinstance(docs, list) or not all(isinstance(d, dict) for d in docs):
-            raise GraphFormatError(f"{name} must be a list of objects")
-    ids = [nd.get("id") for nd in node_docs]
-    if set(map(type, ids)) - {int} or sorted(ids) != list(range(len(ids))):
-        raise GraphFormatError("node ids must be exactly 0..n-1")
-    colour_by_id = {}
+    if not isinstance(node_docs, list):
+        raise GraphFormatError("nodes must be a list of objects")
+    # one walk over the nodes: colours[i] is node i's colour; an id that is
+    # not an integer in 0..n-1 or that repeats is reported after the shape checks
+    n = len(node_docs)
+    unset = object()
+    colours: list = [unset] * n
+    ids_ok = True
     for nd in node_docs:
-        colour_by_id[nd["id"]] = nd.get("colour")
-    given = [c for c in colour_by_id.values() if c is not None]
-    if given and len(given) != len(ids):
+        if not isinstance(nd, dict):
+            raise GraphFormatError("nodes must be a list of objects")
+        i = nd.get("id")
+        if type(i) is int and 0 <= i < n and colours[i] is unset:
+            colours[i] = nd.get("colour")
+        else:
+            ids_ok = False
+    if not isinstance(edge_docs, list) or not all(isinstance(d, dict) for d in edge_docs):
+        raise GraphFormatError("edges must be a list of objects")
+    if not ids_ok:
+        raise GraphFormatError("node ids must be exactly 0..n-1")
+    uncoloured = colours.count(None)
+    if uncoloured == n:
+        colours = None
+    elif uncoloured:
         raise GraphFormatError("colours must be given for all nodes or none")
-    colours = [colour_by_id[v] for v in range(len(ids))] if given else None
 
     specs = []
+    fields = itemgetter("u", "v", "port_u", "port_v")
     for ed in edge_docs:
         try:
-            spec = (ed["u"], ed["v"], ed["port_u"], ed["port_v"], ed.get("dir"))
+            u, v, pu, pv = fields(ed)
         except KeyError as exc:
             raise GraphFormatError(f"bad edge document: {ed!r}") from exc
-        if not type(spec[0]) is type(spec[1]) is type(spec[2]) is type(spec[3]) is int:
+        if not type(u) is type(v) is type(pu) is type(pv) is int:
             raise GraphFormatError(f"edge fields must be integers: {ed!r}")
-        specs.append(spec)
+        specs.append((u, v, pu, pv, ed.get("dir")))
     try:
-        return build_graph(len(ids), specs, colours)
+        return build_graph(n, specs, colours)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
 
 
 def dumps(g: Graph) -> str:
-    return json.dumps(graph_to_json_dict(g), sort_keys=True)
+    return json.dumps(graph_to_json_dict(g))
 
 
 def loads(text: str) -> Graph:

@@ -300,6 +300,20 @@ class TestRun:
         assert json.loads(captured.out)["error"] == "InvariantError"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("sends", [{9: b"x"}, {True: b"x"}, {1.0: b"x"}, {"1": b"x"},
+                                       {1: "x"}],
+                             ids=["port-9", "port-True", "port-1.0", "port-str", "str-payload"])
+    def test_send_contract_broken_exit_4(self, capsys, monkeypatch, c4_file, sends):
+        """A step that sends on anything but an int port in 1..deg, or sends a
+        payload that is not bytes, is a bug in the algorithm."""
+        monkeypatch.setattr(StarForestAlgorithm, "step",
+                            lambda self, state, inbox, round_no: (state, dict(sends)))
+        code = main(["run", "--graph", c4_file, "--alg", "star-ds"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["error"] == "InvariantError"
+        assert "Traceback" not in captured.err
+
 
 class TestOracleVerifyExport:
     def test_oracle_sizes(self, capsys, c4_file):

@@ -10,8 +10,8 @@ from localgraphs import (BLACK, WHITE, ColouringClass, LocalAlgorithm, build_gra
                          disjoint_union, local_views_equivalent, relabel,
                          run_local_algorithm)
 from localgraphs.baselines import NeighbourhoodProbe, WhiteIndependentSet
-from localgraphs.errors import (MissingColoursError, NotProperlyColouredError,
-                                NotWeaklyColouredError)
+from localgraphs.errors import (InvariantError, MissingColoursError,
+                                NotProperlyColouredError, NotWeaklyColouredError)
 from localgraphs.generators import numbered_cycle, random_bipartite, weak_layered
 from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.starforest import StarForestAlgorithm
@@ -119,7 +119,7 @@ def test_payload_must_be_bytes(single_edge):
         def init(self, view):
             return 0, {1: "not-bytes"}
 
-    with pytest.raises(TypeError):
+    with pytest.raises(InvariantError, match="not bytes"):
         run_local_algorithm(single_edge, Bad())
 
 
@@ -128,7 +128,7 @@ def test_step_payload_must_be_bytes(single_edge):
         def step(self, state, inbox, round_no):
             return state, {1: "not-bytes"}
 
-    with pytest.raises(TypeError):
+    with pytest.raises(InvariantError, match="not bytes"):
         run_local_algorithm(single_edge, Bad())
 
 
@@ -145,7 +145,7 @@ def test_send_outside_port_range(p3_wbw, phase, offset):
         def step(self, state, inbox, round_no):
             return state, {offset * (state + 1): b"x"}
 
-    with pytest.raises(ValueError, match="invalid port"):
+    with pytest.raises(InvariantError, match="invalid port"):
         run_local_algorithm(p3_wbw, Bad())
 
 
@@ -210,7 +210,7 @@ def test_wake_must_name_a_later_round(p3_wbw, first):
         def next_wake(self, state, round_no):
             return round_no if round_no >= first else None
 
-    with pytest.raises(ValueError, match="next_wake"):
+    with pytest.raises(InvariantError, match="next_wake"):
         run_local_algorithm(p3_wbw, Bad())
 
 

@@ -15,7 +15,9 @@ separately, by a digest of each instance's JSON document, and so are
 the graph copies derived from them (recolouring, port shuffles,
 relabelling, unions, induced subgraphs and the dummy-augmented core).
 The scheme's sparse stepping, only on mail or a requested wake-up, is
-checked against a run that steps every node in every round.
+checked against a run that steps every node in every round.  Trace
+lines and graph documents are written by hand, not by ``json.dumps``;
+both are checked to be exactly the canonical ``sort_keys=True`` form.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ import random
 import pytest
 
 from localgraphs import BLACK, WHITE, LocalAlgorithm, build_graph, run_local_algorithm
+from localgraphs.baselines import (AllNodesDominatingSet, DigestDominatingSetProbe,
+                                   NeighbourhoodProbe, WhiteIndependentSet)
 from localgraphs.generators import (numbered_cycle, random_bipartite,
                                     random_weak, random_weak_colouring,
                                     shuffle_ports, strong_blowup, weak_layered)
-from localgraphs.graph import (disjoint_union, dumps, induced_subgraph, relabel,
-                               with_colours)
+from localgraphs.graph import (disjoint_union, dumps, graph_to_json_dict,
+                               induced_subgraph, relabel, with_colours)
 from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.oddds import build_h2, partition_abc
 from localgraphs.starforest import StarForestAlgorithm
@@ -100,6 +104,41 @@ def sends_and_bits(g, alg):
     result = run_local_algorithm(g, alg, trace=lines.append)
     sent = [[d["round"], d["node"], d["sent"]] for d in map(json.loads, lines) if d["sent"]]
     return sent, sorted(result.outputs.items()), result.rounds_used, result.max_message_bits
+
+
+def assert_canonical_trace(g, alg):
+    lines: list[str] = []
+    run_local_algorithm(g, alg, trace=lines.append)
+    assert lines
+    for line in lines:
+        doc = json.loads(line)
+        assert line == json.dumps(doc, sort_keys=True)
+        assert doc["sent"] == sorted(doc["sent"])
+
+
+@pytest.mark.parametrize("make", [m for _, m, _, _ in GOLDEN], ids=GOLDEN_IDS)
+def test_golden_trace_lines_are_canonical_json(make):
+    assert_canonical_trace(*make())
+
+
+# every shipped LocalAlgorithm, on a graph it accepts
+SHIPPED = [
+    ("star-forest", lambda: StarForestAlgorithm(),
+     lambda: random_weak(60, 5, 3)),
+    ("matching-scheme", lambda: MatchingSchemeAlgorithm(2),
+     lambda: random_bipartite(60, 4, 3)),
+    ("all-nodes", AllNodesDominatingSet, lambda: random_weak(30, 3, 4)),
+    ("white-is", WhiteIndependentSet, lambda: random_bipartite(30, 3, 4)),
+    ("probe", lambda: NeighbourhoodProbe(3), lambda: random_weak(30, 3, 4)),
+    ("probe-ds", lambda: DigestDominatingSetProbe(5, 2),
+     lambda: random_weak(30, 3, 4, oriented=False)),
+]
+
+
+@pytest.mark.parametrize("make_alg, make_graph", [(a, g) for _, a, g in SHIPPED],
+                         ids=[name for name, _, _ in SHIPPED])
+def test_shipped_trace_lines_are_canonical_json(make_alg, make_graph):
+    assert_canonical_trace(make_graph(), make_alg())
 
 
 @pytest.mark.parametrize("make, digest", [(m, d) for _, m, _, d in GOLDEN], ids=GOLDEN_IDS)
@@ -220,3 +259,20 @@ DERIVED = [
                          ids=[name for name, _, _ in DERIVED])
 def test_golden_derived_copy(make, digest):
     assert json_digest(make()) == digest
+
+
+CANONICAL_GRAPHS = (
+    [(f"{f.__name__}({n}, {d}, {s})", lambda f=f, n=n, d=d, s=s: f(n, d, s))
+     for f, n, d, s, _ in SEEDED]
+    + [(name, make) for name, make, _ in DERIVED]
+    + [("uncoloured random_weak(40, 3, 5)",
+        lambda: with_colours(random_weak(40, 3, 5), None)),
+       ("unoriented random_weak(40, 3, 5)",
+        lambda: random_weak(40, 3, 5, oriented=False))])
+
+
+@pytest.mark.parametrize("make", [m for _, m in CANONICAL_GRAPHS],
+                         ids=[name for name, _ in CANONICAL_GRAPHS])
+def test_graph_documents_are_canonical_json(make):
+    g = make()
+    assert dumps(g) == json.dumps(graph_to_json_dict(g), sort_keys=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from localgraphs import BLACK, WHITE, ColouringClass, build_graph, classify_colouring
 from localgraphs.errors import (DuplicateEdgeError, GraphFormatError,
-                                IsolatedNodeError, MissingColoursError,
+                                IsolatedNodeError, LocalGraphError, MissingColoursError,
                                 PortClashError, PortGapError,
                                 PortOutOfRangeError, SelfLoopError)
 from localgraphs.graph import (disjoint_union, dumps, edge_specs,
@@ -61,6 +62,60 @@ class TestBuildGraph:
     def test_colour_length_checked(self):
         with pytest.raises(ValueError):
             build_graph(2, [(0, 1, 1, 1)], [BLACK])
+
+
+# one defect per row, with the class and message build_graph reports for it;
+# the checks run per spec in list order, then over the whole edge list,
+# then per node
+BUILD_ERRORS = [
+    ("3-field spec", 2, [(0, 1, 1)],
+     ValueError, "edge spec must have 4 or 5 fields, got (0, 1, 1)"),
+    ("endpoint out of range", 2, [(0, 1, 1, 1), (1, 2, 2, 1)],
+     ValueError, "edge (1, 2) out of range for 2 nodes"),
+    ("self-loop", 2, [(0, 1, 1, 1), (1, 1, 2, 3)],
+     SelfLoopError, "self-loop at node 1"),
+    ("duplicate given as (v, u)", 2, [(0, 1, 1, 1), (1, 0, 2, 2)],
+     DuplicateEdgeError, "edge (0, 1) listed twice"),
+    ("port clash at u", 3, [(0, 1, 1, 1), (0, 2, 1, 1)],
+     PortClashError, "port 1 reused at node 0"),
+    ("port clash at v", 3, [(0, 1, 1, 1), (2, 1, 1, 1)],
+     PortClashError, "port 1 reused at node 1"),
+    ("direction xy", 2, [(0, 1, 1, 1, "xy")],
+     ValueError, "direction must be 'uv', 'vu' or None, got 'xy'"),
+    ("partial orientation", 3, [(0, 1, 1, 1, "uv"), (1, 2, 2, 1, None)],
+     GraphFormatError, "orientation must be given for all edges or none"),
+    ("isolated node", 3, [(0, 1, 1, 1)],
+     IsolatedNodeError, "node 2 has no neighbours"),
+    ("port gap", 3, [(0, 1, 1, 1), (1, 2, 3, 1)],
+     PortGapError, "node 1: ports [1, 3] are not exactly 1..2"),
+    # several defects: the first one listed wins, whatever its kind
+    ("port clash before later defects", 6,
+     [(0, 1, 1, 1), (0, 2, 1, 1), (3, 3, 1, 2), (0, 9, 2, 1), (4, 1, 1, 3, "xy")],
+     PortClashError, "port 1 reused at node 0"),
+]
+
+
+@pytest.mark.parametrize("n, specs, error, message",
+                         [row[1:] for row in BUILD_ERRORS],
+                         ids=[row[0] for row in BUILD_ERRORS])
+def test_build_graph_reports_the_first_defect(n, specs, error, message):
+    with pytest.raises(error) as caught:
+        build_graph(n, specs)
+    assert type(caught.value) is error and str(caught.value) == message
+
+    # the same edges as a JSON document; a spec without its fifth field has "dir" null
+    fields = ("u", "v", "port_u", "port_v", "dir")
+    doc = {"nodes": [{"id": v, "colour": None} for v in range(n)],
+           "edges": [dict(zip(fields, spec)) for spec in specs]}
+    with pytest.raises(LocalGraphError) as caught:
+        loads(json.dumps(doc))
+    if len(specs[0]) < 4:       # the document check sees the missing field first
+        assert type(caught.value) is GraphFormatError
+        assert str(caught.value).startswith("bad edge document")
+    elif error is ValueError:   # a plain ValueError is wrapped; the message is kept
+        assert type(caught.value) is GraphFormatError and str(caught.value) == message
+    else:                       # every other class already means a bad input
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestClassify:
