@@ -123,8 +123,7 @@ def test_golden_trace_lines_are_canonical_json(make):
 
 # every shipped LocalAlgorithm, on a graph it accepts
 SHIPPED = [
-    ("star-forest", lambda: StarForestAlgorithm(),
-     lambda: random_weak(60, 5, 3)),
+    ("star-forest", StarForestAlgorithm, lambda: random_weak(60, 5, 3)),
     ("matching-scheme", lambda: MatchingSchemeAlgorithm(2),
      lambda: random_bipartite(60, 4, 3)),
     ("all-nodes", AllNodesDominatingSet, lambda: random_weak(30, 3, 4)),

@@ -103,7 +103,7 @@ def test_build_graph_reports_the_first_defect(n, specs, error, message):
         build_graph(n, specs)
     assert type(caught.value) is error and str(caught.value) == message
 
-    # the same edges as a JSON document; a spec without its fifth field has "dir" null
+    # the same edges as a JSON document; a 4-field spec's edge has no "dir", read as null
     fields = ("u", "v", "port_u", "port_v", "dir")
     doc = {"nodes": [{"id": v, "colour": None} for v in range(n)],
            "edges": [dict(zip(fields, spec)) for spec in specs]}
