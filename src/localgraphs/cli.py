@@ -343,8 +343,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None    # built by the first main() call
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:     # parsing keeps no state in the parser, so one serves every call
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except _CliFailure as exc:

@@ -332,7 +332,7 @@ def shuffle_ports(g: Graph, seed: int) -> Graph:
         return tuple(tuple(row[i] for i in order) for row, order in zip(rows, orders))
 
     directions = reordered(map(g.port_directions, g.nodes)) if g.has_orientation else None
-    return Graph(g.n, g.colours, reordered(map(g.neighbours, g.nodes)), directions)
+    return Graph(g.n, g.colours, reordered(map(g.neighbours, g.nodes)), directions, g.edges)
 
 
 def random_bipartite(n: int, delta: int, seed: int) -> Graph:

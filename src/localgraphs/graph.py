@@ -57,26 +57,33 @@ class Graph:
     ``port_to[v]`` lists v's neighbours in port order.  ``directions[v]``
     gives, in the same order, OUTGOING or INCOMING for the edge behind
     each port; ``directions`` is None on an unoriented graph.  The
-    constructor derives the edge set and the reverse tables from
-    ``port_to`` and trusts its arguments.  New structure is validated by
-    :func:`build_graph`; copies of a valid graph (:func:`with_colours`,
-    :func:`relabel`, :func:`disjoint_union`, :func:`induced_subgraph`)
-    derive their tables from the source's.
+    constructor trusts its arguments.  It takes the edge set (normalized
+    ``u < v`` pairs) from ``edges`` or derives it from ``port_to``; the
+    reverse port table (neighbour -> port, per node) is derived on its
+    first read.  New structure is validated by :func:`build_graph`, which
+    passes the edge set its validation built; copies of a valid graph
+    (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
+    :func:`induced_subgraph`) derive their tables from the source's.
     """
 
     __slots__ = ("n", "colours", "edges", "_port_to", "_directions", "_port_of",
                  "_max_degree")
 
-    def __init__(self, n, colours, port_to, directions):
+    def __init__(self, n, colours, port_to, directions, edges=None):
         self.n = n
         self.colours = colours          # tuple[str, ...] | None
         self._port_to = port_to         # tuple[tuple[int, ...], ...]
         self._directions = directions or None   # tuple[tuple[str, ...], ...] | None
-        self._port_of = tuple({u: p for p, u in enumerate(nbrs, start=1)}
-                              for nbrs in port_to)   # neighbour -> port, per node
+        self._port_of = None            # read as `self._port_of or self._reverse()`
         self.edges = frozenset((v, u) for v, nbrs in enumerate(port_to)
-                               for u in nbrs if v < u)   # normalized u < v
+                               for u in nbrs if v < u) if edges is None else edges
         self._max_degree = max(map(len, port_to), default=0)
+
+    def _reverse(self) -> tuple[dict[int, int], ...]:
+        """Derive and keep the reverse port table: neighbour -> port, per node."""
+        self._port_of = tuple({u: p for p, u in enumerate(nbrs, start=1)}
+                              for nbrs in self._port_to)
+        return self._port_of
 
     # -- structure accessors --------------------------------------------
 
@@ -108,15 +115,15 @@ class Graph:
 
     def arrival_port(self, v: int, p: int) -> int:
         """The port at the far endpoint through which v's port p arrives."""
-        return self._port_of[self.port_neighbour(v, p)][v]
+        return (self._port_of or self._reverse())[self.port_neighbour(v, p)][v]
 
     def port_of(self, v: int, u: int) -> int:
         """The port at v leading to neighbour u."""
-        return self._port_of[v][u]
+        return (self._port_of or self._reverse())[v][u]
 
     def routes(self) -> list[tuple[tuple[int, int], ...]]:
         """``routes()[v][p-1]`` is (neighbour, arrival port) of v's port p."""
-        port_of = self._port_of
+        port_of = self._port_of or self._reverse()
         return [tuple([(u, port_of[u][v]) for u in nbrs])
                 for v, nbrs in enumerate(self._port_to)]
 
@@ -217,8 +224,8 @@ def build_graph(node_count: int,
                 f"node {v}: ports {sorted(at)} are not exactly 1..{len(at)}") from None
     if directed:
         port_to, directions = zip(*[zip(*row) for row in rows])
-        return Graph(node_count, colour_list, port_to, directions)
-    return Graph(node_count, colour_list, tuple(rows), None)
+        return Graph(node_count, colour_list, port_to, directions, frozenset(edge_set))
+    return Graph(node_count, colour_list, tuple(rows), None, frozenset(edge_set))
 
 
 def _normalize_colours(n, colours):
@@ -255,7 +262,7 @@ def classify_colouring(g: Graph, colours: Sequence[str] | None = None) -> Colour
 
 def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
     """``(u, v, port_u, port_v, direction)`` per edge, sorted: build_graph's input."""
-    port_of, dirs = g._port_of, g._directions
+    port_of, dirs = g._port_of or g._reverse(), g._directions
     specs = []
     for u, v in sorted(g.edges):
         pu = port_of[u][v]
@@ -267,7 +274,11 @@ def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
 
 
 def with_colours(g: Graph, colours: Sequence[str] | None) -> Graph:
-    """Copy of g with the colour map replaced (or removed); shares g's tables."""
+    """Copy of g with the colour map replaced (or removed); shares g's tables.
+
+    The reverse port table is shared if g has derived it; otherwise each
+    graph derives its own on its first read.
+    """
     h = copy.copy(g)
     h.colours = _normalize_colours(g.n, colours)
     return h

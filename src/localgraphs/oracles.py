@@ -131,11 +131,11 @@ def brute_max_matching(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[Edge]:
     Bipartite graphs use Kuhn's augmenting-path search (any size); other
     graphs use Edmonds' blossom algorithm, which is polynomial but still
     refuses more than ``limit`` nodes with ``TooLargeError``.  The cap
-    bounds its time, which grows about fivefold per doubling of n, most
-    of it in each contraction's scan over all n nodes: on
-    random_weak(n, 3, 1), 0.003 s at n = 1000, 0.5 s at 8000, 2.3 s at
-    16000, 13 s at 32000 and 68 s at 64000, where the generators allow
-    n up to about 333k.  Both solvers are deterministic for a given port
+    bounds its time, which grows about fourfold per doubling of n: on
+    random_weak(n, 3, 1, oriented=False), 0.002 s at n = 1000, 0.14 s
+    at 8000, 0.59 s at 16000 and 2.7 s at 32000 (average degree 2.1,
+    2.5, 2.8 and 2.6), where the generators allow n up to about 333k.
+    Both solvers are deterministic for a given port
     numbering; which maximum matching is returned is otherwise
     unspecified.
     """
@@ -195,8 +195,8 @@ def _general_max_matching(g: Graph) -> frozenset[Edge]:
     from each free node in id order, neighbours in port order.  An edge
     between two even tree nodes closes an odd cycle (a blossom), which is
     contracted at the lowest common ancestor of its two ends by pointing
-    every member's ``base`` at that ancestor; reaching a free node flips
-    the augmenting path.  Every walk is a loop, so no recursion limit
+    every member's ``base`` at that ancestor, touching only the members;
+    reaching a free node flips the augmenting path.  Every walk is a loop, so no recursion limit
     applies, and the work is O(n^3) in the worst case.
     """
     n = g.n
@@ -230,25 +230,27 @@ def _augmenting_tree(g: Graph, match: list[int], root: int) -> tuple[int, list[i
     n = g.n
     parent = [-1] * n
     base = list(range(n))
+    members: dict[int, list[int]] = {}          # base -> its blossom's nodes, if not just itself
     even = [False] * n
     even[root] = True
     queue = [root]
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            seen[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
-        while not seen[base[b]]:
+        while base[b] not in seen:
             b = parent[match[base[b]]]
         return base[b]
 
-    def mark_path(v: int, stem: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, stem: int, child: int, blossom: set[int]) -> None:
         while base[v] != stem:
-            blossom[base[v]] = blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             parent[v] = child
             child = match[v]
             v = parent[child]
@@ -259,15 +261,19 @@ def _augmenting_tree(g: Graph, match: list[int], root: int) -> tuple[int, list[i
                 continue
             if even[u]:                         # an odd cycle: contract it
                 stem = lca(v, u)
-                blossom = [False] * n
+                blossom: set[int] = set()
                 mark_path(v, stem, u, blossom)
                 mark_path(u, stem, v, blossom)
-                for w in range(n):
-                    if blossom[base[w]]:
+                inside = members.setdefault(stem, [stem])
+                now_even = []
+                for b in blossom:               # re-base only the marked blossoms' nodes
+                    for w in members.pop(b, (b,)):
                         base[w] = stem
+                        inside.append(w)
                         if not even[w]:
                             even[w] = True
-                            queue.append(w)
+                            now_even.append(w)
+                queue += sorted(now_even)       # id order, as a scan of all nodes gives
             elif parent[u] == -1:
                 parent[u] = v
                 if match[u] == -1:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ascending_ports
-from localgraphs import BLACK, WHITE, errors, run_local_algorithm, with_colours
+from localgraphs import BLACK, WHITE, cli, errors, run_local_algorithm, with_colours
 from localgraphs.cli import export_dot, main
 from localgraphs.generators import numbered_cycle, random_weak, strong_blowup
 from localgraphs.graph import dumps, graph_to_json_dict, loads
@@ -521,6 +521,66 @@ class TestExitCodeContract:
         code, out = run_cli(capsys, "gen", "--family", "symmetric-complete", "--delta", "4")
         assert code == 2
         assert json.loads(out)["error"] == "EvenDeltaError"
+
+
+# -- one parser per process ------------------------------------------------------
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of main(argv); a usage error or --help exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_outcome(capsys, monkeypatch, argv):
+    """The same, parsed by a newly built parser."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli._build_parser())
+        return _outcome(capsys, argv)
+
+
+class TestParserReuse:
+    def test_one_parser_answers_a_mixed_sequence_like_fresh_ones(
+            self, capsys, monkeypatch, tmp_path, k4_oriented):
+        bad, uncoloured, graph, solution = (str(tmp_path / name) for name in
+                                            ("bad.json", "k4.json", "g.json", "sol.json"))
+        (tmp_path / "bad.json").write_text("{broken")
+        (tmp_path / "k4.json").write_text(dumps(k4_oriented))
+        (tmp_path / "sol.json").write_text(
+            json.dumps({"kind": "dominating-set", "members": [0, 3, 5]}))
+        sequence = [
+            (["run", "--graph", graph, "--alg", "no-such-alg"], 2),          # usage error
+            (["run", "--graph", bad, "--alg", "star-ds"], 2),                # input error
+            (["run", "--graph", uncoloured, "--alg", "star-ds"], 3),         # capability
+            (["gen", "--family", "random-weak", "--n", "12", "--seed", "4",
+              "--out", graph], 0),
+            (["gen", "--family", "weak-layered", "--n", "4", "--delta", "3"], 0),
+            (["run", "--graph", graph, "--alg", "star-ds", "--oracle"], 0),
+            (["run", "--graph", graph, "--alg", "matching-scheme", "--k", "2",
+              "--oracle"], 0),
+            (["verify", "--graph", graph, "--solution", solution], 0),
+            (["oracle", "--graph", graph, "--problem", "matching"], 0),
+            (["gen", "--family", "cycle", "--n", "eight"], 2),                # usage error
+        ]
+        monkeypatch.setattr(cli, "_parser", None)
+        shared = None
+        for argv, code in sequence:
+            got = _outcome(capsys, argv)
+            shared = shared or cli._parser
+            assert cli._parser is shared        # built once, then reused
+            assert got[0] == code, got
+            assert got == _fresh_outcome(capsys, monkeypatch, argv), argv
+
+    @pytest.mark.parametrize("command", [[], ["gen"], ["run"], ["oracle"], ["verify"],
+                                         ["export-dot"]])
+    def test_help_texts_equal_a_fresh_build(self, capsys, monkeypatch, command):
+        _outcome(capsys, ["oracle", "--graph", "missing.json", "--problem", "ds"])
+        got = _outcome(capsys, command + ["--help"])
+        assert got[0] == 0 and got[1]
+        assert got == _fresh_outcome(capsys, monkeypatch, command + ["--help"])
 
 
 # -- malformed documents -------------------------------------------------------

@@ -14,14 +14,16 @@ from localgraphs.errors import (DuplicateEdgeError, GraphFormatError,
                                 IsolatedNodeError, LocalGraphError, MissingColoursError,
                                 PortClashError, PortGapError,
                                 PortOutOfRangeError, SelfLoopError)
-from localgraphs.graph import (disjoint_union, dumps, edge_specs,
+from localgraphs.graph import (Graph, disjoint_union, dumps, edge_specs,
                                graph_from_json_dict, graph_to_json_dict,
-                               induced_subgraph, loads, relabel, with_colours)
+                               induced_subgraph, loads, normalize_edge, relabel,
+                               with_colours)
 from localgraphs.generators import (random_bipartite, random_weak,
                                     random_weak_colouring, shuffle_ports)
 from localgraphs.oddds import build_h2, partition_abc
 
 from conftest import path_graph
+from test_golden import CANONICAL_GRAPHS
 
 
 class TestBuildGraph:
@@ -324,3 +326,42 @@ def test_derived_copies_stay_valid(family, n, delta, seed, oriented):
     for h in copies:
         assert_valid_copy(h)
     assert relabel(g, range(n)) == g
+
+
+def eager_tables(g):
+    """Reverse table, routes and edge set derived from the port tables alone."""
+    rows = [g.neighbours(v) for v in g.nodes]
+    port_of = [{u: p for p, u in enumerate(nbrs, start=1)} for nbrs in rows]
+    routes = [tuple((u, port_of[u][v]) for u in nbrs) for v, nbrs in enumerate(rows)]
+    edges = {normalize_edge(v, u) for v, nbrs in enumerate(rows) for u in nbrs}
+    return port_of, routes, edges
+
+
+FIRST_READS = {
+    "port_of": lambda g: g.port_of(0, g.neighbours(0)[0]),
+    "arrival_port": lambda g: g.arrival_port(0, 1),
+    "routes": lambda g: g.routes(),
+    "edge_specs": edge_specs,
+}
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_READS))
+@pytest.mark.parametrize("make", [m for _, m in CANONICAL_GRAPHS],
+                         ids=[name for name, _ in CANONICAL_GRAPHS])
+def test_tables_read_lazily_equal_an_eager_derivation(make, first):
+    g = make()
+    before = with_colours(g, g.colours)     # copied before any reverse-table read
+    FIRST_READS[first](g)
+    after = with_colours(g, g.colours)
+    port_of, routes, edges = eager_tables(g)
+    directions = None if not g.has_orientation else tuple(map(g.port_directions, g.nodes))
+    eager = Graph(g.n, g.colours, tuple(map(g.neighbours, g.nodes)), directions)
+    for h in (g, after, before):
+        assert h == g == eager
+        assert h.edges == edges == eager.edges and isinstance(h.edges, frozenset)
+        assert h.routes() == routes
+        assert edge_specs(h) == edge_specs(eager)
+        for v in h.nodes:
+            for p, u in enumerate(h.neighbours(v), start=1):
+                assert h.port_of(v, u) == p
+                assert h.arrival_port(v, p) == port_of[u][v]
