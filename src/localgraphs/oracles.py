@@ -135,9 +135,8 @@ def brute_max_matching(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[Edge]:
     random_weak(n, 3, 1, oriented=False), 0.002 s at n = 1000, 0.14 s
     at 8000, 0.59 s at 16000 and 2.7 s at 32000 (average degree 2.1,
     2.5, 2.8 and 2.6), where the generators allow n up to about 333k.
-    Both solvers are deterministic for a given port
-    numbering; which maximum matching is returned is otherwise
-    unspecified.
+    Both solvers are deterministic for a given port numbering; which
+    maximum matching is returned is otherwise unspecified.
     """
     side = try_bipartition(g)
     if side is not None:
@@ -196,8 +195,9 @@ def _general_max_matching(g: Graph) -> frozenset[Edge]:
     between two even tree nodes closes an odd cycle (a blossom), which is
     contracted at the lowest common ancestor of its two ends by pointing
     every member's ``base`` at that ancestor, touching only the members;
-    reaching a free node flips the augmenting path.  Every walk is a loop, so no recursion limit
-    applies, and the work is O(n^3) in the worst case.
+    reaching a free node flips the augmenting path.  Every walk is a
+    loop, so no recursion limit applies, and the work is O(n^3) in the
+    worst case.
     """
     n = g.n
     match = [-1] * n
