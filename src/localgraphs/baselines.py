@@ -19,9 +19,6 @@ class AllNodesDominatingSet(LocalAlgorithm):
     def init(self, view: NodeView) -> tuple[Any, Sends]:
         return None, {}
 
-    def step(self, state, inbox, round_no):
-        return state, {}
-
     def finalize(self, state) -> bool:
         return True
 
@@ -37,9 +34,6 @@ class WhiteIndependentSet(LocalAlgorithm):
 
     def init(self, view: NodeView) -> tuple[Any, Sends]:
         return view.colour == WHITE, {}
-
-    def step(self, state, inbox, round_no):
-        return state, {}
 
     def finalize(self, state) -> bool:
         return state

@@ -51,9 +51,9 @@ class LocalAlgorithm:
     round, or None for only on mail; by default the next round.  Only
     the latest answer counts.  ``needs_colouring`` is
     the weakest colouring the algorithm is defined on; the engine refuses
-    a graph below it before anything else, so ``init`` and ``step`` may
-    rely on it.  ``round_budget`` may depend on the degree bound only,
-    never on the node count; it is asked for before ``init``, so it may
+    a graph below it (``check_colouring``) before anything else, so
+    ``init`` and ``step`` may rely on it.  ``round_budget`` may depend
+    on the degree bound only, never on the node count; it is asked for before ``init``, so it may
     refuse a run before round 0.  The engine keeps only the state
     ``step`` returns, so ``step`` may update its argument in place.
     """
@@ -85,12 +85,27 @@ class RunResult:
     steps: int          # calls of ``step``: n * rounds_used if every node wakes every round
 
 
-# the error for a colouring weaker than the algorithm needs
-_REFUSED = {ColouringClass.WEAK: NotWeaklyColouredError,
-            ColouringClass.PROPER: NotProperlyColouredError}
-
 # handed to every node that received nothing; read-only, so no step can alter it
 _EMPTY_INBOX: Inbox = MappingProxyType({})
+
+
+def check_colouring(g: Graph, alg: LocalAlgorithm | type[LocalAlgorithm]) -> None:
+    """Refuse a graph whose colouring is weaker than ``alg.needs_colouring``.
+
+    The one colouring refusal: the engine calls it before round 0, and
+    each centralized reference calls it on entry with its simulated
+    twin's class, so both refuse the same graphs with the same error.
+    """
+    need = alg.needs_colouring
+    if not need:
+        return
+    if not g.has_colours:
+        raise MissingColoursError(f"{alg.name} needs node colours")
+    if classify_colouring(g) < need:
+        message = f"{alg.name} needs a {need.name.lower()} 2-colouring"
+        if need is ColouringClass.WEAK:
+            raise NotWeaklyColouredError(message)
+        raise NotProperlyColouredError(message)
 
 
 def degree_bound(g: Graph, max_degree: int | None) -> int:
@@ -114,15 +129,10 @@ def run_local_algorithm(g: Graph,
     ``step``, in that order; a node not stepped in a round writes none.
     A send that breaks the contract, or a ``next_wake`` that names a
     round not after the current one, raises :class:`InvariantError`.
-    A graph whose colouring is weaker than ``alg.needs_colouring`` is
-    refused before round 0.
+    ``check_colouring`` refuses a graph below ``alg.needs_colouring``
+    before round 0.
     """
-    need = alg.needs_colouring
-    if need:
-        if not g.has_colours:
-            raise MissingColoursError(f"{alg.name} needs node colours")
-        if classify_colouring(g) < need:
-            raise _REFUSED[need](f"{alg.name} needs a {need.name.lower()} 2-colouring")
+    check_colouring(g, alg)
     delta = degree_bound(g, max_degree)
     budget = alg.round_budget(delta)
 

@@ -8,8 +8,10 @@ the command line's exit code:
 * capability (exit 3): a :class:`CapabilityError`; the graph lacks what
   the algorithm needs: colours, a weak or proper 2-colouring, an
   orientation or an odd degree bound.  A simulated algorithm declares
-  the colouring it needs, and the engine alone refuses a graph without
-  it, before round 0;
+  the colouring it needs, and ``engine.check_colouring`` is the one
+  refusal of a graph without it: the engine calls it before round 0,
+  and each centralized reference calls it on entry with its simulated
+  twin, so both refuse with the same class and message;
 * internal (exit 4): an :class:`InvariantError`; a check inside an
   algorithm failed, or a simulated algorithm broke the engine's send
   contract, which is a bug, not bad input.  An input class

@@ -39,11 +39,6 @@ class DirectedCycle:
         """Edges on the directed path from u to v."""
         return (v - u) % self.n
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Directed edges (v, successor(v))."""
-        return tuple((v, self.successor(v)) for v in range(self.n))
-
 
 def numbered_cycle(n: int) -> DirectedCycle:
     """Oriented n-cycle with port 1 toward the successor, port 2 back."""
@@ -354,7 +349,13 @@ def random_bipartite(n: int, delta: int, seed: int) -> Graph:
 
 
 def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
-    """Random weakly 2-coloured graph with random ports and orientation."""
+    """Random weakly 2-coloured graph with random ports and orientation.
+
+    The number of edges added to the covering pairing is drawn uniformly
+    from 0 to delta*n/2 minus the pairing's size, and fewer are placed
+    only when no valid pair is left.  So the average degree varies by
+    seed, from about 1 to at most delta.
+    """
     if n < 2 or delta < 1:
         raise DegenerateParamsError(f"need n >= 2 and delta >= 1, got {n}, {delta}")
     rng = random.Random(f"weak:{n}:{delta}:{seed}")

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Sequence
 
-from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, degree_bound,
-                     run_local_algorithm)
-from .errors import (InvariantError, NotAugmentingError, NotProperlyColouredError,
-                     PathsNotDisjointError, PortOutOfRangeError, RoundBudgetError,
-                     ShorterPathExistsError)
-from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph,
-                    classify_colouring, normalize_edge)
+from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
+                     degree_bound, run_local_algorithm)
+from .errors import (InvariantError, NotAugmentingError, PathsNotDisjointError,
+                     PortOutOfRangeError, RoundBudgetError, ShorterPathExistsError)
+from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
+# the bench target matching.classify_colouring looks the name up in this module
+from .graph import classify_colouring  # noqa: F401
 from .oracles import partner_map, shortest_augmenting_path_length, validate_matching
 
 Matching = frozenset[Edge]
@@ -30,6 +30,8 @@ Path = tuple[int, ...]
 
 def invocation_count(max_degree: int, i: int) -> int:
     """How many subroutine invocations remove every length-(2i-1) path."""
+    if i < 1:
+        raise ValueError(f"path index i must be at least 1, got {i}")
     return max_degree * (max_degree - 1) ** (i - 1)
 
 
@@ -48,11 +50,6 @@ class AugmentingForest:
     leaves: frozenset[int]
 
 
-def _check_proper(g: Graph) -> None:
-    if classify_colouring(g) != ColouringClass.PROPER:
-        raise NotProperlyColouredError("scheme requires a proper 2-colouring")
-
-
 def flood_phase(g: Graph, m, h: int) -> AugmentingForest:
     """Grow augmenting trees of height ``h`` from the unmatched black nodes.
 
@@ -66,7 +63,7 @@ def flood_phase(g: Graph, m, h: int) -> AugmentingForest:
     blacks, and the first unmatched white reached is at the length of a
     shortest augmenting path.  Reached before hop ``h``, it raises.
     """
-    _check_proper(g)
+    check_colouring(g, MatchingSchemeAlgorithm)
     if h < 1 or h % 2 == 0:
         raise ValueError(f"path length must be a positive odd number, got {h}")
     return _flood(g, partner_map(validate_matching(g, m)), h)
@@ -211,9 +208,9 @@ def eliminate_length(g: Graph, m, i: int, *,
                      stats: SchemeStats | None = None,
                      assert_oracle: bool = False) -> Matching:
     """Remove every length-(2i-1) augmenting path: t_i invocations, see ``_eliminate``."""
+    check_colouring(g, MatchingSchemeAlgorithm)
     delta = degree_bound(g, max_degree)
     edges = set(validate_matching(g, m))
-    _check_proper(g)
     _eliminate(g, edges, partner_map(edges), i, delta, stats, assert_oracle)
     return frozenset(edges)
 
@@ -265,9 +262,9 @@ def approximate_maximum_matching(g: Graph, k: int, *,
                                  stats: SchemeStats | None = None,
                                  assert_oracle: bool = False) -> Matching:
     """Matching with no augmenting path of length <= 2k-1; a (1+1/k)-approximation."""
+    check_colouring(g, MatchingSchemeAlgorithm)
     if k < 1:
         raise ValueError("k must be at least 1")
-    _check_proper(g)
     delta = degree_bound(g, max_degree)
     edges: set[Edge] = set()
     partner: dict[int, int] = {}

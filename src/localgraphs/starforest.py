@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .engine import Inbox, LocalAlgorithm, NodeView, Sends, run_local_algorithm
-from .errors import (InvariantError, MalformedForestError, NotWeaklyColouredError,
-                     PortOutOfRangeError)
-from .graph import (BLACK, WHITE, ColouringClass, Edge, Graph,
-                    classify_colouring, normalize_edge)
+from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
+                     run_local_algorithm)
+from .errors import InvariantError, MalformedForestError, PortOutOfRangeError
+from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
 
 ROUND_BUDGET = 5  # colours, black claims, white claims, child status, detach
 
@@ -45,8 +44,7 @@ class StarForest:
 
 def build_parent_forest(g: Graph) -> RootedForest:
     """Steps 1-2: blacks adopt white parents, childless whites adopt black ones."""
-    if classify_colouring(g) < ColouringClass.WEAK:
-        raise NotWeaklyColouredError("graph is not weakly 2-coloured")
+    check_colouring(g, StarForestAlgorithm)
     parent_port: dict[int, int] = {}
     has_child = [False] * g.n
     for v in g.nodes:
@@ -61,10 +59,8 @@ def build_parent_forest(g: Graph) -> RootedForest:
 
 
 def _lowest_port_with_colour(g: Graph, v: int, colour: str) -> int:
-    for p, u in enumerate(g.neighbours(v), start=1):
-        if g.colour(u) == colour:
-            return p
-    raise NotWeaklyColouredError(f"node {v} has no {colour} neighbour")
+    """The lowest port toward a ``colour`` node; one exists in a weak colouring."""
+    return next(p for p, u in enumerate(g.neighbours(v), start=1) if g.colour(u) == colour)
 
 
 def normalize_stars(g: Graph, forest: RootedForest) -> StarForest:
@@ -183,11 +179,9 @@ class StarForestAlgorithm(LocalAlgorithm):
         sends: dict[int, bytes] = {}
 
         if round_no == 1 and black:
-            whites = sorted(p for p, msg in inbox.items() if msg == b"W")
-            if not whites:
-                raise NotWeaklyColouredError("black node has no white neighbour")
-            state["parent_port"] = whites[0]
-            sends[whites[0]] = _CLAIM
+            parent = min(p for p, msg in inbox.items() if msg == b"W")
+            state["parent_port"] = parent
+            sends[parent] = _CLAIM
         elif round_no == 1:
             state["black_ports"] = tuple(
                 sorted(p for p, msg in inbox.items() if msg == b"B"))
@@ -195,8 +189,6 @@ class StarForestAlgorithm(LocalAlgorithm):
             claims = tuple(sorted(p for p, msg in inbox.items() if msg == _CLAIM))
             state["child_ports"] = claims
             if not claims:
-                if not state["black_ports"]:
-                    raise NotWeaklyColouredError("white node has no black neighbour")
                 state["parent_port"] = state["black_ports"][0]
                 sends[state["parent_port"]] = _CLAIM
         elif round_no == 3 and black:
@@ -236,7 +228,7 @@ class StarForestAlgorithm(LocalAlgorithm):
 
 
 def star_forest_from_outputs(g: Graph, outputs: Mapping[int, dict]) -> StarForest:
-    """Reassemble the StarForest from per-node simulation outputs."""
+    """Reassemble the StarForest from per-node simulation outputs, and check it."""
     stars: dict[int, set[int]] = {}
     for v, out in outputs.items():
         if out["parent_port"] is None:
@@ -249,7 +241,9 @@ def star_forest_from_outputs(g: Graph, outputs: Mapping[int, dict]) -> StarFores
         if root not in stars:
             raise MalformedForestError(f"node {v} points at non-root {root}")
         stars[root].add(v)
-    return StarForest({r: frozenset(leaves) for r, leaves in stars.items()})
+    forest = {r: frozenset(leaves) for r, leaves in stars.items()}
+    _check_star_forest(g, forest)
+    return StarForest(forest)
 
 
 def run_star_forest(g: Graph, **kwargs):

@@ -16,8 +16,10 @@ from localgraphs import BLACK, WHITE, cli, errors, run_local_algorithm, with_col
 from localgraphs.cli import export_dot, main
 from localgraphs.generators import numbered_cycle, random_weak, strong_blowup
 from localgraphs.graph import dumps, graph_to_json_dict, loads
+from localgraphs.matching import (approximate_maximum_matching, eliminate_length,
+                                  flood_phase, run_matching_scheme)
 from localgraphs.oddds import odd_delta_pipeline
-from localgraphs.starforest import StarForestAlgorithm
+from localgraphs.starforest import StarForestAlgorithm, run_star_forest, star_forest
 
 
 @pytest.fixture
@@ -89,6 +91,13 @@ class TestGen:
         assert code == 2
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("argv", [["--family", "random-weak", "--n", "1"],
+                                      ["--family", "random-bipartite", "--delta", "0"]])
+    def test_degenerate_random_family_exit_2(self, capsys, argv):
+        code, out = run_cli(capsys, "gen", *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "DegenerateParamsError"
+
 
 class TestRun:
     def test_star_ds_on_c4(self, capsys, c4_file):
@@ -157,6 +166,14 @@ class TestRun:
         code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
                             "--weak-colouring", f"external:{cpath}")
         assert code == 2
+
+    def test_unknown_provider_exit_2(self, capsys, tmp_path, k4_oriented):
+        path = tmp_path / "k4.json"
+        path.write_text(dumps(k4_oriented))
+        code, out = run_cli(capsys, "run", "--graph", str(path), "--alg", "odd-ds",
+                            "--weak-colouring", "bogus")
+        assert code == 2
+        assert json.loads(out)["error"] == "bad-flag"
 
     def test_missing_colour_exit_3(self, capsys, tmp_path, k4_oriented):
         path = tmp_path / "k4.json"
@@ -300,6 +317,19 @@ class TestRun:
         assert json.loads(captured.out)["error"] == "InvariantError"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("alg", ["star-ds", "star-matching"])
+    def test_simulated_forest_of_bare_roots_exit_4(self, capsys, monkeypatch, tmp_path, alg):
+        """Every node a root with no leaves assembles, but is no star forest."""
+        monkeypatch.setattr(StarForestAlgorithm, "finalize",
+                            lambda self, state: {"parent_port": None, "matched_port": None})
+        path = tmp_path / "g.json"
+        path.write_text(dumps(random_weak(12, 3, 1)))
+        code = main(["run", "--graph", str(path), "--alg", alg])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["error"] == "InvariantError"
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("sends", [{9: b"x"}, {True: b"x"}, {1.0: b"x"}, {"1": b"x"},
                                        {1: "x"}],
                              ids=["port-9", "port-True", "port-1.0", "port-str", "str-payload"])
@@ -334,6 +364,28 @@ class TestOracleVerifyExport:
         code, out = run_cli(capsys, "verify", "--graph", c4_file,
                             "--solution", str(bad))
         assert code == 0 and not json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("problem", ["matching", "is"])
+    def test_oracle_limit_refuses_k6(self, capsys, tmp_path, problem):
+        path = tmp_path / "k6.json"
+        assert run_cli(capsys, "gen", "--family", "symmetric-complete", "--delta", "5",
+                       "--out", str(path))[0] == 0
+        code, out = run_cli(capsys, "oracle", "--graph", str(path), "--problem", problem,
+                            "--limit", "5")
+        assert code == 2
+        assert json.loads(out)["error"] == "TooLargeError"
+
+    @pytest.mark.parametrize("kind, members, violation", [
+        ("matching", [[0, 5]], "(0, 5) is not an edge of the graph"),
+        ("dominating-set", [0, 2, 99], "99 is not a node"),
+    ])
+    def test_verify_reports_members_outside_the_graph(self, capsys, tmp_path, c4_file,
+                                                      kind, members, violation):
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps({"kind": kind, "members": members}))
+        code, out = run_cli(capsys, "verify", "--graph", c4_file, "--solution", str(path))
+        assert code == 0
+        assert json.loads(out) == {"ok": False, "violations": [violation]}
 
     @pytest.mark.parametrize("members", [[0, 1.5], [True, 2], [[0, 1.5]], [[True, 0]]])
     def test_verify_rejects_coerced_members(self, capsys, tmp_path, c4_file, members):
@@ -486,6 +538,30 @@ _CAPABILITY_MATRIX = {
     "complete": (ascending_ports(4, _STAR, [BLACK, WHITE, WHITE, WHITE],
                                  _oriented(_STAR)), {}),
 }
+
+
+def _refusal(call):
+    """The class and message a call raises, or None when it returns."""
+    try:
+        call()
+    except errors.LocalGraphError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("instance", ["uncoloured", "not-weak", "weak-not-proper"])
+def test_both_implementations_refuse_alike(instance):
+    """The simulated algorithm and its centralized reference refuse the
+    same graphs with the same class and message."""
+    g, refusals = _CAPABILITY_MATRIX[instance]
+    star = [_refusal(lambda: run_star_forest(g)), _refusal(lambda: star_forest(g))]
+    scheme = [_refusal(lambda: run_matching_scheme(g, 1)),
+              _refusal(lambda: approximate_maximum_matching(g, 1)),
+              _refusal(lambda: eliminate_length(g, frozenset(), 1)),
+              _refusal(lambda: flood_phase(g, frozenset(), 1))]
+    for alg, outcomes in (("star-ds", star), ("matching-scheme", scheme)):
+        assert [o and o[0] for o in outcomes] == [refusals.get(alg)] * len(outcomes)
+        assert len(set(outcomes)) == 1, outcomes
 
 
 class TestExitCodeContract:

@@ -183,12 +183,25 @@ class TestProposalAndAugment:
         with pytest.raises(NotAugmentingError):
             augment_phase(p4_coloured, frozenset(), [(0, 1, 2, 3)])
 
+    def test_repeated_node_and_even_edge_count_rejected(self, p4_coloured):
+        with pytest.raises(NotAugmentingError, match="repeats a node"):
+            augment_phase(p4_coloured, frozenset(), [(0, 1, 0, 1)])
+        with pytest.raises(NotAugmentingError, match="even edge count"):
+            augment_phase(p4_coloured, frozenset(), [(0, 1, 2)])
+
 
 class TestEliminateLength:
     def test_invocation_formula(self):
         assert invocation_count(3, 2) == 6
         assert invocation_count(2, 1) == 2
         assert invocation_count(4, 3) == 36
+
+    def test_path_index_below_1_refused(self, p4_coloured):
+        with pytest.raises(ValueError):
+            invocation_count(3, 0)
+        for i in (0, -1):
+            with pytest.raises(ValueError):
+                eliminate_length(p4_coloured, frozenset(), i)
 
     def test_p4_maximal_after_t1(self, p4_coloured):
         stats = SchemeStats()
@@ -203,13 +216,14 @@ class TestEliminateLength:
         assert eliminate_length(p4_coloured, m, 2, assert_oracle=True) == m
 
     def test_validates_once_per_entry_point(self, monkeypatch):
+        import localgraphs.engine as engine
         import localgraphs.matching as matching
         calls = {"validate_matching": 0, "classify_colouring": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(matching, name)):
+        for module, name in ((matching, "validate_matching"), (engine, "classify_colouring")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(matching, name, counted)
+            monkeypatch.setattr(module, name, counted)
         g = random_bipartite(14, 3, 0)
         m = approximate_maximum_matching(g, 3)
         assert calls == {"validate_matching": 0, "classify_colouring": 1}
