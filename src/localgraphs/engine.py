@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import (InvariantError, MissingColoursError, NotProperlyColouredError,
                      NotWeaklyColouredError)
@@ -24,11 +23,10 @@ Sends = Mapping[int, bytes]          # port -> payload
 Inbox = Mapping[int, bytes]          # port -> payload received this round
 
 
-@dataclass(frozen=True)
-class NodeView:
+class NodeView(NamedTuple):
     """Exactly what one node may legally see before any message arrives.
 
-    Frozen, so the engine hands one view to every node with the same
+    Immutable, so the engine hands one view to every node with the same
     degree, colour and port directions.
     """
 
@@ -77,8 +75,7 @@ class LocalAlgorithm:
         raise NotImplementedError
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     outputs: dict[int, Any]
     rounds_used: int
     max_message_bits: int

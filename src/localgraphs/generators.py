@@ -11,8 +11,7 @@ dictates otherwise, or explicitly randomized.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (DegenerateParamsError, DeltaTooSmallError, EvenDeltaError,
                      NotInCycleError, NotIndependentError, OddCycleLengthError,
@@ -22,8 +21,7 @@ from .oddds import fixup_weak_colouring
 from .oracles import validate_matching
 
 
-@dataclass(frozen=True)
-class DirectedCycle:
+class DirectedCycle(NamedTuple):
     """Directed n-cycle; node v's successor is v+1 mod n."""
 
     n: int

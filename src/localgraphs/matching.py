@@ -11,9 +11,8 @@ times the maximum size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
                      degree_bound, run_local_algorithm)
@@ -35,8 +34,7 @@ def invocation_count(max_degree: int, i: int) -> int:
     return max_degree * (max_degree - 1) ** (i - 1)
 
 
-@dataclass(frozen=True)
-class AugmentingForest:
+class AugmentingForest(NamedTuple):
     """Disjoint trees whose every root-leaf path is an augmenting path.
 
     Roots are unmatched black nodes, leaves are the unmatched white
@@ -189,13 +187,29 @@ def _augment(g: Graph, edges: set[Edge], partner: dict[int, int],
         raise InvariantError("augmentation did not grow the matching by one edge per path")
 
 
-@dataclass
 class SchemeStats:
-    """Counters the tests use to pin the invocation schedule."""
+    """Counters the tests use to pin the invocation schedule.
 
-    invocations: dict[int, int] = field(default_factory=dict)
-    augmentations: list[int] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
+    Not a ``NamedTuple`` like the other records: ``record`` updates it
+    in place.  Equal when all three counters are equal.
+    """
+
+    def __init__(self, invocations: dict[int, int] | None = None,
+                 augmentations: list[int] | None = None,
+                 sizes: list[int] | None = None) -> None:
+        self.invocations = {} if invocations is None else invocations
+        self.augmentations = [] if augmentations is None else augmentations
+        self.sizes = [] if sizes is None else sizes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.invocations, self.augmentations, self.sizes)
+                == (other.invocations, other.augmentations, other.sizes))
+
+    def __repr__(self) -> str:
+        return (f"SchemeStats(invocations={self.invocations!r}, "
+                f"augmentations={self.augmentations!r}, sizes={self.sizes!r})")
 
     def record(self, i: int, paths: int, size: int, times: int = 1) -> None:
         self.invocations[i] = self.invocations.get(i, 0) + times

@@ -11,8 +11,7 @@ return its roots together with every node outside the core.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .engine import RunResult, degree_bound
 from .errors import (EvenDeltaError, InvariantError, MissingOrientationError,
@@ -24,8 +23,7 @@ from .starforest import run_star_forest
 WeakColouringProvider = Callable[[Graph], Sequence[str]]
 
 
-@dataclass(frozen=True)
-class AbcPartition:
+class AbcPartition(NamedTuple):
     """Odd-degree nodes, even-degree nodes next to them, and the rest."""
 
     a: frozenset[int]
@@ -41,8 +39,7 @@ def partition_abc(g: Graph) -> AbcPartition:
     return AbcPartition(a, b, c)
 
 
-@dataclass(frozen=True)
-class DummyAugmentedGraph:
+class DummyAugmentedGraph(NamedTuple):
     """The induced core plus one degree-1 dummy per even-degree core node.
 
     ``graph`` materializes the dummies for the weak-colouring provider,
@@ -148,8 +145,7 @@ def repair_b_colours(h: Graph, a_nodes, colours: Sequence[str]) -> list[str]:
 
 # -- the full pipeline -------------------------------------------------------------
 
-@dataclass
-class OddDeltaResult:
+class OddDeltaResult(NamedTuple):
     partition: AbcPartition
     h2: DummyAugmentedGraph
     core_colours: list[str]

@@ -12,9 +12,8 @@ loops, so a long path or cycle cannot exhaust the recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidMatchingError, TooLargeError
 from .graph import Edge, Graph, normalize_edge
@@ -131,10 +130,10 @@ def brute_max_matching(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[Edge]:
     Bipartite graphs use Kuhn's augmenting-path search (any size); other
     graphs use Edmonds' blossom algorithm, which is polynomial but still
     refuses more than ``limit`` nodes with ``TooLargeError``.  The cap
-    bounds its time, which grows about fourfold per doubling of n: on
-    random_weak(n, 3, 1, oriented=False), 0.002 s at n = 1000, 0.14 s
-    at 8000, 0.59 s at 16000 and 2.7 s at 32000 (average degree 2.1,
-    2.5, 2.8 and 2.6), where the generators allow n up to about 333k.
+    bounds its time, which grows three- to fourfold per doubling of n:
+    on random_weak(n, 3, 1, oriented=False), 0.0008 s at n = 1000,
+    0.036 s at 8000, 0.12 s at 16000 and 0.40 s at 32000 (average degree
+    2.1, 2.5, 2.8 and 2.6), where the generators allow n up to about 333k.
     Both solvers are deterministic for a given port numbering; which
     maximum matching is returned is otherwise unspecified.
     """
@@ -207,33 +206,41 @@ def _general_max_matching(g: Graph) -> frozenset[Edge]:
                 if match[u] == -1:
                     match[v], match[u] = u, v
                     break
+    parent = [-1] * n                           # the search tables, reset after each search
+    base = list(range(n))
+    even = [False] * n
     for root in g.nodes:
         if match[root] == -1:
-            end, parent = _augmenting_tree(g, match, root)
+            end, touched = _augmenting_tree(g, match, root, parent, base, even)
             while end != -1:                    # flip the path back to root
                 v = parent[end]
                 after = match[v]
                 match[end], match[v] = v, end
                 end = after
+            for v in touched:
+                parent[v] = -1
+                base[v] = v
+                even[v] = False
     return frozenset((v, u) for v, u in enumerate(match) if v < u)
 
 
-def _augmenting_tree(g: Graph, match: list[int], root: int) -> tuple[int, list[int]]:
-    """A free node reached from root by an alternating path, or -1.
+def _augmenting_tree(g: Graph, match: list[int], root: int, parent: list[int],
+                     base: list[int], even: list[bool]) -> tuple[int, list[int]]:
+    """A free node reached from root by an alternating path (or -1), and the tree's nodes.
 
     ``parent`` links each odd (inner) node to the even node it was reached
     from; an even node steps back through its partner.  Contracting a
     blossom also sets ``parent`` on its formerly even members, pointing
     the other way round the odd cycle, so partner and parent steps from
-    any member still walk an alternating path back to root.
+    any member still walk an alternating path back to root.  The tables
+    come in as a fresh search leaves them (no parent, own base, not
+    even); the search changes them only at the tree's nodes, which it
+    returns so that the caller can reset just those.
     """
-    n = g.n
-    parent = [-1] * n
-    base = list(range(n))
     members: dict[int, list[int]] = {}          # base -> its blossom's nodes, if not just itself
-    even = [False] * n
     even[root] = True
-    queue = [root]
+    queue = [root]                              # the even nodes
+    odd: list[int] = []
 
     def lca(a: int, b: int) -> int:
         seen = set()
@@ -276,11 +283,12 @@ def _augmenting_tree(g: Graph, match: list[int], root: int) -> tuple[int, list[i
                 queue += sorted(now_even)       # id order, as a scan of all nodes gives
             elif parent[u] == -1:
                 parent[u] = v
+                odd.append(u)
                 if match[u] == -1:
-                    return u, parent
+                    return u, queue + odd
                 even[match[u]] = True
                 queue.append(match[u])
-    return -1, parent
+    return -1, queue + odd
 
 
 # -- maximum independent set -----------------------------------------------
@@ -415,16 +423,14 @@ class SolutionKind(str, Enum):
     INDEPENDENT_SET = "independent-set"
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     kind: SolutionKind
     members: frozenset
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
 
 
 def verify_solution(g: Graph, s: Solution) -> VerificationReport:

@@ -9,8 +9,7 @@ edges.  All arbitrary choices resolve to the lowest eligible port index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
                      run_local_algorithm)
@@ -20,8 +19,7 @@ from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
 ROUND_BUDGET = 5  # colours, black claims, white claims, child status, detach
 
 
-@dataclass(frozen=True)
-class RootedForest:
+class RootedForest(NamedTuple):
     """Parent pointers stored as port indices; absent means root."""
 
     parent_port: dict[int, int]
@@ -31,8 +29,7 @@ class RootedForest:
         return None if p is None else g.port_neighbour(v, p)
 
 
-@dataclass(frozen=True)
-class StarForest:
+class StarForest(NamedTuple):
     """Partition of the nodes into depth-1 rooted trees."""
 
     stars: dict[int, frozenset[int]]   # root -> non-empty leaf set

@@ -6,20 +6,24 @@ source's and never re-validate through ``build_graph``.  Every function
 the benchmark's traced run wraps still exists under its name.  No code
 names the retired ``needs_colour`` flag.  Every error class is raised
 or extended somewhere.  Bits are counted with ``int.bit_count``, never
-through a binary string.
+through a binary string.  Importing the CLI loads no ``dataclasses``:
+the package's records are ``NamedTuple``s, immutable, with their field
+names, order and repr pinned here, and ``SchemeStats`` is a plain class
+compared by value.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import localgraphs
-from localgraphs import errors
+from localgraphs import engine, errors, generators, matching, oddds, oracles, starforest
 from localgraphs.generators import random_bipartite, random_weak, shuffle_ports
 from localgraphs.graph import (disjoint_union, induced_subgraph, relabel,
                                with_colours)
@@ -122,3 +126,90 @@ def test_no_binary_string_popcount():
                   and isinstance(node.func.value, ast.Call)
                   and getattr(node.func.value.func, "id", None) == "bin"]
     assert found == []
+
+
+# -- start-up and records ------------------------------------------------------
+
+def test_cli_import_loads_no_dataclasses():
+    # a fresh interpreter without site-packages, so nothing but the package
+    # and the standard library it imports can bring the module in
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import localgraphs.cli; "
+            "print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_package_does_not_import_dataclasses():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+RECORDS = {
+    engine.NodeView: ("degree", "max_degree", "colour", "port_directions"),
+    engine.RunResult: ("outputs", "rounds_used", "max_message_bits", "steps"),
+    oracles.Solution: ("kind", "members"),
+    oracles.VerificationReport: ("ok", "violations"),
+    oddds.AbcPartition: ("a", "b", "c"),
+    oddds.DummyAugmentedGraph: ("graph", "base", "original_ids"),
+    oddds.OddDeltaResult: ("partition", "h2", "core_colours", "core_roots",
+                           "dominating_set", "star_run"),
+    matching.AugmentingForest: ("height", "parent_port", "roots", "leaves"),
+    starforest.RootedForest: ("parent_port",),
+    starforest.StarForest: ("stars",),
+    generators.DirectedCycle: ("n", "graph"),
+}
+
+
+@pytest.mark.parametrize("record", list(RECORDS), ids=lambda record: record.__name__)
+def test_record_fields_construction_and_immutability(record):
+    fields = RECORDS[record]
+    values = [object() for _ in fields]
+    by_position = record(*values)
+    assert record(**dict(zip(fields, values))) == by_position
+    assert [getattr(by_position, f) for f in fields] == values
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(by_position, f, None)
+    with pytest.raises(AttributeError):
+        by_position.extra = None
+
+
+def test_record_repr_names_every_field():
+    assert (repr(engine.NodeView(3, 3, "black", None))
+            == "NodeView(degree=3, max_degree=3, colour='black', port_directions=None)")
+
+
+def test_scheme_stats_compare_by_value():
+    a, b = matching.SchemeStats(), matching.SchemeStats()
+    assert a == b
+    for stats in (a, b):
+        stats.record(1, 2, 3)
+        stats.record(2, 0, 3, times=4)
+    assert a == b
+    b.record(2, 0, 3)
+    assert a != b
+    assert repr(a) == ("SchemeStats(invocations={1: 1, 2: 4}, "
+                       "augmentations=[2, 0, 0, 0, 0], sizes=[3, 3, 3, 3, 3])")
+
+
+def test_verification_report_violations_are_a_list():
+    g = random_weak(10, 3, 1)
+    everyone = oracles.Solution(oracles.SolutionKind.DOMINATING_SET, frozenset(g.nodes))
+    nobody = oracles.Solution(oracles.SolutionKind.DOMINATING_SET, frozenset())
+    report = oracles.verify_solution(g, everyone)
+    assert report.ok and report.violations == []
+    report = oracles.verify_solution(g, nobody)
+    assert not report.ok and type(report.violations) is list and report.violations

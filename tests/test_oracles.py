@@ -9,6 +9,7 @@ import pytest
 
 from localgraphs.errors import InvalidMatchingError, TooLargeError
 from localgraphs.generators import random_bipartite, random_weak
+from localgraphs.graph import build_graph
 from localgraphs.oracles import (Solution, SolutionKind,
                                  brute_max_independent_set,
                                  brute_max_matching,
@@ -219,6 +220,20 @@ class TestBlossom:
         m = brute_max_matching(g)
         assert verify_solution(g, Solution(SolutionKind.MATCHING, m)).ok
         assert len(m) == enum_max_matching_size(g) == 3
+
+    def test_later_search_reaches_nodes_an_earlier_one_left_odd(self):
+        # random_weak(14, 4, 1340, oriented=False): the search from 6 ends at
+        # 11 and reaches 5 and 3 as odd nodes; the next, from 12, augments
+        # along 12-5=7-8=3-13, which it finds only if the search tables the
+        # two share were reset at 5 and 3
+        g = build_graph(14, [
+            (0, 10, 1, 1), (1, 6, 2, 1), (1, 9, 1, 1), (1, 11, 3, 1), (2, 4, 1, 1),
+            (2, 7, 2, 3), (3, 8, 2, 2), (3, 9, 1, 2), (3, 13, 3, 1), (5, 6, 3, 3),
+            (5, 7, 1, 2), (5, 12, 2, 1), (6, 9, 2, 3), (7, 8, 1, 1)])
+        assert try_bipartition(g) is None
+        m = brute_max_matching(g)
+        assert verify_solution(g, Solution(SolutionKind.MATCHING, m)).ok
+        assert len(m) == enum_max_matching_size(g) == 7
 
     def test_random_non_bipartite_leave_no_augmenting_path(self):
         # n = 9..16, where the enumerator is not run: by Berge's theorem a
