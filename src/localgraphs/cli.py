@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 
 from . import generators, graph as graphmod, oracles
 from .baselines import AllNodesDominatingSet, WhiteIndependentSet
@@ -101,27 +101,34 @@ _ORACLES = {"ds": ("brute_min_dominating_set", True),
             "matching": ("brute_max_matching", False),
             "is": ("brute_max_independent_set", False)}
 
-LIMIT_HELP = ("largest node count the exact oracles accept for dominating set, "
-              "independent set and matching on a non-bipartite graph "
-              "(default %(default)s); bipartite matching is never capped")
+LIMIT_HELP = ("largest node count the exact oracles accept for dominating set "
+              "and independent set (default %(default)s); matching is never capped")
 
 
-def _oracle(problem: str):
-    """The exact solver for ``problem`` and whether it minimizes."""
-    name, minimization = _ORACLES[problem]
-    return getattr(oracles, name), minimization
+def _optimum(problem: str, g: Graph, limit: int) -> frozenset:
+    """The exact solver's answer; only the exponential ones take ``limit``."""
+    solver = getattr(oracles, _ORACLES[problem][0])
+    return solver(g) if problem == "matching" else solver(g, limit)
 
 
-def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: Fraction,
+def _fraction_text(top: int, bottom: int) -> str:
+    """``str(Fraction(top, bottom))`` for positive ints."""
+    d = math.gcd(top, bottom)
+    return f"{top // d}" if d == bottom else f"{top // d}/{bottom // d}"
+
+
+def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: tuple[int, int],
             rounds_used: int, max_message_bits: int, delta: int,
             optimal_size: int | None, minimization: bool) -> dict:
+    """The run report; ``paper_bound`` is a fraction (numerator, denominator)."""
+    top, bottom = paper_bound
     ratio = None
     if optimal_size is not None and optimal_size > 0 and solution_size > 0:
-        ratio = (Fraction(solution_size, optimal_size) if minimization
-                 else Fraction(optimal_size, solution_size))
-    if ratio is not None and ratio > paper_bound:
-        raise InvariantError(
-            f"ratio {ratio} exceeds the guaranteed bound {paper_bound}")
+        ratio = ((solution_size, optimal_size) if minimization
+                 else (optimal_size, solution_size))
+    if ratio is not None and ratio[0] * bottom > top * ratio[1]:
+        raise InvariantError(f"ratio {_fraction_text(*ratio)} exceeds the guaranteed "
+                             f"bound {_fraction_text(top, bottom)}")
     return {
         "algorithm": algorithm,
         "n": g.n,
@@ -129,8 +136,8 @@ def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: Fraction,
         "delta": delta,
         "solution_size": solution_size,
         "optimal_size": optimal_size,
-        "ratio": None if ratio is None else float(ratio),
-        "paper_bound": float(paper_bound),
+        "ratio": None if ratio is None else ratio[0] / ratio[1],
+        "paper_bound": top / bottom,
         "rounds_used": rounds_used,
         "max_message_bits": max_message_bits,
     }
@@ -154,11 +161,11 @@ def _cmd_run(args) -> int:
         if args.alg == "star-ds":
             sf, run = run_star_forest(g, trace=trace)
             members = sorted(sf.roots)
-            problem, bound = "ds", Fraction(delta + 1, 2)
+            problem, bound = "ds", (delta + 1, 2)
         elif args.alg == "star-matching":
             sf, run = run_star_forest(g, trace=trace)
             members = sorted(star_matching(g, sf))
-            problem, bound = "matching", Fraction(delta + 1, 2)
+            problem, bound = "matching", (delta + 1, 2)
         elif args.alg == "matching-scheme":
             matching, run = run_matching_scheme(g, args.k, trace=trace)
             if args.assert_oracle:
@@ -166,7 +173,7 @@ def _cmd_run(args) -> int:
                 if check != matching:
                     raise InvariantError("simulated and centralized schemes disagree")
             members = sorted(matching)
-            problem, bound = "matching", Fraction(args.k + 1, args.k)
+            problem, bound = "matching", (args.k + 1, args.k)
         elif args.alg == "odd-ds":
             provider = None
             if args.weak_colouring != "centralized":
@@ -178,25 +185,24 @@ def _cmd_run(args) -> int:
             result = odd_delta_pipeline(g, provider, trace=trace)
             run = result.star_run       # None when the core is empty
             members = sorted(result.dominating_set)
-            problem, bound = "ds", Fraction(delta)
+            problem, bound = "ds", (delta, 1)
         elif args.alg == "all-nodes":
             run = run_local_algorithm(g, AllNodesDominatingSet(), trace=trace)
             members = sorted(v for v, joined in run.outputs.items() if joined)
-            problem, bound = "ds", Fraction(delta + 1)
+            problem, bound = "ds", (delta + 1, 1)
         else:   # white-is
             run = run_local_algorithm(g, WhiteIndependentSet(), trace=trace)
             members = sorted(v for v, joined in run.outputs.items() if joined)
-            problem, bound = "is", Fraction(delta)
+            problem, bound = "is", (delta, 1)
         if trace is not None and trace_fh is None:     # a run that wrote no line
             trace_fh = open(args.trace, "w", encoding="utf-8")
     finally:
         if trace_fh:
             trace_fh.close()
-    solver, minimization = _oracle(problem)
-    opt = len(solver(g, args.limit)) if args.oracle else None
+    opt = len(_optimum(problem, g, args.limit)) if args.oracle else None
     doc = _report(args.alg, g, len(members), bound,
                   run.rounds_used if run else 0, run.max_message_bits if run else 0,
-                  delta, opt, minimization)
+                  delta, opt, _ORACLES[problem][1])
     doc["members"] = members
     _emit(doc)
     return EXIT_OK
@@ -206,8 +212,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = graphmod.load(args.graph)
-    solver, _ = _oracle(args.problem)
-    members = sorted(solver(g, args.limit))
+    members = sorted(_optimum(args.problem, g, args.limit))
     _emit({"size": len(members), "members": members})
     return EXIT_OK
 

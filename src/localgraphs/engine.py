@@ -9,7 +9,6 @@ algorithm.
 
 from __future__ import annotations
 
-import hashlib
 from collections import defaultdict
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
@@ -209,6 +208,7 @@ def run_local_algorithm(g: Graph,
 
 def _digest(value: Any) -> bytes:
     """The first 8 bytes of the SHA-256 of ``repr(value)``."""
+    import hashlib      # loaded by the first traced run, not by every import
     return hashlib.sha256(repr(value).encode()).digest()[:8]
 
 

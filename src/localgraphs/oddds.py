@@ -198,9 +198,3 @@ def _check_provider_output(h2_graph: Graph, colours) -> None:
     if h2_graph.n and classify_colouring(h2_graph, colours) < ColouringClass.WEAK:
         raise ProviderFailureError("provider output is not a weak 2-colouring")
 
-
-def odd_delta_dominating_set(g: Graph,
-                             provider: WeakColouringProvider | None = None,
-                             max_degree: int | None = None) -> frozenset[int]:
-    """Dominating set of size at most ``delta`` times the optimum."""
-    return odd_delta_pipeline(g, provider, max_degree).dominating_set

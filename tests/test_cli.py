@@ -240,6 +240,20 @@ class TestRun:
         assert code == 4
         assert json.loads(out) == {"error": "InvariantError", "message": "planted"}
 
+    @pytest.mark.parametrize("argv, solver, optimum, message", [
+        (["--alg", "star-ds"], "brute_min_dominating_set", {0},
+         "ratio 2 exceeds the guaranteed bound 3/2"),
+        (["--alg", "matching-scheme", "--k", "1"], "brute_max_matching", set(range(6)),
+         "ratio 3 exceeds the guaranteed bound 2"),
+    ])
+    def test_ratio_above_bound_exit_4(self, capsys, monkeypatch, c4_file, argv, solver,
+                                      optimum, message):
+        # an oracle planted to beat the paper's bound; ratios print in lowest terms
+        monkeypatch.setattr(cli.oracles, solver, lambda g, *limit: frozenset(optimum))
+        code, out = run_cli(capsys, "run", "--graph", c4_file, "--oracle", *argv)
+        assert code == 4
+        assert json.loads(out) == {"error": "InvariantError", "message": message}
+
     def test_reports_byte_identical(self, capsys, c4_file):
         outputs = set()
         for _ in range(2):
@@ -367,13 +381,17 @@ class TestOracleVerifyExport:
 
     @pytest.mark.parametrize("problem", ["matching", "is"])
     def test_oracle_limit_refuses_k6(self, capsys, tmp_path, problem):
+        # --limit caps only the exponential oracles: matching solves K6 under it
         path = tmp_path / "k6.json"
         assert run_cli(capsys, "gen", "--family", "symmetric-complete", "--delta", "5",
                        "--out", str(path))[0] == 0
         code, out = run_cli(capsys, "oracle", "--graph", str(path), "--problem", problem,
                             "--limit", "5")
-        assert code == 2
-        assert json.loads(out)["error"] == "TooLargeError"
+        if problem == "matching":
+            assert code == 0 and json.loads(out)["size"] == 3
+        else:
+            assert code == 2
+            assert json.loads(out)["error"] == "TooLargeError"
 
     @pytest.mark.parametrize("kind, members, violation", [
         ("matching", [[0, 5]], "(0, 5) is not an edge of the graph"),
@@ -438,14 +456,14 @@ class TestOracleVerifyExport:
         assert code == 0 and json.loads(out)["optimal_size"] == 1500
 
     def test_long_odd_cycle_matching(self, capsys, tmp_path):
-        # a non-bipartite graph far above the default limit: the general
-        # solver must neither recurse per node nor search subsets
+        # a non-bipartite graph far above the exponential oracles' default
+        # limit: the matching solver must neither recurse per node nor
+        # search subsets
         path = tmp_path / "c1501.json"
         code, _ = run_cli(capsys, "gen", "--family", "cycle", "--n", "1501",
                           "--out", str(path))
         assert code == 0
-        code = main(["oracle", "--graph", str(path), "--problem", "matching",
-                     "--limit", "5000"])
+        code = main(["oracle", "--graph", str(path), "--problem", "matching"])
         captured = capsys.readouterr()
         assert code == 0 and json.loads(captured.out)["size"] == 750
         assert "Traceback" not in captured.err

@@ -141,6 +141,17 @@ def test_cli_import_loads_no_dataclasses():
     assert done.stdout == "False\n"
 
 
+def test_cli_import_loads_no_hashlib_or_fractions():
+    # only a traced run digests states, and the report ratios are plain
+    # integer arithmetic, so a command that traces nothing pays for neither
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import localgraphs.cli; "
+            "print('hashlib' in sys.modules, 'fractions' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
+
+
 def test_package_does_not_import_dataclasses():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):

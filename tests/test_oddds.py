@@ -11,9 +11,8 @@ from localgraphs.errors import (EvenDeltaError, MissingOrientationError,
                                 ProviderFailureError)
 from localgraphs.generators import random_weak
 from localgraphs.oddds import (build_h2, centralized_weak_colouring,
-                               fixup_weak_colouring, odd_delta_dominating_set,
-                               odd_delta_pipeline, partition_abc,
-                               repair_b_colours)
+                               fixup_weak_colouring, odd_delta_pipeline,
+                               partition_abc, repair_b_colours)
 from localgraphs.oracles import (Solution, SolutionKind,
                                  brute_min_dominating_set, verify_solution)
 
@@ -130,17 +129,17 @@ class TestProviders:
 
     def test_bad_provider_rejected(self, k4_oriented):
         with pytest.raises(ProviderFailureError):
-            odd_delta_dominating_set(k4_oriented, provider=lambda h: [WHITE] * h.n)
+            odd_delta_pipeline(k4_oriented, provider=lambda h: [WHITE] * h.n)
         with pytest.raises(ProviderFailureError):
-            odd_delta_dominating_set(k4_oriented, provider=lambda h: [WHITE])
+            odd_delta_pipeline(k4_oriented, provider=lambda h: [WHITE])
         for output in (None, {0: WHITE, 1: BLACK, 2: BLACK, 3: BLACK}):
             with pytest.raises(ProviderFailureError):
-                odd_delta_dominating_set(k4_oriented, provider=lambda h: output)
+                odd_delta_pipeline(k4_oriented, provider=lambda h: output)
 
 
 class TestPipeline:
     def test_k4(self, k4_oriented):
-        d = odd_delta_dominating_set(k4_oriented)
+        d = odd_delta_pipeline(k4_oriented).dominating_set
         assert len(d) <= 2
         assert verify_solution(k4_oriented,
                                Solution(SolutionKind.DOMINATING_SET, d)).ok
@@ -151,13 +150,13 @@ class TestPipeline:
         c4 = ascending_ports(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
                              directions={(0, 1): "uv", (1, 2): "uv",
                                          (2, 3): "uv", (0, 3): "vu"})
-        d = odd_delta_dominating_set(c4, max_degree=3)
+        d = odd_delta_pipeline(c4, max_degree=3).dominating_set
         assert d == {0, 1, 2, 3}          # the whole rest class
         assert len(brute_min_dominating_set(c4)) == 2
 
     def test_single_edge_delta_one(self):
         g = build_graph(2, [(0, 1, 1, 1, "uv")])
-        d = odd_delta_dominating_set(g)
+        d = odd_delta_pipeline(g).dominating_set
         assert len(d) == 1
 
     def test_even_bound_rejected(self, c4_coloured):
@@ -165,16 +164,16 @@ class TestPipeline:
                              directions={(0, 1): "uv", (1, 2): "uv",
                                          (2, 3): "uv", (0, 3): "uv"})
         with pytest.raises(EvenDeltaError):
-            odd_delta_dominating_set(c4)    # actual max degree 2
+            odd_delta_pipeline(c4)          # actual max degree 2
 
     def test_orientation_required(self):
         star = ascending_ports(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(MissingOrientationError):
-            odd_delta_dominating_set(star)
+            odd_delta_pipeline(star)
 
     def test_declared_below_actual_rejected(self, k4_oriented):
         with pytest.raises(ValueError):
-            odd_delta_dominating_set(k4_oriented, max_degree=1)
+            odd_delta_pipeline(k4_oriented, max_degree=1)
 
     def test_bounds_and_counting_inequalities(self):
         for seed in range(40):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -134,9 +135,13 @@ class TestFixtures:
         g = random_weak(30, 3, 1, oriented=False)
         with pytest.raises(TooLargeError):
             brute_min_dominating_set(g, limit=24)
-        # bipartite matching has no such cap
+        # matching has no such cap, on bipartite graphs or others
         big = random_bipartite(40, 3, 1)
         assert brute_max_matching(big)
+        assert try_bipartition(g) is None
+        m = brute_max_matching(g)
+        assert verify_solution(g, Solution(SolutionKind.MATCHING, m)).ok
+        assert len(m) == g.n // 2
 
 
 class TestShortestAugmentingPath:
@@ -210,7 +215,32 @@ class TestAgreementWithEnumeration:
             assert len(brute_max_matching(g)) == enum_min_vertex_cover_size(g)
 
 
+# SHA-256 of repr(sorted(matching)) + "\n" over the non-bipartite corpus
+# graphs in corpus order: the blossom solver's matchings without the
+# Hungarian-tree skip, which must leave every one of them unchanged
+NON_BIPARTITE_MATCHINGS = "24327e58999c29ed00dd02668540cd9c85e146c8ded66757df7e81b943c61939"
+
+
 class TestBlossom:
+    def test_non_bipartite_corpus_matchings_pinned(self, small_corpus):
+        h = hashlib.sha256()
+        count = 0
+        for g in small_corpus:
+            if try_bipartition(g) is None:
+                h.update(repr(sorted(brute_max_matching(g))).encode() + b"\n")
+                count += 1
+        assert count == 11859
+        assert h.hexdigest() == NON_BIPARTITE_MATCHINGS
+
+    def test_dense_bipartite_instance(self):
+        # many nodes stay free, where a search that keeps re-entering
+        # failed trees takes seconds; by Berge's theorem a matching with
+        # no augmenting path is maximum
+        g = random_bipartite(10000, 6, 2)
+        m = brute_max_matching(g)
+        assert verify_solution(g, Solution(SolutionKind.MATCHING, m)).ok
+        assert shortest_augmenting_path_length(g, m) is None
+
     def test_augmenting_path_through_odd_cycle(self):
         # the greedy start matches 0-1 and 2-3 and leaves 4 and 5 free; both
         # of 4's neighbours (0 and 3) enter its search tree as odd nodes, so
