@@ -34,9 +34,8 @@ MAX_GEN_SIZE = 10**6
 
 
 class _CliFailure(Exception):
-    def __init__(self, code: int, message: str, kind: str):
+    def __init__(self, message: str, kind: str):
         super().__init__(message)
-        self.code = code
         self.kind = kind
 
 
@@ -66,8 +65,7 @@ def _gen_size(args) -> int:
 
 def _cmd_gen(args) -> int:
     if _gen_size(args) > MAX_GEN_SIZE:
-        raise _CliFailure(EXIT_INPUT,
-                          f"{args.family} with n={args.n}, delta={args.delta}, k={args.k} "
+        raise _CliFailure(f"{args.family} with n={args.n}, delta={args.delta}, k={args.k} "
                           f"exceeds {MAX_GEN_SIZE} nodes times maximum degree", "gen-size")
     fam = args.family
     try:
@@ -88,7 +86,7 @@ def _cmd_gen(args) -> int:
         else:
             g = generators.random_weak(args.n, args.delta, args.seed)
     except LocalGraphError as exc:     # gen reads no graph: every failure is a bad parameter
-        raise _CliFailure(EXIT_INPUT, str(exc), type(exc).__name__) from exc
+        raise _CliFailure(str(exc), type(exc).__name__) from exc
     _write_or_print(graphmod.dumps(g), args.out)
     return EXIT_OK
 
@@ -178,8 +176,7 @@ def _cmd_run(args) -> int:
             provider = None
             if args.weak_colouring != "centralized":
                 if not args.weak_colouring.startswith("external:"):
-                    raise _CliFailure(EXIT_INPUT,
-                                      f"bad provider {args.weak_colouring!r}", "bad-flag")
+                    raise _CliFailure(f"bad provider {args.weak_colouring!r}", "bad-flag")
                 provider = colouring_provider_from_file(
                     args.weak_colouring.split(":", 1)[1])
             result = odd_delta_pipeline(g, provider, trace=trace)
@@ -235,7 +232,7 @@ def _load_solution(path: str) -> Solution:
         else:
             members = frozenset(_node_id(v) for v in raw)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise _CliFailure(EXIT_INPUT, f"bad solution file: {exc}", "bad-solution") from exc
+        raise _CliFailure(f"bad solution file: {exc}", "bad-solution") from exc
     return Solution(kind, members)
 
 
@@ -360,7 +357,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CliFailure as exc:
         _emit({"error": exc.kind, "message": str(exc)})
-        return exc.code
+        return EXIT_INPUT
     except OSError as exc:      # a path named on the command line
         _emit({"error": "io-error", "message": str(exc)})
         return EXIT_INPUT

@@ -14,9 +14,14 @@ the command line's exit code:
   twin, so both refuse with the same class and message;
 * internal (exit 4): an :class:`InvariantError`; a check inside an
   algorithm failed, or a simulated algorithm broke the engine's send
-  contract, which is a bug, not bad input.  An input class
-  raised on an algorithm's own output (a malformed star forest or
-  matching, a bad augmenting path) is re-raised as one.
+  contract, which is a bug, not bad input.
+
+Every malformed structure handed to a function, whatever its kind, is a
+:class:`MalformedSolutionError` (exit 2).  Where a shipped algorithm
+built the structure itself (the simulated star forest's and scheme's
+outputs, the paths the scheme's proposal phase chose), the one place
+that reads it catches that class and re-raises it as an
+:class:`InvariantError` (exit 4).
 """
 
 from __future__ import annotations
@@ -64,12 +69,9 @@ class GraphFormatError(LocalGraphError):
     """A serialized graph or solution document does not match the schema."""
 
 
-class PortOutOfRangeError(LocalGraphError):
-    pass
-
-
-class MalformedForestError(LocalGraphError):
-    """A rooted forest has depth > 2, a cycle, or a parentless non-root."""
+class MalformedSolutionError(LocalGraphError):
+    """A forest, matching, path set, output port or cycle-node set handed to
+    a function does not fit the graph."""
 
 
 class ProviderFailureError(LocalGraphError):
@@ -78,18 +80,6 @@ class ProviderFailureError(LocalGraphError):
 
 class RoundBudgetError(LocalGraphError):
     """A round budget exceeds the cap set before anything is allocated for it."""
-
-
-class PathsNotDisjointError(LocalGraphError):
-    pass
-
-
-class NotAugmentingError(LocalGraphError):
-    pass
-
-
-class InvalidMatchingError(LocalGraphError):
-    pass
 
 
 class TooLargeError(LocalGraphError):
@@ -109,14 +99,6 @@ class OddCycleLengthError(LocalGraphError):
 
 
 class DeltaTooSmallError(LocalGraphError):
-    pass
-
-
-class NotInCycleError(LocalGraphError):
-    pass
-
-
-class NotIndependentError(LocalGraphError):
     pass
 
 

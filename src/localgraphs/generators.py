@@ -14,8 +14,7 @@ import random
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (DegenerateParamsError, DeltaTooSmallError, EvenDeltaError,
-                     NotInCycleError, NotIndependentError, OddCycleLengthError,
-                     TooSmallError)
+                     MalformedSolutionError, OddCycleLengthError, TooSmallError)
 from .graph import BLACK, WHITE, Edge, Graph, build_graph, normalize_edge
 from .oddds import fixup_weak_colouring
 from .oracles import validate_matching
@@ -182,7 +181,7 @@ def matching_to_independent_set(c: DirectedCycle, m) -> frozenset[int]:
         elif c.forward_distance(b, a) == 1:
             tails.add(b)
         else:
-            raise NotInCycleError(f"({a}, {b}) is not a cycle edge")
+            raise MalformedSolutionError(f"({a}, {b}) is not a cycle edge")
     validate_matching(c.graph, m)
     return frozenset(tails)
 
@@ -201,9 +200,9 @@ def merge_layer_independent_sets(c: DirectedCycle,
         s = set(s)
         for v in s:
             if not 0 <= v < c.n:
-                raise NotInCycleError(f"{v} is not a cycle node")
+                raise MalformedSolutionError(f"{v} is not a cycle node")
             if c.successor(v) in s:
-                raise NotIndependentError(f"layer {i} contains adjacent nodes")
+                raise MalformedSolutionError(f"layer {i} contains adjacent nodes")
         working.append(s)
     result: set[int] = set()
     for i in range(len(working)):

@@ -18,10 +18,10 @@ from .errors import (
     DuplicateEdgeError,
     GraphFormatError,
     IsolatedNodeError,
+    MalformedSolutionError,
     MissingColoursError,
     PortClashError,
     PortGapError,
-    PortOutOfRangeError,
     SelfLoopError,
 )
 
@@ -109,7 +109,7 @@ class Graph:
     def port_neighbour(self, v: int, p: int) -> int:
         """The unique neighbour reached from v through port p."""
         if not 1 <= p <= len(self._port_to[v]):
-            raise PortOutOfRangeError(
+            raise MalformedSolutionError(
                 f"node {v} has ports 1..{len(self._port_to[v])}, got {p}")
         return self._port_to[v][p - 1]
 

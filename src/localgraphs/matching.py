@@ -16,8 +16,8 @@ from typing import Any, NamedTuple, Sequence
 
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
                      degree_bound, run_local_algorithm)
-from .errors import (InvariantError, NotAugmentingError, PathsNotDisjointError,
-                     PortOutOfRangeError, RoundBudgetError, ShorterPathExistsError)
+from .errors import (InvariantError, MalformedSolutionError, RoundBudgetError,
+                     ShorterPathExistsError)
 from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
 # the bench target matching.classify_colouring looks the name up in this module
 from .graph import classify_colouring  # noqa: F401
@@ -159,20 +159,20 @@ def _augment(g: Graph, edges: set[Edge], partner: dict[int, int],
     for path in paths:
         nodes = set(path)
         if len(nodes) != len(path):
-            raise NotAugmentingError(f"path {path} repeats a node")
+            raise MalformedSolutionError(f"path {path} repeats a node")
         if len(path) % 2 != 0:
-            raise NotAugmentingError(f"path {path} has even edge count")
+            raise MalformedSolutionError(f"path {path} has even edge count")
         if used & nodes:
-            raise PathsNotDisjointError(f"path {path} overlaps another path")
+            raise MalformedSolutionError(f"path {path} overlaps another path")
         used |= nodes
         if path[0] in partner or path[-1] in partner:
-            raise NotAugmentingError(f"path {path} does not join unmatched endpoints")
+            raise MalformedSolutionError(f"path {path} does not join unmatched endpoints")
         for idx in range(len(path) - 1):
             e = normalize_edge(path[idx], path[idx + 1])
             if e not in g.edges:
-                raise NotAugmentingError(f"{e} is not an edge")
+                raise MalformedSolutionError(f"{e} is not an edge")
             if (e in edges) != (idx % 2 == 1):
-                raise NotAugmentingError(f"path {path} does not alternate at {e}")
+                raise MalformedSolutionError(f"path {path} does not alternate at {e}")
     size = len(edges)
     for path in paths:
         for idx in range(len(path) - 1):
@@ -194,12 +194,10 @@ class SchemeStats:
     in place.  Equal when all three counters are equal.
     """
 
-    def __init__(self, invocations: dict[int, int] | None = None,
-                 augmentations: list[int] | None = None,
-                 sizes: list[int] | None = None) -> None:
-        self.invocations = {} if invocations is None else invocations
-        self.augmentations = [] if augmentations is None else augmentations
-        self.sizes = [] if sizes is None else sizes
+    def __init__(self) -> None:
+        self.invocations: dict[int, int] = {}
+        self.augmentations: list[int] = []
+        self.sizes: list[int] = []
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -221,9 +219,15 @@ def eliminate_length(g: Graph, m, i: int, *,
                      max_degree: int | None = None,
                      stats: SchemeStats | None = None,
                      assert_oracle: bool = False) -> Matching:
-    """Remove every length-(2i-1) augmenting path: t_i invocations, see ``_eliminate``."""
+    """Remove every length-(2i-1) augmenting path: t_i invocations, see ``_eliminate``.
+
+    Refuses an i < 1 with a ValueError, and an i whose schedule
+    ``run_matching_scheme(g, i)`` would refuse with its RoundBudgetError.
+    """
     check_colouring(g, MatchingSchemeAlgorithm)
     delta = degree_bound(g, max_degree)
+    if i >= 1:      # an i < 1 is invocation_count's ValueError
+        scheme_round_budget(delta, i)
     edges = set(validate_matching(g, m))
     _eliminate(g, edges, partner_map(edges), i, delta, stats, assert_oracle)
     return frozenset(edges)
@@ -251,7 +255,7 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
         paths = proposal_phase(g, _flood(g, partner, h))
         try:
             _augment(g, edges, partner, paths)
-        except (NotAugmentingError, PathsNotDisjointError) as exc:
+        except MalformedSolutionError as exc:
             raise InvariantError(f"proposal phase chose bad paths: {exc}") from exc
         if stats is not None:
             stats.record(i, len(paths), len(edges))
@@ -275,11 +279,15 @@ def approximate_maximum_matching(g: Graph, k: int, *,
                                  max_degree: int | None = None,
                                  stats: SchemeStats | None = None,
                                  assert_oracle: bool = False) -> Matching:
-    """Matching with no augmenting path of length <= 2k-1; a (1+1/k)-approximation."""
+    """Matching with no augmenting path of length <= 2k-1; a (1+1/k)-approximation.
+
+    Refuses what ``run_matching_scheme`` refuses, in the engine's order
+    and with the same class and message: the colouring, the declared
+    degree bound, then k < 1 or a round budget above MAX_SCHEME_ROUNDS.
+    """
     check_colouring(g, MatchingSchemeAlgorithm)
-    if k < 1:
-        raise ValueError("k must be at least 1")
     delta = degree_bound(g, max_degree)
+    scheme_round_budget(delta, k)
     edges: set[Edge] = set()
     partner: dict[int, int] = {}
     for i in range(1, k + 1):
@@ -505,7 +513,7 @@ def matching_from_outputs(g: Graph, outputs) -> Matching:
             continue
         u = g.port_neighbour(v, p)
         if outputs[u]["matched_port"] != g.port_of(u, v):
-            raise NotAugmentingError(f"nodes {v} and {u} disagree on their matched edge")
+            raise MalformedSolutionError(f"nodes {v} and {u} disagree on their matched edge")
         edges.add(normalize_edge(v, u))
     return frozenset(edges)
 
@@ -515,6 +523,6 @@ def run_matching_scheme(g: Graph, k: int, **kwargs):
     result = run_local_algorithm(g, MatchingSchemeAlgorithm(k), **kwargs)
     try:
         matching = matching_from_outputs(g, result.outputs)
-    except (NotAugmentingError, PortOutOfRangeError) as exc:
+    except MalformedSolutionError as exc:
         raise InvariantError(f"matching-scheme output: {exc}") from exc
     return matching, result

@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import InvalidMatchingError, TooLargeError
+from .errors import MalformedSolutionError, TooLargeError
 from .graph import Edge, Graph, normalize_edge
 
 DEFAULT_LIMIT = 24
@@ -68,8 +68,6 @@ def brute_min_dominating_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[
     """
     if g.n > limit:
         raise TooLargeError(f"{g.n} nodes exceeds limit {limit}")
-    if g.n == 0:
-        return frozenset()
     _, closed = _adch_masks(g)
     full = (1 << g.n) - 1
 
@@ -94,8 +92,6 @@ def brute_min_dominating_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[
         if dominated == full:
             found = list(chosen)
             return True
-        if len(chosen) >= target:
-            return False
         prev = seen.get(dominated)
         if prev is not None and prev <= len(chosen):
             return False
@@ -253,8 +249,6 @@ def brute_max_independent_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset
     """An exact maximum independent set by branch and bound."""
     if g.n > limit:
         raise TooLargeError(f"{g.n} nodes exceeds limit {limit}")
-    if g.n == 0:
-        return frozenset()
     adj, closed = _adch_masks(g)
     best: list[int] = []
     chosen: list[int] = []
@@ -329,9 +323,9 @@ def validate_matching(g: Graph, m: Iterable[Edge]) -> frozenset[Edge]:
     seen: set[int] = set()
     for u, v in edges:
         if (u, v) not in g.edges:
-            raise InvalidMatchingError(f"({u}, {v}) is not an edge")
+            raise MalformedSolutionError(f"({u}, {v}) is not an edge")
         if u in seen or v in seen:
-            raise InvalidMatchingError(f"node reused by matching at ({u}, {v})")
+            raise MalformedSolutionError(f"node reused by matching at ({u}, {v})")
         seen.update((u, v))
     return edges
 

@@ -13,7 +13,7 @@ from typing import Any, Mapping, NamedTuple
 
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
                      run_local_algorithm)
-from .errors import InvariantError, MalformedForestError, PortOutOfRangeError
+from .errors import InvariantError, MalformedSolutionError
 from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
 
 ROUND_BUDGET = 5  # colours, black claims, white claims, child status, detach
@@ -74,16 +74,16 @@ def normalize_stars(g: Graph, forest: RootedForest) -> StarForest:
             if gp is not None:
                 grand = g.port_neighbour(parent, gp)
                 if grand == v:
-                    raise MalformedForestError(f"parent cycle at node {v}")
+                    raise MalformedSolutionError(f"parent cycle at node {v}")
                 if forest.parent_port.get(grand) is not None:
-                    raise MalformedForestError(f"node {v} sits at depth > 2")
+                    raise MalformedSolutionError(f"node {v} sits at depth > 2")
             children[parent].append(v)
 
     stars: dict[int, frozenset[int]] = {}
     for r in roots:
         kids = children[r]
         if not kids:
-            raise MalformedForestError(f"parentless node {r} has no children")
+            raise MalformedSolutionError(f"parentless node {r} has no children")
         leaf_kids = [c for c in kids if not children[c]]
         branch_kids = [c for c in kids if children[c]]
         if not branch_kids:                                  # case 1
@@ -106,16 +106,16 @@ def _check_star_forest(g: Graph, stars: Mapping[int, frozenset[int]]) -> None:
     assigned: set[int] = set()
     for root, leaves in stars.items():
         if not leaves:
-            raise MalformedForestError(f"star at {root} has no leaves")
+            raise MalformedSolutionError(f"star at {root} has no leaves")
         for leaf in leaves:
             if normalize_edge(root, leaf) not in g.edges:
-                raise MalformedForestError(f"leaf {leaf} not adjacent to root {root}")
+                raise MalformedSolutionError(f"leaf {leaf} not adjacent to root {root}")
         members = {root, *leaves}
         if members & assigned:
-            raise MalformedForestError("stars overlap")
+            raise MalformedSolutionError("stars overlap")
         assigned |= members
     if assigned != set(g.nodes):
-        raise MalformedForestError("stars do not cover every node")
+        raise MalformedSolutionError("stars do not cover every node")
 
 
 def star_forest(g: Graph) -> StarForest:
@@ -236,7 +236,7 @@ def star_forest_from_outputs(g: Graph, outputs: Mapping[int, dict]) -> StarFores
             continue
         root = g.port_neighbour(v, p)
         if root not in stars:
-            raise MalformedForestError(f"node {v} points at non-root {root}")
+            raise MalformedSolutionError(f"node {v} points at non-root {root}")
         stars[root].add(v)
     forest = {r: frozenset(leaves) for r, leaves in stars.items()}
     _check_star_forest(g, forest)
@@ -248,6 +248,6 @@ def run_star_forest(g: Graph, **kwargs):
     result = run_local_algorithm(g, StarForestAlgorithm(), **kwargs)
     try:
         sf = star_forest_from_outputs(g, result.outputs)
-    except (MalformedForestError, PortOutOfRangeError) as exc:
+    except MalformedSolutionError as exc:
         raise InvariantError(f"star-forest output: {exc}") from exc
     return sf, result

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import ascending_ports
 from localgraphs import BLACK, WHITE, cli, errors, run_local_algorithm, with_colours
 from localgraphs.cli import export_dot, main
-from localgraphs.generators import numbered_cycle, random_weak, strong_blowup
+from localgraphs.generators import (numbered_cycle, random_bipartite, random_weak,
+                                    strong_blowup)
 from localgraphs.graph import dumps, graph_to_json_dict, loads
 from localgraphs.matching import (approximate_maximum_matching, eliminate_length,
                                   flood_phase, run_matching_scheme)
@@ -511,12 +512,10 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, k4_oriented, case):
 _EXIT_CODES = {
     "LocalGraphError": 2, "SelfLoopError": 2, "DuplicateEdgeError": 2,
     "PortClashError": 2, "PortGapError": 2, "IsolatedNodeError": 2,
-    "GraphFormatError": 2, "PortOutOfRangeError": 2, "MalformedForestError": 2,
+    "GraphFormatError": 2, "MalformedSolutionError": 2,
     "ProviderFailureError": 2, "RoundBudgetError": 2,
-    "PathsNotDisjointError": 2, "NotAugmentingError": 2, "InvalidMatchingError": 2,
     "TooLargeError": 2, "TooSmallError": 2, "DegenerateParamsError": 2,
-    "OddCycleLengthError": 2, "DeltaTooSmallError": 2, "NotInCycleError": 2,
-    "NotIndependentError": 2,
+    "OddCycleLengthError": 2, "DeltaTooSmallError": 2,
     "CapabilityError": 3, "MissingColoursError": 3,
     "MissingOrientationError": 3, "NotWeaklyColouredError": 3,
     "NotProperlyColouredError": 3, "EvenDeltaError": 3,
@@ -562,7 +561,7 @@ def _refusal(call):
     """The class and message a call raises, or None when it returns."""
     try:
         call()
-    except errors.LocalGraphError as exc:
+    except (errors.LocalGraphError, ValueError) as exc:
         return type(exc).__name__, str(exc)
     return None
 
@@ -580,6 +579,23 @@ def test_both_implementations_refuse_alike(instance):
     for alg, outcomes in (("star-ds", star), ("matching-scheme", scheme)):
         assert [o and o[0] for o in outcomes] == [refusals.get(alg)] * len(outcomes)
         assert len(set(outcomes)) == 1, outcomes
+
+
+@pytest.mark.parametrize("k, max_degree, refusal", [
+    (409, None, "RoundBudgetError"),    # the budget 6k^2 on degree bound 2 passes 10^6
+    (0, None, "ValueError"),
+    (1, 1, "ValueError"),               # a declared bound below the actual degree 2
+])
+def test_both_scheme_implementations_refuse_the_same_parameters(k, max_degree, refusal):
+    g = random_bipartite(10, 2, 0)
+    assert g.max_degree == 2
+    outcomes = [_refusal(lambda: run_matching_scheme(g, k, max_degree=max_degree)),
+                _refusal(lambda: approximate_maximum_matching(g, k, max_degree=max_degree))]
+    if k >= 1:      # eliminate_length refuses an i < 1 with its own message
+        outcomes.append(_refusal(lambda: eliminate_length(g, frozenset(), k,
+                                                          max_degree=max_degree)))
+    assert outcomes[0] is not None and outcomes[0][0] == refusal
+    assert len(set(outcomes)) == 1, outcomes
 
 
 class TestExitCodeContract:

@@ -11,9 +11,9 @@ from localgraphs import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass,
                          run_local_algorithm)
 from localgraphs.baselines import WhiteIndependentSet
 from localgraphs.errors import (DegenerateParamsError, DeltaTooSmallError,
-                                EvenDeltaError, NotIndependentError,
-                                NotInCycleError, NotProperlyColouredError,
-                                OddCycleLengthError, TooSmallError)
+                                EvenDeltaError, MalformedSolutionError,
+                                NotProperlyColouredError, OddCycleLengthError,
+                                TooSmallError)
 from localgraphs import generators
 from localgraphs.generators import (_bipartite_cover, _fill_random_edges,
                                     _pairing_cover, cycle_power,
@@ -172,7 +172,7 @@ class TestMatchingToIndependentSet:
 
     def test_non_cycle_edge_rejected(self):
         c = numbered_cycle(6)
-        with pytest.raises(NotInCycleError):
+        with pytest.raises(MalformedSolutionError, match="is not a cycle edge"):
             matching_to_independent_set(c, {(0, 3)})
 
 
@@ -196,7 +196,7 @@ class TestMergeLayers:
         assert total == 2 * len(layers) - 1   # exactly the 2*delta - 1 bound
 
     def test_not_independent_rejected(self):
-        with pytest.raises(NotIndependentError):
+        with pytest.raises(MalformedSolutionError, match="contains adjacent nodes"):
             merge_layer_independent_sets(numbered_cycle(6), [{0, 1}])
 
     def test_bound_holds_randomly(self):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from localgraphs import BLACK, WHITE, ColouringClass, build_graph, classify_colouring
 from localgraphs.errors import (DuplicateEdgeError, GraphFormatError,
-                                IsolatedNodeError, LocalGraphError, MissingColoursError,
-                                PortClashError, PortGapError,
-                                PortOutOfRangeError, SelfLoopError)
+                                IsolatedNodeError, LocalGraphError,
+                                MalformedSolutionError, MissingColoursError,
+                                PortClashError, PortGapError, SelfLoopError)
 from localgraphs.graph import (Graph, disjoint_union, dumps, edge_specs,
                                graph_from_json_dict, graph_to_json_dict,
                                induced_subgraph, loads, normalize_edge, relabel,
@@ -150,7 +150,7 @@ class TestPorts:
         assert single_edge.port_neighbour(0, 1) == 1
 
     def test_out_of_range(self, single_edge):
-        with pytest.raises(PortOutOfRangeError):
+        with pytest.raises(MalformedSolutionError, match=r"has ports 1\.\.1, got 2"):
             single_edge.port_neighbour(0, 2)
 
     def test_p3_port_map(self, p3_wbw):

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import _corpus
 from localgraphs import BLACK, WHITE, build_graph, disjoint_union, with_colours
-from localgraphs.errors import (InvariantError, NotAugmentingError,
-                                NotProperlyColouredError, PathsNotDisjointError,
-                                RoundBudgetError, ShorterPathExistsError)
+from localgraphs.errors import (InvariantError, MalformedSolutionError,
+                                NotProperlyColouredError, RoundBudgetError,
+                                ShorterPathExistsError)
 from localgraphs.generators import random_bipartite, strong_blowup, numbered_cycle
 from localgraphs.engine import NodeView, run_local_algorithm
 from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
@@ -174,19 +174,19 @@ class TestProposalAndAugment:
         assert augment_phase(p4_coloured, {(1, 2)}, []) == {(1, 2)}
 
     def test_overlapping_paths_rejected(self, p4_coloured):
-        with pytest.raises(PathsNotDisjointError):
+        with pytest.raises(MalformedSolutionError, match="overlaps another path"):
             augment_phase(p4_coloured, frozenset(), [(0, 1), (1, 2)])
 
     def test_non_alternating_rejected(self, p4_coloured):
-        with pytest.raises(NotAugmentingError):
+        with pytest.raises(MalformedSolutionError, match="does not join unmatched endpoints"):
             augment_phase(p4_coloured, {(1, 2)}, [(1, 2)])
-        with pytest.raises(NotAugmentingError):
+        with pytest.raises(MalformedSolutionError, match="does not alternate at"):
             augment_phase(p4_coloured, frozenset(), [(0, 1, 2, 3)])
 
     def test_repeated_node_and_even_edge_count_rejected(self, p4_coloured):
-        with pytest.raises(NotAugmentingError, match="repeats a node"):
+        with pytest.raises(MalformedSolutionError, match="repeats a node"):
             augment_phase(p4_coloured, frozenset(), [(0, 1, 0, 1)])
-        with pytest.raises(NotAugmentingError, match="even edge count"):
+        with pytest.raises(MalformedSolutionError, match="even edge count"):
             augment_phase(p4_coloured, frozenset(), [(0, 1, 2)])
 
 
@@ -304,12 +304,13 @@ class TestIdleStop:
 
     def test_bad_paths_from_the_proposal_phase_are_internal(self, monkeypatch, p4_coloured):
         import localgraphs.matching as matching
-        for bad in ([(0, 1), (1, 2)], [(0, 2)]):      # overlapping; not an edge
+        for bad, fragment in (([(0, 1), (1, 2)], "overlaps another path"),
+                              ([(0, 2)], "is not an edge")):
             monkeypatch.setattr(matching, "proposal_phase", lambda g, forest: bad)
             with pytest.raises(InvariantError) as info:
                 approximate_maximum_matching(p4_coloured, 1)
-            assert isinstance(info.value.__cause__,
-                              (NotAugmentingError, PathsNotDisjointError))
+            assert isinstance(info.value.__cause__, MalformedSolutionError)
+            assert fragment in str(info.value.__cause__)
 
 
 class TestApproximateMatching:

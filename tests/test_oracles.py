@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from localgraphs.errors import InvalidMatchingError, TooLargeError
+from localgraphs.errors import MalformedSolutionError, TooLargeError
 from localgraphs.generators import random_bipartite, random_weak
 from localgraphs.graph import build_graph
 from localgraphs.oracles import (Solution, SolutionKind,
@@ -131,6 +131,13 @@ class TestFixtures:
         assert len(brute_max_independent_set(cycle(6))) == 3
         assert len(brute_max_independent_set(k4_oriented)) == 1
 
+    def test_empty_graph(self):
+        g = build_graph(0, [])
+        assert brute_min_dominating_set(g) == frozenset()
+        assert brute_max_independent_set(g) == frozenset()
+        assert brute_max_matching(g) == frozenset()
+        assert shortest_augmenting_path_length(g, frozenset()) is None
+
     def test_too_large(self):
         g = random_weak(30, 3, 1, oriented=False)
         with pytest.raises(TooLargeError):
@@ -164,9 +171,9 @@ class TestShortestAugmentingPath:
             shortest_augmenting_path_length(cycle(5), {(1, 2)})
 
     def test_invalid_matching(self, p4_coloured):
-        with pytest.raises(InvalidMatchingError):
+        with pytest.raises(MalformedSolutionError, match="node reused by matching"):
             shortest_augmenting_path_length(p4_coloured, {(0, 1), (1, 2)})
-        with pytest.raises(InvalidMatchingError):
+        with pytest.raises(MalformedSolutionError, match="is not an edge"):
             shortest_augmenting_path_length(p4_coloured, {(0, 2)})
 
     def test_none_iff_maximum(self):

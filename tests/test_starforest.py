@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localgraphs import BLACK, WHITE, with_colours
-from localgraphs.errors import MalformedForestError, NotWeaklyColouredError
+from localgraphs.errors import MalformedSolutionError, NotWeaklyColouredError
 from localgraphs.generators import (random_weak, random_weak_colouring,
                                     shuffle_ports)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
@@ -68,18 +68,18 @@ class TestNormalizeStars:
         assert sf.stars == {0: frozenset({1}), 2: frozenset({3})}
 
     def test_cycle_detected(self, single_edge):
-        with pytest.raises(MalformedForestError):
+        with pytest.raises(MalformedSolutionError, match="parent cycle at node"):
             normalize_stars(single_edge, RootedForest({0: 1, 1: 1}))
 
     def test_depth_three_detected(self):
         g = ascending_ports(4, [(0, 1), (1, 2), (2, 3)],
                             colours=[WHITE, BLACK, WHITE, BLACK])
         bad = RootedForest({3: 1, 2: 2, 1: 2})   # chain 3 -> 2 -> 1 -> 0
-        with pytest.raises(MalformedForestError):
+        with pytest.raises(MalformedSolutionError, match="sits at depth > 2"):
             normalize_stars(g, bad)
 
     def test_parentless_childless_detected(self, c4_coloured):
-        with pytest.raises(MalformedForestError):
+        with pytest.raises(MalformedSolutionError, match="has no children"):
             normalize_stars(c4_coloured, RootedForest({}))
 
 
