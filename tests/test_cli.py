@@ -380,6 +380,14 @@ class TestOracleVerifyExport:
                             "--solution", str(bad))
         assert code == 0 and not json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("problem", ["ds", "matching", "is"])
+    def test_oracle_on_the_empty_graph(self, capsys, tmp_path, problem):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"nodes": [], "edges": []}))
+        code, out = run_cli(capsys, "oracle", "--graph", str(path), "--problem", problem)
+        assert code == 0
+        assert json.loads(out) == {"members": [], "size": 0}
+
     @pytest.mark.parametrize("problem", ["matching", "is"])
     def test_oracle_limit_refuses_k6(self, capsys, tmp_path, problem):
         # --limit caps only the exponential oracles: matching solves K6 under it

@@ -131,12 +131,14 @@ class TestFixtures:
         assert len(brute_max_independent_set(cycle(6))) == 3
         assert len(brute_max_independent_set(k4_oriented)) == 1
 
-    def test_empty_graph(self):
-        g = build_graph(0, [])
-        assert brute_min_dominating_set(g) == frozenset()
-        assert brute_max_independent_set(g) == frozenset()
-        assert brute_max_matching(g) == frozenset()
-        assert shortest_augmenting_path_length(g, frozenset()) is None
+    @pytest.mark.parametrize("oracle, expected", [
+        (brute_min_dominating_set, frozenset()),
+        (brute_max_independent_set, frozenset()),
+        (brute_max_matching, frozenset()),
+        (lambda g: shortest_augmenting_path_length(g, frozenset()), None),
+    ], ids=["dominating-set", "independent-set", "matching", "augmenting-path"])
+    def test_empty_graph(self, oracle, expected):
+        assert oracle(build_graph(0, [])) == expected
 
     def test_too_large(self):
         g = random_weak(30, 3, 1, oriented=False)
