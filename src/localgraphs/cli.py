@@ -317,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", action="store_true",
                      help="also compute the exact optimum and the ratio")
     run.add_argument("--assert-oracle", action="store_true",
-                     help="re-check every scheme invocation against the oracle")
+                     help="re-check every scheme invocation against the oracle; "
+                          "an idle invocation reuses the previous answer")
     run.add_argument("--limit", type=int, default=oracles.DEFAULT_LIMIT,
                      help=LIMIT_HELP)
     run.add_argument("--weak-colouring", default="centralized",

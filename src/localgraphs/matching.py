@@ -21,7 +21,7 @@ from .errors import (InvariantError, MalformedSolutionError, RoundBudgetError,
 from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
 # the bench target matching.classify_colouring looks the name up in this module
 from .graph import classify_colouring  # noqa: F401
-from .oracles import partner_map, shortest_augmenting_path_length, validate_matching
+from .oracles import _augmenting_distance, partner_map, try_bipartition, validate_matching
 
 Matching = frozenset[Edge]
 Path = tuple[int, ...]
@@ -247,10 +247,20 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
     skipped ones with no path.  A local node cannot see that the
     matching is final, so the simulated scheme runs all t_i; with
     ``assert_oracle`` this reference does too, and checks each against
-    the oracle.
+    the oracle.  The oracle is a function of g and ``edges`` alone, so
+    it is computed after the first invocation and after each one that
+    augmented a path; an invocation with no path reuses the last answer.
+    Each computed answer validates ``edges`` and rebuilds its partner
+    map, independent of ``partner``.
     """
     h = 2 * i - 1
     t = invocation_count(delta, i)
+    side = try_bipartition(g) if assert_oracle else None    # g is properly coloured
+
+    def oracle() -> int | None:
+        return _augmenting_distance(g, partner_map(validate_matching(g, edges)), side)
+
+    spl, stale = None, True       # the oracle's last answer; stale until computed
     for done in range(1, t + 1):
         paths = proposal_phase(g, _flood(g, partner, h))
         try:
@@ -260,7 +270,8 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
         if stats is not None:
             stats.record(i, len(paths), len(edges))
         if assert_oracle:
-            spl = shortest_augmenting_path_length(g, edges)
+            if stale or paths:
+                spl, stale = oracle(), False
             if spl is not None and spl < h:
                 raise ShorterPathExistsError(
                     f"invocation left an augmenting path of length {spl} < {h}")
@@ -269,7 +280,8 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
                 stats.record(i, 0, len(edges), times=t - done)
             break
     if assert_oracle:
-        spl = shortest_augmenting_path_length(g, edges)
+        if stale:           # t_i = 0: no invocation ran
+            spl = oracle()
         if spl is not None and spl <= h:
             raise ShorterPathExistsError(
                 f"length-{spl} augmenting path survived elimination at h={h}")

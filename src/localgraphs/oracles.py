@@ -318,11 +318,16 @@ def _walk_path(start: int, adj: list[int], comp: int, cycle: bool) -> list[int]:
 
 # -- augmenting paths ----------------------------------------------------------
 
+def _is_node_id(x) -> bool:
+    """An ``int`` itself: a bool or a float equal to a node id is not one."""
+    return type(x) is int
+
+
 def validate_matching(g: Graph, m: Iterable[Edge]) -> frozenset[Edge]:
     edges = frozenset(normalize_edge(u, v) for u, v in m)
     seen: set[int] = set()
     for u, v in edges:
-        if (u, v) not in g.edges:
+        if not (_is_node_id(u) and _is_node_id(v)) or (u, v) not in g.edges:
             raise MalformedSolutionError(f"({u}, {v}) is not an edge")
         if u in seen or v in seen:
             raise MalformedSolutionError(f"node reused by matching at ({u}, {v})")
@@ -350,6 +355,12 @@ def shortest_augmenting_path_length(g: Graph, m: Iterable[Edge]) -> int | None:
     side = try_bipartition(g)
     if side is None:
         raise ValueError("shortest augmenting path length needs a bipartite graph")
+    return _augmenting_distance(g, partner, side)
+
+
+def _augmenting_distance(g: Graph, partner: dict[int, int], side: list[int]) -> int | None:
+    """``shortest_augmenting_path_length`` for a valid matching's partner map
+    and a bipartition of g."""
     dist = {v: 0 for v in g.nodes if side[v] == 0 and v not in partner}
     queue = list(dist)
     for v in queue:
@@ -384,13 +395,17 @@ class VerificationReport(NamedTuple):
 
 
 def verify_solution(g: Graph, s: Solution) -> VerificationReport:
-    """Check validity; violations are reported, never raised."""
+    """Check validity; violations are reported, never raised.
+
+    A member counts as a node only when it is an ``int`` itself, so a
+    bool or a float that equals a node id is a violation, not that node.
+    """
     violations: list[str] = []
     if s.kind is SolutionKind.MATCHING:
         seen: set[int] = set()
         for item in sorted(s.members):
             u, v = normalize_edge(*item)
-            if not (0 <= u < g.n and 0 <= v < g.n) or (u, v) not in g.edges:
+            if not (_is_node_id(u) and _is_node_id(v)) or (u, v) not in g.edges:
                 violations.append(f"({u}, {v}) is not an edge of the graph")
                 continue
             if u in seen or v in seen:
@@ -399,9 +414,9 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
     else:
         members = set(s.members)
         for v in sorted(members):
-            if not (isinstance(v, int) and 0 <= v < g.n):
+            if not (_is_node_id(v) and 0 <= v < g.n):
                 violations.append(f"{v!r} is not a node")
-        members = {v for v in members if isinstance(v, int) and 0 <= v < g.n}
+        members = {v for v in members if _is_node_id(v) and 0 <= v < g.n}
         if s.kind is SolutionKind.DOMINATING_SET:
             for v in g.nodes:
                 if v not in members and not any(u in members for u in g.neighbours(v)):

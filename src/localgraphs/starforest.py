@@ -152,6 +152,15 @@ class StarForestAlgorithm(LocalAlgorithm):
     Outputs ``{"parent_port": p-or-None, "matched_port": q-or-None}``;
     a node is a star root iff its parent port is None, and roots report
     the port of their star's matched edge.
+
+    A node is stepped only on mail or a requested wake-up.  Every node
+    has mail in round 1, since a weakly coloured graph has no isolated
+    node.  After it a white acts only in rounds 2 (adopt a parent if no
+    black claimed it) and 4 (on its children's status), a black only in
+    rounds 3 (report its status) and 5 (on a detach or reverse order).
+    So ``next_wake`` wakes a white at round 2 and a black at round 3,
+    where they act whatever their mail; rounds 4 and 5 act only on mail.
+    Any other step would change no state and send nothing.
     """
 
     name = "star-forest"
@@ -217,6 +226,11 @@ class StarForestAlgorithm(LocalAlgorithm):
                 state["parent_port"] = None
                 state["leaf_ports"] = tuple(sorted(leaf_ports))
         return state, sends
+
+    def next_wake(self, state: dict, round_no: int) -> int | None:
+        if round_no != 1:
+            return None
+        return 3 if state["colour"] == BLACK else 2
 
     def finalize(self, state: dict) -> dict:
         parent = state["parent_port"]

@@ -263,13 +263,18 @@ class TestRun:
             outputs.add(out)
         assert len(outputs) == 1
 
-    def test_trace_written(self, capsys, tmp_path, c4_file):
+    def test_trace_written(self, capsys, tmp_path, c4_file, c4_coloured):
         trace = tmp_path / "trace.jsonl"
         code, _ = run_cli(capsys, "run", "--graph", c4_file,
                           "--alg", "star-ds", "--trace", str(trace))
         assert code == 0
-        lines = [json.loads(l) for l in trace.read_text().splitlines()]
-        assert {d["round"] for d in lines} == {0, 1, 2, 3, 4, 5}
+        text = trace.read_text().splitlines()
+        lines = [json.loads(l) for l in text]
+        expected: list[str] = []
+        run = run_local_algorithm(c4_coloured, StarForestAlgorithm(), trace=expected.append)
+        assert len(lines) == c4_coloured.n + run.steps     # one per init, one per step
+        assert {d["round"] for d in lines} <= {0, 1, 2, 3, 4, 5}
+        assert text == expected
         assert all({"node", "sent", "state_digest"} <= set(d) for d in lines)
 
     def test_odd_ds_trace_is_the_star_phase(self, capsys, tmp_path, k4_oriented):

@@ -236,7 +236,7 @@ def test_traced_scheme_run_writes_a_line_per_init_and_step():
 
 def test_steps_count_every_call():
     g = weak_layered(numbered_cycle(4), 3)
-    dense = run_local_algorithm(g, StarForestAlgorithm())
+    dense = run_local_algorithm(g, NeighbourhoodProbe(3))
     assert dense.steps == g.n * dense.rounds_used
     g = random_bipartite(200, 4, 1)
     sparse = run_local_algorithm(g, MatchingSchemeAlgorithm(3))

@@ -14,8 +14,9 @@ families leaves these digests alone; those families are pinned
 separately, by a digest of each instance's JSON document, and so are
 the graph copies derived from them (recolouring, port shuffles,
 relabelling, unions, induced subgraphs and the dummy-augmented core).
-The scheme's sparse stepping, only on mail or a requested wake-up, is
-checked against a run that steps every node in every round.  Trace
+The sparse stepping of the scheme and of the star forest, only on mail
+or a requested wake-up, is checked against a run that steps every node
+in every round.  Trace
 lines and graph documents are written by hand, not by ``json.dumps``;
 both are checked to be exactly the canonical ``sort_keys=True`` form.
 """
@@ -37,7 +38,7 @@ from localgraphs.generators import (numbered_cycle, random_bipartite,
 from localgraphs.graph import (disjoint_union, dumps, graph_to_json_dict,
                                induced_subgraph, relabel, with_colours)
 from localgraphs.matching import MatchingSchemeAlgorithm
-from localgraphs.oddds import build_h2, partition_abc
+from localgraphs.oddds import build_h2, odd_delta_pipeline, partition_abc
 from localgraphs.starforest import StarForestAlgorithm
 
 
@@ -57,7 +58,7 @@ def run_digest(g, alg) -> str:
 GOLDEN = [
     ("star-forest weak_layered(C4, 3)",
      lambda: (weak_layered(numbered_cycle(4), 3), StarForestAlgorithm()),
-     "f1f3601083939dde761b4936ea5b15431ca6f3295949a8a79a88a0e5934271a3",
+     "119d4b08452132ecbadbe0fa067097969b497e7b671cba9031d0f38f486ca6d3",
      "6db9ee52716f8157d6606d656ee36ebbced691408bb9fa662cc3bcaa3bc64dc4"),
     ("matching-scheme k=1 strong_blowup(C8, 3)",
      lambda: (strong_blowup(numbered_cycle(8), 3), MatchingSchemeAlgorithm(1)),
@@ -97,10 +98,11 @@ def sends_digest(g, alg) -> str:
     return h.hexdigest()
 
 
-def sends_and_bits(g, alg):
+def sends_and_bits(g, alg, lines=None):
     """Every (round, node, sends) with a send, the sorted outputs,
-    ``rounds_used`` and ``max_message_bits``, from one run."""
-    lines: list[str] = []
+    ``rounds_used`` and ``max_message_bits``, from one run; its trace
+    lines go to ``lines`` if given."""
+    lines = [] if lines is None else lines
     result = run_local_algorithm(g, alg, trace=lines.append)
     sent = [[d["round"], d["node"], d["sent"]] for d in map(json.loads, lines) if d["sent"]]
     return sent, sorted(result.outputs.items()), result.rounds_used, result.max_message_bits
@@ -177,19 +179,64 @@ class DenseScheme(MatchingSchemeAlgorithm):
     next_wake = LocalAlgorithm.next_wake
 
 
-EXACT = ([("strong_blowup(C8, 3)", lambda: strong_blowup(numbered_cycle(8), 3))]
-         + UNMATCHED
-         + [(f"random_bipartite(40, {d}, {s})", lambda d=d, s=s: random_bipartite(40, d, s))
-            for d in (2, 3, 4) for s in range(10)])
+class DenseStar(StarForestAlgorithm):
+    """The star forest stepped at every node in every round."""
+
+    next_wake = LocalAlgorithm.next_wake
 
 
-@pytest.mark.parametrize("make", [m for _, m in EXACT], ids=[name for name, _ in EXACT])
-def test_sparse_stepping_is_exact(make):
+def scheme_pairs():
+    return [(MatchingSchemeAlgorithm(k), DenseScheme(k)) for k in (1, 2, 3)]
+
+
+def star_pairs():
+    return [(StarForestAlgorithm(), DenseStar())]
+
+
+def odd_pipeline_core(g):
+    """The coloured core the odd-Δ pipeline runs the star forest on."""
+    result = odd_delta_pipeline(g)
+    return with_colours(result.h2.base, result.core_colours)
+
+
+EXACT = (
+    [(name, make, scheme_pairs) for name, make in
+     [("strong_blowup(C8, 3)", lambda: strong_blowup(numbered_cycle(8), 3))]
+     + UNMATCHED
+     + [(f"random_bipartite(40, {d}, {s})", lambda d=d, s=s: random_bipartite(40, d, s))
+        for d in (2, 3, 4) for s in range(10)]]
+    + [(f"star-forest {name}", make, star_pairs) for name, make in
+       [("weak_layered(C4, 3)", lambda: weak_layered(numbered_cycle(4), 3)),
+        ("strong_blowup(C8, 3)", lambda: strong_blowup(numbered_cycle(8), 3))]
+       + [(f"random_weak(40, {d}, {s}{'' if oriented else ', unoriented'})",
+           lambda d=d, s=s, o=oriented: random_weak(40, d, s, oriented=o))
+          for d in (2, 3, 4, 5) for s in range(10) for oriented in (True, False)]
+       + [(f"odd core of random_weak(40, {d}, {s})",
+           lambda d=d, s=s: odd_pipeline_core(random_weak(40, d, s)))
+          for d, s in ((3, 2), (3, 4), (5, 0), (5, 2))]])
+
+
+def _at(line: str) -> tuple[int, int]:
+    doc = json.loads(line)
+    return doc["round"], doc["node"]
+
+
+@pytest.mark.parametrize("make, pairs", [(m, p) for _, m, p in EXACT],
+                         ids=[name for name, _, _ in EXACT])
+def test_sparse_stepping_is_exact(make, pairs):
     """Stepping only nodes with mail or a wake-up changes no send, output,
-    round count or message size against stepping every node every round."""
+    round count or message size against stepping every node every round.
+    The star forest's skipped steps would change no state either, so each
+    line of its trace is the dense trace's line at the same (round, node)."""
     g = make()
-    for k in (1, 2, 3):
-        assert sends_and_bits(g, MatchingSchemeAlgorithm(k)) == sends_and_bits(g, DenseScheme(k))
+    for sparse, dense in pairs():
+        sparse_lines: list[str] = []
+        dense_lines: list[str] = []
+        assert (sends_and_bits(g, sparse, sparse_lines)
+                == sends_and_bits(g, dense, dense_lines))
+        if isinstance(sparse, StarForestAlgorithm):
+            dense_at = {_at(line): line for line in dense_lines}
+            assert all(dense_at[_at(line)] == line for line in sparse_lines)
 
 
 SEEDED = [

@@ -313,6 +313,43 @@ class TestIdleStop:
             assert fragment in str(info.value.__cause__)
 
 
+def test_assert_oracle_searches_once_per_distinct_matching(monkeypatch):
+    """With ``assert_oracle``, each path length runs the oracle's search
+    after its first invocation and after each later one that augmented a
+    path; the final check reuses the last answer, or is the only search
+    when t_i = 0."""
+    import localgraphs.matching as matching
+    lengths: list[int] = []         # the path index i of each _eliminate call
+    searches: dict[int, int] = {}
+
+    def eliminate(g, edges, partner, i, *rest, _eliminate=matching._eliminate):
+        lengths.append(i)
+        return _eliminate(g, edges, partner, i, *rest)
+
+    def search(g, partner, side, _search=matching._augmenting_distance):
+        searches[lengths[-1]] = searches.get(lengths[-1], 0) + 1
+        return _search(g, partner, side)
+
+    monkeypatch.setattr(matching, "_eliminate", eliminate)
+    monkeypatch.setattr(matching, "_augmenting_distance", search)
+    saved = idle_lengths = 0
+    for g in _idle_stop_instances():
+        for k in (1, 2, 3):
+            lengths.clear()
+            searches.clear()
+            stats = SchemeStats()
+            approximate_maximum_matching(g, k, stats=stats, assert_oracle=True)
+            start = 0
+            for i in range(1, k + 1):
+                t = invocation_count(g.max_degree, i)
+                later = stats.augmentations[start + 1:start + t]
+                assert searches[i] == 1 + sum(1 for paths in later if paths)
+                saved += t + 1 - searches[i]
+                idle_lengths += t == 0
+                start += t
+    assert saved > 0 and idle_lengths > 0
+
+
 class TestApproximateMatching:
     def test_p4_one_pass_is_maximum(self, p4_coloured):
         m = approximate_maximum_matching(p4_coloured, 1)

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from localgraphs.errors import MalformedSolutionError, TooLargeError
-from localgraphs.generators import random_bipartite, random_weak
+from localgraphs.generators import numbered_cycle, random_bipartite, random_weak
 from localgraphs.graph import build_graph
 from localgraphs.oracles import (Solution, SolutionKind,
                                  brute_max_independent_set,
@@ -317,3 +317,20 @@ class TestVerify:
         ds = brute_min_dominating_set(c4_coloured)
         assert verify_solution(
             c4_coloured, Solution(SolutionKind.DOMINATING_SET, ds)).ok
+
+    @pytest.mark.parametrize("kind, members, violation", [
+        (SolutionKind.MATCHING, {(0.0, 1.0), (2.0, 3.0)},
+         "(0.0, 1.0) is not an edge of the graph"),
+        (SolutionKind.DOMINATING_SET, {True, 3}, "True is not a node"),
+        (SolutionKind.INDEPENDENT_SET, {False, 2}, "False is not a node"),
+    ], ids=["matching", "dominating-set", "independent-set"])
+    def test_member_equal_to_a_node_id_is_not_that_node(self, kind, members, violation):
+        report = verify_solution(numbered_cycle(4).graph, Solution(kind, frozenset(members)))
+        assert not report.ok
+        assert violation in report.violations
+
+    def test_validate_matching_refuses_a_member_equal_to_a_node_id(self):
+        g = numbered_cycle(4).graph
+        for m in ({(0.0, 1.0)}, {(True, 2)}):
+            with pytest.raises(MalformedSolutionError, match="is not an edge"):
+                validate_matching(g, m)
