@@ -126,7 +126,9 @@ def run_local_algorithm(g: Graph,
     A send that breaks the contract, or a ``next_wake`` that names a
     round not after the current one, raises :class:`InvariantError`.
     ``check_colouring`` refuses a graph below ``alg.needs_colouring``
-    before round 0.
+    before round 0.  The colouring class, the route table and the node
+    labels the views are built from are the graph's own, derived on
+    its first run and kept for every later one.
     """
     check_colouring(g, alg)
     delta = degree_bound(g, max_degree)
@@ -166,8 +168,7 @@ def run_local_algorithm(g: Graph,
 
     step, next_wake, steps = alg.step, alg.next_wake, 0
     views: dict[tuple, NodeView] = {}     # one frozen view per distinct label
-    for v in g.nodes:
-        label = _node_label(g, v)
+    for v, label in enumerate(g.labels()):
         view = views.get(label)
         if view is None:
             degree, colour, directions = label
@@ -214,10 +215,6 @@ def _digest(value: Any) -> bytes:
 
 # -- locality helper -----------------------------------------------------------
 
-def _node_label(g: Graph, v: int):
-    return (g.degree(v), g.colour(v), g.port_directions(v))
-
-
 def _view_codes(g: Graph, radius: int, intern: dict) -> list[int]:
     """Canonical code of every node's depth-``radius`` view tree.
 
@@ -231,8 +228,7 @@ def _view_codes(g: Graph, radius: int, intern: dict) -> list[int]:
             intern[key] = code
         return code
 
-    labels = [_node_label(g, v) for v in g.nodes]
-    routes = g.routes()
+    labels, routes = g.labels(), g.routes()
     codes = [get(("leaf", label)) for label in labels]
     for _ in range(radius):
         codes = [get((labels[v], tuple((arrival, codes[u]) for u, arrival in routes[v])))

@@ -8,9 +8,9 @@ gives each port the direction of the edge behind it.
 
 from __future__ import annotations
 
-import copy
 import json
 from enum import IntEnum
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -58,16 +58,17 @@ class Graph:
     gives, in the same order, OUTGOING or INCOMING for the edge behind
     each port; ``directions`` is None on an unoriented graph.  The
     constructor trusts its arguments.  It takes the edge set (normalized
-    ``u < v`` pairs) from ``edges`` or derives it from ``port_to``; the
-    reverse port table (neighbour -> port, per node) is derived on its
-    first read.  New structure is validated by :func:`build_graph`, which
-    passes the edge set its validation built; copies of a valid graph
-    (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
+    ``u < v`` pairs) from ``edges`` or derives it from ``port_to``.  The
+    reverse port table (neighbour -> port, per node), the route table,
+    the node labels and the colouring class are derived on their first
+    read and kept.  New structure is validated by :func:`build_graph`,
+    which passes the edge set its validation built; copies of a valid
+    graph (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
     :func:`induced_subgraph`) derive their tables from the source's.
     """
 
     __slots__ = ("n", "colours", "edges", "_port_to", "_directions", "_port_of",
-                 "_max_degree")
+                 "_routes", "_labels", "_colouring", "_max_degree")
 
     def __init__(self, n, colours, port_to, directions, edges=None):
         self.n = n
@@ -75,6 +76,9 @@ class Graph:
         self._port_to = port_to         # tuple[tuple[int, ...], ...]
         self._directions = directions or None   # tuple[tuple[str, ...], ...] | None
         self._port_of = None            # read as `self._port_of or self._reverse()`
+        self._routes = None             # read as `self._routes or self._route_table()`
+        self._labels = None             # read as `self._labels or self._label_table()`
+        self._colouring = None          # ColouringClass of ``colours``, set by classify_colouring
         self.edges = frozenset((v, u) for v, nbrs in enumerate(port_to)
                                for u in nbrs if v < u) if edges is None else edges
         self._max_degree = max(map(len, port_to), default=0)
@@ -84,6 +88,19 @@ class Graph:
         self._port_of = tuple({u: p for p, u in enumerate(nbrs, start=1)}
                               for nbrs in self._port_to)
         return self._port_of
+
+    def _route_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Derive and keep the route table: (neighbour, arrival port), per port."""
+        port_of = self._port_of or self._reverse()
+        self._routes = tuple([tuple([(u, port_of[u][v]) for u in nbrs])
+                              for v, nbrs in enumerate(self._port_to)])
+        return self._routes
+
+    def _label_table(self) -> tuple[tuple, ...]:
+        """Derive and keep the node labels: (degree, colour, port directions)."""
+        self._labels = tuple(zip(map(len, self._port_to), self.colours or repeat(None),
+                                 self._directions or repeat(None)))
+        return self._labels
 
     # -- structure accessors --------------------------------------------
 
@@ -109,23 +126,35 @@ class Graph:
     def port_neighbour(self, v: int, p: int) -> int:
         """The unique neighbour reached from v through port p."""
         if not 1 <= p <= len(self._port_to[v]):
-            raise MalformedSolutionError(
-                f"node {v} has ports 1..{len(self._port_to[v])}, got {p}")
+            raise self._no_port(v, p)
         return self._port_to[v][p - 1]
+
+    def route(self, v: int, p: int) -> tuple[int, int]:
+        """(neighbour, arrival port) of v's port p: ``routes()[v][p-1]``, checked."""
+        out = (self._routes or self._route_table())[v]
+        if not 1 <= p <= len(out):
+            raise self._no_port(v, p)
+        return out[p - 1]
+
+    def _no_port(self, v: int, p) -> MalformedSolutionError:
+        return MalformedSolutionError(
+            f"node {v} has ports 1..{len(self._port_to[v])}, got {p}")
 
     def arrival_port(self, v: int, p: int) -> int:
         """The port at the far endpoint through which v's port p arrives."""
-        return (self._port_of or self._reverse())[self.port_neighbour(v, p)][v]
+        return self.route(v, p)[1]
 
     def port_of(self, v: int, u: int) -> int:
         """The port at v leading to neighbour u."""
         return (self._port_of or self._reverse())[v][u]
 
-    def routes(self) -> list[tuple[tuple[int, int], ...]]:
+    def routes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """``routes()[v][p-1]`` is (neighbour, arrival port) of v's port p."""
-        port_of = self._port_of or self._reverse()
-        return [tuple([(u, port_of[u][v]) for u in nbrs])
-                for v, nbrs in enumerate(self._port_to)]
+        return self._routes or self._route_table()
+
+    def labels(self) -> tuple[tuple[int, str | None, tuple[str, ...] | None], ...]:
+        """``labels()[v]`` is (degree, colour, port directions): what v sees of itself."""
+        return self._labels or self._label_table()
 
     def port_directions(self, v: int) -> tuple[str, ...] | None:
         """OUTGOING or INCOMING per port of v, in port order; None if unoriented."""
@@ -245,10 +274,19 @@ def _normalize_colours(n, colours):
 def classify_colouring(g: Graph, colours: Sequence[str] | None = None) -> ColouringClass:
     """Strongest class the (given or stored) colouring satisfies.
 
+    The stored colouring's class is computed once per graph and kept;
+    explicit ``colours`` are classified afresh and leave it untouched.
     PROPER: every edge joins opposite colours.  WEAK: every node has at
     least one opposite-coloured neighbour.  NONE otherwise.
     """
-    cols = g.colours if colours is None else tuple(colours)
+    if colours is not None:
+        return _classify(g, tuple(colours))
+    if g._colouring is None:
+        g._colouring = _classify(g, g.colours)
+    return g._colouring
+
+
+def _classify(g: Graph, cols: tuple[str, ...] | None) -> ColouringClass:
     if cols is None or len(cols) != g.n:
         raise MissingColoursError("graph has no complete colour assignment")
     proper = all(cols[u] != cols[v] for u, v in g.edges)
@@ -273,14 +311,23 @@ def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
     return specs
 
 
+# the slots that do not depend on the colours: what with_colours shares
+_PORT_SLOTS = ("n", "edges", "_port_to", "_directions", "_port_of", "_routes", "_max_degree")
+
+
 def with_colours(g: Graph, colours: Sequence[str] | None) -> Graph:
     """Copy of g with the colour map replaced (or removed); shares g's tables.
 
-    The reverse port table is shared if g has derived it; otherwise each
-    graph derives its own on its first read.
+    The reverse port and route tables are shared if g has derived them;
+    otherwise each graph derives its own on its first read.  The node
+    labels and the colouring class depend on the colours, so the copy
+    derives its own.
     """
-    h = copy.copy(g)
+    h = Graph.__new__(Graph)
+    for name in _PORT_SLOTS:
+        setattr(h, name, getattr(g, name))
     h.colours = _normalize_colours(g.n, colours)
+    h._labels = h._colouring = None
     return h
 
 

@@ -229,12 +229,13 @@ def eliminate_length(g: Graph, m, i: int, *,
     if i >= 1:      # an i < 1 is invocation_count's ValueError
         scheme_round_budget(delta, i)
     edges = set(validate_matching(g, m))
-    _eliminate(g, edges, partner_map(edges), i, delta, stats, assert_oracle)
+    side = try_bipartition(g) if assert_oracle else None    # g is properly coloured
+    _eliminate(g, edges, partner_map(edges), i, delta, stats, side)
     return frozenset(edges)
 
 
 def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
-               delta: int, stats: SchemeStats | None, assert_oracle: bool) -> None:
+               delta: int, stats: SchemeStats | None, side: list[int] | None) -> None:
     """``eliminate_length`` on a valid matching, updated in place with its partner map.
 
     Stops after the first invocation that augments no path.  Such an
@@ -251,11 +252,12 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
     it is computed after the first invocation and after each one that
     augmented a path; an invocation with no path reuses the last answer.
     Each computed answer validates ``edges`` and rebuilds its partner
-    map, independent of ``partner``.
+    map, independent of ``partner``.  ``side`` is g's bipartition, which
+    the caller computes once when ``assert_oracle`` holds; None otherwise.
     """
     h = 2 * i - 1
     t = invocation_count(delta, i)
-    side = try_bipartition(g) if assert_oracle else None    # g is properly coloured
+    assert_oracle = side is not None
 
     def oracle() -> int | None:
         return _augmenting_distance(g, partner_map(validate_matching(g, edges)), side)
@@ -302,8 +304,9 @@ def approximate_maximum_matching(g: Graph, k: int, *,
     scheme_round_budget(delta, k)
     edges: set[Edge] = set()
     partner: dict[int, int] = {}
+    side = try_bipartition(g) if assert_oracle else None    # one search for every i
     for i in range(1, k + 1):
-        _eliminate(g, edges, partner, i, delta, stats, assert_oracle)
+        _eliminate(g, edges, partner, i, delta, stats, side)
     return frozenset(edges)
 
 
@@ -523,8 +526,8 @@ def matching_from_outputs(g: Graph, outputs) -> Matching:
         p = out["matched_port"]
         if p is None:
             continue
-        u = g.port_neighbour(v, p)
-        if outputs[u]["matched_port"] != g.port_of(u, v):
+        u, back = g.route(v, p)
+        if outputs[u]["matched_port"] != back:
             raise MalformedSolutionError(f"nodes {v} and {u} disagree on their matched edge")
         edges.add(normalize_edge(v, u))
     return frozenset(edges)

@@ -399,12 +399,18 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
 
     A member counts as a node only when it is an ``int`` itself, so a
     bool or a float that equals a node id is a violation, not that node.
+    A matching member that is not a pair of comparable values is a
+    violation too.
     """
     violations: list[str] = []
     if s.kind is SolutionKind.MATCHING:
         seen: set[int] = set()
-        for item in sorted(s.members):
-            u, v = normalize_edge(*item)
+        for item in _sorted(s.members):
+            try:
+                u, v = normalize_edge(*item)
+            except TypeError:       # not a pair, or a pair that cannot be ordered
+                violations.append(f"{item!r} is not an edge of the graph")
+                continue
             if not (_is_node_id(u) and _is_node_id(v)) or (u, v) not in g.edges:
                 violations.append(f"({u}, {v}) is not an edge of the graph")
                 continue
@@ -413,7 +419,7 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
             seen.update((u, v))
     else:
         members = set(s.members)
-        for v in sorted(members):
+        for v in _sorted(members):
             if not (_is_node_id(v) and 0 <= v < g.n):
                 violations.append(f"{v!r} is not a node")
         members = {v for v in members if _is_node_id(v) and 0 <= v < g.n}
@@ -426,3 +432,11 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
                 if u in members and v in members:
                     violations.append(f"edge ({u}, {v}) lies inside the set")
     return VerificationReport(ok=not violations, violations=violations)
+
+
+def _sorted(members) -> list:
+    """``sorted(members)``, or, when they cannot be compared, sorted by type and repr."""
+    try:
+        return sorted(members)
+    except TypeError:
+        return sorted(members, key=lambda x: (type(x).__name__, repr(x)))

@@ -7,12 +7,13 @@ import json
 import pytest
 
 from localgraphs import (BLACK, WHITE, ColouringClass, LocalAlgorithm, build_graph,
-                         disjoint_union, local_views_equivalent, relabel,
-                         run_local_algorithm)
+                         classify_colouring, disjoint_union, local_views_equivalent,
+                         relabel, run_local_algorithm, with_colours)
 from localgraphs.baselines import NeighbourhoodProbe, WhiteIndependentSet
 from localgraphs.errors import (InvariantError, MissingColoursError,
                                 NotProperlyColouredError, NotWeaklyColouredError)
-from localgraphs.generators import numbered_cycle, random_bipartite, weak_layered
+from localgraphs.generators import (numbered_cycle, random_bipartite,
+                                    random_weak_colouring, weak_layered)
 from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.starforest import StarForestAlgorithm
 
@@ -73,6 +74,20 @@ def test_missing_colour_raises(single_edge):
     from localgraphs.graph import with_colours
     with pytest.raises(MissingColoursError):
         run_local_algorithm(with_colours(single_edge, None), ColourEcho())
+
+
+def test_recoloured_copy_never_reports_its_sources_class_or_labels():
+    g = random_bipartite(40, 3, 0)
+    weak = random_weak_colouring(g, 0)
+    assert classify_colouring(g, weak) is ColouringClass.WEAK
+    run_local_algorithm(g, MatchingSchemeAlgorithm(2))      # g derives and keeps its tables
+    h = with_colours(g, weak)
+    with pytest.raises(NotProperlyColouredError):
+        run_local_algorithm(h, MatchingSchemeAlgorithm(2))
+    assert run_local_algorithm(h, ColourEcho()).outputs == dict(enumerate(weak))
+    assert run_local_algorithm(g, ColourEcho()).outputs == dict(enumerate(g.colours))
+    # and back: a proper recolouring of the weak copy is accepted
+    run_local_algorithm(with_colours(h, g.colours), MatchingSchemeAlgorithm(2))
 
 
 _K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

@@ -332,7 +332,7 @@ def eager_tables(g):
     """Reverse table, routes and edge set derived from the port tables alone."""
     rows = [g.neighbours(v) for v in g.nodes]
     port_of = [{u: p for p, u in enumerate(nbrs, start=1)} for nbrs in rows]
-    routes = [tuple((u, port_of[u][v]) for u in nbrs) for v, nbrs in enumerate(rows)]
+    routes = tuple(tuple((u, port_of[u][v]) for u in nbrs) for v, nbrs in enumerate(rows))
     edges = {normalize_edge(v, u) for v, nbrs in enumerate(rows) for u in nbrs}
     return port_of, routes, edges
 
@@ -359,9 +359,33 @@ def test_tables_read_lazily_equal_an_eager_derivation(make, first):
     for h in (g, after, before):
         assert h == g == eager
         assert h.edges == edges == eager.edges and isinstance(h.edges, frozenset)
-        assert h.routes() == routes
+        assert h.routes() == routes and isinstance(h.routes(), tuple)
+        assert h.routes() is h.routes()         # derived once, then kept
         assert edge_specs(h) == edge_specs(eager)
         for v in h.nodes:
             for p, u in enumerate(h.neighbours(v), start=1):
                 assert h.port_of(v, u) == p
                 assert h.arrival_port(v, p) == port_of[u][v]
+
+
+def test_only_a_recoloured_copy_shares_the_route_table():
+    g = random_weak(30, 3, 0, oriented=True)
+    routes = g.routes()
+    assert with_colours(g, None).routes() is routes
+    assert with_colours(g, random_weak_colouring(g, 1)).routes() is routes
+    same_ports = [relabel(g, range(g.n)), induced_subgraph(g, g.nodes)[0]]
+    for h in same_ports + [shuffle_ports(g, 0)]:
+        assert h.routes() is not routes
+    for h in same_ports:
+        assert h.routes() == routes
+
+
+def test_explicit_colours_neither_read_nor_write_the_stored_class():
+    g = random_bipartite(40, 3, 0)
+    weak = random_weak_colouring(g, 0)
+    assert classify_colouring(g, weak) is ColouringClass.WEAK
+    assert g._colouring is None
+    assert classify_colouring(g) is ColouringClass.PROPER
+    assert classify_colouring(g, weak) is ColouringClass.WEAK
+    assert classify_colouring(g) is ColouringClass.PROPER
+    assert classify_colouring(with_colours(g, weak)) is ColouringClass.WEAK

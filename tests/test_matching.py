@@ -350,6 +350,31 @@ def test_assert_oracle_searches_once_per_distinct_matching(monkeypatch):
     assert saved > 0 and idle_lengths > 0
 
 
+def test_assert_oracle_bipartitions_once_per_call(monkeypatch):
+    """One bipartition search per scheme or elimination call, whatever k;
+    none without ``assert_oracle``."""
+    import localgraphs.matching as matching
+    calls = []
+
+    def bipartition(g, _search=matching.try_bipartition):
+        calls.append(g)
+        return _search(g)
+
+    monkeypatch.setattr(matching, "try_bipartition", bipartition)
+    g = random_bipartite(40, 3, 0)
+    for k in (1, 2, 3):
+        calls.clear()
+        m = approximate_maximum_matching(g, k, assert_oracle=True)
+        assert calls == [g]
+        calls.clear()
+        eliminate_length(g, m, k + 1, assert_oracle=True)
+        assert calls == [g]
+    calls.clear()
+    approximate_maximum_matching(g, 3)
+    eliminate_length(g, frozenset(), 1)
+    assert calls == []
+
+
 class TestApproximateMatching:
     def test_p4_one_pass_is_maximum(self, p4_coloured):
         m = approximate_maximum_matching(p4_coloured, 1)

@@ -329,6 +329,22 @@ class TestVerify:
         assert not report.ok
         assert violation in report.violations
 
+    @pytest.mark.parametrize("kind, members, violation", [
+        (SolutionKind.DOMINATING_SET, {"a", 1}, "'a' is not a node"),
+        (SolutionKind.MATCHING, {(0, 1), ("a", 2)}, "('a', 2) is not an edge of the graph"),
+        (SolutionKind.MATCHING, {(0, 1, 2)}, "(0, 1, 2) is not an edge of the graph"),
+    ], ids=["unorderable-node", "unorderable-pair", "triple"])
+    def test_member_that_cannot_be_ordered_is_reported(self, kind, members, violation):
+        report = verify_solution(numbered_cycle(4).graph, Solution(kind, frozenset(members)))
+        assert not report.ok
+        assert violation in report.violations
+
+    def test_integer_members_are_reported_in_sorted_order(self):
+        report = verify_solution(numbered_cycle(4).graph,
+                                 Solution(SolutionKind.MATCHING, frozenset({(9, 8), (2, 3), (1, 2)})))
+        assert report.violations == ["edge (2, 3) shares a node with another edge",
+                                     "(8, 9) is not an edge of the graph"]
+
     def test_validate_matching_refuses_a_member_equal_to_a_node_id(self):
         g = numbered_cycle(4).graph
         for m in ({(0.0, 1.0)}, {(True, 2)}):
