@@ -334,7 +334,7 @@ class TestVerify:
         (SolutionKind.MATCHING, {(0, 1), ("a", 2)}, "('a', 2) is not an edge of the graph"),
         (SolutionKind.MATCHING, {(0, 1, 2)}, "(0, 1, 2) is not an edge of the graph"),
     ], ids=["unorderable-node", "unorderable-pair", "triple"])
-    def test_member_that_cannot_be_ordered_is_reported(self, kind, members, violation):
+    def test_unorderable_or_misshapen_member_is_reported(self, kind, members, violation):
         report = verify_solution(numbered_cycle(4).graph, Solution(kind, frozenset(members)))
         assert not report.ok
         assert violation in report.violations
