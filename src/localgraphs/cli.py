@@ -70,6 +70,14 @@ def _cmd_gen(args) -> int:
     fam = args.family
     try:
         if fam in ("cycle", "cycle-power", "strong-blowup", "weak-layered"):
+            # a bad parameter is refused before the n-node cycle is built
+            generators.check_cycle(args.n)
+            if fam == "cycle-power":
+                generators.check_cycle_power(args.n, args.k)
+            elif fam == "strong-blowup":
+                generators.check_strong_blowup(args.n, args.delta)
+            elif fam == "weak-layered":
+                generators.check_weak_layered(args.n, args.delta)
             cycle = generators.numbered_cycle(args.n)
         if fam == "cycle":
             g = cycle.graph
@@ -279,7 +287,7 @@ def export_dot(g: Graph, solution: Solution | None = None) -> str:
     connector = "->" if directed else "--"
     for u, v in sorted(g.edges):
         a, b = (u, v)
-        if directed and g.port_directions(u)[g.port_of(u, v) - 1] == INCOMING:
+        if directed and g.port_directions(u)[g.neighbours(u).index(v)] == INCOMING:
             a, b = (v, u)
         attrs = []
         if (u, v) in matched:
@@ -317,8 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", action="store_true",
                      help="also compute the exact optimum and the ratio")
     run.add_argument("--assert-oracle", action="store_true",
-                     help="re-check every scheme invocation against the oracle; "
-                          "an idle invocation reuses the previous answer")
+                     help="also run the centralized scheme and check each invocation "
+                          "against the oracle; a path length stops at its first idle "
+                          "invocation")
     run.add_argument("--limit", type=int, default=oracles.DEFAULT_LIMIT,
                      help=LIMIT_HELP)
     run.add_argument("--weak-colouring", default="centralized",

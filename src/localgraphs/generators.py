@@ -37,10 +37,33 @@ class DirectedCycle(NamedTuple):
         return (v - u) % self.n
 
 
-def numbered_cycle(n: int) -> DirectedCycle:
-    """Oriented n-cycle with port 1 toward the successor, port 2 back."""
+# the refusals of numbered_cycle and its constructions, on n alone, so a caller can check first
+
+def check_cycle(n: int) -> None:
     if n < 3:
         raise TooSmallError(f"cycle needs at least 3 nodes, got {n}")
+
+
+def check_cycle_power(n: int, k: int) -> None:
+    if k < 1 or n <= 2 * k:
+        raise DegenerateParamsError(f"need n > 2k >= 2, got n={n}, k={k}")
+
+
+def check_strong_blowup(n: int, delta: int) -> None:
+    if delta < 1 or n <= delta:
+        raise DegenerateParamsError(f"need n > delta >= 1, got n={n}, delta={delta}")
+
+
+def check_weak_layered(n: int, delta: int) -> None:
+    if n % 2 != 0:
+        raise OddCycleLengthError(f"need an even cycle, got n={n}")
+    if delta < 3:
+        raise DeltaTooSmallError(f"need delta >= 3, got {delta}")
+
+
+def numbered_cycle(n: int) -> DirectedCycle:
+    """Oriented n-cycle with port 1 toward the successor, port 2 back."""
+    check_cycle(n)
     specs = [(v, (v + 1) % n, 1, 2, "uv") for v in range(n)]
     return DirectedCycle(n, build_graph(n, specs))
 
@@ -75,8 +98,7 @@ def _ascending_port_specs(n: int, pairs: Sequence[Edge],
 
 def cycle_power(c: DirectedCycle, k: int) -> Graph:
     """k-th power of the cycle: u ~ v iff their cycle distance is at most k."""
-    if k < 1 or c.n <= 2 * k:
-        raise DegenerateParamsError(f"need n > 2k >= 2, got n={c.n}, k={k}")
+    check_cycle_power(c.n, k)
     pairs = []
     directions = {}
     for u in range(c.n):
@@ -94,8 +116,7 @@ def strong_blowup(c: DirectedCycle, delta: int) -> Graph:
     adjacent to black 2v+1 iff the directed path u -> v has at most
     delta-1 edges (length 0 included, which makes the graph regular).
     """
-    if delta < 1 or c.n <= delta:
-        raise DegenerateParamsError(f"need n > delta >= 1, got n={c.n}, delta={delta}")
+    check_strong_blowup(c.n, delta)
     pairs = []
     for u in range(c.n):
         for d in range(delta):
@@ -115,10 +136,7 @@ def weak_layered(c: DirectedCycle, delta: int) -> Graph:
     hub joins its own whites, and layer i copies the cycle.  Blacks have
     degree delta, whites degree 3.
     """
-    if c.n % 2 != 0:
-        raise OddCycleLengthError(f"need an even cycle, got n={c.n}")
-    if delta < 3:
-        raise DeltaTooSmallError(f"need delta >= 3, got {delta}")
+    check_weak_layered(c.n, delta)
     pairs = []
     for v in range(c.n):
         for i in range(1, delta + 1):

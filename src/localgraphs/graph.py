@@ -59,23 +59,22 @@ class Graph:
     each port; ``directions`` is None on an unoriented graph.  The
     constructor trusts its arguments.  It takes the edge set (normalized
     ``u < v`` pairs) from ``edges`` or derives it from ``port_to``.  The
-    reverse port table (neighbour -> port, per node), the route table,
-    the node labels and the colouring class are derived on their first
-    read and kept.  New structure is validated by :func:`build_graph`,
+    route table ((neighbour, arrival port) per port, the one derived port
+    table), the node labels and the colouring class are derived on their
+    first read and kept.  New structure is validated by :func:`build_graph`,
     which passes the edge set its validation built; copies of a valid
     graph (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
     :func:`induced_subgraph`) derive their tables from the source's.
     """
 
-    __slots__ = ("n", "colours", "edges", "_port_to", "_directions", "_port_of",
-                 "_routes", "_labels", "_colouring", "_max_degree")
+    __slots__ = ("n", "colours", "edges", "_port_to", "_directions", "_routes",
+                 "_labels", "_colouring", "_max_degree")
 
     def __init__(self, n, colours, port_to, directions, edges=None):
         self.n = n
         self.colours = colours          # tuple[str, ...] | None
         self._port_to = port_to         # tuple[tuple[int, ...], ...]
         self._directions = directions or None   # tuple[tuple[str, ...], ...] | None
-        self._port_of = None            # read as `self._port_of or self._reverse()`
         self._routes = None             # read as `self._routes or self._route_table()`
         self._labels = None             # read as `self._labels or self._label_table()`
         self._colouring = None          # ColouringClass of ``colours``, set by classify_colouring
@@ -83,16 +82,11 @@ class Graph:
                                for u in nbrs if v < u) if edges is None else edges
         self._max_degree = max(map(len, port_to), default=0)
 
-    def _reverse(self) -> tuple[dict[int, int], ...]:
-        """Derive and keep the reverse port table: neighbour -> port, per node."""
-        self._port_of = tuple({u: p for p, u in enumerate(nbrs, start=1)}
-                              for nbrs in self._port_to)
-        return self._port_of
-
     def _route_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Derive and keep the route table: (neighbour, arrival port), per port."""
-        port_of = self._port_of or self._reverse()
-        self._routes = tuple([tuple([(u, port_of[u][v]) for u in nbrs])
+        # port[u][v] is u's port toward v: transient, the route table is all that is kept
+        port = [{u: p for p, u in enumerate(nbrs, start=1)} for nbrs in self._port_to]
+        self._routes = tuple([tuple([(u, port[u][v]) for u in nbrs])
                               for v, nbrs in enumerate(self._port_to)])
         return self._routes
 
@@ -139,14 +133,6 @@ class Graph:
     def _no_port(self, v: int, p) -> MalformedSolutionError:
         return MalformedSolutionError(
             f"node {v} has ports 1..{len(self._port_to[v])}, got {p}")
-
-    def arrival_port(self, v: int, p: int) -> int:
-        """The port at the far endpoint through which v's port p arrives."""
-        return self.route(v, p)[1]
-
-    def port_of(self, v: int, u: int) -> int:
-        """The port at v leading to neighbour u."""
-        return (self._port_of or self._reverse())[v][u]
 
     def routes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """``routes()[v][p-1]`` is (neighbour, arrival port) of v's port p."""
@@ -300,28 +286,24 @@ def _classify(g: Graph, cols: tuple[str, ...] | None) -> ColouringClass:
 
 def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
     """``(u, v, port_u, port_v, direction)`` per edge, sorted: build_graph's input."""
-    port_of, dirs = g._port_of or g._reverse(), g._directions
-    specs = []
-    for u, v in sorted(g.edges):
-        pu = port_of[u][v]
-        direction = None
-        if dirs is not None:
-            direction = "uv" if dirs[u][pu - 1] == OUTGOING else "vu"
-        specs.append((u, v, pu, port_of[v][u], direction))
+    dirs = g._directions        # None on an unoriented graph
+    specs = [(u, v, pu, pv, dirs and ("uv" if dirs[u][pu - 1] == OUTGOING else "vu"))
+             for u, out in enumerate(g.routes()) for pu, (v, pv) in enumerate(out, start=1)
+             if u < v]
+    specs.sort()    # by (u, v), which no two specs share
     return specs
 
 
 # the slots that do not depend on the colours: what with_colours shares
-_PORT_SLOTS = ("n", "edges", "_port_to", "_directions", "_port_of", "_routes", "_max_degree")
+_PORT_SLOTS = ("n", "edges", "_port_to", "_directions", "_routes", "_max_degree")
 
 
 def with_colours(g: Graph, colours: Sequence[str] | None) -> Graph:
     """Copy of g with the colour map replaced (or removed); shares g's tables.
 
-    The reverse port and route tables are shared if g has derived them;
-    otherwise each graph derives its own on its first read.  The node
-    labels and the colouring class depend on the colours, so the copy
-    derives its own.
+    The route table is shared if g has derived it; otherwise each graph
+    derives its own on its first read.  The node labels and the
+    colouring class depend on the colours, so the copy derives its own.
     """
     h = Graph.__new__(Graph)
     for name in _PORT_SLOTS:

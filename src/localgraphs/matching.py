@@ -69,18 +69,19 @@ def flood_phase(g: Graph, m, h: int) -> AugmentingForest:
 
 def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
     """``flood_phase`` for a properly coloured g and a valid matching's partner map."""
+    routes = g.routes()
     joined: dict[int, int | None] = {}       # node -> arrival port, None at roots
     leaves: set[int] = set()
-    sends: list[tuple[int, int]] = []        # (sender, target)
+    sends: list[tuple[int, int]] = []        # (target, arrival port)
     for b in g.nodes:
         if g.colour(b) == BLACK and b not in partner:
             joined[b] = None
-            sends.extend((b, u) for u in g.neighbours(b))
+            sends.extend(routes[b])
 
     for t in range(1, h + 1):
         arrivals: dict[int, list[int]] = {}
-        for sender, target in sends:
-            arrivals.setdefault(target, []).append(g.port_of(target, sender))
+        for target, arrival in sends:
+            arrivals.setdefault(target, []).append(arrival)
         sends = []
         for v, ports in arrivals.items():
             if v in joined:
@@ -95,7 +96,7 @@ def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
                     leaves.add(v)
                 elif t < h:
                     joined[v] = port
-                    sends.append((v, partner[v]))
+                    sends.append(next(r for r in routes[v] if r[0] == partner[v]))
                 # matched white on the last hop: message discarded
             else:
                 if v not in partner or len(ports) != 1:
@@ -103,7 +104,7 @@ def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
                         f"flood reached black node {v} other than over one matched edge")
                 joined[v] = port
                 mate = partner[v]
-                sends.extend((v, u) for u in g.neighbours(v) if u != mate)
+                sends.extend(r for r in routes[v] if r[0] != mate)
 
     parent_port: dict[int, int] = {}
     roots: set[int] = set()
@@ -123,21 +124,21 @@ def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
 
 
 def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
-    """One root-leaf path per tree; competing branches lose to a lower port."""
-    children: dict[int, list[int]] = {}
+    """One root-leaf path per tree; competing branches lose to a lower port.
+    A root without a path of ``forest.height`` edges to a leaf is malformed."""
+    children: dict[int, set[int]] = {}
     for v, p in forest.parent_port.items():
-        children.setdefault(g.port_neighbour(v, p), []).append(v)
+        children.setdefault(g.port_neighbour(v, p), set()).add(v)
     paths = []
     for root in sorted(forest.roots):
-        path = [root]
-        cur = root
-        while cur not in forest.leaves:
+        path, cur = [root], root
+        while cur not in forest.leaves and len(path) <= forest.height and cur in children:
             kids = children[cur]
-            cur = min(kids, key=lambda c: g.port_of(path[-1], c))
+            cur = next(u for u in g.neighbours(cur) if u in kids)
             path.append(cur)
-        if len(path) != forest.height + 1:
-            raise InvariantError(
-                f"proposal path {path} does not have {forest.height} edges")
+        if len(path) != forest.height + 1 or cur not in forest.leaves:
+            raise MalformedSolutionError(
+                f"proposal path {path} is not a root-leaf path of {forest.height} edges")
         paths.append(tuple(path))
     return tuple(paths)
 
@@ -246,43 +247,38 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
     node at hop h whenever a length-h augmenting path exists (see
     ``flood_phase``).  ``stats`` still records t_i invocations, the
     skipped ones with no path.  A local node cannot see that the
-    matching is final, so the simulated scheme runs all t_i; with
-    ``assert_oracle`` this reference does too, and checks each against
-    the oracle.  The oracle is a function of g and ``edges`` alone, so
-    it is computed after the first invocation and after each one that
-    augmented a path; an invocation with no path reuses the last answer.
-    Each computed answer validates ``edges`` and rebuilds its partner
-    map, independent of ``partner``.  ``side`` is g's bipartition, which
-    the caller computes once when ``assert_oracle`` holds; None otherwise.
+    matching is final, so the simulated scheme runs all t_i.  ``side``
+    is g's bipartition if the caller asserts the oracle, else None.  The
+    oracle searches after the first invocation and each one that
+    augmented a path, and at the end only when t_i = 0; each search
+    validates ``edges`` and rebuilds its own partner map.
     """
     h = 2 * i - 1
     t = invocation_count(delta, i)
-    assert_oracle = side is not None
 
     def oracle() -> int | None:
         return _augmenting_distance(g, partner_map(validate_matching(g, edges)), side)
 
-    spl, stale = None, True       # the oracle's last answer; stale until computed
+    spl = None          # the oracle's answer for the current ``edges``
     for done in range(1, t + 1):
-        paths = proposal_phase(g, _flood(g, partner, h))
         try:
+            paths = proposal_phase(g, _flood(g, partner, h))
             _augment(g, edges, partner, paths)
         except MalformedSolutionError as exc:
             raise InvariantError(f"proposal phase chose bad paths: {exc}") from exc
         if stats is not None:
             stats.record(i, len(paths), len(edges))
-        if assert_oracle:
-            if stale or paths:
-                spl, stale = oracle(), False
+        if side is not None and (paths or done == 1):
+            spl = oracle()
             if spl is not None and spl < h:
                 raise ShorterPathExistsError(
                     f"invocation left an augmenting path of length {spl} < {h}")
-        elif not paths:
+        if not paths:
             if stats is not None:
                 stats.record(i, 0, len(edges), times=t - done)
             break
-    if assert_oracle:
-        if stale:           # t_i = 0: no invocation ran
+    if side is not None:
+        if not t:           # no invocation ran
             spl = oracle()
         if spl is not None and spl <= h:
             raise ShorterPathExistsError(

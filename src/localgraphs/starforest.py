@@ -24,10 +24,6 @@ class RootedForest(NamedTuple):
 
     parent_port: dict[int, int]
 
-    def parent_of(self, g: Graph, v: int) -> int | None:
-        p = self.parent_port.get(v)
-        return None if p is None else g.port_neighbour(v, p)
-
 
 class StarForest(NamedTuple):
     """Partition of the nodes into depth-1 rooted trees."""
@@ -93,7 +89,8 @@ def normalize_stars(g: Graph, forest: RootedForest) -> StarForest:
             for c in branch_kids:
                 stars[c] = frozenset(children[c])
         else:                                                # case 3
-            x = min(branch_kids, key=lambda c: g.port_of(r, c))
+            branch = set(branch_kids)
+            x = next(u for u in g.neighbours(r) if u in branch)
             for c in branch_kids:
                 if c != x:
                     stars[c] = frozenset(children[c])
@@ -130,11 +127,8 @@ def star_dominating_set(sf: StarForest) -> frozenset[int]:
 
 def star_matching(g: Graph, sf: StarForest) -> frozenset[Edge]:
     """One root-leaf edge per star, chosen through the root's lowest port."""
-    edges = []
-    for root, leaves in sf.stars.items():
-        p = min(g.port_of(root, leaf) for leaf in leaves)
-        edges.append(normalize_edge(root, g.port_neighbour(root, p)))
-    return frozenset(edges)
+    return frozenset(normalize_edge(root, next(u for u in g.neighbours(root) if u in leaves))
+                     for root, leaves in sf.stars.items())
 
 
 # -- per-node implementation -------------------------------------------------

@@ -138,12 +138,13 @@ class TestSymmetricComplete:
 
     def test_symmetric_ports(self):
         g = symmetric_complete(5)
-        for u, v in g.edges:
-            assert g.port_of(u, v) == g.port_of(v, u)
+        for u in g.nodes:
+            for p in range(1, g.degree(u) + 1):
+                assert g.route(u, p)[1] == p
 
     def test_single_edge_case(self):
         g = symmetric_complete(1)
-        assert g.n == 2 and g.port_of(0, 1) == g.port_of(1, 0) == 1
+        assert g.n == 2 and g.routes() == (((1, 1),), ((0, 1),))
 
     def test_even_delta_rejected(self):
         with pytest.raises(EvenDeltaError):

@@ -20,7 +20,9 @@ from localgraphs.graph import (Graph, disjoint_union, dumps, edge_specs,
                                with_colours)
 from localgraphs.generators import (random_bipartite, random_weak,
                                     random_weak_colouring, shuffle_ports)
+from localgraphs.matching import eliminate_length, flood_phase, proposal_phase
 from localgraphs.oddds import build_h2, partition_abc
+from localgraphs.starforest import build_parent_forest, normalize_stars, star_matching
 
 from conftest import path_graph
 from test_golden import CANONICAL_GRAPHS
@@ -169,8 +171,8 @@ class TestPorts:
         g = k4_oriented
         for v in g.nodes:
             for p in range(1, g.degree(v) + 1):
-                u = g.port_neighbour(v, p)
-                assert g.port_neighbour(u, g.arrival_port(v, p)) == v
+                u, back = g.route(v, p)
+                assert g.port_neighbour(u, back) == v
 
 
 class TestJson:
@@ -279,16 +281,16 @@ class TestUtilities:
 
 
 def assert_valid_copy(h):
-    """h equals its own rebuild through build_graph, and its ports invert."""
+    """h equals its own rebuild through build_graph, and its routes invert."""
     rebuilt = build_graph(h.n, edge_specs(h), h.colours)
     assert rebuilt == h
     assert rebuilt.edges == h.edges
     assert rebuilt.max_degree == h.max_degree
     for v in h.nodes:
         for p in range(1, h.degree(v) + 1):
-            u = h.port_neighbour(v, p)
-            assert h.port_neighbour(u, h.arrival_port(v, p)) == v
-            assert h.port_of(v, u) == p
+            u, back = h.route(v, p)
+            assert u == h.port_neighbour(v, p)
+            assert h.route(u, back) == (v, p)
 
 
 def without_node(g, v):
@@ -338,8 +340,7 @@ def eager_tables(g):
 
 
 FIRST_READS = {
-    "port_of": lambda g: g.port_of(0, g.neighbours(0)[0]),
-    "arrival_port": lambda g: g.arrival_port(0, 1),
+    "route": lambda g: g.route(0, 1),
     "routes": lambda g: g.routes(),
     "edge_specs": edge_specs,
 }
@@ -350,7 +351,7 @@ FIRST_READS = {
                          ids=[name for name, _ in CANONICAL_GRAPHS])
 def test_tables_read_lazily_equal_an_eager_derivation(make, first):
     g = make()
-    before = with_colours(g, g.colours)     # copied before any reverse-table read
+    before = with_colours(g, g.colours)     # copied before any route-table read
     FIRST_READS[first](g)
     after = with_colours(g, g.colours)
     port_of, routes, edges = eager_tables(g)
@@ -364,8 +365,53 @@ def test_tables_read_lazily_equal_an_eager_derivation(make, first):
         assert edge_specs(h) == edge_specs(eager)
         for v in h.nodes:
             for p, u in enumerate(h.neighbours(v), start=1):
-                assert h.port_of(v, u) == p
-                assert h.arrival_port(v, p) == port_of[u][v]
+                assert h.route(v, p) == (u, port_of[u][v])
+
+
+def lowest_port(g, v, members):
+    """The lowest port from v to a member, read off v's port table."""
+    return min(g.neighbours(v).index(u) + 1 for u in members)
+
+
+def children_of(g, parent_port):
+    """Each parent's children in a forest whose parents are stored as ports."""
+    children = {}
+    for v, p in parent_port.items():
+        children.setdefault(g.port_neighbour(v, p), set()).add(v)
+    return children
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lowest_port_choices_on_shuffled_ports(seed):
+    """proposal_phase, normalize_stars' case 3 and star_matching each take
+    the lowest port from a node to a member of a set; every choice among
+    two or more members is counted, and each kind occurs."""
+    contested = {"proposal": 0, "case 3": 0, "star matching": 0}
+    g = shuffle_ports(random_bipartite(200, 4, seed), seed)
+    m = frozenset()
+    for i in (1, 2):
+        forest = flood_phase(g, m, 2 * i - 1)
+        children = children_of(g, forest.parent_port)
+        for path in proposal_phase(g, forest):
+            for a, b in zip(path, path[1:]):
+                assert g.neighbours(a).index(b) + 1 == lowest_port(g, a, children[a])
+                contested["proposal"] += len(children[a]) > 1
+        m = eliminate_length(g, m, i)
+    for delta in (3, 4, 5):
+        w = shuffle_ports(random_weak(200, delta, seed), seed)
+        forest = build_parent_forest(w)
+        sf = normalize_stars(w, forest)
+        children = children_of(w, forest.parent_port)
+        for r, kids in children.items():
+            if r not in forest.parent_port and kids <= children.keys():     # case 3
+                x = w.port_neighbour(r, lowest_port(w, r, kids))
+                assert r in sf.stars[x]
+                contested["case 3"] += len(kids) > 1
+        for root, leaves in sf.stars.items():
+            p = lowest_port(w, root, leaves)
+            assert normalize_edge(root, w.port_neighbour(root, p)) in star_matching(w, sf)
+            contested["star matching"] += len(leaves) > 1
+    assert all(contested.values()), contested
 
 
 def test_only_a_recoloured_copy_shares_the_route_table():

@@ -22,7 +22,7 @@ from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
                                   augment_phase, eliminate_length, flood_phase,
                                   invocation_count,
                                   proposal_phase, run_matching_scheme,
-                                  scheme_round_budget, _position)
+                                  scheme_round_budget, _augment, _flood, _position)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  shortest_augmenting_path_length,
                                  try_bipartition, verify_solution)
@@ -162,6 +162,18 @@ class TestProposalAndAugment:
         f = AugmentingForest(1, {}, frozenset(), frozenset())
         assert proposal_phase(single_edge, f) == ()
 
+    def test_parent_cycle_refused(self):
+        # every parent port leads around the cycle, and no leaf is a node
+        g = numbered_cycle(4).graph
+        f = AugmentingForest(3, {0: 2, 1: 2, 2: 2, 3: 2}, frozenset({0}), frozenset({99}))
+        with pytest.raises(MalformedSolutionError, match="root-leaf path of 3 edges"):
+            proposal_phase(g, f)
+
+    def test_root_without_children_refused(self):
+        f = AugmentingForest(3, {}, frozenset({0}), frozenset({3}))
+        with pytest.raises(MalformedSolutionError, match="root-leaf path of 3 edges"):
+            proposal_phase(path_graph("bwbw"), f)
+
     def test_augment_single_edge(self, single_edge):
         m = augment_phase(single_edge, frozenset(), [(0, 1)])
         assert m == {(0, 1)}
@@ -255,6 +267,18 @@ def _idle_stop_instances():
         yield random_bipartite(n, min(2 + seed % 3, n - 1), seed)
 
 
+def full_schedule(g, k):
+    """The centralized scheme with every one of the t_i invocations run."""
+    edges, partner, stats = set(), {}, SchemeStats()
+    for i in range(1, k + 1):
+        h = 2 * i - 1
+        for _ in range(invocation_count(g.max_degree, i)):
+            paths = proposal_phase(g, _flood(g, partner, h))
+            _augment(g, edges, partner, paths)
+            stats.record(i, len(paths), len(edges))
+    return frozenset(edges), stats
+
+
 class TestIdleStop:
     """The centralized scheme stops a path length at its first idle invocation."""
 
@@ -262,11 +286,12 @@ class TestIdleStop:
         runs = 0
         for g in _idle_stop_instances():
             for k in (1, 2, 3):
-                fast, full = SchemeStats(), SchemeStats()
-                m = approximate_maximum_matching(g, k, stats=fast)
-                assert m == approximate_maximum_matching(g, k, stats=full,
-                                                         assert_oracle=True)
-                assert fast == full
+                full = full_schedule(g, k)
+                for assert_oracle in (False, True):
+                    stats = SchemeStats()
+                    m = approximate_maximum_matching(g, k, stats=stats,
+                                                     assert_oracle=assert_oracle)
+                    assert (m, stats) == full
                 runs += 1
         assert runs == 3 * (2 * 302 + 40)
 
@@ -291,9 +316,6 @@ class TestIdleStop:
                                              assert_oracle=assert_oracle)
                 t = {i: invocation_count(g.max_degree, i) for i in range(1, k + 1)}
                 assert stats.invocations == t
-                if assert_oracle:
-                    assert floods == t
-                    continue
                 found = stats.augmentations
                 for i in range(1, k + 1):
                     start = sum(t[j] for j in range(1, i))
@@ -301,6 +323,16 @@ class TestIdleStop:
                     assert floods[i] == min(t[i], useful + 1)
                     skipped += t[i] - floods[i]
         assert skipped > 0
+
+    def test_malformed_forest_from_the_flood_phase_is_internal(self, monkeypatch,
+                                                               p4_coloured):
+        import localgraphs.matching as matching
+        forest = AugmentingForest(1, {}, frozenset({1}), frozenset())
+        monkeypatch.setattr(matching, "_flood", lambda g, partner, h: forest)
+        with pytest.raises(InvariantError) as info:
+            approximate_maximum_matching(p4_coloured, 1)
+        assert isinstance(info.value.__cause__, MalformedSolutionError)
+        assert "root-leaf path of 1 edges" in str(info.value.__cause__)
 
     def test_bad_paths_from_the_proposal_phase_are_internal(self, monkeypatch, p4_coloured):
         import localgraphs.matching as matching

@@ -27,14 +27,14 @@ class TestBuildParentForest:
     def test_single_edge(self, single_edge):
         f = build_parent_forest(single_edge)
         assert f.parent_port == {0: 1}          # black points at white
-        assert f.parent_of(single_edge, 0) == 1
+        assert single_edge.port_neighbour(0, f.parent_port[0]) == 1
 
     def test_p3_lowest_port_tie_break(self, p3_wbw):
         f = build_parent_forest(p3_wbw)
         # black 1 takes port 1 (toward w1=0); childless white 2 points back
         assert f.parent_port == {1: 1, 2: 1}
-        assert f.parent_of(p3_wbw, 1) == 0
-        assert f.parent_of(p3_wbw, 2) == 1
+        assert p3_wbw.port_neighbour(1, f.parent_port[1]) == 0
+        assert p3_wbw.port_neighbour(2, f.parent_port[2]) == 1
 
     def test_triangle(self):
         tri = ascending_ports(3, [(0, 1), (0, 2), (1, 2)],
