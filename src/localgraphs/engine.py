@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (InvariantError, MissingColoursError, NotProperlyColouredError,
                      NotWeaklyColouredError)
@@ -213,39 +213,43 @@ def _digest(value: Any) -> bytes:
     return hashlib.sha256(repr(value).encode()).digest()[:8]
 
 
-# -- locality helper -----------------------------------------------------------
+# -- locality ------------------------------------------------------------------
 
-def _view_codes(g: Graph, radius: int, intern: dict) -> list[int]:
-    """Canonical code of every node's depth-``radius`` view tree.
+def view_classes(graphs: Sequence[Graph], radius: int) -> list[list[int]]:
+    """Class numbers of every node of every graph, shared across ``graphs``.
 
-    Codes are interned in a table shared between graphs, so equal codes
-    mean isomorphic port-and-label-preserving rooted views.
-    """
-    def get(key):
-        code = intern.get(key)
-        if code is None:
-            code = len(intern)
-            intern[key] = code
-        return code
-
-    labels, routes = g.labels(), g.routes()
-    codes = [get(("leaf", label)) for label in labels]
-    for _ in range(radius):
-        codes = [get((labels[v], tuple((arrival, codes[u]) for u, arrival in routes[v])))
-                 for v in g.nodes]
-    return codes
-
-
-def local_views_equivalent(g1: Graph, v1: int, g2: Graph, v2: int, radius: int) -> bool:
-    """True iff the radius-r rooted views of v1 and v2 are isomorphic.
-
-    Views respect ports, colours and orientations; two nodes with
-    equivalent radius-T views are indistinguishable to any T-round
-    port-numbering algorithm.
+    Two nodes share a class iff their radius-``radius`` rooted views are
+    isomorphic: the same ``labels()`` entry and, port by port, the same
+    arrival port and view one radius smaller.  No ``radius``-round
+    port-numbering algorithm tells them apart.  Each round refines the
+    last, so refinement stops once the class count stops growing; the
+    partition is then final, and at most n rounds run.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    intern: dict = {}
-    c1 = _view_codes(g1, radius, intern)
-    c2 = _view_codes(g2, radius, intern) if g2 is not g1 else c1
+    tables = [(g.labels(), g.routes()) for g in graphs]
+
+    def numbered(keys_per_graph) -> tuple[list[list[int]], int]:
+        number: dict = {}
+        return [[number.setdefault(key, len(number)) for key in keys]
+                for keys in keys_per_graph], len(number)
+
+    classes, count = numbered(labels for labels, _ in tables)
+    for _ in range(radius):
+        refined, refined_count = numbered(
+            [(cls[v], tuple([(arrival, cls[u]) for u, arrival in out]))
+             for v, out in enumerate(routes)]
+            for (_, routes), cls in zip(tables, classes))
+        if refined_count == count:
+            break
+        classes, count = refined, refined_count
+    return classes
+
+
+def local_views_equivalent(g1: Graph, v1: int, g2: Graph, v2: int, radius: int) -> bool:
+    """True iff v1 of g1 and v2 of g2 share a ``view_classes`` class at ``radius``."""
+    for g, v in ((g1, v1), (g2, v2)):
+        if type(v) is not int or not 0 <= v < g.n:
+            raise ValueError(f"{v!r} is not a node of a {g.n}-node graph")
+    c1, c2 = view_classes([g1, g2], radius)
     return c1[v1] == c2[v2]

@@ -400,10 +400,15 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
     A member counts as a node only when it is an ``int`` itself, so a
     bool or a float that equals a node id is a violation, not that node.
     A matching member that is not a pair of comparable values is a
-    violation too.
+    violation too.  The kind is looked up by value, so a plain string
+    names it, and an unknown kind is the one violation reported.
     """
+    try:
+        kind = SolutionKind(s.kind)
+    except ValueError:
+        return VerificationReport(ok=False, violations=[f"{s.kind!r} is not a solution kind"])
     violations: list[str] = []
-    if s.kind is SolutionKind.MATCHING:
+    if kind is SolutionKind.MATCHING:
         seen: set[int] = set()
         for item in _sorted(s.members):
             try:
@@ -423,7 +428,7 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
             if not (_is_node_id(v) and 0 <= v < g.n):
                 violations.append(f"{v!r} is not a node")
         members = {v for v in members if _is_node_id(v) and 0 <= v < g.n}
-        if s.kind is SolutionKind.DOMINATING_SET:
+        if kind is SolutionKind.DOMINATING_SET:
             for v in g.nodes:
                 if v not in members and not any(u in members for u in g.neighbours(v)):
                     violations.append(f"node {v} is not dominated")

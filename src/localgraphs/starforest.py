@@ -126,7 +126,9 @@ def star_dominating_set(sf: StarForest) -> frozenset[int]:
 
 
 def star_matching(g: Graph, sf: StarForest) -> frozenset[Edge]:
-    """One root-leaf edge per star, chosen through the root's lowest port."""
+    """One root-leaf edge per star, chosen through the root's lowest port;
+    ``MalformedSolutionError`` if ``sf`` is not a star forest of ``g``."""
+    _check_star_forest(g, sf.stars)
     return frozenset(normalize_edge(root, next(u for u in g.neighbours(root) if u in leaves))
                      for root, leaves in sf.stars.items())
 

@@ -9,11 +9,13 @@ import pytest
 from localgraphs import (BLACK, WHITE, ColouringClass, LocalAlgorithm, build_graph,
                          classify_colouring, disjoint_union, local_views_equivalent,
                          relabel, run_local_algorithm, with_colours)
-from localgraphs.baselines import NeighbourhoodProbe, WhiteIndependentSet
+from localgraphs.baselines import WhiteIndependentSet
+from localgraphs.engine import view_classes
 from localgraphs.errors import (InvariantError, MissingColoursError,
                                 NotProperlyColouredError, NotWeaklyColouredError)
-from localgraphs.generators import (numbered_cycle, random_bipartite,
-                                    random_weak_colouring, weak_layered)
+from localgraphs.generators import (numbered_cycle, random_bipartite, random_weak,
+                                    random_weak_colouring, shuffle_ports,
+                                    strong_blowup, weak_layered)
 from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.starforest import StarForestAlgorithm
 
@@ -249,9 +251,15 @@ def test_traced_scheme_run_writes_a_line_per_init_and_step():
     assert len(lines) == g.n + result.steps == 11174
 
 
+class DenseStar(StarForestAlgorithm):
+    """The star forest stepped at every node in every round."""
+
+    next_wake = LocalAlgorithm.next_wake
+
+
 def test_steps_count_every_call():
     g = weak_layered(numbered_cycle(4), 3)
-    dense = run_local_algorithm(g, NeighbourhoodProbe(3))
+    dense = run_local_algorithm(g, DenseStar())
     assert dense.steps == g.n * dense.rounds_used
     g = random_bipartite(200, 4, 1)
     sparse = run_local_algorithm(g, MatchingSchemeAlgorithm(3))
@@ -298,14 +306,50 @@ class TestViewEquivalence:
         assert local_views_equivalent(fwd, 0, rev, 1, 3)
 
 
-def test_locality_of_probe_on_union(c4_coloured):
-    doubled = disjoint_union(c4_coloured, c4_coloured)
-    probe = NeighbourhoodProbe(rounds=3)
-    single_run = run_local_algorithm(c4_coloured, probe)
-    double_run = run_local_algorithm(doubled, probe)
-    for v in c4_coloured.nodes:
-        assert local_views_equivalent(c4_coloured, v, doubled, v + 4, 3)
-        assert single_run.outputs[v] == double_run.outputs[v + 4]
+def full_depth_classes(graphs, radius):
+    """Reference for ``view_classes``: every one of ``radius`` rounds refined."""
+    number: dict = {}
+    codes = [[number.setdefault(label, len(number)) for label in g.labels()] for g in graphs]
+    for _ in range(radius):
+        number = {}
+        codes = [[number.setdefault((g.labels()[v], tuple((arrival, c[u])
+                                                          for u, arrival in g.routes()[v])),
+                                    len(number)) for v in g.nodes]
+                 for g, c in zip(graphs, codes)]
+    return codes
+
+
+def same_partition(a, b):
+    """True iff two class numberings of the same nodes group them alike."""
+    pairs = {(x, y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)}
+    return len(pairs) == len({x for x, _ in pairs}) == len({y for _, y in pairs})
+
+
+def test_view_classes_match_full_depth_refinement():
+    for seed in range(100):
+        g = random_weak(12, 3, seed)
+        graphs = [g, shuffle_ports(g, seed)]
+        for radius in (0, 1, 2, 5, 12):
+            classes = view_classes(graphs, radius)
+            assert same_partition(classes, full_depth_classes(graphs, radius)), (seed, radius)
+    blowup = [strong_blowup(numbered_cycle(8), 3)]
+    # nodes 1 and 2 differ in colour only: port by port, their neighbours look alike
+    bbww = [build_graph(4, [(0, 1, 1, 2), (1, 2, 1, 2), (2, 3, 1, 2), (3, 0, 1, 2)],
+                        [BLACK, BLACK, WHITE, WHITE])]
+    for graphs, radius in ((blowup, 243), (bbww, 3)):
+        assert same_partition(view_classes(graphs, radius), full_depth_classes(graphs, radius))
+
+
+def test_view_classes_refuse_a_negative_radius(c4_coloured):
+    with pytest.raises(ValueError):
+        view_classes([c4_coloured], -1)
+
+
+def test_local_views_equivalent_refuses_a_non_node():
+    g = numbered_cycle(4).graph
+    for node in (-1, True, 9):
+        with pytest.raises(ValueError):
+            local_views_equivalent(g, node, g, 3, 2)
 
 
 def test_relabelling_invariance(c4_coloured):

@@ -30,8 +30,7 @@ import random
 import pytest
 
 from localgraphs import BLACK, WHITE, LocalAlgorithm, build_graph, run_local_algorithm
-from localgraphs.baselines import (AllNodesDominatingSet, DigestDominatingSetProbe,
-                                   NeighbourhoodProbe, WhiteIndependentSet)
+from localgraphs.baselines import AllNodesDominatingSet, WhiteIndependentSet
 from localgraphs.generators import (numbered_cycle, random_bipartite,
                                     random_weak, random_weak_colouring,
                                     shuffle_ports, strong_blowup, weak_layered)
@@ -130,9 +129,6 @@ SHIPPED = [
      lambda: random_bipartite(60, 4, 3)),
     ("all-nodes", AllNodesDominatingSet, lambda: random_weak(30, 3, 4)),
     ("white-is", WhiteIndependentSet, lambda: random_bipartite(30, 3, 4)),
-    ("probe", lambda: NeighbourhoodProbe(3), lambda: random_weak(30, 3, 4)),
-    ("probe-ds", lambda: DigestDominatingSetProbe(5, 2),
-     lambda: random_weak(30, 3, 4, oriented=False)),
 ]
 
 

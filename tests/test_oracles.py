@@ -345,6 +345,20 @@ class TestVerify:
         assert report.violations == ["edge (2, 3) shares a node with another edge",
                                      "(8, 9) is not an edge of the graph"]
 
+    def test_plain_string_kind_is_checked_as_that_kind(self):
+        g = random_weak(10, 3, 1)
+        report = verify_solution(g, Solution("dominating-set", frozenset()))
+        assert not report.ok
+        assert "node 0 is not dominated" in report.violations
+        report = verify_solution(g, Solution("matching", frozenset({(0, 1), (0, 2)})))
+        assert report.violations == ["(0, 1) is not an edge of the graph",
+                                     "(0, 2) is not an edge of the graph"]
+        assert verify_solution(g, Solution("matching", g.edges)).ok
+
+    def test_unknown_kind_is_one_violation(self):
+        report = verify_solution(random_weak(10, 3, 1), Solution("bogus", frozenset({0})))
+        assert report == (False, ["'bogus' is not a solution kind"])
+
     def test_validate_matching_refuses_a_member_equal_to_a_node_id(self):
         g = numbered_cycle(4).graph
         for m in ({(0.0, 1.0)}, {(True, 2)}):

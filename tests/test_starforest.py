@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from localgraphs import BLACK, WHITE, with_colours
 from localgraphs.errors import MalformedSolutionError, NotWeaklyColouredError
-from localgraphs.generators import (random_weak, random_weak_colouring,
-                                    shuffle_ports)
+from localgraphs.generators import (numbered_cycle, random_weak,
+                                    random_weak_colouring, shuffle_ports)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  brute_min_dominating_set, verify_solution)
 from localgraphs.starforest import (RootedForest, StarForest,
@@ -89,6 +89,12 @@ class TestExtraction:
         ds = star_dominating_set(sf)
         assert len(ds) == 1 == len(brute_min_dominating_set(single_edge))
         assert star_matching(single_edge, sf) == {(0, 1)}
+
+    @pytest.mark.parametrize("stars", [{0: frozenset({1, 3})}, {0: frozenset({3})}],
+                             ids=["non-adjacent-leaf", "no-adjacent-leaf"])
+    def test_star_matching_refuses_a_malformed_forest(self, stars):
+        with pytest.raises(MalformedSolutionError):
+            star_matching(numbered_cycle(6).graph, StarForest(stars))
 
     def test_p3_dominating_set_optimal(self, p3_wbw):
         ds = star_dominating_set(star_forest(p3_wbw))
