@@ -70,14 +70,6 @@ def _cmd_gen(args) -> int:
     fam = args.family
     try:
         if fam in ("cycle", "cycle-power", "strong-blowup", "weak-layered"):
-            # a bad parameter is refused before the n-node cycle is built
-            generators.check_cycle(args.n)
-            if fam == "cycle-power":
-                generators.check_cycle_power(args.n, args.k)
-            elif fam == "strong-blowup":
-                generators.check_strong_blowup(args.n, args.delta)
-            elif fam == "weak-layered":
-                generators.check_weak_layered(args.n, args.delta)
             cycle = generators.numbered_cycle(args.n)
         if fam == "cycle":
             g = cycle.graph

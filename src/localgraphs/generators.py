@@ -10,6 +10,7 @@ dictates otherwise, or explicitly randomized.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterable, NamedTuple, Sequence
 
@@ -24,7 +25,11 @@ class DirectedCycle(NamedTuple):
     """Directed n-cycle; node v's successor is v+1 mod n."""
 
     n: int
-    graph: Graph
+
+    @property
+    def graph(self) -> Graph:
+        """The cycle as a graph, built when read; the last one read is kept."""
+        return _cycle_graph(self.n)
 
     def successor(self, v: int) -> int:
         return (v + 1) % self.n
@@ -37,35 +42,17 @@ class DirectedCycle(NamedTuple):
         return (v - u) % self.n
 
 
-# the refusals of numbered_cycle and its constructions, on n alone, so a caller can check first
-
-def check_cycle(n: int) -> None:
-    if n < 3:
-        raise TooSmallError(f"cycle needs at least 3 nodes, got {n}")
-
-
-def check_cycle_power(n: int, k: int) -> None:
-    if k < 1 or n <= 2 * k:
-        raise DegenerateParamsError(f"need n > 2k >= 2, got n={n}, k={k}")
-
-
-def check_strong_blowup(n: int, delta: int) -> None:
-    if delta < 1 or n <= delta:
-        raise DegenerateParamsError(f"need n > delta >= 1, got n={n}, delta={delta}")
-
-
-def check_weak_layered(n: int, delta: int) -> None:
-    if n % 2 != 0:
-        raise OddCycleLengthError(f"need an even cycle, got n={n}")
-    if delta < 3:
-        raise DeltaTooSmallError(f"need delta >= 3, got {delta}")
+@functools.lru_cache(maxsize=1)
+def _cycle_graph(n: int) -> Graph:
+    """Oriented n-cycle with port 1 toward the successor, port 2 back."""
+    return build_graph(n, [(v, (v + 1) % n, 1, 2, "uv") for v in range(n)])
 
 
 def numbered_cycle(n: int) -> DirectedCycle:
-    """Oriented n-cycle with port 1 toward the successor, port 2 back."""
-    check_cycle(n)
-    specs = [(v, (v + 1) % n, 1, 2, "uv") for v in range(n)]
-    return DirectedCycle(n, build_graph(n, specs))
+    """The directed n-cycle; its graph is built only when read."""
+    if n < 3:
+        raise TooSmallError(f"cycle needs at least 3 nodes, got {n}")
+    return DirectedCycle(n)
 
 
 def _neighbour_lists(n: int, pairs: Iterable[Edge]) -> list[list[int]]:
@@ -98,7 +85,8 @@ def _ascending_port_specs(n: int, pairs: Sequence[Edge],
 
 def cycle_power(c: DirectedCycle, k: int) -> Graph:
     """k-th power of the cycle: u ~ v iff their cycle distance is at most k."""
-    check_cycle_power(c.n, k)
+    if k < 1 or c.n <= 2 * k:
+        raise DegenerateParamsError(f"need n > 2k >= 2, got n={c.n}, k={k}")
     pairs = []
     directions = {}
     for u in range(c.n):
@@ -116,7 +104,8 @@ def strong_blowup(c: DirectedCycle, delta: int) -> Graph:
     adjacent to black 2v+1 iff the directed path u -> v has at most
     delta-1 edges (length 0 included, which makes the graph regular).
     """
-    check_strong_blowup(c.n, delta)
+    if delta < 1 or c.n <= delta:
+        raise DegenerateParamsError(f"need n > delta >= 1, got n={c.n}, delta={delta}")
     pairs = []
     for u in range(c.n):
         for d in range(delta):
@@ -129,6 +118,13 @@ def _layer_id(v: int, layer: int, delta: int) -> int:
     return v * (delta + 1) + layer
 
 
+def _check_weak_layered(c: DirectedCycle, delta: int) -> None:
+    if c.n % 2 != 0:
+        raise OddCycleLengthError(f"need an even cycle, got n={c.n}")
+    if delta < 3:
+        raise DeltaTooSmallError(f"need delta >= 3, got {delta}")
+
+
 def weak_layered(c: DirectedCycle, delta: int) -> Graph:
     """Weakly (not properly) 2-coloured layered graph over the cycle.
 
@@ -136,7 +132,7 @@ def weak_layered(c: DirectedCycle, delta: int) -> Graph:
     hub joins its own whites, and layer i copies the cycle.  Blacks have
     degree delta, whites degree 3.
     """
-    check_weak_layered(c.n, delta)
+    _check_weak_layered(c, delta)
     pairs = []
     for v in range(c.n):
         for i in range(1, delta + 1):
@@ -155,8 +151,7 @@ def weak_layered_perfect_matching(c: DirectedCycle, delta: int) -> frozenset[Edg
     matched cycle edge (u, v) take hub-to-top edges at u and v plus the
     layer edges u_i - v_i for i < delta.
     """
-    if c.n % 2 != 0:
-        raise OddCycleLengthError(f"need an even cycle, got n={c.n}")
+    _check_weak_layered(c, delta)
     edges = []
     for u in range(0, c.n, 2):
         v = u + 1
@@ -217,7 +212,7 @@ def merge_layer_independent_sets(c: DirectedCycle,
     for i, s in enumerate(sets):
         s = set(s)
         for v in s:
-            if not 0 <= v < c.n:
+            if type(v) is not int or not 0 <= v < c.n:
                 raise MalformedSolutionError(f"{v} is not a cycle node")
             if c.successor(v) in s:
                 raise MalformedSolutionError(f"layer {i} contains adjacent nodes")
@@ -312,16 +307,13 @@ def _bipartite_cover(blacks: list[int], whites: list[int],
     return {normalize_edge(small[i % len(small)], v) for i, v in enumerate(big)}
 
 
-def _pairing_cover(n: int, delta: int, rng: random.Random) -> set[Edge]:
+def _pairing_cover(n: int, rng: random.Random) -> set[Edge]:
     """One edge per node: a random near-perfect pairing."""
     order = list(range(n))
     rng.shuffle(order)
     cover = {normalize_edge(order[i], order[i + 1])
              for i in range(0, n - 1, 2)}
     if n % 2:
-        if delta < 2:
-            raise DegenerateParamsError(
-                f"no degree-{delta} graph without isolated nodes on {n} nodes")
         cover.add(normalize_edge(order[-1], order[0]))
     return cover
 
@@ -373,8 +365,11 @@ def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
     """
     if n < 2 or delta < 1:
         raise DegenerateParamsError(f"need n >= 2 and delta >= 1, got {n}, {delta}")
+    if n % 2 and delta < 2:
+        raise DegenerateParamsError(
+            f"no degree-{delta} graph without isolated nodes on {n} nodes")
     rng = random.Random(f"weak:{n}:{delta}:{seed}")
-    pairs = _fill_random_edges(n, delta, rng, None, _pairing_cover(n, delta, rng))
+    pairs = _fill_random_edges(n, delta, rng, None, _pairing_cover(n, rng))
     directions = None
     if oriented:
         directions = {normalize_edge(u, v): (u, v) if rng.random() < 0.5 else (v, u)

@@ -523,7 +523,7 @@ def matching_from_outputs(g: Graph, outputs) -> Matching:
         if p is None:
             continue
         u, back = g.route(v, p)
-        if outputs[u]["matched_port"] != back:
+        if u not in outputs or outputs[u]["matched_port"] != back:
             raise MalformedSolutionError(f"nodes {v} and {u} disagree on their matched edge")
         edges.add(normalize_edge(v, u))
     return frozenset(edges)

@@ -88,19 +88,21 @@ class TestGen:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv, error, message", [
+        (["--family", "cycle", "--n", "2"],
+         "TooSmallError", "cycle needs at least 3 nodes, got 2"),
         (["--family", "cycle-power", "--n", "300000", "--k", "0"],
          "DegenerateParamsError", "need n > 2k >= 2, got n=300000, k=0"),
         (["--family", "strong-blowup", "--n", "300000", "--delta", "0"],
          "DegenerateParamsError", "need n > delta >= 1, got n=300000, delta=0"),
         (["--family", "weak-layered", "--n", "300000", "--delta", "-1"],
          "DeltaTooSmallError", "need delta >= 3, got -1"),
-    ], ids=["cycle-power", "strong-blowup", "weak-layered"])
+    ], ids=["cycle", "cycle-power", "strong-blowup", "weak-layered"])
     def test_bad_parameter_refused_before_the_cycle_is_built(self, capsys, monkeypatch,
                                                              argv, error, message):
         def unreachable(*args, **kwargs):
-            raise AssertionError("cycle built for a refused parameter")
+            raise AssertionError("graph built for a refused parameter")
 
-        monkeypatch.setattr(cli.generators, "numbered_cycle", unreachable)
+        monkeypatch.setattr(cli.generators, "build_graph", unreachable)
         code, out = run_cli(capsys, "gen", *argv)
         assert code == 2
         assert json.loads(out) == {"error": error, "message": message}

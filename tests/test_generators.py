@@ -55,6 +55,23 @@ class TestNumberedCycle:
             assert c.graph.port_neighbour(v, 1) == c.successor(v)
             assert c.graph.port_neighbour(v, 2) == c.predecessor(v)
 
+    def test_graph_built_on_first_read_and_kept(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("graph built before it was read")
+
+        with monkeypatch.context() as m:
+            m.setattr(generators, "build_graph", unreachable)
+            c = numbered_cycle(7)
+            assert c == (7,)
+            assert (c.successor(6), c.predecessor(0), c.forward_distance(5, 1)) == (0, 6, 3)
+        g = c.graph
+        assert g is c.graph is numbered_cycle(7).graph
+        assert g.n == 7 and g.edge_count == 7
+        for v in g.nodes:
+            assert g.port_neighbour(v, 1) == c.successor(v)
+            assert g.port_neighbour(v, 2) == c.predecessor(v)
+            assert g.port_directions(v) == (OUTGOING, INCOMING)     # each edge points v -> v+1
+
 
 class TestCyclePower:
     def test_regularity_and_edge_count(self):
@@ -126,6 +143,14 @@ class TestWeakLayered:
     def test_small_delta_rejected(self):
         with pytest.raises(DeltaTooSmallError):
             weak_layered(numbered_cycle(4), 2)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1, 2])
+    def test_perfect_matching_refuses_what_the_graph_refuses(self, delta):
+        message = f"need delta >= 3, got {delta}"
+        with pytest.raises(DeltaTooSmallError, match=message):
+            weak_layered(numbered_cycle(4), delta)
+        with pytest.raises(DeltaTooSmallError, match=message):
+            weak_layered_perfect_matching(numbered_cycle(4), delta)
 
 
 class TestSymmetricComplete:
@@ -199,6 +224,12 @@ class TestMergeLayers:
     def test_not_independent_rejected(self):
         with pytest.raises(MalformedSolutionError, match="contains adjacent nodes"):
             merge_layer_independent_sets(numbered_cycle(6), [{0, 1}])
+
+    @pytest.mark.parametrize("member", [0.5, True, "1", -1, 6, None],
+                             ids=["float", "bool", "str", "negative", "n", "none"])
+    def test_non_node_member_rejected(self, member):
+        with pytest.raises(MalformedSolutionError, match="is not a cycle node"):
+            merge_layer_independent_sets(numbered_cycle(6), [[member, 3]])
 
     def test_bound_holds_randomly(self):
         import random
@@ -306,7 +337,7 @@ def _fill_cases():
     for _ in range(120):
         n, delta = rng.randrange(2, 40), rng.randrange(1, 6)
         if n % 2 == 0 or delta >= 2:
-            yield n, delta, None, _pairing_cover(n, delta, rng)
+            yield n, delta, None, _pairing_cover(n, rng)
         lo = -(-n // (delta + 1))
         if lo > n - lo:
             continue

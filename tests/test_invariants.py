@@ -180,7 +180,7 @@ RECORDS = {
     matching.AugmentingForest: ("height", "parent_port", "roots", "leaves"),
     starforest.RootedForest: ("parent_port",),
     starforest.StarForest: ("stars",),
-    generators.DirectedCycle: ("n", "graph"),
+    generators.DirectedCycle: ("n",),
 }
 
 

@@ -20,7 +20,7 @@ from localgraphs.engine import NodeView, run_local_algorithm
 from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
                                   SchemeStats, approximate_maximum_matching,
                                   augment_phase, eliminate_length, flood_phase,
-                                  invocation_count,
+                                  invocation_count, matching_from_outputs,
                                   proposal_phase, run_matching_scheme,
                                   scheme_round_budget, _augment, _flood, _position)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
@@ -474,6 +474,11 @@ class TestSimulatedScheme:
         both, _ = run_matching_scheme(doubled, 2)
         shifted = {(u + 4, v + 4) for u, v in single}
         assert both == single | shifted
+
+    def test_outputs_missing_the_far_end_are_malformed(self):
+        g = numbered_cycle(6).graph
+        with pytest.raises(MalformedSolutionError, match="nodes 0 and 1 disagree"):
+            matching_from_outputs(g, {0: {"matched_port": 1}})
 
     def test_library_refuses_budget_before_allocating(self):
         g = strong_blowup(numbered_cycle(8), 3)     # k = 20 needs about 3.5e8 rounds
