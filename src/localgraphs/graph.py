@@ -257,29 +257,24 @@ def _normalize_colours(n, colours):
 
 # -- colouring classification ------------------------------------------------
 
-def classify_colouring(g: Graph, colours: Sequence[str] | None = None) -> ColouringClass:
-    """Strongest class the (given or stored) colouring satisfies.
+def classify_colouring(g: Graph) -> ColouringClass:
+    """Strongest class the stored colouring satisfies, computed once per graph and kept.
 
-    The stored colouring's class is computed once per graph and kept;
-    explicit ``colours`` are classified afresh and leave it untouched.
     PROPER: every edge joins opposite colours.  WEAK: every node has at
-    least one opposite-coloured neighbour.  NONE otherwise.
+    least one opposite-coloured neighbour.  NONE otherwise.  To classify
+    other colours, classify ``with_colours(g, colours)``.
     """
-    if colours is not None:
-        return _classify(g, tuple(colours))
     if g._colouring is None:
-        g._colouring = _classify(g, g.colours)
+        cols = g.colours
+        if cols is None:
+            raise MissingColoursError("graph has no complete colour assignment")
+        if all(cols[u] != cols[v] for u, v in g.edges):
+            g._colouring = ColouringClass.PROPER
+        elif all(any(cols[u] != cols[v] for u in g.neighbours(v)) for v in g.nodes):
+            g._colouring = ColouringClass.WEAK
+        else:
+            g._colouring = ColouringClass.NONE
     return g._colouring
-
-
-def _classify(g: Graph, cols: tuple[str, ...] | None) -> ColouringClass:
-    if cols is None or len(cols) != g.n:
-        raise MissingColoursError("graph has no complete colour assignment")
-    proper = all(cols[u] != cols[v] for u, v in g.edges)
-    if proper:
-        return ColouringClass.PROPER
-    weak = all(any(cols[u] != cols[v] for u in g.neighbours(v)) for v in g.nodes)
-    return ColouringClass.WEAK if weak else ColouringClass.NONE
 
 
 # -- structural utilities -----------------------------------------------------
@@ -287,35 +282,31 @@ def _classify(g: Graph, cols: tuple[str, ...] | None) -> ColouringClass:
 def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
     """``(u, v, port_u, port_v, direction)`` per edge, sorted: build_graph's input."""
     dirs = g._directions        # None on an unoriented graph
-    specs = [(u, v, pu, pv, dirs and ("uv" if dirs[u][pu - 1] == OUTGOING else "vu"))
-             for u, out in enumerate(g.routes()) for pu, (v, pv) in enumerate(out, start=1)
+    # port[v][u] is v's port toward u: transient, so a fresh graph derives no route table
+    port = [{u: p for p, u in enumerate(nbrs, start=1)} for nbrs in g._port_to]
+    specs = [(u, v, pu, port[v][u], dirs and ("uv" if dirs[u][pu - 1] == OUTGOING else "vu"))
+             for u, nbrs in enumerate(g._port_to) for pu, v in enumerate(nbrs, start=1)
              if u < v]
     specs.sort()    # by (u, v), which no two specs share
     return specs
 
 
-# the slots that do not depend on the colours: what with_colours shares
-_PORT_SLOTS = ("n", "edges", "_port_to", "_directions", "_routes", "_max_degree")
-
-
 def with_colours(g: Graph, colours: Sequence[str] | None) -> Graph:
-    """Copy of g with the colour map replaced (or removed); shares g's tables.
+    """Copy of g with the colour map replaced (or removed), built from g's tables.
 
-    The route table is shared if g has derived it; otherwise each graph
-    derives its own on its first read.  The node labels and the
-    colouring class depend on the colours, so the copy derives its own.
+    The copy shares g's port tables, edge set and, if g has derived it,
+    route table; otherwise each graph derives its own on its first read.
+    The node labels and the colouring class depend on the colours, so
+    the copy derives its own.
     """
-    h = Graph.__new__(Graph)
-    for name in _PORT_SLOTS:
-        setattr(h, name, getattr(g, name))
-    h.colours = _normalize_colours(g.n, colours)
-    h._labels = h._colouring = None
+    h = Graph(g.n, _normalize_colours(g.n, colours), g._port_to, g._directions, g.edges)
+    h._routes = g._routes
     return h
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Copy of g with node v renamed perm[v]; ports travel with their node."""
-    if sorted(perm) != list(range(g.n)):
+    if any(type(x) is not int for x in perm) or sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     port_to = _moved([tuple(perm[u] for u in nbrs) for nbrs in g._port_to], perm)
     return Graph(g.n, _moved(g.colours, perm), port_to, _moved(g._directions, perm))
@@ -350,9 +341,10 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
     Returns the subgraph and the original id of each new node.  The kept
     node set must leave no node isolated.
     """
-    kept = sorted(set(nodes))
-    if kept and not 0 <= kept[0] <= kept[-1] < g.n:
-        raise ValueError(f"kept nodes must lie in 0..{g.n - 1}")
+    kept = set(nodes)
+    if not all(type(v) is int and 0 <= v < g.n for v in kept):
+        raise ValueError(f"kept nodes must be ints in 0..{g.n - 1}")
+    kept = sorted(kept)
     new_id = {old: i for i, old in enumerate(kept)}
     port_to = []
     directions = None if g._directions is None else []

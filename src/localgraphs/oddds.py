@@ -195,6 +195,6 @@ def _check_provider_output(h2_graph: Graph, colours) -> None:
     if (not isinstance(colours, (list, tuple)) or len(colours) != h2_graph.n
             or any(c not in (BLACK, WHITE) for c in colours)):
         raise ProviderFailureError("provider must return one colour per node")
-    if h2_graph.n and classify_colouring(h2_graph, colours) < ColouringClass.WEAK:
+    if h2_graph.n and classify_colouring(with_colours(h2_graph, colours)) < ColouringClass.WEAK:
         raise ProviderFailureError("provider output is not a weak 2-colouring")
 

@@ -2,7 +2,10 @@
 
 These are the ground truth every approximation claim is checked against.
 The dominating-set and independent-set solvers use bitmask branch and
-bound, which is exponential, and are capped by a size limit.  Maximum
+bound, which is exponential, and are capped by a size limit.  The
+independent-set search takes a node with at most one neighbour left
+without branching and otherwise branches on a highest-degree node; which
+maximum set it returns is unspecified.  Maximum
 matching is polynomial and never capped: Edmonds' blossom algorithm
 serves every graph, bipartite or not (see ``brute_max_matching``).  It
 walks its paths in loops, so a long path or cycle cannot exhaust the
@@ -246,74 +249,43 @@ def _augmenting_tree(g: Graph, match: list[int], root: int, parent: list[int],
 # -- maximum independent set -----------------------------------------------
 
 def brute_max_independent_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[int]:
-    """An exact maximum independent set by branch and bound."""
+    """An exact maximum independent set by branch and bound.
+
+    A node with at most one neighbour left is taken without branching,
+    since some maximum set holds it (Tarjan and Trojanowski, "Finding a
+    maximum independent set", 1977).  Otherwise the search branches on a
+    highest-degree node, with it and then without it.  The result is
+    deterministic; which maximum set is returned is otherwise unspecified.
+    """
     if g.n > limit:
         raise TooLargeError(f"{g.n} nodes exceeds limit {limit}")
     adj, closed = _adch_masks(g)
     best: list[int] = []
     chosen: list[int] = []
 
-    def sparse_value(cand: int) -> tuple[int, list[int]]:
-        # exact solution when every candidate degree is <= 2 (paths/cycles)
-        picked: list[int] = []
-        seen = 0
-        for v in _bits(cand):
-            if _bit(v) & seen:
-                continue
-            comp = _bit(v)
-            queue = [v]
-            for w in queue:
-                for x in _bits(adj[w] & cand & ~comp):
-                    comp |= _bit(x)
-                    queue.append(x)
-            seen |= comp
-            members = sorted(_bits(comp))
-            k = len(members)
-            degs = {w: (adj[w] & comp).bit_count() for w in members}
-            if all(d == 2 for d in degs.values()) and k >= 3:
-                take = k // 2          # cycle
-                path = _walk_path(members[0], adj, comp, cycle=True)
-            else:
-                take = (k + 1) // 2    # path (or isolated vertex)
-                start = next(w for w in members if degs[w] <= 1)
-                path = _walk_path(start, adj, comp, cycle=False)
-            picked.extend(path[0:2 * take:2])
-        return len(picked), picked
-
     def rec(cand: int):
-        if len(chosen) + cand.bit_count() <= len(best):
-            return
-        if not cand:
-            best[:] = chosen
-            return
-        degs = [((adj[v] & cand).bit_count(), v) for v in _bits(cand)]
-        maxdeg, v = max(degs)
-        if maxdeg <= 2:
-            got, extra = sparse_value(cand)
-            if len(chosen) + got > len(best):
-                best[:] = chosen + extra
-            return
-        chosen.append(v)
-        rec(cand & ~closed[v])
-        chosen.pop()
-        rec(cand & ~_bit(v))
+        # only the branch with a node recurses, and it drops at least three
+        # nodes, so a long path or cycle cannot exhaust the recursion limit
+        depth = len(chosen)
+        while len(chosen) + cand.bit_count() > len(best):
+            if not cand:
+                best[:] = chosen
+                break
+            degs = [((adj[v] & cand).bit_count(), v) for v in _bits(cand)]
+            low, v = min(degs)
+            if low > 1:
+                _, v = max(degs)
+                chosen.append(v)
+                rec(cand & ~closed[v])
+                chosen.pop()
+                cand &= ~_bit(v)
+            else:
+                chosen.append(v)
+                cand &= ~closed[v]
+        del chosen[depth:]
 
     rec((1 << g.n) - 1)
     return frozenset(best)
-
-
-def _walk_path(start: int, adj: list[int], comp: int, cycle: bool) -> list[int]:
-    order = [start]
-    prev, cur = -1, start
-    while True:
-        nxts = [u for u in _bits(adj[cur] & comp) if u != prev]
-        if not nxts:
-            break
-        prev, cur = cur, nxts[0]
-        if cycle and cur == start:
-            break
-        order.append(cur)
-    return order
 
 
 # -- augmenting paths ----------------------------------------------------------

@@ -19,12 +19,6 @@ from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
 ROUND_BUDGET = 5  # colours, black claims, white claims, child status, detach
 
 
-class RootedForest(NamedTuple):
-    """Parent pointers stored as port indices; absent means root."""
-
-    parent_port: dict[int, int]
-
-
 class StarForest(NamedTuple):
     """Partition of the nodes into depth-1 rooted trees."""
 
@@ -35,8 +29,10 @@ class StarForest(NamedTuple):
         return frozenset(self.stars)
 
 
-def build_parent_forest(g: Graph) -> RootedForest:
-    """Steps 1-2: blacks adopt white parents, childless whites adopt black ones."""
+def build_parent_forest(g: Graph) -> dict[int, int]:
+    """Steps 1-2: blacks adopt white parents, childless whites adopt black ones.
+
+    The result maps each non-root node to its parent port."""
     check_colouring(g, StarForestAlgorithm)
     parent_port: dict[int, int] = {}
     has_child = [False] * g.n
@@ -48,7 +44,7 @@ def build_parent_forest(g: Graph) -> RootedForest:
     for v in g.nodes:
         if g.colour(v) == WHITE and not has_child[v]:
             parent_port[v] = _lowest_port_with_colour(g, v, BLACK)
-    return RootedForest(parent_port)
+    return parent_port
 
 
 def _lowest_port_with_colour(g: Graph, v: int, colour: str) -> int:
@@ -56,22 +52,23 @@ def _lowest_port_with_colour(g: Graph, v: int, colour: str) -> int:
     return next(p for p, u in enumerate(g.neighbours(v), start=1) if g.colour(u) == colour)
 
 
-def normalize_stars(g: Graph, forest: RootedForest) -> StarForest:
-    """Cases 1-3: detach non-leaf children, or reverse one edge at the root."""
+def normalize_stars(g: Graph, parent_port: Mapping[int, int]) -> StarForest:
+    """Cases 1-3 on ``build_parent_forest``'s parent ports: detach non-leaf
+    children, or reverse one edge at the root."""
     children: dict[int, list[int]] = {v: [] for v in g.nodes}
     roots = []
     for v in g.nodes:
-        p = forest.parent_port.get(v)
+        p = parent_port.get(v)
         if p is None:
             roots.append(v)
         else:
             parent = g.port_neighbour(v, p)
-            gp = forest.parent_port.get(parent)
+            gp = parent_port.get(parent)
             if gp is not None:
                 grand = g.port_neighbour(parent, gp)
                 if grand == v:
                     raise MalformedSolutionError(f"parent cycle at node {v}")
-                if forest.parent_port.get(grand) is not None:
+                if parent_port.get(grand) is not None:
                     raise MalformedSolutionError(f"node {v} sits at depth > 2")
             children[parent].append(v)
 

@@ -81,7 +81,7 @@ def test_missing_colour_raises(single_edge):
 def test_recoloured_copy_never_reports_its_sources_class_or_labels():
     g = random_bipartite(40, 3, 0)
     weak = random_weak_colouring(g, 0)
-    assert classify_colouring(g, weak) is ColouringClass.WEAK
+    assert classify_colouring(with_colours(g, weak)) is ColouringClass.WEAK
     run_local_algorithm(g, MatchingSchemeAlgorithm(2))      # g derives and keeps its tables
     h = with_colours(g, weak)
     with pytest.raises(NotProperlyColouredError):

@@ -25,7 +25,7 @@ from localgraphs.generators import (_bipartite_cover, _fill_random_edges,
                                     symmetric_complete,
                                     weak_layered,
                                     weak_layered_perfect_matching)
-from localgraphs.graph import edge_specs
+from localgraphs.graph import edge_specs, with_colours
 from localgraphs.oracles import (Solution, SolutionKind,
                                  brute_max_independent_set,
                                  brute_min_dominating_set, verify_solution)
@@ -319,7 +319,7 @@ class TestRandomFamilies:
         g = random_weak(14, 4, 2, oriented=False)
         for seed in range(10):
             colours = random_weak_colouring(g, seed)
-            assert classify_colouring(g, colours) >= ColouringClass.WEAK
+            assert classify_colouring(with_colours(g, colours)) >= ColouringClass.WEAK
 
 
 def _fill_cases():

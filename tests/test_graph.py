@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localgraphs import BLACK, WHITE, ColouringClass, build_graph, classify_colouring
+from localgraphs import (BLACK, OUTGOING, WHITE, ColouringClass, build_graph,
+                         classify_colouring)
 from localgraphs.errors import (DuplicateEdgeError, GraphFormatError,
                                 IsolatedNodeError, LocalGraphError,
                                 MalformedSolutionError, MissingColoursError,
@@ -273,6 +274,16 @@ class TestUtilities:
         with pytest.raises(ValueError):
             induced_subgraph(p4_coloured, [2, 3, 4])
 
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_relabel_refuses_a_node_id_that_is_not_an_int(self, p4_coloured, entry):
+        with pytest.raises(ValueError, match="permutation"):
+            relabel(p4_coloured, [0, entry, 2, 3])
+
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_induced_subgraph_refuses_a_node_id_that_is_not_an_int(self, p4_coloured, entry):
+        with pytest.raises(ValueError, match="must be ints"):
+            induced_subgraph(p4_coloured, [0, entry])
+
     def test_with_colours_still_checks_colours(self, p4_coloured):
         with pytest.raises(ValueError):
             with_colours(p4_coloured, [BLACK] * 3)
@@ -368,6 +379,22 @@ def test_tables_read_lazily_equal_an_eager_derivation(make, first):
                 assert h.route(v, p) == (u, port_of[u][v])
 
 
+@pytest.mark.parametrize("make", [lambda: random_weak(300, 3, 1),
+                                  lambda: random_weak(300, 4, 2, oriented=False),
+                                  lambda: random_bipartite(200, 4, 3)],
+                         ids=["oriented", "unoriented", "bipartite"])
+def test_edge_specs_leave_a_fresh_graph_without_a_route_table(make):
+    g = make()
+    specs = edge_specs(g)
+    assert g._routes is None
+    dirs = [g.port_directions(v) for v in g.nodes] if g.has_orientation else None
+    from_routes = sorted(
+        (u, v, pu, pv, dirs and ("uv" if dirs[u][pu - 1] == OUTGOING else "vu"))
+        for u, out in enumerate(g.routes()) for pu, (v, pv) in enumerate(out, start=1)
+        if u < v)
+    assert specs == from_routes
+
+
 def lowest_port(g, v, members):
     """The lowest port from v to a member, read off v's port table."""
     return min(g.neighbours(v).index(u) + 1 for u in members)
@@ -399,11 +426,11 @@ def test_lowest_port_choices_on_shuffled_ports(seed):
         m = eliminate_length(g, m, i)
     for delta in (3, 4, 5):
         w = shuffle_ports(random_weak(200, delta, seed), seed)
-        forest = build_parent_forest(w)
-        sf = normalize_stars(w, forest)
-        children = children_of(w, forest.parent_port)
+        parent_port = build_parent_forest(w)
+        sf = normalize_stars(w, parent_port)
+        children = children_of(w, parent_port)
         for r, kids in children.items():
-            if r not in forest.parent_port and kids <= children.keys():     # case 3
+            if r not in parent_port and kids <= children.keys():     # case 3
                 x = w.port_neighbour(r, lowest_port(w, r, kids))
                 assert r in sf.stars[x]
                 contested["case 3"] += len(kids) > 1
@@ -424,14 +451,3 @@ def test_only_a_recoloured_copy_shares_the_route_table():
         assert h.routes() is not routes
     for h in same_ports:
         assert h.routes() == routes
-
-
-def test_explicit_colours_neither_read_nor_write_the_stored_class():
-    g = random_bipartite(40, 3, 0)
-    weak = random_weak_colouring(g, 0)
-    assert classify_colouring(g, weak) is ColouringClass.WEAK
-    assert g._colouring is None
-    assert classify_colouring(g) is ColouringClass.PROPER
-    assert classify_colouring(g, weak) is ColouringClass.WEAK
-    assert classify_colouring(g) is ColouringClass.PROPER
-    assert classify_colouring(with_colours(g, weak)) is ColouringClass.WEAK

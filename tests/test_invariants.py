@@ -178,7 +178,6 @@ RECORDS = {
     oddds.OddDeltaResult: ("partition", "h2", "core_colours", "core_roots",
                            "dominating_set", "star_run"),
     matching.AugmentingForest: ("height", "parent_port", "roots", "leaves"),
-    starforest.RootedForest: ("parent_port",),
     starforest.StarForest: ("stars",),
     generators.DirectedCycle: ("n",),
 }

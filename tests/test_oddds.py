@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from localgraphs import BLACK, WHITE, ColouringClass, build_graph, classify_colouring
+from localgraphs import (BLACK, WHITE, ColouringClass, build_graph, classify_colouring,
+                         with_colours)
 from localgraphs.errors import (EvenDeltaError, MissingOrientationError,
                                 ProviderFailureError)
 from localgraphs.generators import random_weak
@@ -92,7 +93,7 @@ class TestRepair:
         h = oriented_path(3)
         out = repair_b_colours(h, [0, 2], [WHITE, WHITE, WHITE])
         assert out == [WHITE, BLACK, WHITE]
-        assert classify_colouring(h, out) >= ColouringClass.WEAK
+        assert classify_colouring(with_colours(h, out)) >= ColouringClass.WEAK
 
     def test_no_flip_with_opposite_neighbour(self):
         h = oriented_path(3)
@@ -112,7 +113,7 @@ class TestRepair:
             for v in a_core:
                 assert repaired[v] == colours[v]
             # the repair is not checked in the pipeline: its output must be weak
-            assert classify_colouring(h2.base, repaired) >= ColouringClass.WEAK
+            assert classify_colouring(with_colours(h2.base, repaired)) >= ColouringClass.WEAK
 
 
 class TestProviders:
@@ -120,12 +121,12 @@ class TestProviders:
         for seed in range(30):
             g = random_weak(15, 4, seed, oriented=False)
             colours = centralized_weak_colouring(g)
-            assert classify_colouring(g, colours) >= ColouringClass.WEAK
+            assert classify_colouring(with_colours(g, colours)) >= ColouringClass.WEAK
 
     def test_fixup_from_constant(self):
         g = ascending_ports(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         out = fixup_weak_colouring([g.neighbours(v) for v in g.nodes], [WHITE] * 5)
-        assert classify_colouring(g, out) >= ColouringClass.WEAK
+        assert classify_colouring(with_colours(g, out)) >= ColouringClass.WEAK
 
     def test_bad_provider_rejected(self, k4_oriented):
         with pytest.raises(ProviderFailureError):

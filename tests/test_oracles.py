@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
+import traceback
 
 import pytest
 
@@ -131,6 +133,17 @@ class TestFixtures:
         assert len(brute_max_independent_set(cycle(6))) == 3
         assert len(brute_max_independent_set(k4_oriented)) == 1
 
+    def test_independent_set_on_a_long_cycle_recurses_shallowly(self):
+        # nodes with at most one neighbour left are taken in a loop: one
+        # call per taken node would need about 150 frames here
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 40)
+        try:
+            s = brute_max_independent_set(numbered_cycle(300).graph, limit=300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(s) == 150
+
     @pytest.mark.parametrize("oracle, expected", [
         (brute_min_dominating_set, frozenset()),
         (brute_max_independent_set, frozenset()),
@@ -217,6 +230,29 @@ class TestAgreementWithEnumeration:
             s = brute_max_independent_set(g)
             assert verify_solution(g, Solution(SolutionKind.INDEPENDENT_SET, s)).ok
             assert len(s) == enum_max_independent_set_size(g)
+
+    def test_independent_set_above_eight_nodes(self):
+        # by Koenig's theorem a bipartite graph has alpha = n - nu, with nu
+        # from the blossom solver; non-bipartite graphs go to the enumeration
+        for n, edges in _corpus.bipartite_graphs_with_unions(max_n=10):
+            g = ascending_ports(n, edges)
+            assert len(brute_max_independent_set(g)) == n - len(brute_max_matching(g))
+        for n in range(11, 25):
+            for delta in (2, 3, 4, 5):
+                for s in range(3):
+                    g = random_bipartite(n, delta, s)
+                    s_max = brute_max_independent_set(g)
+                    assert verify_solution(g, Solution(SolutionKind.INDEPENDENT_SET, s_max)).ok
+                    assert len(s_max) == n - len(brute_max_matching(g))
+        checked = 0
+        for s in range(70):
+            g = random_weak(9 + s % 6, 3 + s % 3, s, oriented=False)
+            if try_bipartition(g) is None:
+                s_max = brute_max_independent_set(g)
+                assert verify_solution(g, Solution(SolutionKind.INDEPENDENT_SET, s_max)).ok
+                assert len(s_max) == enum_max_independent_set_size(g)
+                checked += 1
+        assert checked >= 50
 
     def test_koenig_on_bipartite(self):
         for n, edges in _corpus.bipartite_connected_graphs(max_n=7):

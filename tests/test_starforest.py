@@ -14,7 +14,7 @@ from localgraphs.generators import (numbered_cycle, random_weak,
                                     random_weak_colouring, shuffle_ports)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  brute_min_dominating_set, verify_solution)
-from localgraphs.starforest import (RootedForest, StarForest,
+from localgraphs.starforest import (StarForest,
                                     build_parent_forest, normalize_stars,
                                     run_star_forest, star_dominating_set,
                                     star_forest, star_matching)
@@ -26,21 +26,21 @@ from conftest import ascending_ports
 class TestBuildParentForest:
     def test_single_edge(self, single_edge):
         f = build_parent_forest(single_edge)
-        assert f.parent_port == {0: 1}          # black points at white
-        assert single_edge.port_neighbour(0, f.parent_port[0]) == 1
+        assert f == {0: 1}          # black points at white
+        assert single_edge.port_neighbour(0, f[0]) == 1
 
     def test_p3_lowest_port_tie_break(self, p3_wbw):
         f = build_parent_forest(p3_wbw)
         # black 1 takes port 1 (toward w1=0); childless white 2 points back
-        assert f.parent_port == {1: 1, 2: 1}
-        assert p3_wbw.port_neighbour(1, f.parent_port[1]) == 0
-        assert p3_wbw.port_neighbour(2, f.parent_port[2]) == 1
+        assert f == {1: 1, 2: 1}
+        assert p3_wbw.port_neighbour(1, f[1]) == 0
+        assert p3_wbw.port_neighbour(2, f[2]) == 1
 
     def test_triangle(self):
         tri = ascending_ports(3, [(0, 1), (0, 2), (1, 2)],
                               colours=[BLACK, WHITE, WHITE])
         f = build_parent_forest(tri)
-        assert f.parent_port == {0: 1, 2: 1}    # depth-2 tree rooted at node 1
+        assert f == {0: 1, 2: 1}    # depth-2 tree rooted at node 1
 
     def test_rejects_unweak(self):
         www = ascending_ports(3, [(0, 1), (1, 2)],
@@ -63,24 +63,24 @@ class TestNormalizeStars:
         g = ascending_ports(4, [(0, 1), (0, 2), (2, 3)],
                             colours=[WHITE, BLACK, BLACK, WHITE])
         f = build_parent_forest(g)
-        assert f.parent_port == {1: 1, 2: 1, 3: 1}
+        assert f == {1: 1, 2: 1, 3: 1}
         sf = normalize_stars(g, f)
         assert sf.stars == {0: frozenset({1}), 2: frozenset({3})}
 
     def test_cycle_detected(self, single_edge):
         with pytest.raises(MalformedSolutionError, match="parent cycle at node"):
-            normalize_stars(single_edge, RootedForest({0: 1, 1: 1}))
+            normalize_stars(single_edge, {0: 1, 1: 1})
 
     def test_depth_three_detected(self):
         g = ascending_ports(4, [(0, 1), (1, 2), (2, 3)],
                             colours=[WHITE, BLACK, WHITE, BLACK])
-        bad = RootedForest({3: 1, 2: 2, 1: 2})   # chain 3 -> 2 -> 1 -> 0
+        bad = {3: 1, 2: 2, 1: 2}   # chain 3 -> 2 -> 1 -> 0
         with pytest.raises(MalformedSolutionError, match="sits at depth > 2"):
             normalize_stars(g, bad)
 
     def test_parentless_childless_detected(self, c4_coloured):
         with pytest.raises(MalformedSolutionError, match="has no children"):
-            normalize_stars(c4_coloured, RootedForest({}))
+            normalize_stars(c4_coloured, {})
 
 
 class TestExtraction:
