@@ -68,25 +68,22 @@ def _cmd_gen(args) -> int:
         raise _CliFailure(f"{args.family} with n={args.n}, delta={args.delta}, k={args.k} "
                           f"exceeds {MAX_GEN_SIZE} nodes times maximum degree", "gen-size")
     fam = args.family
-    try:
-        if fam in ("cycle", "cycle-power", "strong-blowup", "weak-layered"):
-            cycle = generators.numbered_cycle(args.n)
-        if fam == "cycle":
-            g = cycle.graph
-        elif fam == "cycle-power":
-            g = generators.cycle_power(cycle, args.k)
-        elif fam == "strong-blowup":
-            g = generators.strong_blowup(cycle, args.delta)
-        elif fam == "weak-layered":
-            g = generators.weak_layered(cycle, args.delta)
-        elif fam == "symmetric-complete":
-            g = generators.symmetric_complete(args.delta)
-        elif fam == "random-bipartite":
-            g = generators.random_bipartite(args.n, args.delta, args.seed)
-        else:
-            g = generators.random_weak(args.n, args.delta, args.seed)
-    except LocalGraphError as exc:     # gen reads no graph: every failure is a bad parameter
-        raise _CliFailure(str(exc), type(exc).__name__) from exc
+    if fam in ("cycle", "cycle-power", "strong-blowup", "weak-layered"):
+        cycle = generators.numbered_cycle(args.n)
+    if fam == "cycle":
+        g = cycle.graph
+    elif fam == "cycle-power":
+        g = generators.cycle_power(cycle, args.k)
+    elif fam == "strong-blowup":
+        g = generators.strong_blowup(cycle, args.delta)
+    elif fam == "weak-layered":
+        g = generators.weak_layered(cycle, args.delta)
+    elif fam == "symmetric-complete":
+        g = generators.symmetric_complete(args.delta)
+    elif fam == "random-bipartite":
+        g = generators.random_bipartite(args.n, args.delta, args.seed)
+    else:
+        g = generators.random_weak(args.n, args.delta, args.seed)
     _write_or_print(graphmod.dumps(g), args.out)
     return EXIT_OK
 

@@ -13,8 +13,7 @@ from collections import defaultdict
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from .errors import (InvariantError, MissingColoursError, NotProperlyColouredError,
-                     NotWeaklyColouredError)
+from .errors import CapabilityError, InvariantError
 from .graph import (INCOMING, OUTGOING,   # the directions are re-exported
                     ColouringClass, Graph, classify_colouring)
 
@@ -96,12 +95,9 @@ def check_colouring(g: Graph, alg: LocalAlgorithm | type[LocalAlgorithm]) -> Non
     if not need:
         return
     if not g.has_colours:
-        raise MissingColoursError(f"{alg.name} needs node colours")
+        raise CapabilityError(f"{alg.name} needs node colours")
     if classify_colouring(g) < need:
-        message = f"{alg.name} needs a {need.name.lower()} 2-colouring"
-        if need is ColouringClass.WEAK:
-            raise NotWeaklyColouredError(message)
-        raise NotProperlyColouredError(message)
+        raise CapabilityError(f"{alg.name} needs a {need.name.lower()} 2-colouring")
 
 
 def degree_bound(g: Graph, max_degree: int | None) -> int:

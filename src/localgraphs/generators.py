@@ -14,8 +14,7 @@ import functools
 import random
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (DegenerateParamsError, DeltaTooSmallError, EvenDeltaError,
-                     MalformedSolutionError, OddCycleLengthError, TooSmallError)
+from .errors import MalformedSolutionError
 from .graph import BLACK, WHITE, Edge, Graph, build_graph, normalize_edge
 from .oddds import fixup_weak_colouring
 from .oracles import validate_matching
@@ -51,7 +50,7 @@ def _cycle_graph(n: int) -> Graph:
 def numbered_cycle(n: int) -> DirectedCycle:
     """The directed n-cycle; its graph is built only when read."""
     if n < 3:
-        raise TooSmallError(f"cycle needs at least 3 nodes, got {n}")
+        raise ValueError(f"cycle needs at least 3 nodes, got {n}")
     return DirectedCycle(n)
 
 
@@ -86,7 +85,7 @@ def _ascending_port_specs(n: int, pairs: Sequence[Edge],
 def cycle_power(c: DirectedCycle, k: int) -> Graph:
     """k-th power of the cycle: u ~ v iff their cycle distance is at most k."""
     if k < 1 or c.n <= 2 * k:
-        raise DegenerateParamsError(f"need n > 2k >= 2, got n={c.n}, k={k}")
+        raise ValueError(f"need n > 2k >= 2, got n={c.n}, k={k}")
     pairs = []
     directions = {}
     for u in range(c.n):
@@ -105,7 +104,7 @@ def strong_blowup(c: DirectedCycle, delta: int) -> Graph:
     delta-1 edges (length 0 included, which makes the graph regular).
     """
     if delta < 1 or c.n <= delta:
-        raise DegenerateParamsError(f"need n > delta >= 1, got n={c.n}, delta={delta}")
+        raise ValueError(f"need n > delta >= 1, got n={c.n}, delta={delta}")
     pairs = []
     for u in range(c.n):
         for d in range(delta):
@@ -120,9 +119,9 @@ def _layer_id(v: int, layer: int, delta: int) -> int:
 
 def _check_weak_layered(c: DirectedCycle, delta: int) -> None:
     if c.n % 2 != 0:
-        raise OddCycleLengthError(f"need an even cycle, got n={c.n}")
+        raise ValueError(f"need an even cycle, got n={c.n}")
     if delta < 3:
-        raise DeltaTooSmallError(f"need delta >= 3, got {delta}")
+        raise ValueError(f"need delta >= 3, got {delta}")
 
 
 def weak_layered(c: DirectedCycle, delta: int) -> Graph:
@@ -170,7 +169,7 @@ def symmetric_complete(delta: int) -> Graph:
     views at every radius.  Needs odd delta.
     """
     if delta < 1 or delta % 2 == 0:
-        raise EvenDeltaError(f"K_(delta+1) is delta-edge-colourable only for odd delta, got {delta}")
+        raise ValueError(f"K_(delta+1) is delta-edge-colourable only for odd delta, got {delta}")
     n = delta + 1
     specs = []
     for r in range(delta):                      # round-robin 1-factorization
@@ -340,12 +339,11 @@ def shuffle_ports(g: Graph, seed: int) -> Graph:
 def random_bipartite(n: int, delta: int, seed: int) -> Graph:
     """Random properly 2-coloured graph with random ports, degrees <= delta."""
     if n < 2 or delta < 1:
-        raise DegenerateParamsError(f"need n >= 2 and delta >= 1, got {n}, {delta}")
+        raise ValueError(f"need n >= 2 and delta >= 1, got {n}, {delta}")
     rng = random.Random(f"bipartite:{n}:{delta}:{seed}")
     lo = -(-n // (delta + 1))   # each side must be able to host the other
     if lo > n - lo:
-        raise DegenerateParamsError(
-            f"no bipartite degree-{delta} graph without isolated nodes on {n} nodes")
+        raise ValueError(f"no bipartite degree-{delta} graph without isolated nodes on {n} nodes")
     blacks = set(rng.sample(range(n), rng.randint(lo, n - lo)))
     colours = [BLACK if v in blacks else WHITE for v in range(n)]
     cover = _bipartite_cover(sorted(blacks), sorted(set(range(n)) - blacks), rng)
@@ -364,10 +362,9 @@ def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
     seed, from about 1 to at most delta.
     """
     if n < 2 or delta < 1:
-        raise DegenerateParamsError(f"need n >= 2 and delta >= 1, got {n}, {delta}")
+        raise ValueError(f"need n >= 2 and delta >= 1, got {n}, {delta}")
     if n % 2 and delta < 2:
-        raise DegenerateParamsError(
-            f"no degree-{delta} graph without isolated nodes on {n} nodes")
+        raise ValueError(f"no degree-{delta} graph without isolated nodes on {n} nodes")
     rng = random.Random(f"weak:{n}:{delta}:{seed}")
     pairs = _fill_random_edges(n, delta, rng, None, _pairing_cover(n, rng))
     directions = None

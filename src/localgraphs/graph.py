@@ -14,16 +14,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import (
-    DuplicateEdgeError,
-    GraphFormatError,
-    IsolatedNodeError,
-    MalformedSolutionError,
-    MissingColoursError,
-    PortClashError,
-    PortGapError,
-    SelfLoopError,
-)
+from .errors import CapabilityError, GraphFormatError, MalformedSolutionError
 
 BLACK = "black"
 WHITE = "white"
@@ -179,9 +170,10 @@ def build_graph(node_count: int,
     ``edges`` holds tuples ``(u, v, port_u, port_v)`` or
     ``(u, v, port_u, port_v, direction)`` with direction in
     ``{"uv", "vu", None}``.  Directions must be given for all edges or none.
+    Every defect is a GraphFormatError.
     """
     if node_count < 0:
-        raise ValueError("node_count must be non-negative")
+        raise GraphFormatError("node_count must be non-negative")
     colour_list = _normalize_colours(node_count, colours)
 
     edge_set: set[Edge] = set()
@@ -197,20 +189,20 @@ def build_graph(node_count: int,
         elif len(spec) == 5:
             u, v, pu, pv, direction = spec
         else:
-            raise ValueError(f"edge spec must have 4 or 5 fields, got {spec!r}")
+            raise GraphFormatError(f"edge spec must have 4 or 5 fields, got {spec!r}")
         if not (0 <= u < node_count and 0 <= v < node_count):
-            raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
+            raise GraphFormatError(f"edge ({u}, {v}) out of range for {node_count} nodes")
         if u == v:
-            raise SelfLoopError(f"self-loop at node {u}")
+            raise GraphFormatError(f"self-loop at node {u}")
         e = (u, v) if u < v else (v, u)
         if e in edge_set:
-            raise DuplicateEdgeError(f"edge {e} listed twice")
+            raise GraphFormatError(f"edge {e} listed twice")
         add_edge(e)
         at_u, at_v = ports[u], ports[v]
         if pu in at_u:
-            raise PortClashError(f"port {pu} reused at node {u}")
+            raise GraphFormatError(f"port {pu} reused at node {u}")
         if pv in at_v:
-            raise PortClashError(f"port {pv} reused at node {v}")
+            raise GraphFormatError(f"port {pv} reused at node {v}")
         if direction is None:
             at_u[pu] = v
             at_v[pv] = u
@@ -223,7 +215,7 @@ def build_graph(node_count: int,
             at_v[pv] = (u, OUTGOING)
             directed += 1
         else:
-            raise ValueError(f"direction must be 'uv', 'vu' or None, got {direction!r}")
+            raise GraphFormatError(f"direction must be 'uv', 'vu' or None, got {direction!r}")
 
     if directed not in (0, len(edge_set)):
         raise GraphFormatError("orientation must be given for all edges or none")
@@ -231,11 +223,11 @@ def build_graph(node_count: int,
     rows = []
     for v, at in enumerate(ports):
         if not at:
-            raise IsolatedNodeError(f"node {v} has no neighbours")
+            raise GraphFormatError(f"node {v} has no neighbours")
         try:    # deg distinct keys, all found in 1..deg: exactly 1..deg
             rows.append(tuple(map(at.__getitem__, range(1, len(at) + 1))))
         except KeyError:
-            raise PortGapError(
+            raise GraphFormatError(
                 f"node {v}: ports {sorted(at)} are not exactly 1..{len(at)}") from None
     if directed:
         port_to, directions = zip(*[zip(*row) for row in rows])
@@ -248,10 +240,10 @@ def _normalize_colours(n, colours):
         return None
     colours = tuple(colours)
     if len(colours) != n:
-        raise ValueError(f"expected {n} colours, got {len(colours)}")
+        raise GraphFormatError(f"expected {n} colours, got {len(colours)}")
     for c in colours:
         if c not in COLOURS:
-            raise ValueError(f"unknown colour {c!r}")
+            raise GraphFormatError(f"unknown colour {c!r}")
     return colours
 
 
@@ -267,7 +259,7 @@ def classify_colouring(g: Graph) -> ColouringClass:
     if g._colouring is None:
         cols = g.colours
         if cols is None:
-            raise MissingColoursError("graph has no complete colour assignment")
+            raise CapabilityError("graph has no complete colour assignment")
         if all(cols[u] != cols[v] for u, v in g.edges):
             g._colouring = ColouringClass.PROPER
         elif all(any(cols[u] != cols[v] for u in g.neighbours(v)) for v in g.nodes):
@@ -352,7 +344,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
         nbrs = g._port_to[old]
         ports = [i for i, u in enumerate(nbrs) if u in new_id]   # kept, 0-based
         if not ports:
-            raise IsolatedNodeError(f"node {old} has no neighbours among the kept nodes")
+            raise ValueError(f"node {old} has no neighbours among the kept nodes")
         port_to.append(tuple(new_id[nbrs[i]] for i in ports))
         if directions is not None:
             directions.append(tuple(g._directions[old][i] for i in ports))
@@ -414,10 +406,7 @@ def graph_from_json_dict(doc: dict) -> Graph:
         if not type(u) is type(v) is type(pu) is type(pv) is int:
             raise GraphFormatError(f"edge fields must be integers: {ed!r}")
         specs.append((u, v, pu, pv, ed.get("dir")))
-    try:
-        return build_graph(n, specs, colours)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return build_graph(n, specs, colours)
 
 
 def dumps(g: Graph) -> str:

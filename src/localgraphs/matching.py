@@ -16,8 +16,7 @@ from typing import Any, NamedTuple, Sequence
 
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
                      degree_bound, run_local_algorithm)
-from .errors import (InvariantError, MalformedSolutionError, RoundBudgetError,
-                     ShorterPathExistsError)
+from .errors import InvariantError, MalformedSolutionError, TooLargeError
 from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
 # the bench target matching.classify_colouring looks the name up in this module
 from .graph import classify_colouring  # noqa: F401
@@ -51,8 +50,8 @@ class AugmentingForest(NamedTuple):
 def flood_phase(g: Graph, m, h: int) -> AugmentingForest:
     """Grow augmenting trees of height ``h`` from the unmatched black nodes.
 
-    Raises ShorterPathExistsError exactly when an augmenting path shorter
-    than ``h`` exists.  In a properly coloured graph an alternating path
+    Raises InvariantError exactly when an augmenting path shorter than
+    ``h`` exists.  In a properly coloured graph an alternating path
     from an unmatched black leaves each black by an unmatched edge and
     each white by its matched edge, and so does the flood; a node joins
     at its first arrival, so the flood is a breadth-first search over
@@ -90,7 +89,7 @@ def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
             if g.colour(v) == WHITE:
                 if v not in partner:
                     if t < h:
-                        raise ShorterPathExistsError(
+                        raise InvariantError(
                             f"flood reached an unmatched white node after {t} < {h} hops")
                     joined[v] = port
                     leaves.add(v)
@@ -223,7 +222,7 @@ def eliminate_length(g: Graph, m, i: int, *,
     """Remove every length-(2i-1) augmenting path: t_i invocations, see ``_eliminate``.
 
     Refuses an i < 1 with a ValueError, and an i whose schedule
-    ``run_matching_scheme(g, i)`` would refuse with its RoundBudgetError.
+    ``run_matching_scheme(g, i)`` would refuse with its TooLargeError.
     """
     check_colouring(g, MatchingSchemeAlgorithm)
     delta = degree_bound(g, max_degree)
@@ -271,7 +270,7 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
         if side is not None and (paths or done == 1):
             spl = oracle()
             if spl is not None and spl < h:
-                raise ShorterPathExistsError(
+                raise InvariantError(
                     f"invocation left an augmenting path of length {spl} < {h}")
         if not paths:
             if stats is not None:
@@ -281,7 +280,7 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
         if not t:           # no invocation ran
             spl = oracle()
         if spl is not None and spl <= h:
-            raise ShorterPathExistsError(
+            raise InvariantError(
                 f"length-{spl} augmenting path survived elimination at h={h}")
 
 
@@ -323,7 +322,7 @@ MAX_SCHEME_ROUNDS = 10**6
 def _schedule(max_degree: int, k: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """The budget, and (first round, h, first invocation) of each length h = 2i-1.
 
-    Raises RoundBudgetError when k or the budget exceeds the cap.  The
+    Raises TooLargeError when k or the budget exceeds the cap.  The
     loop stops at the first t_i = 0, since every later t_i is 0 too, or
     once the budget passes the cap, so no large power is ever raised.
     """
@@ -342,7 +341,7 @@ def _schedule(max_degree: int, k: int) -> tuple[int, tuple[tuple[int, int, int],
         if total > cap:
             break
     if k > cap or total > cap:
-        raise RoundBudgetError(f"matching-scheme with k={k} on degree bound {max_degree} "
+        raise TooLargeError(f"matching-scheme with k={k} on degree bound {max_degree} "
                                f"needs more than {cap} rounds")
     return total, tuple(lengths)
 
@@ -464,7 +463,7 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                 matched = state["matched_port"]
                 if white and matched is None:
                     if rho < h:
-                        raise ShorterPathExistsError(
+                        raise InvariantError(
                             f"flood reached an unmatched white node after {rho} < {h} hops")
                     state["joined"] = True
                     state["parent_port"] = port

@@ -14,8 +14,7 @@ import json
 from typing import Callable, NamedTuple, Sequence
 
 from .engine import RunResult, degree_bound
-from .errors import (EvenDeltaError, InvariantError, MissingOrientationError,
-                     ProviderFailureError)
+from .errors import CapabilityError, InvariantError, MalformedSolutionError
 from .graph import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass, Graph,
                     classify_colouring, induced_subgraph, opposite, with_colours)
 from .starforest import run_star_forest
@@ -108,7 +107,7 @@ def colouring_provider_from_file(path) -> WeakColouringProvider:
         try:
             doc = json.load(fh)
         except RecursionError as exc:
-            raise ProviderFailureError("colour file is nested too deeply") from exc
+            raise MalformedSolutionError("colour file is nested too deeply") from exc
     colours = doc.get("colours") if isinstance(doc, dict) else doc
 
     def provider(h2: Graph) -> Sequence[str]:
@@ -161,9 +160,9 @@ def odd_delta_pipeline(g: Graph,
     """Dominating set within ``delta`` of optimal; ``trace`` goes to the star phase's run."""
     delta = degree_bound(g, max_degree)
     if delta % 2 == 0:
-        raise EvenDeltaError(f"degree bound {delta} is even")
+        raise CapabilityError(f"degree bound {delta} is even")
     if g.n and not g.has_orientation:
-        raise MissingOrientationError("pipeline requires an edge orientation")
+        raise CapabilityError("pipeline requires an edge orientation")
     provider = provider or centralized_weak_colouring
 
     part = partition_abc(g)
@@ -194,7 +193,7 @@ def _check_provider_output(h2_graph: Graph, colours) -> None:
     """The one check of a provider's output: a weak 2-colouring of ``h2_graph``."""
     if (not isinstance(colours, (list, tuple)) or len(colours) != h2_graph.n
             or any(c not in (BLACK, WHITE) for c in colours)):
-        raise ProviderFailureError("provider must return one colour per node")
+        raise MalformedSolutionError("provider must return one colour per node")
     if h2_graph.n and classify_colouring(with_colours(h2_graph, colours)) < ColouringClass.WEAK:
-        raise ProviderFailureError("provider output is not a weak 2-colouring")
+        raise MalformedSolutionError("provider output is not a weak 2-colouring")
 

@@ -15,6 +15,7 @@ recursion limit.
 from __future__ import annotations
 
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
 from .errors import MalformedSolutionError, TooLargeError
@@ -271,17 +272,33 @@ def brute_max_independent_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset
             if not cand:
                 best[:] = chosen
                 break
-            degs = [((adj[v] & cand).bit_count(), v) for v in _bits(cand)]
-            low, v = min(degs)
-            if low > 1:
-                _, v = max(degs)
+            deg = {v: (adj[v] & cand).bit_count() for v in _bits(cand)}
+            takeable = [(d, v) for v, d in deg.items() if d <= 1]
+            if not takeable:
+                v = max(deg, key=lambda u: (deg[u], u))
                 chosen.append(v)
                 rec(cand & ~closed[v])
                 chosen.pop()
                 cand &= ~_bit(v)
-            else:
+                continue
+            # take the lowest (degree, id) node with at most one neighbour
+            # left until none is left.  A degree never rises, so a listed
+            # node stays takeable, and a take changes only the degrees of
+            # the removed nodes' neighbours.  Taking cannot raise the bound
+            # above, so it is checked once the peel ends.
+            heapify(takeable)
+            while takeable:
+                d, v = heappop(takeable)
+                if not cand >> v & 1 or deg[v] != d:    # removed, or listed again lower
+                    continue
                 chosen.append(v)
-                cand &= ~closed[v]
+                removed = closed[v] & cand
+                cand ^= removed
+                for x in _bits(removed):
+                    for u in _bits(adj[x] & cand):
+                        deg[u] -= 1
+                        if deg[u] <= 1:
+                            heappush(takeable, (deg[u], u))
         del chosen[depth:]
 
     rec((1 << g.n) - 1)

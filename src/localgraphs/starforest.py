@@ -54,7 +54,11 @@ def _lowest_port_with_colour(g: Graph, v: int, colour: str) -> int:
 
 def normalize_stars(g: Graph, parent_port: Mapping[int, int]) -> StarForest:
     """Cases 1-3 on ``build_parent_forest``'s parent ports: detach non-leaf
-    children, or reverse one edge at the root."""
+    children, or reverse one edge at the root.
+
+    Refuses a bad port, a parent cycle, a node at depth > 2 and a
+    childless root; any other map yields a star forest of ``g``, so the
+    result is not checked again."""
     children: dict[int, list[int]] = {v: [] for v in g.nodes}
     roots = []
     for v in g.nodes:
@@ -92,7 +96,6 @@ def normalize_stars(g: Graph, parent_port: Mapping[int, int]) -> StarForest:
                 if c != x:
                     stars[c] = frozenset(children[c])
             stars[x] = frozenset(children[x]) | {r}
-    _check_star_forest(g, stars)
     return StarForest(stars)
 
 

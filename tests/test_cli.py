@@ -87,37 +87,44 @@ class TestGen:
         assert json.loads(captured.out)["error"] == "gen-size"
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("argv, error, message", [
-        (["--family", "cycle", "--n", "2"],
-         "TooSmallError", "cycle needs at least 3 nodes, got 2"),
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "cycle", "--n", "2"], "cycle needs at least 3 nodes, got 2"),
         (["--family", "cycle-power", "--n", "300000", "--k", "0"],
-         "DegenerateParamsError", "need n > 2k >= 2, got n=300000, k=0"),
+         "need n > 2k >= 2, got n=300000, k=0"),
         (["--family", "strong-blowup", "--n", "300000", "--delta", "0"],
-         "DegenerateParamsError", "need n > delta >= 1, got n=300000, delta=0"),
+         "need n > delta >= 1, got n=300000, delta=0"),
         (["--family", "weak-layered", "--n", "300000", "--delta", "-1"],
-         "DeltaTooSmallError", "need delta >= 3, got -1"),
-    ], ids=["cycle", "cycle-power", "strong-blowup", "weak-layered"])
+         "need delta >= 3, got -1"),
+        (["--family", "weak-layered", "--n", "50001", "--delta", "3"],
+         "need an even cycle, got n=50001"),
+    ], ids=["cycle", "cycle-power", "strong-blowup", "weak-layered", "weak-layered-odd"])
     def test_bad_parameter_refused_before_the_cycle_is_built(self, capsys, monkeypatch,
-                                                             argv, error, message):
+                                                             argv, message):
         def unreachable(*args, **kwargs):
             raise AssertionError("graph built for a refused parameter")
 
         monkeypatch.setattr(cli.generators, "build_graph", unreachable)
         code, out = run_cli(capsys, "gen", *argv)
         assert code == 2
-        assert json.loads(out) == {"error": error, "message": message}
+        assert json.loads(out) == {"error": "ValueError", "message": message}
 
     def test_degenerate_params_exit_2(self, capsys):
         code, out = run_cli(capsys, "gen", "--family", "cycle", "--n", "2")
         assert code == 2
         assert "error" in json.loads(out)
 
-    @pytest.mark.parametrize("argv", [["--family", "random-weak", "--n", "1"],
-                                      ["--family", "random-bipartite", "--delta", "0"]])
-    def test_degenerate_random_family_exit_2(self, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "random-weak", "--n", "1"], "need n >= 2 and delta >= 1, got 1, 3"),
+        (["--family", "random-bipartite", "--delta", "0"],
+         "need n >= 2 and delta >= 1, got 8, 0"),
+        (["--family", "random-weak", "--n", "3", "--delta", "1"],
+         "no degree-1 graph without isolated nodes on 3 nodes"),
+        (["--family", "random-bipartite", "--n", "3", "--delta", "1"],
+         "no bipartite degree-1 graph without isolated nodes on 3 nodes")])
+    def test_degenerate_random_family_exit_2(self, capsys, argv, message):
         code, out = run_cli(capsys, "gen", *argv)
         assert code == 2
-        assert json.loads(out)["error"] == "DegenerateParamsError"
+        assert json.loads(out) == {"error": "ValueError", "message": message}
 
 
 class TestRun:
@@ -217,7 +224,9 @@ class TestRun:
                      "--k", "20", "--trace", str(trace)])
         captured = capsys.readouterr()
         assert code == 2
-        assert json.loads(captured.out)["error"] == "RoundBudgetError"
+        assert json.loads(captured.out) == {
+            "error": "TooLargeError",
+            "message": "matching-scheme with k=20 on degree bound 3 needs more than 1000000 rounds"}
         assert "Traceback" not in captured.err
         assert not trace.exists()
 
@@ -232,13 +241,28 @@ class TestRun:
         code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
                             "--weak-colouring", f"external:{tmp_path / 'missing.json'}")
         assert code == 2 and json.loads(out)["error"] == "io-error"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"colors": [WHITE, BLACK, BLACK, BLACK]}, "provider must return one colour per node"),
+        ({"colours": None}, "provider must return one colour per node"),
+        ([WHITE], "provider must return one colour per node"),
+        ([WHITE] * 4, "provider output is not a weak 2-colouring"),
+    ], ids=["no-colours-key", "null", "short", "not-weak"])
+    def test_bad_external_colouring_exit_2(self, capsys, tmp_path, k4_oriented, doc, message):
+        gpath = tmp_path / "k4.json"
+        gpath.write_text(dumps(k4_oriented))
         cpath = tmp_path / "colours.json"
-        for doc in ({"colors": [WHITE, BLACK, BLACK, BLACK]},     # no "colours" key
-                    {"colours": None}):
-            cpath.write_text(json.dumps(doc))
-            code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
-                                "--weak-colouring", f"external:{cpath}")
-            assert code == 2 and json.loads(out)["error"] == "ProviderFailureError"
+        cpath.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
+                            "--weak-colouring", f"external:{cpath}")
+        assert code == 2
+        assert json.loads(out) == {"error": "MalformedSolutionError", "message": message}
+
+    def test_scheme_k_below_one_exit_2(self, capsys, c4_file):
+        code, out = run_cli(capsys, "run", "--graph", c4_file, "--alg", "matching-scheme",
+                            "--k", "0")
+        assert code == 2
+        assert json.loads(out) == {"error": "ValueError", "message": "k must be at least 1"}
 
     @pytest.mark.parametrize("nodes", [["a", "b"], [True, 0]])
     def test_non_object_nodes_exit_2(self, capsys, tmp_path, nodes):
@@ -518,7 +542,7 @@ _DEEP = {
     "verify-solution": (["verify", "--solution", "DEEP"], "bad-solution"),
     "export-solution": (["export-dot", "--solution", "DEEP"], "bad-solution"),
     "colour-file": (["run", "--alg", "odd-ds", "--weak-colouring", "external:DEEP"],
-                    "ProviderFailureError"),
+                    "MalformedSolutionError"),
 }
 
 
@@ -541,18 +565,49 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, k4_oriented, case):
     assert "Traceback" not in captured.err
 
 
+def _graph_doc(n, edges, colours=None):
+    """A graph document with ``(u, v, port_u, port_v, dir)`` edges, not validated."""
+    return {"nodes": [{"id": v, "colour": colours and colours[v]} for v in range(n)],
+            "edges": [dict(zip(("u", "v", "port_u", "port_v", "dir"), e)) for e in edges]}
+
+
+# structural fault -> (a graph document with it, the GraphFormatError message)
+_GRAPH_FAULTS = {
+    "self-loop": (_graph_doc(2, [(0, 0, 1, 2, None), (0, 1, 3, 1, None)]),
+                  "self-loop at node 0"),
+    "duplicate-edge": (_graph_doc(2, [(0, 1, 1, 1, None), (1, 0, 2, 2, None)]),
+                       "edge (0, 1) listed twice"),
+    "port-clash": (_graph_doc(3, [(0, 1, 1, 1, None), (0, 2, 1, 1, None)]),
+                   "port 1 reused at node 0"),
+    "port-gap": (_graph_doc(3, [(0, 1, 1, 1, None), (1, 2, 3, 1, None)]),
+                 "node 1: ports [1, 3] are not exactly 1..2"),
+    "isolated-node": (_graph_doc(3, [(0, 1, 1, 1, None)]), "node 2 has no neighbours"),
+    "out-of-range": (_graph_doc(2, [(0, 2, 1, 1, None)]),
+                     "edge (0, 2) out of range for 2 nodes"),
+    "bad-dir": (_graph_doc(2, [(0, 1, 1, 1, "xy")]),
+                "direction must be 'uv', 'vu' or None, got 'xy'"),
+    "unknown-colour": (_graph_doc(2, [(0, 1, 1, 1, None)], ["red", BLACK]),
+                       "unknown colour 'red'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_GRAPH_FAULTS))
+def test_graph_fault_is_a_graph_format_error(capsys, tmp_path, fault):
+    doc, message = _GRAPH_FAULTS[fault]
+    with pytest.raises(errors.GraphFormatError) as caught:
+        loads(json.dumps(doc))
+    assert str(caught.value) == message
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "run", "--graph", str(path), "--alg", "star-ds")
+    assert code == 2
+    assert json.loads(out) == {"error": "GraphFormatError", "message": message}
+
+
 # every LocalGraphError subclass in `errors` and the exit code it must give
 _EXIT_CODES = {
-    "LocalGraphError": 2, "SelfLoopError": 2, "DuplicateEdgeError": 2,
-    "PortClashError": 2, "PortGapError": 2, "IsolatedNodeError": 2,
-    "GraphFormatError": 2, "MalformedSolutionError": 2,
-    "ProviderFailureError": 2, "RoundBudgetError": 2,
-    "TooLargeError": 2, "TooSmallError": 2, "DegenerateParamsError": 2,
-    "OddCycleLengthError": 2, "DeltaTooSmallError": 2,
-    "CapabilityError": 3, "MissingColoursError": 3,
-    "MissingOrientationError": 3, "NotWeaklyColouredError": 3,
-    "NotProperlyColouredError": 3, "EvenDeltaError": 3,
-    "InvariantError": 4, "ShorterPathExistsError": 4,
+    "LocalGraphError": 2, "GraphFormatError": 2, "MalformedSolutionError": 2,
+    "TooLargeError": 2, "CapabilityError": 3, "InvariantError": 4,
 }
 
 _ALGORITHMS = ["star-ds", "star-matching", "matching-scheme", "odd-ds", "all-nodes",
@@ -568,34 +623,41 @@ def _oriented(pairs):
 
 _COLOUR_ALGS = ["star-ds", "star-matching", "matching-scheme", "white-is"]
 
-# instance -> (graph, the error each algorithm that needs what it lacks reports)
+# the simulated algorithm each CLI name runs, as its refusals name it
+_NAMES = {"star-ds": "star-forest", "star-matching": "star-forest",
+          "matching-scheme": "matching-scheme", "white-is": "white-is"}
+
+
+def _needs(algs, need):
+    return {alg: f"{_NAMES[alg]} needs {need}" for alg in algs}
+
+
+# instance -> (graph, the CapabilityError message each algorithm that needs
+# what it lacks reports)
 _CAPABILITY_MATRIX = {
     "uncoloured": (ascending_ports(4, _K4, None, _oriented(_K4)),
-                   dict.fromkeys(_COLOUR_ALGS, "MissingColoursError")),
+                   _needs(_COLOUR_ALGS, "node colours")),
     "not-weak": (ascending_ports(4, _K4, [WHITE] * 4, _oriented(_K4)),
-                 {"star-ds": "NotWeaklyColouredError",
-                  "star-matching": "NotWeaklyColouredError",
-                  "matching-scheme": "NotProperlyColouredError",
-                  "white-is": "NotProperlyColouredError"}),
+                 {**_needs(["star-ds", "star-matching"], "a weak 2-colouring"),
+                  **_needs(["matching-scheme", "white-is"], "a proper 2-colouring")}),
     "weak-not-proper": (ascending_ports(4, _K4, [BLACK, WHITE, BLACK, WHITE],
                                         _oriented(_K4)),
-                        {"matching-scheme": "NotProperlyColouredError",
-                         "white-is": "NotProperlyColouredError"}),
+                        _needs(["matching-scheme", "white-is"], "a proper 2-colouring")),
     "unoriented": (ascending_ports(4, _STAR, [BLACK, WHITE, WHITE, WHITE]),
-                   {"odd-ds": "MissingOrientationError"}),
+                   {"odd-ds": "pipeline requires an edge orientation"}),
     "even-bound": (ascending_ports(4, _C4, [BLACK, WHITE, BLACK, WHITE], _oriented(_C4)),
-                   {"odd-ds": "EvenDeltaError"}),
+                   {"odd-ds": "degree bound 2 is even"}),
     "complete": (ascending_ports(4, _STAR, [BLACK, WHITE, WHITE, WHITE],
                                  _oriented(_STAR)), {}),
 }
 
 
 def _refusal(call):
-    """The class and message a call raises, or None when it returns."""
+    """The message and class a call raises, or None when it returns."""
     try:
         call()
     except (errors.LocalGraphError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
+        return str(exc), type(exc).__name__
     return None
 
 
@@ -615,9 +677,12 @@ def test_both_implementations_refuse_alike(instance):
 
 
 @pytest.mark.parametrize("k, max_degree, refusal", [
-    (409, None, "RoundBudgetError"),    # the budget 6k^2 on degree bound 2 passes 10^6
-    (0, None, "ValueError"),
-    (1, 1, "ValueError"),               # a declared bound below the actual degree 2
+    # the budget 6k^2 on degree bound 2 passes 10^6
+    (409, None, ("matching-scheme with k=409 on degree bound 2 needs more than 1000000 "
+                 "rounds", "TooLargeError")),
+    (0, None, ("k must be at least 1", "ValueError")),
+    # a declared bound below the actual degree 2
+    (1, 1, ("declared degree bound 1 below actual 2", "ValueError")),
 ])
 def test_both_scheme_implementations_refuse_the_same_parameters(k, max_degree, refusal):
     g = random_bipartite(10, 2, 0)
@@ -627,7 +692,7 @@ def test_both_scheme_implementations_refuse_the_same_parameters(k, max_degree, r
     if k >= 1:      # eliminate_length refuses an i < 1 with its own message
         outcomes.append(_refusal(lambda: eliminate_length(g, frozenset(), k,
                                                           max_degree=max_degree)))
-    assert outcomes[0] is not None and outcomes[0][0] == refusal
+    assert outcomes[0] == refusal
     assert len(set(outcomes)) == 1, outcomes
 
 
@@ -658,12 +723,14 @@ class TestExitCodeContract:
         code, out = run_cli(capsys, "run", "--graph", str(path), "--alg", alg)
         assert code == (3 if alg in refusals else 0), out
         if alg in refusals:
-            assert json.loads(out)["error"] == refusals[alg]
+            assert json.loads(out) == {"error": "CapabilityError", "message": refusals[alg]}
 
     def test_gen_even_delta_is_input_error(self, capsys):
         code, out = run_cli(capsys, "gen", "--family", "symmetric-complete", "--delta", "4")
         assert code == 2
-        assert json.loads(out)["error"] == "EvenDeltaError"
+        assert json.loads(out) == {
+            "error": "ValueError",
+            "message": "K_(delta+1) is delta-edge-colourable only for odd delta, got 4"}
 
 
 # -- one parser per process ------------------------------------------------------

@@ -11,8 +11,7 @@ from localgraphs import (BLACK, WHITE, ColouringClass, LocalAlgorithm, build_gra
                          relabel, run_local_algorithm, with_colours)
 from localgraphs.baselines import WhiteIndependentSet
 from localgraphs.engine import view_classes
-from localgraphs.errors import (InvariantError, MissingColoursError,
-                                NotProperlyColouredError, NotWeaklyColouredError)
+from localgraphs.errors import CapabilityError, InvariantError
 from localgraphs.generators import (numbered_cycle, random_bipartite, random_weak,
                                     random_weak_colouring, shuffle_ports,
                                     strong_blowup, weak_layered)
@@ -74,7 +73,7 @@ def test_echo_handshake(single_edge):
 
 def test_missing_colour_raises(single_edge):
     from localgraphs.graph import with_colours
-    with pytest.raises(MissingColoursError):
+    with pytest.raises(CapabilityError, match="colour-echo needs node colours"):
         run_local_algorithm(with_colours(single_edge, None), ColourEcho())
 
 
@@ -84,7 +83,7 @@ def test_recoloured_copy_never_reports_its_sources_class_or_labels():
     assert classify_colouring(with_colours(g, weak)) is ColouringClass.WEAK
     run_local_algorithm(g, MatchingSchemeAlgorithm(2))      # g derives and keeps its tables
     h = with_colours(g, weak)
-    with pytest.raises(NotProperlyColouredError):
+    with pytest.raises(CapabilityError, match="needs a proper 2-colouring"):
         run_local_algorithm(h, MatchingSchemeAlgorithm(2))
     assert run_local_algorithm(h, ColourEcho()).outputs == dict(enumerate(weak))
     assert run_local_algorithm(g, ColourEcho()).outputs == dict(enumerate(g.colours))
@@ -95,23 +94,23 @@ def test_recoloured_copy_never_reports_its_sources_class_or_labels():
 _K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _BWBW = [BLACK, WHITE, BLACK, WHITE]     # weak but not proper on K4
 _UNDER_COLOURED = [
-    pytest.param(_BWBW, WhiteIndependentSet, NotProperlyColouredError, id="bwbw-white-is"),
-    pytest.param(_BWBW, lambda: MatchingSchemeAlgorithm(1), NotProperlyColouredError,
+    pytest.param(_BWBW, WhiteIndependentSet, "needs a proper 2-colouring", id="bwbw-white-is"),
+    pytest.param(_BWBW, lambda: MatchingSchemeAlgorithm(1), "needs a proper 2-colouring",
                  id="bwbw-scheme"),
-    pytest.param([WHITE] * 4, StarForestAlgorithm, NotWeaklyColouredError,
+    pytest.param([WHITE] * 4, StarForestAlgorithm, "needs a weak 2-colouring",
                  id="white-star-forest"),
-    pytest.param(None, WhiteIndependentSet, MissingColoursError, id="none-white-is"),
-    pytest.param(None, lambda: MatchingSchemeAlgorithm(1), MissingColoursError,
+    pytest.param(None, WhiteIndependentSet, "needs node colours", id="none-white-is"),
+    pytest.param(None, lambda: MatchingSchemeAlgorithm(1), "needs node colours",
                  id="none-scheme"),
-    pytest.param(None, StarForestAlgorithm, MissingColoursError, id="none-star-forest"),
+    pytest.param(None, StarForestAlgorithm, "needs node colours", id="none-star-forest"),
 ]
 
 
-@pytest.mark.parametrize("colours, make, error", _UNDER_COLOURED)
-def test_colouring_refused_before_round_0(colours, make, error):
+@pytest.mark.parametrize("colours, make, refusal", _UNDER_COLOURED)
+def test_colouring_refused_before_round_0(colours, make, refusal):
     alg = make()
     lines = []
-    with pytest.raises(error, match=alg.name):
+    with pytest.raises(CapabilityError, match=f"^{alg.name} {refusal}$"):
         run_local_algorithm(ascending_ports(4, _K4, colours), alg, trace=lines.append)
     assert lines == []
 

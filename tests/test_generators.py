@@ -10,10 +10,7 @@ from localgraphs import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass,
                          classify_colouring, local_views_equivalent,
                          run_local_algorithm)
 from localgraphs.baselines import WhiteIndependentSet
-from localgraphs.errors import (DegenerateParamsError, DeltaTooSmallError,
-                                EvenDeltaError, MalformedSolutionError,
-                                NotProperlyColouredError, OddCycleLengthError,
-                                TooSmallError)
+from localgraphs.errors import CapabilityError, MalformedSolutionError
 from localgraphs import generators
 from localgraphs.generators import (_bipartite_cover, _fill_random_edges,
                                     _pairing_cover, cycle_power,
@@ -46,7 +43,7 @@ class TestNumberedCycle:
             assert c.graph.port_directions(v) == (OUTGOING, INCOMING)   # each edge points v -> v+1
 
     def test_too_small(self):
-        with pytest.raises(TooSmallError):
+        with pytest.raises(ValueError, match="cycle needs at least 3 nodes"):
             numbered_cycle(2)
 
     def test_port_convention(self):
@@ -80,7 +77,7 @@ class TestCyclePower:
         assert len(brute_min_dominating_set(g)) == 3
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateParamsError):
+        with pytest.raises(ValueError, match="need n > 2k >= 2"):
             cycle_power(numbered_cycle(4), 2)
 
 
@@ -101,7 +98,7 @@ class TestStrongBlowup:
         assert all(g.degree(v) == 1 for v in g.nodes)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateParamsError):
+        with pytest.raises(ValueError, match="need n > delta >= 1"):
             strong_blowup(numbered_cycle(3), 3)
 
 
@@ -129,19 +126,19 @@ class TestWeakLayered:
         assert len({x for e in pm for x in e}) == g.n
 
     def test_odd_cycle_rejected(self):
-        with pytest.raises(OddCycleLengthError):
+        with pytest.raises(ValueError, match="need an even cycle"):
             weak_layered(numbered_cycle(5), 3)
 
     def test_small_delta_rejected(self):
-        with pytest.raises(DeltaTooSmallError):
+        with pytest.raises(ValueError, match="need delta >= 3"):
             weak_layered(numbered_cycle(4), 2)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1, 2])
     def test_perfect_matching_refuses_what_the_graph_refuses(self, delta):
         message = f"need delta >= 3, got {delta}"
-        with pytest.raises(DeltaTooSmallError, match=message):
+        with pytest.raises(ValueError, match=message):
             weak_layered(numbered_cycle(4), delta)
-        with pytest.raises(DeltaTooSmallError, match=message):
+        with pytest.raises(ValueError, match=message):
             weak_layered_perfect_matching(numbered_cycle(4), delta)
 
 
@@ -164,7 +161,7 @@ class TestSymmetricComplete:
         assert g.n == 2 and g.routes() == (((1, 1),), ((0, 1),))
 
     def test_even_delta_rejected(self):
-        with pytest.raises(EvenDeltaError):
+        with pytest.raises(ValueError, match="only for odd delta"):
             symmetric_complete(4)
 
 
@@ -270,7 +267,7 @@ class TestTrivialWhiteSet:
     def test_requires_proper(self):
         g = ascending_ports(3, [(0, 1), (1, 2), (0, 2)],
                             colours=[BLACK, WHITE, WHITE])
-        with pytest.raises(NotProperlyColouredError):
+        with pytest.raises(CapabilityError, match="needs a proper 2-colouring"):
             white_set(g)
 
 
@@ -377,7 +374,7 @@ class TestFillRandomEdges:
             n, delta = 3 + seed % 23, 1 + seed % 5
             if n % 2 and delta == 1:
                 for family in (random_bipartite, random_weak):
-                    with pytest.raises(DegenerateParamsError):
+                    with pytest.raises(ValueError, match="without isolated nodes"):
                         family(n, delta, seed)
                 continue
             g = random_bipartite(n, delta, seed)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 import sys
+import time
 import traceback
 
 import pytest
@@ -143,6 +144,14 @@ class TestFixtures:
         finally:
             sys.setrecursionlimit(limit)
         assert len(s) == 150
+
+    def test_independent_set_peel_rechecks_only_the_removed_nodes_neighbours(self):
+        # one branch on the 3000-cycle, then two paths peeled; a rescan of
+        # every degree after each take took seconds here
+        start = time.process_time()
+        s = brute_max_independent_set(numbered_cycle(3000).graph, limit=10**4)
+        assert time.process_time() - start < 1
+        assert len(s) == 1500
 
     @pytest.mark.parametrize("oracle, expected", [
         (brute_min_dominating_set, frozenset()),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localgraphs import BLACK, WHITE, with_colours
-from localgraphs.errors import MalformedSolutionError, NotWeaklyColouredError
+from localgraphs.errors import CapabilityError, MalformedSolutionError
 from localgraphs.generators import (numbered_cycle, random_weak,
                                     random_weak_colouring, shuffle_ports)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  brute_min_dominating_set, verify_solution)
-from localgraphs.starforest import (StarForest,
+from localgraphs.starforest import (StarForest, _check_star_forest,
                                     build_parent_forest, normalize_stars,
                                     run_star_forest, star_dominating_set,
                                     star_forest, star_matching)
@@ -45,7 +48,7 @@ class TestBuildParentForest:
     def test_rejects_unweak(self):
         www = ascending_ports(3, [(0, 1), (1, 2)],
                               colours=[WHITE, WHITE, WHITE])
-        with pytest.raises(NotWeaklyColouredError):
+        with pytest.raises(CapabilityError, match="needs a weak 2-colouring"):
             build_parent_forest(www)
 
 
@@ -81,6 +84,31 @@ class TestNormalizeStars:
     def test_parentless_childless_detected(self, c4_coloured):
         with pytest.raises(MalformedSolutionError, match="has no children"):
             normalize_stars(c4_coloured, {})
+
+    def test_every_accepted_parent_map_is_a_star_forest(self):
+        # normalize_stars does not check its result: its four refusals must
+        # leave nothing but star forests
+        rng = random.Random(2024)
+        outcomes = Counter()
+        for _ in range(3000):
+            g = random_weak(rng.randint(2, 10), rng.randint(2, 4), rng.randrange(10**6))
+            parent = {}
+            for v in g.nodes:
+                r = rng.random()
+                if r >= 0.45:
+                    parent[v] = rng.randint(1, g.degree(v))
+                elif r >= 0.4:      # a port that may be out of range
+                    parent[v] = rng.randint(0, g.degree(v) + 1)
+            try:
+                sf = normalize_stars(g, parent)
+            except MalformedSolutionError as exc:
+                outcomes[re.sub(r"\d+", "#", str(exc))] += 1
+            else:
+                _check_star_forest(g, sf.stars)
+                outcomes["accepted"] += 1
+        assert set(outcomes) == {"accepted", "node # has ports #..#, got #",
+                                 "parent cycle at node #", "node # sits at depth > #",
+                                 "parentless node # has no children"}
 
 
 class TestExtraction:
@@ -179,7 +207,7 @@ class TestInvariants:
 
     def test_distributed_refuses_unweak_before_round_0(self, c4_coloured):
         lines = []
-        with pytest.raises(NotWeaklyColouredError):
+        with pytest.raises(CapabilityError, match="needs a weak 2-colouring"):
             run_star_forest(with_colours(c4_coloured, [BLACK] * 4), trace=lines.append)
         assert lines == []
 
