@@ -16,7 +16,8 @@ import sys
 from . import generators, graph as graphmod, oracles
 from .baselines import AllNodesDominatingSet, WhiteIndependentSet
 from .engine import run_local_algorithm
-from .errors import CapabilityError, InvariantError, LocalGraphError
+from .errors import (CapabilityError, InvariantError, LocalGraphError,
+                     MalformedSolutionError, TooLargeError)
 from .graph import BLACK, INCOMING, Graph, normalize_edge
 from .matching import approximate_maximum_matching, run_matching_scheme
 from .oddds import colouring_provider_from_file, odd_delta_pipeline
@@ -31,12 +32,6 @@ EXIT_INTERNAL = 4
 # largest nodes * maximum degree `gen` builds; a graph takes about 0.7 kB
 # per unit while it is generated and serialized
 MAX_GEN_SIZE = 10**6
-
-
-class _CliFailure(Exception):
-    def __init__(self, message: str, kind: str):
-        super().__init__(message)
-        self.kind = kind
 
 
 def _emit(doc: dict) -> None:
@@ -65,8 +60,8 @@ def _gen_size(args) -> int:
 
 def _cmd_gen(args) -> int:
     if _gen_size(args) > MAX_GEN_SIZE:
-        raise _CliFailure(f"{args.family} with n={args.n}, delta={args.delta}, k={args.k} "
-                          f"exceeds {MAX_GEN_SIZE} nodes times maximum degree", "gen-size")
+        raise TooLargeError(f"{args.family} with n={args.n}, delta={args.delta}, k={args.k} "
+                            f"exceeds {MAX_GEN_SIZE} nodes times maximum degree")
     fam = args.family
     if fam in ("cycle", "cycle-power", "strong-blowup", "weak-layered"):
         cycle = generators.numbered_cycle(args.n)
@@ -96,14 +91,9 @@ _ORACLES = {"ds": ("brute_min_dominating_set", True),
             "matching": ("brute_max_matching", False),
             "is": ("brute_max_independent_set", False)}
 
-LIMIT_HELP = ("largest node count the exact oracles accept for dominating set "
-              "and independent set (default %(default)s); matching is never capped")
 
-
-def _optimum(problem: str, g: Graph, limit: int) -> frozenset:
-    """The exact solver's answer; only the exponential ones take ``limit``."""
-    solver = getattr(oracles, _ORACLES[problem][0])
-    return solver(g) if problem == "matching" else solver(g, limit)
+def _optimum(problem: str, g: Graph) -> frozenset:
+    return getattr(oracles, _ORACLES[problem][0])(g)
 
 
 def _fraction_text(top: int, bottom: int) -> str:
@@ -173,7 +163,7 @@ def _cmd_run(args) -> int:
             provider = None
             if args.weak_colouring != "centralized":
                 if not args.weak_colouring.startswith("external:"):
-                    raise _CliFailure(f"bad provider {args.weak_colouring!r}", "bad-flag")
+                    raise ValueError(f"bad provider {args.weak_colouring!r}")
                 provider = colouring_provider_from_file(
                     args.weak_colouring.split(":", 1)[1])
             result = odd_delta_pipeline(g, provider, trace=trace)
@@ -193,7 +183,7 @@ def _cmd_run(args) -> int:
     finally:
         if trace_fh:
             trace_fh.close()
-    opt = len(_optimum(problem, g, args.limit)) if args.oracle else None
+    opt = len(_optimum(problem, g)) if args.oracle else None
     doc = _report(args.alg, g, len(members), bound,
                   run.rounds_used if run else 0, run.max_message_bits if run else 0,
                   delta, opt, _ORACLES[problem][1])
@@ -206,7 +196,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = graphmod.load(args.graph)
-    members = sorted(_optimum(args.problem, g, args.limit))
+    members = sorted(_optimum(args.problem, g))
     _emit({"size": len(members), "members": members})
     return EXIT_OK
 
@@ -219,17 +209,17 @@ def _node_id(x) -> int:
 
 
 def _load_solution(path: str) -> Solution:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:      # OSError: io-error
+        try:
             doc = json.load(fh)
-        kind = SolutionKind(doc["kind"])
-        raw = doc["members"]
-        if kind is SolutionKind.MATCHING:
-            members = frozenset(normalize_edge(_node_id(u), _node_id(v)) for u, v in raw)
-        else:
-            members = frozenset(_node_id(v) for v in raw)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise _CliFailure(f"bad solution file: {exc}", "bad-solution") from exc
+            kind = SolutionKind(doc["kind"])
+            raw = doc["members"]
+            if kind is SolutionKind.MATCHING:
+                members = frozenset(normalize_edge(_node_id(u), _node_id(v)) for u, v in raw)
+            else:
+                members = frozenset(_node_id(v) for v in raw)
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise MalformedSolutionError(f"bad solution file: {exc}") from exc
     return Solution(kind, members)
 
 
@@ -317,8 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also run the centralized scheme and check each invocation "
                           "against the oracle; a path length stops at its first idle "
                           "invocation")
-    run.add_argument("--limit", type=int, default=oracles.DEFAULT_LIMIT,
-                     help=LIMIT_HELP)
     run.add_argument("--weak-colouring", default="centralized",
                      help="centralized or external:<colour-map.json>")
     run.add_argument("--trace", help="write a JSON-lines execution trace")
@@ -327,8 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exact optimum for a small instance")
     oracle.add_argument("--graph", required=True)
     oracle.add_argument("--problem", required=True, choices=["ds", "matching", "is"])
-    oracle.add_argument("--limit", type=int, default=oracles.DEFAULT_LIMIT,
-                        help=LIMIT_HELP)
     oracle.set_defaults(func=_cmd_oracle)
 
     verify = sub.add_parser("verify", help="validate a solution file")
@@ -354,9 +340,6 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliFailure as exc:
-        _emit({"error": exc.kind, "message": str(exc)})
-        return EXIT_INPUT
     except OSError as exc:      # a path named on the command line
         _emit({"error": "io-error", "message": str(exc)})
         return EXIT_INPUT

@@ -8,13 +8,14 @@ value it prints.  A bad parameter (a cycle length, a degree bound, a
 * :class:`GraphFormatError`: ``build_graph``, the JSON readers and
   ``disjoint_union`` refuse a malformed graph or graph document; exit 2.
 * :class:`MalformedSolutionError`: a forest, matching, path set, output
-  port, cycle-node set or provider colouring handed to a function does
-  not fit the graph; exit 2.  Where a shipped algorithm built the
-  structure itself (the simulated star forest's and scheme's outputs,
-  the paths the scheme's proposal phase chose), the one place that
-  reads it re-raises it as an :class:`InvariantError`.
-* :class:`TooLargeError`: an exact oracle's node limit or the matching
-  scheme's round cap refuses the work before it is spent; exit 2.
+  port, cycle-node set or provider colouring handed to a function, or a
+  ``--solution`` file, does not fit the graph; exit 2.  Where a shipped
+  algorithm built the structure itself (the simulated star forest's and
+  scheme's outputs, the paths the scheme's proposal phase chose), the
+  one place that reads it re-raises it as an :class:`InvariantError`.
+* :class:`TooLargeError`: an exact search passed its work budget, or the
+  matching scheme's round cap or ``gen``'s size cap refused the work
+  before it was spent; exit 2.
 * :class:`CapabilityError`: ``engine.check_colouring`` and the odd-Δ
   pipeline refuse a graph without the colours, weak or proper
   2-colouring, orientation or odd degree bound the algorithm needs;
@@ -41,7 +42,7 @@ class MalformedSolutionError(LocalGraphError):
 
 
 class TooLargeError(LocalGraphError):
-    """An instance or a round budget exceeds a cap set before the work is spent."""
+    """A search's work, a round budget or a generated size exceeds its cap."""
 
 
 class CapabilityError(LocalGraphError):

@@ -2,14 +2,13 @@
 
 These are the ground truth every approximation claim is checked against.
 The dominating-set and independent-set solvers use bitmask branch and
-bound, which is exponential, and are capped by a size limit.  The
-independent-set search takes a node with at most one neighbour left
+bound, which is exponential, and stop on a work budget, ``SEARCH_BUDGET``.
+The independent-set search takes a node with at most one neighbour left
 without branching and otherwise branches on a highest-degree node; which
-maximum set it returns is unspecified.  Maximum
-matching is polynomial and never capped: Edmonds' blossom algorithm
-serves every graph, bipartite or not (see ``brute_max_matching``).  It
-walks its paths in loops, so a long path or cycle cannot exhaust the
-recursion limit.
+maximum set it returns is unspecified.  Maximum matching is polynomial
+and never capped: Edmonds' blossom algorithm serves every graph,
+bipartite or not (see ``brute_max_matching``).  It walks its paths in
+loops, so a long path or cycle cannot exhaust the recursion limit.
 """
 
 from __future__ import annotations
@@ -21,11 +20,16 @@ from typing import Iterable, NamedTuple
 from .errors import MalformedSolutionError, TooLargeError
 from .graph import Edge, Graph, normalize_edge
 
-DEFAULT_LIMIT = 24
+# Word operations one exact dominating-set or independent-set search may
+# spend before TooLargeError: a pass over k n-bit masks costs k*ceil(n/64),
+# over k degrees k.  Counting only refuses; it never steers.  The slowest
+# refusals found take about 4 s, on 64 nodes (Python 3.11.7, process time).
+SEARCH_BUDGET = 15 * 10**6
 
 
-def _bit(v: int) -> int:
-    return 1 << v
+def _over_budget(g: Graph, left: int) -> TooLargeError:
+    return TooLargeError(f"exact search on {g.n} nodes passed its budget of {SEARCH_BUDGET} "
+                         f"word operations at {SEARCH_BUDGET - left}")
 
 
 def _bits(mask: int):
@@ -35,13 +39,18 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _adch_masks(g: Graph) -> tuple[list[int], list[int]]:
+def _adch_masks(g: Graph) -> tuple[list[int], list[int], int, int]:
+    """Open and closed neighbourhood masks, words per mask, and the budget they leave."""
+    words = -(-g.n // 64)
+    left = SEARCH_BUDGET - 2 * g.n * words
+    if left < 0:
+        raise _over_budget(g, left)
     adj = [0] * g.n
     for u, v in g.edges:
-        adj[u] |= _bit(v)
-        adj[v] |= _bit(u)
-    closed = [adj[v] | _bit(v) for v in g.nodes]
-    return adj, closed
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    closed = [adj[v] | (1 << v) for v in g.nodes]
+    return adj, closed, words, left
 
 
 def try_bipartition(g: Graph) -> list[int] | None:
@@ -64,27 +73,31 @@ def try_bipartition(g: Graph) -> list[int] | None:
 
 # -- minimum dominating set ------------------------------------------------
 
-def brute_min_dominating_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[int]:
+def brute_min_dominating_set(g: Graph) -> frozenset[int]:
     """A minimum-cardinality dominating set, by branch and bound.
 
     Searches for a dominating set of size s for s = lower bound, lower
-    bound + 1, ... so the first hit is provably optimal.
+    bound + 1, ... so the first hit is provably optimal.  Each greedy pick and
+    each lower bound visits n nodes and is charged to ``SEARCH_BUDGET``.
     """
-    if g.n > limit:
-        raise TooLargeError(f"{g.n} nodes exceeds limit {limit}")
-    _, closed = _adch_masks(g)
+    _, closed, words, left = _adch_masks(g)
     full = (1 << g.n) - 1
 
     # greedy max-coverage incumbent
     dominated, greedy = 0, []
     while dominated != full:
+        if (left := left - g.n * words) < 0:
+            raise _over_budget(g, left)
         best_u = max(g.nodes, key=lambda u: ((closed[u] & ~dominated).bit_count(), -u))
         greedy.append(best_u)
         dominated |= closed[best_u]
 
     def lower_bound(undom: int) -> int:
+        nonlocal left
         if not undom:
             return 0
+        if (left := left - g.n * words) < 0:
+            raise _over_budget(g, left)
         cover = max((closed[u] & undom).bit_count() for u in g.nodes)
         return -(-undom.bit_count() // cover)
 
@@ -249,7 +262,7 @@ def _augmenting_tree(g: Graph, match: list[int], root: int, parent: list[int],
 
 # -- maximum independent set -----------------------------------------------
 
-def brute_max_independent_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset[int]:
+def brute_max_independent_set(g: Graph) -> frozenset[int]:
     """An exact maximum independent set by branch and bound.
 
     A node with at most one neighbour left is taken without branching,
@@ -257,14 +270,15 @@ def brute_max_independent_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset
     maximum independent set", 1977).  Otherwise the search branches on a
     highest-degree node, with it and then without it.  The result is
     deterministic; which maximum set is returned is otherwise unspecified.
+    Each degree table is charged its masks and two passes over the degrees;
+    the peel after it, uncharged, scans each candidate edge at most once.
     """
-    if g.n > limit:
-        raise TooLargeError(f"{g.n} nodes exceeds limit {limit}")
-    adj, closed = _adch_masks(g)
+    adj, closed, words, left = _adch_masks(g)
     best: list[int] = []
     chosen: list[int] = []
 
     def rec(cand: int):
+        nonlocal left
         # only the branch with a node recurses, and it drops at least three
         # nodes, so a long path or cycle cannot exhaust the recursion limit
         depth = len(chosen)
@@ -272,6 +286,8 @@ def brute_max_independent_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset
             if not cand:
                 best[:] = chosen
                 break
+            if (left := left - cand.bit_count() * (words + 2)) < 0:
+                raise _over_budget(g, left)
             deg = {v: (adj[v] & cand).bit_count() for v in _bits(cand)}
             takeable = [(d, v) for v, d in deg.items() if d <= 1]
             if not takeable:
@@ -279,7 +295,7 @@ def brute_max_independent_set(g: Graph, limit: int = DEFAULT_LIMIT) -> frozenset
                 chosen.append(v)
                 rec(cand & ~closed[v])
                 chosen.pop()
-                cand &= ~_bit(v)
+                cand &= ~(1 << v)
                 continue
             # take the lowest (degree, id) node with at most one neighbour
             # left until none is left.  A degree never rises, so a listed

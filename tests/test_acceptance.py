@@ -343,7 +343,7 @@ def test_criterion_7_generator_structure():
         g = strong_blowup(numbered_cycle(n), 3)
         assert all(g.degree(v) == 3 for v in g.nodes)
         assert classify_colouring(g) is ColouringClass.PROPER
-        assert len(brute_min_dominating_set(g, limit=48)) == 2 * n // 4
+        assert len(brute_min_dominating_set(g)) == 2 * n // 4
     c = numbered_cycle(4)
     layered = weak_layered(c, 3)
     pm = weak_layered_perfect_matching(c, 3)

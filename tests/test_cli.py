@@ -84,7 +84,7 @@ class TestGen:
         code = main(["gen", *argv])
         captured = capsys.readouterr()
         assert code == 2
-        assert json.loads(captured.out)["error"] == "gen-size"
+        assert json.loads(captured.out)["error"] == "TooLargeError"
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv, message", [
@@ -201,7 +201,7 @@ class TestRun:
         code, out = run_cli(capsys, "run", "--graph", str(path), "--alg", "odd-ds",
                             "--weak-colouring", "bogus")
         assert code == 2
-        assert json.loads(out)["error"] == "bad-flag"
+        assert json.loads(out)["error"] == "ValueError"
 
     def test_missing_colour_exit_3(self, capsys, tmp_path, k4_oriented):
         path = tmp_path / "k4.json"
@@ -240,6 +240,12 @@ class TestRun:
         gpath.write_text(dumps(k4_oriented))
         code, out = run_cli(capsys, "run", "--graph", str(gpath), "--alg", "odd-ds",
                             "--weak-colouring", f"external:{tmp_path / 'missing.json'}")
+        assert code == 2 and json.loads(out)["error"] == "io-error"
+
+    @pytest.mark.parametrize("command", ["verify", "export-dot"])
+    def test_missing_solution_file_exit_2(self, capsys, tmp_path, c4_file, command):
+        code, out = run_cli(capsys, command, "--graph", c4_file,
+                            "--solution", str(tmp_path / "missing.json"))
         assert code == 2 and json.loads(out)["error"] == "io-error"
 
     @pytest.mark.parametrize("doc, message", [
@@ -294,7 +300,7 @@ class TestRun:
     def test_ratio_above_bound_exit_4(self, capsys, monkeypatch, c4_file, argv, solver,
                                       optimum, message):
         # an oracle planted to beat the paper's bound; ratios print in lowest terms
-        monkeypatch.setattr(cli.oracles, solver, lambda g, *limit: frozenset(optimum))
+        monkeypatch.setattr(cli.oracles, solver, lambda g: frozenset(optimum))
         code, out = run_cli(capsys, "run", "--graph", c4_file, "--oracle", *argv)
         assert code == 4
         assert json.loads(out) == {"error": "InvariantError", "message": message}
@@ -437,19 +443,20 @@ class TestOracleVerifyExport:
         assert code == 0
         assert json.loads(out) == {"members": [], "size": 0}
 
-    @pytest.mark.parametrize("problem", ["matching", "is"])
-    def test_oracle_limit_refuses_k6(self, capsys, tmp_path, problem):
-        # --limit caps only the exponential oracles: matching solves K6 under it
-        path = tmp_path / "k6.json"
-        assert run_cli(capsys, "gen", "--family", "symmetric-complete", "--delta", "5",
-                       "--out", str(path))[0] == 0
-        code, out = run_cli(capsys, "oracle", "--graph", str(path), "--problem", problem,
-                            "--limit", "5")
-        if problem == "matching":
-            assert code == 0 and json.loads(out)["size"] == 3
-        else:
-            assert code == 2
-            assert json.loads(out)["error"] == "TooLargeError"
+    @pytest.mark.parametrize("family, problem, size", [
+        (["symmetric-complete", "--delta", "5"], "ds", 1),
+        (["symmetric-complete", "--delta", "5"], "matching", 3),
+        (["symmetric-complete", "--delta", "5"], "is", 1),
+        # the 48-node lower-bound constructions: cheap searches, whatever n is
+        (["weak-layered", "--n", "8", "--delta", "5"], "ds", 8),
+        (["strong-blowup", "--n", "24", "--delta", "3"], "ds", 12),
+    ], ids=["k6-ds", "k6-matching", "k6-is", "weak-layered-48", "strong-blowup-48"])
+    def test_oracle_solves_within_the_work_budget(self, capsys, tmp_path, family,
+                                                  problem, size):
+        path = tmp_path / "g.json"
+        assert run_cli(capsys, "gen", "--family", *family, "--out", str(path))[0] == 0
+        code, out = run_cli(capsys, "oracle", "--graph", str(path), "--problem", problem)
+        assert code == 0 and json.loads(out)["size"] == size
 
     @pytest.mark.parametrize("kind, members, violation", [
         ("matching", [[0, 5]], "(0, 5) is not an edge of the graph"),
@@ -469,7 +476,7 @@ class TestOracleVerifyExport:
         path = tmp_path / "sol.json"
         path.write_text(json.dumps({"kind": kind, "members": members}))
         code, out = run_cli(capsys, "verify", "--graph", c4_file, "--solution", str(path))
-        assert code == 2 and json.loads(out)["error"] == "bad-solution"
+        assert code == 2 and json.loads(out)["error"] == "MalformedSolutionError"
 
     def test_export_dot_plain(self, capsys, tmp_path, single_edge):
         path = tmp_path / "edge.json"
@@ -539,8 +546,8 @@ _DEEP = {
     "oracle-graph": (["oracle", "--problem", "ds"], "GraphFormatError"),
     "verify-graph": (["verify", "--solution", "SOLUTION"], "GraphFormatError"),
     "export-graph": (["export-dot"], "GraphFormatError"),
-    "verify-solution": (["verify", "--solution", "DEEP"], "bad-solution"),
-    "export-solution": (["export-dot", "--solution", "DEEP"], "bad-solution"),
+    "verify-solution": (["verify", "--solution", "DEEP"], "MalformedSolutionError"),
+    "export-solution": (["export-dot", "--solution", "DEEP"], "MalformedSolutionError"),
     "colour-file": (["run", "--alg", "odd-ds", "--weak-colouring", "external:DEEP"],
                     "MalformedSolutionError"),
 }

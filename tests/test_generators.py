@@ -279,7 +279,7 @@ class TestRatioStress:
         for n, delta in ((6, 2), (8, 3), (12, 3), (16, 3), (12, 4)):
             g = strong_blowup(numbered_cycle(n), delta)
             roots = star_dominating_set(star_forest(g))
-            optimum = brute_min_dominating_set(g, limit=32)
+            optimum = brute_min_dominating_set(g)
             assert verify_solution(g, Solution(
                 SolutionKind.DOMINATING_SET, roots)).ok
             assert Fraction(len(roots), len(optimum)) <= Fraction(delta + 1, 2)

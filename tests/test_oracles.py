@@ -11,6 +11,7 @@ import traceback
 
 import pytest
 
+from localgraphs import oracles
 from localgraphs.errors import MalformedSolutionError, TooLargeError
 from localgraphs.generators import numbered_cycle, random_bipartite, random_weak
 from localgraphs.graph import build_graph
@@ -140,18 +141,19 @@ class TestFixtures:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(traceback.extract_stack()) + 40)
         try:
-            s = brute_max_independent_set(numbered_cycle(300).graph, limit=300)
+            s = brute_max_independent_set(numbered_cycle(300).graph)
         finally:
             sys.setrecursionlimit(limit)
         assert len(s) == 150
 
     def test_independent_set_peel_rechecks_only_the_removed_nodes_neighbours(self):
-        # one branch on the 3000-cycle, then two paths peeled; a rescan of
-        # every degree after each take took seconds here
+        # one branch on the 10^4-cycle, then two paths peeled, within the
+        # work budget; a rescan of every degree after each take took
+        # seconds on a 3000-cycle
         start = time.process_time()
-        s = brute_max_independent_set(numbered_cycle(3000).graph, limit=10**4)
+        s = brute_max_independent_set(numbered_cycle(10**4).graph)
         assert time.process_time() - start < 1
-        assert len(s) == 1500
+        assert len(s) == 5000
 
     @pytest.mark.parametrize("oracle, expected", [
         (brute_min_dominating_set, frozenset()),
@@ -162,17 +164,66 @@ class TestFixtures:
     def test_empty_graph(self, oracle, expected):
         assert oracle(build_graph(0, [])) == expected
 
-    def test_too_large(self):
+    def test_too_large(self, monkeypatch):
         g = random_weak(30, 3, 1, oriented=False)
-        with pytest.raises(TooLargeError):
-            brute_min_dominating_set(g, limit=24)
-        # matching has no such cap, on bipartite graphs or others
+        monkeypatch.setattr(oracles, "SEARCH_BUDGET", 1000)
+        for search in (brute_min_dominating_set, brute_max_independent_set):
+            with pytest.raises(TooLargeError, match="budget of 1000 word operations"):
+                search(g)
+        # matching has no such budget, on bipartite graphs or others
         big = random_bipartite(40, 3, 1)
         assert brute_max_matching(big)
         assert try_bipartition(g) is None
         m = brute_max_matching(g)
         assert verify_solution(g, Solution(SolutionKind.MATCHING, m)).ok
         assert len(m) == g.n // 2
+
+
+# SHA-256 of repr((sorted(dominating set), sorted(independent set))) + "\n"
+# per graph: the corpus graphs in corpus order, then random_weak and
+# random_bipartite on 24 nodes for seeds 0..29.  Computed under the
+# 24-node limit that the work budget replaced: counting must not steer.
+SEARCH_MEMBERS = "ecbbfb8d552339c504ac7715aa78acf0ee2651476aecb43227aab13ec07db4dd"
+
+
+class TestWorkBudget:
+    def test_budget_never_steers_a_search(self, small_corpus):
+        graphs = list(small_corpus)
+        graphs += [random_weak(24, 3 + s % 3, s) for s in range(30)]
+        graphs += [random_bipartite(24, 3 + s % 3, s) for s in range(30)]
+        h = hashlib.sha256()
+        for g in graphs:
+            found = sorted(brute_min_dominating_set(g)), sorted(brute_max_independent_set(g))
+            h.update(repr(found).encode() + b"\n")
+        assert len(graphs) == 12172
+        assert h.hexdigest() == SEARCH_MEMBERS
+
+    @pytest.mark.parametrize("search", [brute_min_dominating_set,
+                                        brute_max_independent_set])
+    def test_refused_at_the_same_count_on_every_run(self, monkeypatch, search):
+        g = random_weak(40, 4, 0)     # 2066 word operations for the independent set
+        monkeypatch.setattr(oracles, "SEARCH_BUDGET", 500)
+        refusals = set()
+        for _ in range(3):
+            with pytest.raises(TooLargeError) as info:
+                search(g)
+            refusals.add(str(info.value))
+        assert len(refusals) == 1
+        # stopped by the first charge past the budget, at most three passes
+        # over the n nodes
+        spent = int(refusals.pop().rsplit(" ", 1)[1])
+        assert 500 < spent <= 500 + 3 * g.n
+
+    @pytest.mark.parametrize("search", [brute_min_dominating_set,
+                                        brute_max_independent_set])
+    def test_wide_graph_refused_before_any_mask_is_built(self, search):
+        class Wide:     # reading edges or nodes would start building masks
+            n = 10**5
+            edges = nodes = property(lambda self: pytest.fail("mask built"))
+
+        words = 10**5 // 64 + 1
+        with pytest.raises(TooLargeError, match=f" at {2 * 10**5 * words}$"):
+            search(Wide())
 
 
 class TestShortestAugmentingPath:
