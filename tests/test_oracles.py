@@ -184,6 +184,8 @@ class TestFixtures:
 # random_bipartite on 24 nodes for seeds 0..29.  Computed under the
 # 24-node limit that the work budget replaced: counting must not steer.
 SEARCH_MEMBERS = "ecbbfb8d552339c504ac7715aa78acf0ee2651476aecb43227aab13ec07db4dd"
+# the same with repr(sorted(dominating set)) alone per graph
+DOMINATING_SET_MEMBERS = "d57e3eefbc0b877d5b39fe4732e317a04d503e182d1fbef9e504b1816414ae20"
 
 
 class TestWorkBudget:
@@ -191,12 +193,14 @@ class TestWorkBudget:
         graphs = list(small_corpus)
         graphs += [random_weak(24, 3 + s % 3, s) for s in range(30)]
         graphs += [random_bipartite(24, 3 + s % 3, s) for s in range(30)]
-        h = hashlib.sha256()
+        h, h_ds = hashlib.sha256(), hashlib.sha256()
         for g in graphs:
             found = sorted(brute_min_dominating_set(g)), sorted(brute_max_independent_set(g))
             h.update(repr(found).encode() + b"\n")
+            h_ds.update(repr(found[0]).encode() + b"\n")
         assert len(graphs) == 12172
         assert h.hexdigest() == SEARCH_MEMBERS
+        assert h_ds.hexdigest() == DOMINATING_SET_MEMBERS
 
     @pytest.mark.parametrize("search", [brute_min_dominating_set,
                                         brute_max_independent_set])
