@@ -1,11 +1,10 @@
-"""Trivial local algorithms: the zero-round baselines."""
+"""The trivial local algorithm: the zero-round dominating-set baseline."""
 
 from __future__ import annotations
 
 from typing import Any
 
 from .engine import LocalAlgorithm, NodeView, Sends
-from .graph import WHITE, ColouringClass
 
 
 class AllNodesDominatingSet(LocalAlgorithm):
@@ -22,18 +21,3 @@ class AllNodesDominatingSet(LocalAlgorithm):
     def finalize(self, state) -> bool:
         return True
 
-
-class WhiteIndependentSet(LocalAlgorithm):
-    """All white nodes of a properly 2-coloured graph; zero rounds."""
-
-    name = "white-is"
-    needs_colouring = ColouringClass.PROPER
-
-    def round_budget(self, max_degree: int) -> int:
-        return 0
-
-    def init(self, view: NodeView) -> tuple[Any, Sends]:
-        return view.colour == WHITE, {}
-
-    def finalize(self, state) -> bool:
-        return state

@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import generators, graph as graphmod, oracles
-from .baselines import AllNodesDominatingSet, WhiteIndependentSet
+from .baselines import AllNodesDominatingSet
 from .engine import run_local_algorithm
 from .errors import (CapabilityError, InvariantError, LocalGraphError,
                      MalformedSolutionError, TooLargeError)
@@ -88,8 +88,7 @@ def _cmd_gen(args) -> int:
 # problem -> (exact solver's name in `oracles`, minimization); the name is
 # looked up per call, so a solver wrapped after import is the one called
 _ORACLES = {"ds": ("brute_min_dominating_set", True),
-            "matching": ("brute_max_matching", False),
-            "is": ("brute_max_independent_set", False)}
+            "matching": ("brute_max_matching", False)}
 
 
 def _optimum(problem: str, g: Graph) -> frozenset:
@@ -170,14 +169,10 @@ def _cmd_run(args) -> int:
             run = result.star_run       # None when the core is empty
             members = sorted(result.dominating_set)
             problem, bound = "ds", (delta, 1)
-        elif args.alg == "all-nodes":
+        else:   # all-nodes
             run = run_local_algorithm(g, AllNodesDominatingSet(), trace=trace)
             members = sorted(v for v, joined in run.outputs.items() if joined)
             problem, bound = "ds", (delta + 1, 1)
-        else:   # white-is
-            run = run_local_algorithm(g, WhiteIndependentSet(), trace=trace)
-            members = sorted(v for v, joined in run.outputs.items() if joined)
-            problem, bound = "is", (delta, 1)
         if trace is not None and trace_fh is None:     # a run that wrote no line
             trace_fh = open(args.trace, "w", encoding="utf-8")
     finally:
@@ -299,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--graph", required=True)
     run.add_argument("--alg", required=True,
                      choices=["star-ds", "star-matching", "matching-scheme",
-                              "odd-ds", "all-nodes", "white-is"])
+                              "odd-ds", "all-nodes"])
     run.add_argument("--k", type=int, default=1, help="matching-scheme accuracy")
     run.add_argument("--oracle", action="store_true",
                      help="also compute the exact optimum and the ratio")
@@ -314,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exact optimum for a small instance")
     oracle.add_argument("--graph", required=True)
-    oracle.add_argument("--problem", required=True, choices=["ds", "matching", "is"])
+    oracle.add_argument("--problem", required=True, choices=["ds", "matching"])
     oracle.set_defaults(func=_cmd_oracle)
 
     verify = sub.add_parser("verify", help="validate a solution file")

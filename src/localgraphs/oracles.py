@@ -1,29 +1,26 @@
 """Exact solvers and verifiers for desk-scale instances.
 
 These are the ground truth every approximation claim is checked against.
-The dominating-set and independent-set solvers use bitmask branch and
-bound, which is exponential, and stop on a work budget, ``SEARCH_BUDGET``.
-The independent-set search takes a node with at most one neighbour left
-without branching and otherwise branches on a highest-degree node; which
-maximum set it returns is unspecified.  Maximum matching is polynomial
-and never capped: Edmonds' blossom algorithm serves every graph,
-bipartite or not (see ``brute_max_matching``).  It walks its paths in
-loops, so a long path or cycle cannot exhaust the recursion limit.
+The dominating-set solver uses bitmask branch and bound, which is
+exponential, and stops on a work budget, ``SEARCH_BUDGET``.  Maximum
+matching is polynomial and never capped: Edmonds' blossom algorithm
+serves every graph, bipartite or not (see ``brute_max_matching``).  It
+walks its paths in loops, so a long path or cycle cannot exhaust the
+recursion limit.  Independent sets are verified, never solved.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
 from .errors import MalformedSolutionError, TooLargeError
 from .graph import Edge, Graph, normalize_edge
 
-# Word operations one exact dominating-set or independent-set search may
-# spend before TooLargeError: a pass over k n-bit masks costs k*ceil(n/64),
-# over k degrees k.  Counting only refuses; it never steers.  The slowest
-# refusals found take about 4 s, on 64 nodes (Python 3.11.7, process time).
+# Word operations one exact dominating-set search may spend before
+# TooLargeError: a pass over k n-bit masks costs k*ceil(n/64).  Counting
+# only refuses; it never steers.  The slowest refusals found take about
+# 2-3 s, on 48-64-node random graphs (Python 3.11.7, process time).
 SEARCH_BUDGET = 15 * 10**6
 
 
@@ -37,20 +34,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _adch_masks(g: Graph) -> tuple[list[int], list[int], int, int]:
-    """Open and closed neighbourhood masks, words per mask, and the budget they leave."""
-    words = -(-g.n // 64)
-    left = SEARCH_BUDGET - 2 * g.n * words
-    if left < 0:
-        raise _over_budget(g, left)
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    closed = [adj[v] | (1 << v) for v in g.nodes]
-    return adj, closed, words, left
 
 
 def try_bipartition(g: Graph) -> list[int] | None:
@@ -77,10 +60,20 @@ def brute_min_dominating_set(g: Graph) -> frozenset[int]:
     """A minimum-cardinality dominating set, by branch and bound.
 
     Searches for a dominating set of size s for s = lower bound, lower
-    bound + 1, ... so the first hit is provably optimal.  Each greedy pick and
-    each lower bound visits n nodes and is charged to ``SEARCH_BUDGET``.
+    bound + 1, ... so the first hit is provably optimal.  The mask table
+    is charged two passes over n masks, and each greedy pick and each lower
+    bound one; a graph whose table and first greedy pick (which every
+    nonempty graph makes) do not fit is refused before a mask is built.
     """
-    _, closed, words, left = _adch_masks(g)
+    words = -(-g.n // 64)
+    for spent in (2 * g.n * words, 3 * g.n * words):
+        if spent > SEARCH_BUDGET:
+            raise _over_budget(g, SEARCH_BUDGET - spent)
+    left = SEARCH_BUDGET - 2 * g.n * words
+    closed = [1 << v for v in g.nodes]
+    for u, v in g.edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
     full = (1 << g.n) - 1
 
     # greedy max-coverage incumbent
@@ -258,67 +251,6 @@ def _augmenting_tree(g: Graph, match: list[int], root: int, parent: list[int],
                 even[match[u]] = True
                 queue.append(match[u])
     return -1, queue + odd
-
-
-# -- maximum independent set -----------------------------------------------
-
-def brute_max_independent_set(g: Graph) -> frozenset[int]:
-    """An exact maximum independent set by branch and bound.
-
-    A node with at most one neighbour left is taken without branching,
-    since some maximum set holds it (Tarjan and Trojanowski, "Finding a
-    maximum independent set", 1977).  Otherwise the search branches on a
-    highest-degree node, with it and then without it.  The result is
-    deterministic; which maximum set is returned is otherwise unspecified.
-    Each degree table is charged its masks and two passes over the degrees;
-    the peel after it, uncharged, scans each candidate edge at most once.
-    """
-    adj, closed, words, left = _adch_masks(g)
-    best: list[int] = []
-    chosen: list[int] = []
-
-    def rec(cand: int):
-        nonlocal left
-        # only the branch with a node recurses, and it drops at least three
-        # nodes, so a long path or cycle cannot exhaust the recursion limit
-        depth = len(chosen)
-        while len(chosen) + cand.bit_count() > len(best):
-            if not cand:
-                best[:] = chosen
-                break
-            if (left := left - cand.bit_count() * (words + 2)) < 0:
-                raise _over_budget(g, left)
-            deg = {v: (adj[v] & cand).bit_count() for v in _bits(cand)}
-            takeable = [(d, v) for v, d in deg.items() if d <= 1]
-            if not takeable:
-                v = max(deg, key=lambda u: (deg[u], u))
-                chosen.append(v)
-                rec(cand & ~closed[v])
-                chosen.pop()
-                cand &= ~(1 << v)
-                continue
-            # take the lowest (degree, id) node with at most one neighbour
-            # left until none is left.  A degree never rises, so a listed
-            # node stays takeable, and a take changes only the degrees of
-            # the removed nodes' neighbours.  Taking cannot raise the bound
-            # above, so it is checked once the peel ends.
-            heapify(takeable)
-            while takeable:
-                d, v = heappop(takeable)
-                if not cand >> v & 1 or deg[v] != d:    # removed, or listed again lower
-                    continue
-                chosen.append(v)
-                removed = closed[v] & cand
-                cand ^= removed
-                for x in _bits(removed):
-                    for u in _bits(adj[x] & cand):
-                        deg[u] -= 1
-                        if deg[u] <= 1:
-                            heappush(takeable, (deg[u], u))
-        del chosen[depth:]
-
-    rec((1 << g.n) - 1)
-    return frozenset(best)
 
 
 # -- augmenting paths ----------------------------------------------------------

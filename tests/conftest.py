@@ -9,9 +9,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from localgraphs import BLACK, WHITE, build_graph
+from localgraphs import BLACK, WHITE, ColouringClass, LocalAlgorithm, build_graph
 from localgraphs.generators import _ascending_port_specs
 from localgraphs.graph import Graph, normalize_edge
+from localgraphs.starforest import StarForestAlgorithm
 
 
 def ascending_ports(n: int, pairs, colours=None, directions=None) -> Graph:
@@ -42,6 +43,31 @@ def path_graph(colour_string: str) -> Graph:
     n = len(colour_string)
     colours = [BLACK if c == "b" else WHITE for c in colour_string]
     return ascending_ports(n, [(i, i + 1) for i in range(n - 1)], colours)
+
+
+class ColourEcho(LocalAlgorithm):
+    """Zero rounds; every node outputs its own colour."""
+
+    name = "colour-echo"
+    needs_colouring = ColouringClass.WEAK
+
+    def round_budget(self, max_degree):
+        return 0
+
+    def init(self, view):
+        return view.colour, {}
+
+    def step(self, state, inbox, round_no):
+        return state, {}
+
+    def finalize(self, state):
+        return state
+
+
+class DenseStar(StarForestAlgorithm):
+    """The star forest stepped at every node in every round."""
+
+    next_wake = LocalAlgorithm.next_wake
 
 
 @pytest.fixture

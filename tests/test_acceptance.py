@@ -19,7 +19,7 @@ import pytest
 from localgraphs import (BLACK, WHITE, classify_colouring,
                          ColouringClass, disjoint_union,
                          relabel, run_local_algorithm, with_colours)
-from localgraphs.baselines import AllNodesDominatingSet, WhiteIndependentSet
+from localgraphs.baselines import AllNodesDominatingSet
 from localgraphs.engine import view_classes
 from localgraphs.generators import (cycle_power, matching_to_independent_set,
                                     merge_layer_independent_sets,
@@ -40,7 +40,7 @@ from localgraphs.starforest import (StarForestAlgorithm, star_dominating_set,
                                     star_forest, star_matching)
 
 import _corpus
-from conftest import ascending_ports
+from conftest import ColourEcho, ascending_ports
 
 COLOUR_SAMPLES = 3      # one canonical + two random weak colourings per graph
 PORT_SAMPLES = 3        # one canonical + two random port numberings per graph
@@ -219,7 +219,7 @@ def _locality_fixture_runs():
         ("matching-scheme-k2", MatchingSchemeAlgorithm(2), bip),
         ("matching-scheme-k3", MatchingSchemeAlgorithm(3), bip),
         ("all-nodes", AllNodesDominatingSet(), power),
-        ("white-is", WhiteIndependentSet(), blowup),
+        ("colour-echo", ColourEcho(), blowup),
     ]
 
 
@@ -232,7 +232,7 @@ def _random_locality_runs():
         bip = shuffle_ports(random_bipartite(n, delta, seed=i), seed=i)
         runs += [("star-forest", StarForestAlgorithm(), weak, delta),
                  ("all-nodes", AllNodesDominatingSet(), weak, delta),
-                 ("white-is", WhiteIndependentSet(), bip, delta)]
+                 ("colour-echo", ColourEcho(), bip, delta)]
         runs += [(f"matching-scheme-k{k}", MatchingSchemeAlgorithm(k), bip, delta)
                  for k in (1, 2, 3)]
     return runs
@@ -274,7 +274,7 @@ def test_criterion_5_locality_suite():
 
     # round and message-size budgets must not depend on the instance size
     coloured_algs = [StarForestAlgorithm(),
-                     AllNodesDominatingSet(), WhiteIndependentSet(),
+                     AllNodesDominatingSet(), ColourEcho(),
                      MatchingSchemeAlgorithm(1), MatchingSchemeAlgorithm(2),
                      MatchingSchemeAlgorithm(3)]
     families = [
@@ -298,10 +298,10 @@ def test_criterion_5_locality_suite():
         single_ds = odd_delta_pipeline(g, max_degree=3).dominating_set
         both = odd_delta_pipeline(disjoint_union(g, g), max_degree=3).dominating_set
         assert both == single_ds | {v + g.n for v in single_ds}
-    _pass(5, started, f"all shipped algorithms give one output per view class "
-          f"at radius rounds_used in {len(checks)} runs, each on a graph beside its "
-          f"relabelled double ({nodes} nodes), and use size-independent rounds and "
-          f"message bits")
+    _pass(5, started, f"all shipped algorithms and a zero-round colour reader give one "
+          f"output per view class at radius rounds_used in {len(checks)} runs, each on "
+          f"a graph beside its relabelled double ({nodes} nodes), and use "
+          f"size-independent rounds and message bits")
 
 
 class InitCounter(AllNodesDominatingSet):

@@ -161,12 +161,6 @@ class TestRun:
         assert code == 0
         assert doc["solution_size"] == 2 and doc["ratio"] == 1.0
 
-    def test_white_is(self, capsys, c4_file):
-        code, out = run_cli(capsys, "run", "--graph", c4_file,
-                            "--alg", "white-is", "--oracle")
-        doc = json.loads(out)
-        assert code == 0 and doc["solution_size"] == 2
-
     def test_odd_ds_centralized(self, capsys, tmp_path, k4_oriented):
         path = tmp_path / "k4.json"
         path.write_text(dumps(k4_oriented))
@@ -417,7 +411,7 @@ class TestRun:
 
 class TestOracleVerifyExport:
     def test_oracle_sizes(self, capsys, c4_file):
-        for problem, size in (("ds", 2), ("matching", 2), ("is", 2)):
+        for problem, size in (("ds", 2), ("matching", 2)):
             code, out = run_cli(capsys, "oracle", "--graph", c4_file,
                                 "--problem", problem)
             assert code == 0
@@ -435,7 +429,7 @@ class TestOracleVerifyExport:
                             "--solution", str(bad))
         assert code == 0 and not json.loads(out)["ok"]
 
-    @pytest.mark.parametrize("problem", ["ds", "matching", "is"])
+    @pytest.mark.parametrize("problem", ["ds", "matching"])
     def test_oracle_on_the_empty_graph(self, capsys, tmp_path, problem):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"nodes": [], "edges": []}))
@@ -446,11 +440,10 @@ class TestOracleVerifyExport:
     @pytest.mark.parametrize("family, problem, size", [
         (["symmetric-complete", "--delta", "5"], "ds", 1),
         (["symmetric-complete", "--delta", "5"], "matching", 3),
-        (["symmetric-complete", "--delta", "5"], "is", 1),
         # the 48-node lower-bound constructions: cheap searches, whatever n is
         (["weak-layered", "--n", "8", "--delta", "5"], "ds", 8),
         (["strong-blowup", "--n", "24", "--delta", "3"], "ds", 12),
-    ], ids=["k6-ds", "k6-matching", "k6-is", "weak-layered-48", "strong-blowup-48"])
+    ], ids=["k6-ds", "k6-matching", "weak-layered-48", "strong-blowup-48"])
     def test_oracle_solves_within_the_work_budget(self, capsys, tmp_path, family,
                                                   problem, size):
         path = tmp_path / "g.json"
@@ -617,8 +610,7 @@ _EXIT_CODES = {
     "TooLargeError": 2, "CapabilityError": 3, "InvariantError": 4,
 }
 
-_ALGORITHMS = ["star-ds", "star-matching", "matching-scheme", "odd-ds", "all-nodes",
-               "white-is"]
+_ALGORITHMS = ["star-ds", "star-matching", "matching-scheme", "odd-ds", "all-nodes"]
 _K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
 _STAR = [(0, 1), (0, 2), (0, 3)]
@@ -628,11 +620,11 @@ def _oriented(pairs):
     return {pair: "uv" for pair in pairs}
 
 
-_COLOUR_ALGS = ["star-ds", "star-matching", "matching-scheme", "white-is"]
+_COLOUR_ALGS = ["star-ds", "star-matching", "matching-scheme"]
 
 # the simulated algorithm each CLI name runs, as its refusals name it
 _NAMES = {"star-ds": "star-forest", "star-matching": "star-forest",
-          "matching-scheme": "matching-scheme", "white-is": "white-is"}
+          "matching-scheme": "matching-scheme"}
 
 
 def _needs(algs, need):
@@ -646,10 +638,10 @@ _CAPABILITY_MATRIX = {
                    _needs(_COLOUR_ALGS, "node colours")),
     "not-weak": (ascending_ports(4, _K4, [WHITE] * 4, _oriented(_K4)),
                  {**_needs(["star-ds", "star-matching"], "a weak 2-colouring"),
-                  **_needs(["matching-scheme", "white-is"], "a proper 2-colouring")}),
+                  **_needs(["matching-scheme"], "a proper 2-colouring")}),
     "weak-not-proper": (ascending_ports(4, _K4, [BLACK, WHITE, BLACK, WHITE],
                                         _oriented(_K4)),
-                        _needs(["matching-scheme", "white-is"], "a proper 2-colouring")),
+                        _needs(["matching-scheme"], "a proper 2-colouring")),
     "unoriented": (ascending_ports(4, _STAR, [BLACK, WHITE, WHITE, WHITE]),
                    {"odd-ds": "pipeline requires an edge orientation"}),
     "even-bound": (ascending_ports(4, _C4, [BLACK, WHITE, BLACK, WHITE], _oriented(_C4)),
@@ -800,6 +792,19 @@ class TestParserReuse:
         assert got == _fresh_outcome(capsys, monkeypatch, command + ["--help"])
 
 
+@pytest.mark.parametrize("argv", [["run", "--alg", "white-is"], ["oracle", "--problem", "is"]],
+                         ids=["run-white-is", "oracle-is"])
+def test_removed_choices_are_usage_errors(capsys, c4_file, argv):
+    """The independent-set baseline and oracle are gone: argparse refuses
+    their names, on a graph they used to accept."""
+    command, option, choice = argv
+    code, out, err = _outcome(capsys, [command, "--graph", c4_file, option, choice])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: localgraph {command} ")
+    assert f"error: argument {option}: invalid choice: '{choice}'" in err
+    assert "Traceback" not in err
+
+
 # -- malformed documents -------------------------------------------------------
 
 _KEYS = ["nodes", "edges", "id", "colour", "u", "v", "port_u", "port_v", "dir",
@@ -823,7 +828,7 @@ _SOLUTION_DOCS = [{"kind": "matching", "members": [[0, 1]]},
 _ARGUMENTS = {
     "run": st.tuples(st.sampled_from(_ALGORITHMS), st.booleans()).map(
         lambda a: ["--alg", a[0]] + ["--oracle"] * a[1]),
-    "oracle": st.sampled_from(["ds", "matching", "is"]).map(lambda p: ["--problem", p]),
+    "oracle": st.sampled_from(["ds", "matching"]).map(lambda p: ["--problem", p]),
     "verify": st.just(["--solution", "SOLUTION"]),
     "export-dot": st.sampled_from([[], ["--solution", "SOLUTION"]]),
 }

@@ -9,7 +9,6 @@ import pytest
 from localgraphs import (BLACK, WHITE, ColouringClass, LocalAlgorithm, build_graph,
                          classify_colouring, disjoint_union, local_views_equivalent,
                          relabel, run_local_algorithm, with_colours)
-from localgraphs.baselines import WhiteIndependentSet
 from localgraphs.engine import view_classes
 from localgraphs.errors import CapabilityError, InvariantError
 from localgraphs.generators import (numbered_cycle, random_bipartite, random_weak,
@@ -18,26 +17,7 @@ from localgraphs.generators import (numbered_cycle, random_bipartite, random_wea
 from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.starforest import StarForestAlgorithm
 
-from conftest import ascending_ports, path_graph
-
-
-class ColourEcho(LocalAlgorithm):
-    """Zero rounds; every node outputs its own colour."""
-
-    name = "colour-echo"
-    needs_colouring = ColouringClass.WEAK
-
-    def round_budget(self, max_degree):
-        return 0
-
-    def init(self, view):
-        return view.colour, {}
-
-    def step(self, state, inbox, round_no):
-        return state, {}
-
-    def finalize(self, state):
-        return state
+from conftest import ColourEcho, DenseStar, ascending_ports, path_graph
 
 
 class CountEcho(LocalAlgorithm):
@@ -94,12 +74,10 @@ def test_recoloured_copy_never_reports_its_sources_class_or_labels():
 _K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _BWBW = [BLACK, WHITE, BLACK, WHITE]     # weak but not proper on K4
 _UNDER_COLOURED = [
-    pytest.param(_BWBW, WhiteIndependentSet, "needs a proper 2-colouring", id="bwbw-white-is"),
     pytest.param(_BWBW, lambda: MatchingSchemeAlgorithm(1), "needs a proper 2-colouring",
                  id="bwbw-scheme"),
     pytest.param([WHITE] * 4, StarForestAlgorithm, "needs a weak 2-colouring",
                  id="white-star-forest"),
-    pytest.param(None, WhiteIndependentSet, "needs node colours", id="none-white-is"),
     pytest.param(None, lambda: MatchingSchemeAlgorithm(1), "needs node colours",
                  id="none-scheme"),
     pytest.param(None, StarForestAlgorithm, "needs node colours", id="none-star-forest"),
@@ -248,12 +226,6 @@ def test_traced_scheme_run_writes_a_line_per_init_and_step():
     lines = []
     result = run_local_algorithm(g, MatchingSchemeAlgorithm(3), trace=lines.append)
     assert len(lines) == g.n + result.steps == 11174
-
-
-class DenseStar(StarForestAlgorithm):
-    """The star forest stepped at every node in every round."""
-
-    next_wake = LocalAlgorithm.next_wake
 
 
 def test_steps_count_every_call():

@@ -30,7 +30,7 @@ import random
 import pytest
 
 from localgraphs import BLACK, WHITE, LocalAlgorithm, build_graph, run_local_algorithm
-from localgraphs.baselines import AllNodesDominatingSet, WhiteIndependentSet
+from localgraphs.baselines import AllNodesDominatingSet
 from localgraphs.generators import (numbered_cycle, random_bipartite,
                                     random_weak, random_weak_colouring,
                                     shuffle_ports, strong_blowup, weak_layered)
@@ -39,6 +39,8 @@ from localgraphs.graph import (disjoint_union, dumps, graph_to_json_dict,
 from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.oddds import build_h2, odd_delta_pipeline, partition_abc
 from localgraphs.starforest import StarForestAlgorithm
+
+from conftest import DenseStar
 
 
 def run_digest(g, alg) -> str:
@@ -128,7 +130,6 @@ SHIPPED = [
     ("matching-scheme", lambda: MatchingSchemeAlgorithm(2),
      lambda: random_bipartite(60, 4, 3)),
     ("all-nodes", AllNodesDominatingSet, lambda: random_weak(30, 3, 4)),
-    ("white-is", WhiteIndependentSet, lambda: random_bipartite(30, 3, 4)),
 ]
 
 
@@ -171,12 +172,6 @@ def test_golden_scheme_sends_unmatched_blacks(case, k, digest):
 
 class DenseScheme(MatchingSchemeAlgorithm):
     """The scheme stepped at every node in every round: what sparse stepping must match."""
-
-    next_wake = LocalAlgorithm.next_wake
-
-
-class DenseStar(StarForestAlgorithm):
-    """The star forest stepped at every node in every round."""
 
     next_wake = LocalAlgorithm.next_wake
 
