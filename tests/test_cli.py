@@ -429,6 +429,28 @@ class TestOracleVerifyExport:
                             "--solution", str(bad))
         assert code == 0 and not json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("members, violations", [
+        ([1, 3], []),
+        ([], []),
+        ([0, 1, 2], ["edge (0, 1) lies inside the set", "edge (1, 2) lies inside the set"]),
+        ([1, 99], ["99 is not a node"]),
+    ], ids=["odd-nodes", "empty", "path-inside", "outside"])
+    def test_verify_independent_set(self, capsys, tmp_path, c4_file, members, violations):
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps({"kind": "independent-set", "members": members}))
+        code, out = run_cli(capsys, "verify", "--graph", c4_file, "--solution", str(path))
+        assert code == 0
+        assert json.loads(out) == {"ok": not violations, "violations": violations}
+
+    @pytest.mark.parametrize("kind", ["dominating-set", "independent-set", "matching"])
+    def test_verify_on_the_empty_graph(self, capsys, tmp_path, kind):
+        graph, solution = tmp_path / "empty.json", tmp_path / "sol.json"
+        graph.write_text(json.dumps({"nodes": [], "edges": []}))
+        solution.write_text(json.dumps({"kind": kind, "members": []}))
+        code, out = run_cli(capsys, "verify", "--graph", str(graph), "--solution", str(solution))
+        assert code == 0
+        assert json.loads(out) == {"ok": True, "violations": []}
+
     @pytest.mark.parametrize("problem", ["ds", "matching"])
     def test_oracle_on_the_empty_graph(self, capsys, tmp_path, problem):
         path = tmp_path / "empty.json"

@@ -81,6 +81,9 @@ _UNDER_COLOURED = [
     pytest.param(None, lambda: MatchingSchemeAlgorithm(1), "needs node colours",
                  id="none-scheme"),
     pytest.param(None, StarForestAlgorithm, "needs node colours", id="none-star-forest"),
+    # a zero-round algorithm is refused before round 0 as well
+    pytest.param([WHITE] * 4, ColourEcho, "needs a weak 2-colouring", id="white-colour-echo"),
+    pytest.param(None, ColourEcho, "needs node colours", id="none-colour-echo"),
 ]
 
 

@@ -24,6 +24,8 @@ from localgraphs.graph import edge_specs, with_colours
 from localgraphs.oracles import (Solution, SolutionKind, brute_min_dominating_set,
                                  verify_solution)
 
+from conftest import ascending_ports
+
 
 class TestNumberedCycle:
     def test_triangle(self):
@@ -234,6 +236,61 @@ class TestMergeLayers:
                 SolutionKind.INDEPENDENT_SET, merged)).ok
             total = sum(len(s) for s in layers)
             assert len(merged) * (2 * len(layers) - 1) >= total
+
+
+def colour_class(g, colour):
+    return frozenset(v for v in g.nodes if g.colour(v) == colour)
+
+
+def recoloured(g, seed):
+    return with_colours(g, random_weak_colouring(g, seed))
+
+
+def independence_violations(g, members):
+    return verify_solution(g, Solution(SolutionKind.INDEPENDENT_SET, members)).violations
+
+
+class TestColourClassesAsIndependentSets:
+    """A proper 2-colouring's white nodes form an independent set."""
+
+    def test_single_edge(self, single_edge):
+        assert colour_class(single_edge, WHITE) == {1}
+        assert independence_violations(single_edge, frozenset({1})) == []
+
+    def test_star_white_leaves(self):
+        g = ascending_ports(4, [(0, 1), (0, 2), (0, 3)],
+                            colours=[BLACK, WHITE, WHITE, WHITE])
+        assert colour_class(g, WHITE) == {1, 2, 3}
+        assert independence_violations(g, colour_class(g, WHITE)) == []
+
+    def test_c6_reaches_half(self):
+        g = ascending_ports(6, [(i, (i + 1) % 6) for i in range(6)],
+                            colours=[BLACK, WHITE] * 3)
+        whites = colour_class(g, WHITE)
+        assert independence_violations(g, whites) == []
+        assert len(whites) == 3 == g.n // 2
+
+    def test_weak_but_not_proper_triangle(self):
+        g = ascending_ports(3, [(0, 1), (1, 2), (0, 2)],
+                            colours=[BLACK, WHITE, WHITE])
+        assert classify_colouring(g) is ColouringClass.WEAK
+        assert independence_violations(g, colour_class(g, WHITE)) == [
+            "edge (1, 2) lies inside the set"]
+
+    @pytest.mark.parametrize("make", [
+        lambda s: random_bipartite(14, 3 + s % 3, s),
+        lambda s: random_weak(14, 3 + s % 3, s, oriented=False),
+        lambda s: recoloured(random_bipartite(14, 3, s), s),
+        lambda s: strong_blowup(numbered_cycle(6 + s % 5), 3),
+        lambda s: weak_layered(numbered_cycle(4 + 2 * (s % 3)), 3 + 2 * (s % 2)),
+    ], ids=["random-bipartite", "random-weak", "recoloured-bipartite",
+            "strong-blowup", "weak-layered"])
+    def test_proper_exactly_when_both_classes_are_independent(self, make):
+        for seed in range(12):
+            g = make(seed)
+            independent = all(independence_violations(g, colour_class(g, c)) == []
+                              for c in (BLACK, WHITE))
+            assert independent == (classify_colouring(g) is ColouringClass.PROPER)
 
 
 class TestRatioStress:

@@ -313,7 +313,33 @@ class TestBlossom:
         assert checked > 900
 
 
+class TestCycleIndependenceNumber:
+    """alpha(C_n) = n // 2: the closed form that the cycle extraction
+    tests and criterion 8's size bounds use where no search runs."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_half_the_cycle_is_independent_and_one_node_more_is_not(self, n):
+        g = numbered_cycle(n).graph
+        half = frozenset(range(0, 2 * (n // 2), 2))
+        assert len(half) == n // 2
+        assert verify_solution(g, Solution(SolutionKind.INDEPENDENT_SET, half)).ok
+        for subset in itertools.combinations(range(n), n // 2 + 1):
+            assert not verify_solution(
+                g, Solution(SolutionKind.INDEPENDENT_SET, frozenset(subset))).ok
+
+
 class TestVerify:
+    def test_independent_set_violations_are_the_edges_inside(self):
+        # every subset of every connected graph on up to 6 nodes
+        for n, edges in _corpus.connected_graphs(max_n=6):
+            g = ascending_ports(n, edges)
+            for mask in range(1 << n):
+                members = frozenset(v for v in range(n) if mask >> v & 1)
+                inside = [f"edge ({u}, {v}) lies inside the set"
+                          for u, v in sorted(g.edges) if u in members and v in members]
+                report = verify_solution(g, Solution(SolutionKind.INDEPENDENT_SET, members))
+                assert (report.ok, report.violations) == (not inside, inside)
+
     def test_undominated_reported(self, c4_coloured):
         report = verify_solution(
             c4_coloured, Solution(SolutionKind.DOMINATING_SET, frozenset({0})))
