@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 
@@ -14,12 +15,15 @@ from hypothesis import strategies as st
 from conftest import ascending_ports
 from localgraphs import BLACK, WHITE, cli, errors, run_local_algorithm, with_colours
 from localgraphs.cli import export_dot, main
-from localgraphs.generators import (numbered_cycle, random_bipartite, random_weak,
-                                    strong_blowup)
+from localgraphs.generators import (cycle_power, numbered_cycle, random_bipartite,
+                                    random_weak, shuffle_ports, strong_blowup,
+                                    weak_layered)
 from localgraphs.graph import dumps, graph_to_json_dict, loads
 from localgraphs.matching import (approximate_maximum_matching, eliminate_length,
                                   flood_phase, run_matching_scheme)
 from localgraphs.oddds import odd_delta_pipeline
+from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
+                                 brute_min_dominating_set)
 from localgraphs.starforest import StarForestAlgorithm, run_star_forest, star_forest
 
 
@@ -553,6 +557,40 @@ class TestOracleVerifyExport:
         path.write_text("nope")
         code, _ = run_cli(capsys, "export-dot", "--graph", str(path))
         assert code == 2
+
+
+# export_dot's bytes per graph: SHA-256 over its text with no solution,
+# with a maximum matching and with a minimum dominating set, each
+# followed by a newline
+EXPORT_DOT = [
+    ("numbered_cycle(5)", lambda: numbered_cycle(5).graph,
+     "144c1bbba59a2c777bb1fef0c1fbd5436a54829d871677fb85be684c19bdb39e"),
+    ("strong_blowup(C8, 3)", lambda: strong_blowup(numbered_cycle(8), 3),
+     "9cc8f15958827f14fbabebfb8a51be09fe42c75341829e1d5c99f49816678a65"),
+    ("weak_layered(C4, 3)", lambda: weak_layered(numbered_cycle(4), 3),
+     "63905fcb3174ae16882acea14d21c46048bc352020621a3f3b59ae0966ef2e2b"),
+    ("cycle_power(C9, 2)", lambda: cycle_power(numbered_cycle(9), 2),
+     "86b81c90d99c8cc049df5b101726fb7db4ec5275d4319daa52f2465bbd056ba1"),
+    ("random_weak(30, 3, 1)", lambda: random_weak(30, 3, 1),
+     "c4861aa51747f26afb74b2df707c1acb2bd9f0f47f2f9ced799a4c1bbe43b332"),
+    ("unoriented random_weak(30, 4, 2)", lambda: random_weak(30, 4, 2, oriented=False),
+     "b95b221504ea930a720adacce4b41acb5f7781cb6253cca6bc502856d5df8af4"),
+    ("shuffle_ports(random_bipartite(24, 3, 4), 7)",
+     lambda: shuffle_ports(random_bipartite(24, 3, 4), 7),
+     "959f52c9df02e24797a2a81bb7f77e47e53a708f171509ffcf86a390357eb04f"),
+]
+
+
+@pytest.mark.parametrize("make, digest", [(m, d) for _, m, d in EXPORT_DOT],
+                         ids=[name for name, _, _ in EXPORT_DOT])
+def test_export_dot_pinned(make, digest):
+    g = make()
+    h = hashlib.sha256()
+    for solution in (None,
+                     Solution(SolutionKind.MATCHING, brute_max_matching(g)),
+                     Solution(SolutionKind.DOMINATING_SET, brute_min_dominating_set(g))):
+        h.update(export_dot(g, solution).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 # which document is nested too deeply -> argv after the graph, error reported
