@@ -6,14 +6,12 @@ set pipeline, a matching approximation scheme, adversarial instance
 generators, and exact oracles for desk-scale verification.
 """
 
-from .engine import (INCOMING, OUTGOING, LocalAlgorithm, NodeView, RunResult,
-                     local_views_equivalent, run_local_algorithm)
-from .graph import (BLACK, WHITE, ColouringClass, Graph, build_graph,
+from .engine import LocalAlgorithm, NodeView, RunResult, run_local_algorithm
+from .graph import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass, Graph, build_graph,
                     classify_colouring, disjoint_union, relabel, with_colours)
 
 __all__ = [
-    "BLACK", "WHITE", "ColouringClass", "Graph", "build_graph",
+    "BLACK", "INCOMING", "OUTGOING", "WHITE", "ColouringClass", "Graph", "build_graph",
     "classify_colouring", "disjoint_union", "relabel", "with_colours",
-    "INCOMING", "OUTGOING", "LocalAlgorithm", "NodeView", "RunResult",
-    "local_views_equivalent", "run_local_algorithm",
+    "LocalAlgorithm", "NodeView", "RunResult", "run_local_algorithm",
 ]

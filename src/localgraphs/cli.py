@@ -18,7 +18,7 @@ from .baselines import AllNodesDominatingSet
 from .engine import run_local_algorithm
 from .errors import (CapabilityError, InvariantError, LocalGraphError,
                      MalformedSolutionError, TooLargeError)
-from .graph import BLACK, INCOMING, Graph, normalize_edge
+from .graph import BLACK, Graph, edge_specs, normalize_edge
 from .matching import approximate_maximum_matching, run_matching_scheme
 from .oddds import colouring_provider_from_file, odd_delta_pipeline
 from .oracles import Solution, SolutionKind, verify_solution
@@ -85,14 +85,10 @@ def _cmd_gen(args) -> int:
 
 # -- run -----------------------------------------------------------------------
 
-# problem -> (exact solver's name in `oracles`, minimization); the name is
-# looked up per call, so a solver wrapped after import is the one called
-_ORACLES = {"ds": ("brute_min_dominating_set", True),
-            "matching": ("brute_max_matching", False)}
-
-
 def _optimum(problem: str, g: Graph) -> frozenset:
-    return getattr(oracles, _ORACLES[problem][0])(g)
+    # read from `oracles` at each call, so a solver wrapped after import is the one called
+    solve = oracles.brute_min_dominating_set if problem == "ds" else oracles.brute_max_matching
+    return solve(g)
 
 
 def _fraction_text(top: int, bottom: int) -> str:
@@ -166,7 +162,7 @@ def _cmd_run(args) -> int:
                 provider = colouring_provider_from_file(
                     args.weak_colouring.split(":", 1)[1])
             result = odd_delta_pipeline(g, provider, trace=trace)
-            run = result.star_run       # None when the core is empty
+            run = result.star_run   # never None: Δ is odd, so a node of degree Δ is in the core
             members = sorted(result.dominating_set)
             problem, bound = "ds", (delta, 1)
         else:   # all-nodes
@@ -180,8 +176,7 @@ def _cmd_run(args) -> int:
             trace_fh.close()
     opt = len(_optimum(problem, g)) if args.oracle else None
     doc = _report(args.alg, g, len(members), bound,
-                  run.rounds_used if run else 0, run.max_message_bits if run else 0,
-                  delta, opt, _ORACLES[problem][1])
+                  run.rounds_used, run.max_message_bits, delta, opt, problem == "ds")
     doc["members"] = members
     _emit(doc)
     return EXIT_OK
@@ -259,10 +254,8 @@ def export_dot(g: Graph, solution: Solution | None = None) -> str:
             attrs.append("peripheries=2")
         lines.append(f'  {v} [{", ".join(attrs)}];' if attrs else f"  {v};")
     connector = "->" if directed else "--"
-    for u, v in sorted(g.edges):
-        a, b = (u, v)
-        if directed and g.port_directions(u)[g.neighbours(u).index(v)] == INCOMING:
-            a, b = (v, u)
+    for u, v, _, _, direction in edge_specs(g):
+        a, b = (v, u) if direction == "vu" else (u, v)
         attrs = []
         if (u, v) in matched:
             attrs.append('color="black:invis:black"')    # double line

@@ -14,8 +14,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import CapabilityError, InvariantError
-from .graph import (INCOMING, OUTGOING,   # the directions are re-exported
-                    ColouringClass, Graph, classify_colouring)
+from .graph import ColouringClass, Graph, classify_colouring
 
 Sends = Mapping[int, bytes]          # port -> payload
 Inbox = Mapping[int, bytes]          # port -> payload received this round
@@ -241,11 +240,3 @@ def view_classes(graphs: Sequence[Graph], radius: int) -> list[list[int]]:
         classes, count = refined, refined_count
     return classes
 
-
-def local_views_equivalent(g1: Graph, v1: int, g2: Graph, v2: int, radius: int) -> bool:
-    """True iff v1 of g1 and v2 of g2 share a ``view_classes`` class at ``radius``."""
-    for g, v in ((g1, v1), (g2, v2)):
-        if type(v) is not int or not 0 <= v < g.n:
-            raise ValueError(f"{v!r} is not a node of a {g.n}-node graph")
-    c1, c2 = view_classes([g1, g2], radius)
-    return c1[v1] == c2[v2]

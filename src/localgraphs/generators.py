@@ -15,8 +15,7 @@ import random
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MalformedSolutionError
-from .graph import BLACK, WHITE, Edge, Graph, build_graph, normalize_edge
-from .oddds import fixup_weak_colouring
+from .graph import BLACK, WHITE, Edge, Graph, build_graph, fixup_weak_colouring, normalize_edge
 from .oracles import validate_matching
 
 

@@ -269,6 +269,21 @@ def classify_colouring(g: Graph) -> ColouringClass:
     return g._colouring
 
 
+def fixup_weak_colouring(neighbours: Sequence[Sequence[int]],
+                         colours: Sequence[str]) -> list[str]:
+    """One sweep flipping every node v whose non-empty ``neighbours[v]`` all share its colour.
+
+    A flip gives all of the node's neighbours an opposite-coloured
+    neighbour and never removes one, so a single sweep repairs any
+    starting assignment on a graph without isolated nodes.
+    """
+    out = list(colours)
+    for v, nbrs in enumerate(neighbours):
+        if nbrs and all(out[u] == out[v] for u in nbrs):
+            out[v] = opposite(out[v])
+    return out
+
+
 # -- structural utilities -----------------------------------------------------
 
 def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:

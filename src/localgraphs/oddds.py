@@ -16,7 +16,8 @@ from typing import Callable, NamedTuple, Sequence
 from .engine import RunResult, degree_bound
 from .errors import CapabilityError, InvariantError, MalformedSolutionError
 from .graph import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass, Graph,
-                    classify_colouring, induced_subgraph, opposite, with_colours)
+                    classify_colouring, fixup_weak_colouring, induced_subgraph,
+                    opposite, with_colours)
 from .starforest import run_star_forest
 
 WeakColouringProvider = Callable[[Graph], Sequence[str]]
@@ -75,21 +76,6 @@ def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
 
 # -- weak-colouring providers ---------------------------------------------------
 
-def fixup_weak_colouring(neighbours: Sequence[Sequence[int]],
-                         colours: Sequence[str]) -> list[str]:
-    """One sweep flipping every node v whose ``neighbours[v]`` all share its colour.
-
-    A flip gives all of the node's neighbours an opposite-coloured
-    neighbour and never removes one, so a single sweep repairs any
-    starting assignment on a graph without isolated nodes.
-    """
-    out = list(colours)
-    for v, nbrs in enumerate(neighbours):
-        if all(out[u] == out[v] for u in nbrs):
-            out[v] = opposite(out[v])
-    return out
-
-
 def centralized_weak_colouring(g: Graph) -> list[str]:
     """Default provider: greedy pass plus fix-up sweep.  Not a local algorithm."""
     colours: list[str | None] = [None] * g.n
@@ -132,14 +118,9 @@ def repair_b_colours(h: Graph, a_nodes, colours: Sequence[str]) -> list[str]:
     visited in does not matter.
     """
     a_set = set(a_nodes)
-    out = list(colours)
-    for v in h.nodes:
-        if v in a_set:
-            continue
-        a_nbrs = [u for u in h.neighbours(v) if u in a_set]
-        if a_nbrs and all(out[u] == out[v] for u in a_nbrs):
-            out[v] = opposite(out[v])
-    return out
+    return fixup_weak_colouring(
+        [() if v in a_set else [u for u in h.neighbours(v) if u in a_set] for v in h.nodes],
+        colours)
 
 
 # -- the full pipeline -------------------------------------------------------------

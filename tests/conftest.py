@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from localgraphs import BLACK, WHITE, ColouringClass, LocalAlgorithm, build_graph
+from localgraphs.engine import view_classes
 from localgraphs.generators import _ascending_port_specs
 from localgraphs.graph import Graph, normalize_edge
 from localgraphs.starforest import StarForestAlgorithm
@@ -43,6 +44,12 @@ def path_graph(colour_string: str) -> Graph:
     n = len(colour_string)
     colours = [BLACK if c == "b" else WHITE for c in colour_string]
     return ascending_ports(n, [(i, i + 1) for i in range(n - 1)], colours)
+
+
+def same_view(g1: Graph, v1: int, g2: Graph, v2: int, radius: int) -> bool:
+    """True iff v1 of g1 and v2 of g2 share a ``view_classes`` class at ``radius``."""
+    c1, c2 = view_classes([g1, g2], radius)
+    return c1[v1] == c2[v2]
 
 
 class ColourEcho(LocalAlgorithm):

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ascending_ports
-from localgraphs import BLACK, WHITE, cli, errors, run_local_algorithm, with_colours
+from localgraphs import (BLACK, WHITE, RunResult, cli, errors, run_local_algorithm,
+                         with_colours)
 from localgraphs.cli import export_dot, main
 from localgraphs.generators import (cycle_power, numbered_cycle, random_bipartite,
                                     random_weak, shuffle_ports, strong_blowup,
@@ -326,14 +327,19 @@ class TestRun:
         assert all({"node", "sent", "state_digest"} <= set(d) for d in lines)
 
     def test_odd_ds_trace_is_the_star_phase(self, capsys, tmp_path, k4_oriented):
-        for g in (k4_oriented, random_weak(14, 3, seed=5, oriented=True)):
+        # an odd maximum degree puts a node in the core, so the star phase
+        # always runs, for its 5 rounds
+        drawn = [random_weak(20, delta, seed) for delta in (3, 5, 7) for seed in range(4)]
+        graphs = [k4_oriented, random_weak(14, 3, seed=5, oriented=True)]
+        for g in graphs + [g for g in drawn if g.max_degree % 2]:
             path, trace = tmp_path / "g.json", tmp_path / "trace.jsonl"
             path.write_text(dumps(g))
-            code, _ = run_cli(capsys, "run", "--graph", str(path), "--alg", "odd-ds",
-                              "--trace", str(trace))
-            assert code == 0
+            code, out = run_cli(capsys, "run", "--graph", str(path), "--alg", "odd-ds",
+                                "--trace", str(trace))
+            assert code == 0 and '"rounds_used": 5,' in out
             result = odd_delta_pipeline(g)
-            assert result.h2.base.n > 0
+            assert isinstance(result.star_run, RunResult)
+            assert result.star_run.rounds_used == 5
             lines = []
             run_local_algorithm(with_colours(result.h2.base, result.core_colours),
                                 StarForestAlgorithm(), trace=lines.append)

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from localgraphs import (BLACK, WHITE, ColouringClass, LocalAlgorithm, build_graph,
-                         classify_colouring, disjoint_union, local_views_equivalent,
-                         relabel, run_local_algorithm, with_colours)
+                         classify_colouring, disjoint_union, relabel,
+                         run_local_algorithm, with_colours)
 from localgraphs.engine import view_classes
 from localgraphs.errors import CapabilityError, InvariantError
 from localgraphs.generators import (numbered_cycle, random_bipartite, random_weak,
@@ -17,7 +17,7 @@ from localgraphs.generators import (numbered_cycle, random_bipartite, random_wea
 from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.starforest import StarForestAlgorithm
 
-from conftest import ColourEcho, DenseStar, ascending_ports, path_graph
+from conftest import ColourEcho, DenseStar, ascending_ports, path_graph, same_view
 
 
 class CountEcho(LocalAlgorithm):
@@ -242,42 +242,42 @@ def test_steps_count_every_call():
 
 class TestViewEquivalence:
     def test_identity(self, p3_wbw):
-        assert local_views_equivalent(p3_wbw, 0, p3_wbw, 0, 4)
+        assert same_view(p3_wbw, 0, p3_wbw, 0, 4)
 
     def test_disjoint_union_copies(self, p3_wbw):
         doubled = disjoint_union(p3_wbw, p3_wbw)
         for v in p3_wbw.nodes:
-            assert local_views_equivalent(p3_wbw, v, doubled, v + p3_wbw.n, 5)
+            assert same_view(p3_wbw, v, doubled, v + p3_wbw.n, 5)
 
     def test_endpoint_vs_midpoint(self):
         p3 = path_graph("wbw")
-        assert not local_views_equivalent(p3, 0, p3, 1, 1)
+        assert not same_view(p3, 0, p3, 1, 1)
         # radius 0 only sees degree and colour: both endpoints agree
-        assert local_views_equivalent(p3, 0, p3, 2, 0)
+        assert same_view(p3, 0, p3, 2, 0)
         # at radius 1 the centre's differing ports tell them apart
-        assert not local_views_equivalent(p3, 0, p3, 2, 1)
+        assert not same_view(p3, 0, p3, 2, 1)
 
     def test_rotation_symmetric_cycle(self, c4_coloured):
         # rotating by two preserves ports and colours
-        assert local_views_equivalent(c4_coloured, 0, c4_coloured, 2, 4)
-        assert local_views_equivalent(c4_coloured, 1, c4_coloured, 3, 4)
-        assert not local_views_equivalent(c4_coloured, 0, c4_coloured, 1, 0)
+        assert same_view(c4_coloured, 0, c4_coloured, 2, 4)
+        assert same_view(c4_coloured, 1, c4_coloured, 3, 4)
+        assert not same_view(c4_coloured, 0, c4_coloured, 1, 0)
 
     def test_colours_respected(self):
-        assert not local_views_equivalent(path_graph("wb"), 0, path_graph("wb"), 1, 0)
+        assert not same_view(path_graph("wb"), 0, path_graph("wb"), 1, 0)
 
     def test_ports_respected(self):
         # same path, the centre's ports swapped
         a = build_graph(3, [(0, 1, 1, 1), (1, 2, 2, 1)], ["white", "black", "white"])
         b = build_graph(3, [(0, 1, 1, 2), (1, 2, 1, 1)], ["white", "black", "white"])
-        assert local_views_equivalent(a, 1, b, 1, 0)
-        assert not local_views_equivalent(a, 0, b, 0, 1)
+        assert same_view(a, 1, b, 1, 0)
+        assert not same_view(a, 0, b, 0, 1)
 
     def test_orientation_respected(self):
         fwd = build_graph(2, [(0, 1, 1, 1, "uv")])
         rev = build_graph(2, [(0, 1, 1, 1, "vu")])
-        assert not local_views_equivalent(fwd, 0, rev, 0, 0)
-        assert local_views_equivalent(fwd, 0, rev, 1, 3)
+        assert not same_view(fwd, 0, rev, 0, 0)
+        assert same_view(fwd, 0, rev, 1, 3)
 
 
 def full_depth_classes(graphs, radius):
@@ -317,13 +317,6 @@ def test_view_classes_match_full_depth_refinement():
 def test_view_classes_refuse_a_negative_radius(c4_coloured):
     with pytest.raises(ValueError):
         view_classes([c4_coloured], -1)
-
-
-def test_local_views_equivalent_refuses_a_non_node():
-    g = numbered_cycle(4).graph
-    for node in (-1, True, 9):
-        with pytest.raises(ValueError):
-            local_views_equivalent(g, node, g, 3, 2)
 
 
 def test_relabelling_invariance(c4_coloured):

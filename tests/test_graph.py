@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from localgraphs import (BLACK, OUTGOING, WHITE, ColouringClass, build_graph,
                          classify_colouring)
 from localgraphs.errors import CapabilityError, GraphFormatError, MalformedSolutionError
-from localgraphs.graph import (Graph, disjoint_union, dumps, edge_specs,
+from localgraphs.graph import (Graph, disjoint_union, dumps, edge_specs, fixup_weak_colouring,
                                graph_from_json_dict, graph_to_json_dict,
                                induced_subgraph, loads, normalize_edge, relabel,
                                with_colours)
@@ -144,6 +144,12 @@ class TestClassify:
         assert classify_colouring(g) is ColouringClass.PROPER
         for v in g.nodes:
             assert any(g.colour(u) != g.colour(v) for u in g.neighbours(v))
+
+
+def test_fixup_keeps_the_colour_of_a_node_with_no_listed_neighbour():
+    # nodes 0 and 1 list each other, so the sweep flips 0 and then leaves 1;
+    # node 2 lists nobody and keeps its colour
+    assert fixup_weak_colouring([[1], [0], []], [WHITE] * 3) == [BLACK, WHITE, WHITE]
 
 
 class TestPorts:

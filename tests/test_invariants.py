@@ -6,10 +6,11 @@ source's and never re-validate through ``build_graph``.  Every function
 the benchmark's traced run wraps still exists under its name.  No code
 names the retired ``needs_colour`` flag.  Every error class is raised
 or extended somewhere.  Bits are counted with ``int.bit_count``, never
-through a binary string.  Importing the CLI loads no ``dataclasses``:
-the package's records are ``NamedTuple``s, immutable, with their field
-names, order and repr pinned here, and ``SchemeStats`` is a plain class
-compared by value.
+through a binary string.  Importing the generators loads neither the
+odd-Δ pipeline nor the star forest.  Importing the CLI loads no
+``dataclasses``: the package's records are ``NamedTuple``s, immutable,
+with their field names, order and repr pinned here, and
+``SchemeStats`` is a plain class compared by value.
 """
 
 from __future__ import annotations
@@ -146,6 +147,16 @@ def test_cli_import_loads_no_hashlib_or_fractions():
     # integer arithmetic, so a command that traces nothing pays for neither
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import localgraphs.cli; "
             "print('hashlib' in sys.modules, 'fractions' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
+
+
+def test_generators_import_loads_no_odd_delta_pipeline():
+    # the generators need the colour-flip sweep only, which lives in `graph`
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import localgraphs.generators; "
+            "print('localgraphs.oddds' in sys.modules, 'localgraphs.starforest' in sys.modules)")
     done = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
