@@ -599,6 +599,42 @@ def test_export_dot_pinned(make, digest):
     assert h.hexdigest() == digest
 
 
+# gen's bytes per family: SHA-256 over its stdout with each parameter set
+# in turn
+GEN_PARAMS = [["--n", "8", "--delta", "3", "--k", "2", "--seed", "3"],
+              ["--n", "12", "--delta", "5", "--k", "3", "--seed", "4"]]
+GEN = {
+    "cycle": "36cccfcfc15575d761f42aa35824500b3d142d85778321e8c4d2f05e7097cd7a",
+    "cycle-power": "fda56c06cebc6b3f83e5f2b4bcb364599d2d32a19ecae94f698f93d8635cb0b5",
+    "strong-blowup": "7b4bf34bcc79a7710350f3057784973ae31b46551a6e2401dcfdf3b038432e05",
+    "weak-layered": "7e787ff3a2895e1b2d568fabaf6c4bfc85bab2bf54ac47d12a753cc16f77abe4",
+    "symmetric-complete": "3d3d4dcfd83b6c5583b2865357c6a0efb302a876fdf2fad1a994ad16dd9aaf49",
+    "random-bipartite": "477ae146634b8989c217c8c78f170c6a847ee12a3358d673377f9d37d1725ad6",
+    "random-weak": "de5639451a597351f9125fcdd7e987f0c8d4e2d4db451c945101f2d615a21e59",
+}
+
+
+@pytest.mark.parametrize("family, digest", list(GEN.items()), ids=list(GEN))
+def test_gen_pinned(capsys, family, digest):
+    h = hashlib.sha256()
+    for params in GEN_PARAMS:
+        code, out = run_cli(capsys, "gen", "--family", family, *params)
+        assert code == 0
+        h.update(out.encode())
+    assert h.hexdigest() == digest
+
+
+def test_gen_help_pinned(capsys, monkeypatch):
+    """SHA-256 of ``gen --help`` at an 80-column terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ff198a303254ee52b4a58a85636f2cf8b4c97f464153b061a842e49b7116b2e9")
+
+
 # which document is nested too deeply -> argv after the graph, error reported
 _DEEP = {
     "run-graph": (["run", "--alg", "star-ds"], "GraphFormatError"),
