@@ -20,7 +20,7 @@ from .errors import (CapabilityError, InvariantError, LocalGraphError,
                      MalformedSolutionError, TooLargeError)
 from .graph import BLACK, Graph, edge_specs, normalize_edge
 from .matching import approximate_maximum_matching, run_matching_scheme
-from .oddds import colouring_provider_from_file, odd_delta_pipeline
+from .oddds import odd_delta_pipeline
 from .oracles import Solution, SolutionKind, verify_solution
 from .starforest import run_star_forest, star_matching
 
@@ -48,38 +48,33 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 # -- gen -----------------------------------------------------------------------
 
-def _gen_size(args) -> int:
-    """Nodes times maximum degree of the graph ``gen`` would build."""
-    n, d = args.n, args.delta
-    return {"cycle": 2 * n,
-            "cycle-power": 2 * args.k * n,
-            "strong-blowup": 2 * n * d,
-            "weak-layered": (d + 1) * n * max(d, 3),
-            "symmetric-complete": (d + 1) * d}.get(args.family, n * d)
+# family -> (nodes times maximum degree, construction) of the parsed arguments; a
+# construction looks its generator up when called and builds the cycle first
+_FAMILIES = {
+    "cycle": (lambda a: 2 * a.n, lambda a: generators.numbered_cycle(a.n).graph),
+    "cycle-power": (lambda a: 2 * a.k * a.n,
+                    lambda a: generators.cycle_power(generators.numbered_cycle(a.n), a.k)),
+    "strong-blowup": (lambda a: 2 * a.n * a.delta,
+                      lambda a: generators.strong_blowup(generators.numbered_cycle(a.n),
+                                                         a.delta)),
+    "weak-layered": (lambda a: (a.delta + 1) * a.n * max(a.delta, 3),
+                     lambda a: generators.weak_layered(generators.numbered_cycle(a.n),
+                                                       a.delta)),
+    "symmetric-complete": (lambda a: (a.delta + 1) * a.delta,
+                           lambda a: generators.symmetric_complete(a.delta)),
+    "random-bipartite": (lambda a: a.n * a.delta,
+                         lambda a: generators.random_bipartite(a.n, a.delta, a.seed)),
+    "random-weak": (lambda a: a.n * a.delta,
+                    lambda a: generators.random_weak(a.n, a.delta, a.seed)),
+}
 
 
 def _cmd_gen(args) -> int:
-    if _gen_size(args) > MAX_GEN_SIZE:
+    size, build = _FAMILIES[args.family]
+    if size(args) > MAX_GEN_SIZE:
         raise TooLargeError(f"{args.family} with n={args.n}, delta={args.delta}, k={args.k} "
                             f"exceeds {MAX_GEN_SIZE} nodes times maximum degree")
-    fam = args.family
-    if fam in ("cycle", "cycle-power", "strong-blowup", "weak-layered"):
-        cycle = generators.numbered_cycle(args.n)
-    if fam == "cycle":
-        g = cycle.graph
-    elif fam == "cycle-power":
-        g = generators.cycle_power(cycle, args.k)
-    elif fam == "strong-blowup":
-        g = generators.strong_blowup(cycle, args.delta)
-    elif fam == "weak-layered":
-        g = generators.weak_layered(cycle, args.delta)
-    elif fam == "symmetric-complete":
-        g = generators.symmetric_complete(args.delta)
-    elif fam == "random-bipartite":
-        g = generators.random_bipartite(args.n, args.delta, args.seed)
-    else:
-        g = generators.random_weak(args.n, args.delta, args.seed)
-    _write_or_print(graphmod.dumps(g), args.out)
+    _write_or_print(graphmod.dumps(build(args)), args.out)
     return EXIT_OK
 
 
@@ -159,8 +154,8 @@ def _cmd_run(args) -> int:
             if args.weak_colouring != "centralized":
                 if not args.weak_colouring.startswith("external:"):
                     raise ValueError(f"bad provider {args.weak_colouring!r}")
-                provider = colouring_provider_from_file(
-                    args.weak_colouring.split(":", 1)[1])
+                colours = _load_colours(args.weak_colouring.split(":", 1)[1])
+                provider = lambda h2: colours
             result = odd_delta_pipeline(g, provider, trace=trace)
             run = result.star_run   # never None: Δ is odd, so a node of degree Δ is in the core
             members = sorted(result.dominating_set)
@@ -211,6 +206,16 @@ def _load_solution(path: str) -> Solution:
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedSolutionError(f"bad solution file: {exc}") from exc
     return Solution(kind, members)
+
+
+def _load_colours(path: str):
+    """A colour file's ``colours`` value, or the whole document if it is not an object."""
+    with open(path, "r", encoding="utf-8") as fh:      # OSError: io-error
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise MalformedSolutionError("colour file is nested too deeply") from exc
+    return doc.get("colours") if isinstance(doc, dict) else doc
 
 
 def _cmd_verify(args) -> int:
@@ -273,9 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance")
-    gen.add_argument("--family", required=True,
-                     choices=["cycle", "cycle-power", "strong-blowup", "weak-layered",
-                              "symmetric-complete", "random-bipartite", "random-weak"])
+    gen.add_argument("--family", required=True, choices=list(_FAMILIES))
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--delta", type=int, default=3)
     gen.add_argument("--k", type=int, default=2)

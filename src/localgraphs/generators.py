@@ -63,20 +63,18 @@ def _neighbour_lists(n: int, pairs: Iterable[Edge]) -> list[list[int]]:
 
 
 def _port_specs(pairs: Iterable[Edge], nbrs: Sequence[Sequence[int]],
-                directions: dict[Edge, tuple[int, int]] | None = None):
-    """Edge specs for ``pairs`` that give node v port p toward ``nbrs[v][p-1]``."""
+                directions: dict[Edge, str] | None = None):
+    """Edge specs for ``pairs`` that give node v port p toward ``nbrs[v][p-1]``.
+
+    ``directions`` maps each normalized pair to its ``build_graph`` direction.
+    """
     port = [{u: p for p, u in enumerate(lst, start=1)} for lst in nbrs]
-    specs = []
-    for u, v in sorted(normalize_edge(a, b) for a, b in pairs):
-        direction = None
-        if directions is not None:
-            direction = "uv" if directions[(u, v)][0] == u else "vu"
-        specs.append((u, v, port[u][v], port[v][u], direction))
-    return specs
+    return [(u, v, port[u][v], port[v][u], None if directions is None else directions[(u, v)])
+            for u, v in sorted(normalize_edge(a, b) for a, b in pairs)]
 
 
 def _ascending_port_specs(n: int, pairs: Sequence[Edge],
-                          directions: dict[Edge, tuple[int, int]] | None = None):
+                          directions: dict[Edge, str] | None = None):
     """Edge specs with each node's ports in ascending neighbour-id order."""
     return _port_specs(pairs, _neighbour_lists(n, pairs), directions)
 
@@ -91,7 +89,7 @@ def cycle_power(c: DirectedCycle, k: int) -> Graph:
         for d in range(1, k + 1):
             v = (u + d) % c.n
             pairs.append((u, v))
-            directions[normalize_edge(u, v)] = (u, v)
+            directions[normalize_edge(u, v)] = "uv" if u < v else "vu"
     return build_graph(c.n, _ascending_port_specs(c.n, pairs, directions))
 
 
@@ -368,8 +366,7 @@ def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
     pairs = _fill_random_edges(n, delta, rng, None, _pairing_cover(n, rng))
     directions = None
     if oriented:
-        directions = {normalize_edge(u, v): (u, v) if rng.random() < 0.5 else (v, u)
-                      for u, v in pairs}
+        directions = {(u, v): "uv" if rng.random() < 0.5 else "vu" for u, v in pairs}
     nbrs = _neighbour_lists(n, pairs)
     colours = fixup_weak_colouring(nbrs, [rng.choice((BLACK, WHITE)) for _ in range(n)])
     _shuffle_each(nbrs, rng.getrandbits(32))

@@ -144,17 +144,18 @@ def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
 
 def augment_phase(g: Graph, m, paths: Sequence[Path]) -> Matching:
     """Flip every path against the matching; grows it by one edge per path."""
-    edges = set(validate_matching(g, m))
-    _augment(g, edges, partner_map(edges), paths)
-    return frozenset(edges)
+    partner = partner_map(validate_matching(g, m))
+    _augment(g, partner, paths)
+    return _edges(partner)
 
 
-def _augment(g: Graph, edges: set[Edge], partner: dict[int, int],
-             paths: Sequence[Path]) -> None:
-    """Check the paths against a valid matching, then flip them in place.
+def _edges(partner: dict[int, int]) -> Matching:
+    """The matching a partner map holds."""
+    return frozenset((u, v) for u, v in partner.items() if u < v)
 
-    ``partner`` is the matching's partner map and is kept in step.
-    """
+
+def _augment(g: Graph, partner: dict[int, int], paths: Sequence[Path]) -> None:
+    """Check the paths against a valid matching's partner map, then flip them in place."""
     used: set[int] = set()
     for path in paths:
         nodes = set(path)
@@ -167,23 +168,17 @@ def _augment(g: Graph, edges: set[Edge], partner: dict[int, int],
         used |= nodes
         if path[0] in partner or path[-1] in partner:
             raise MalformedSolutionError(f"path {path} does not join unmatched endpoints")
-        for idx in range(len(path) - 1):
-            e = normalize_edge(path[idx], path[idx + 1])
+        for idx, (a, b) in enumerate(zip(path, path[1:])):
+            e = normalize_edge(a, b)
             if e not in g.edges:
                 raise MalformedSolutionError(f"{e} is not an edge")
-            if (e in edges) != (idx % 2 == 1):
+            if (partner.get(a) == b) != (idx % 2 == 1):
                 raise MalformedSolutionError(f"path {path} does not alternate at {e}")
-    size = len(edges)
-    for path in paths:
-        for idx in range(len(path) - 1):
-            e = normalize_edge(path[idx], path[idx + 1])
-            if idx % 2 == 0:
-                edges.add(e)
-                partner[path[idx]] = path[idx + 1]
-                partner[path[idx + 1]] = path[idx]
-            else:
-                edges.discard(e)
-    if len(edges) != size + len(paths):
+    size = len(partner)
+    for path in paths:      # the new pairs overwrite the old ones of every inner node
+        for a, b in zip(path[::2], path[1::2]):
+            partner[a], partner[b] = b, a
+    if len(partner) != size + 2 * len(paths):
         raise InvariantError("augmentation did not grow the matching by one edge per path")
 
 
@@ -228,19 +223,19 @@ def eliminate_length(g: Graph, m, i: int, *,
     delta = degree_bound(g, max_degree)
     if i >= 1:      # an i < 1 is invocation_count's ValueError
         scheme_round_budget(delta, i)
-    edges = set(validate_matching(g, m))
+    partner = partner_map(validate_matching(g, m))
     side = try_bipartition(g) if assert_oracle else None    # g is properly coloured
-    _eliminate(g, edges, partner_map(edges), i, delta, stats, side)
-    return frozenset(edges)
+    _eliminate(g, partner, i, delta, stats, side)
+    return _edges(partner)
 
 
-def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
-               delta: int, stats: SchemeStats | None, side: list[int] | None) -> None:
-    """``eliminate_length`` on a valid matching, updated in place with its partner map.
+def _eliminate(g: Graph, partner: dict[int, int], i: int, delta: int,
+               stats: SchemeStats | None, side: list[int] | None) -> None:
+    """``eliminate_length`` on a valid matching's partner map, updated in place.
 
     Stops after the first invocation that augments no path.  Such an
-    invocation leaves ``edges`` and ``partner`` unchanged, and an
-    invocation depends only on them, g and h, so every later one of the
+    invocation leaves ``partner`` unchanged, and an invocation depends
+    only on it, g and h, so every later one of the
     same length would be the same no-op.  The stop is also a proof: with
     no shorter augmenting path left, the flood reaches an unmatched white
     node at hop h whenever a length-h augmenting path exists (see
@@ -250,23 +245,24 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
     is g's bipartition if the caller asserts the oracle, else None.  The
     oracle searches after the first invocation and each one that
     augmented a path, and at the end only when t_i = 0; each search
-    validates ``edges`` and rebuilds its own partner map.
+    validates the matching ``partner`` holds and rebuilds its own map.
     """
     h = 2 * i - 1
     t = invocation_count(delta, i)
 
     def oracle() -> int | None:
-        return _augmenting_distance(g, partner_map(validate_matching(g, edges)), side)
+        return _augmenting_distance(g, partner_map(validate_matching(g, _edges(partner))),
+                                    side)
 
-    spl = None          # the oracle's answer for the current ``edges``
+    spl = None          # the oracle's answer for the current matching
     for done in range(1, t + 1):
         try:
             paths = proposal_phase(g, _flood(g, partner, h))
-            _augment(g, edges, partner, paths)
+            _augment(g, partner, paths)
         except MalformedSolutionError as exc:
             raise InvariantError(f"proposal phase chose bad paths: {exc}") from exc
         if stats is not None:
-            stats.record(i, len(paths), len(edges))
+            stats.record(i, len(paths), len(partner) // 2)
         if side is not None and (paths or done == 1):
             spl = oracle()
             if spl is not None and spl < h:
@@ -274,7 +270,7 @@ def _eliminate(g: Graph, edges: set[Edge], partner: dict[int, int], i: int,
                     f"invocation left an augmenting path of length {spl} < {h}")
         if not paths:
             if stats is not None:
-                stats.record(i, 0, len(edges), times=t - done)
+                stats.record(i, 0, len(partner) // 2, times=t - done)
             break
     if side is not None:
         if not t:           # no invocation ran
@@ -297,12 +293,11 @@ def approximate_maximum_matching(g: Graph, k: int, *,
     check_colouring(g, MatchingSchemeAlgorithm)
     delta = degree_bound(g, max_degree)
     scheme_round_budget(delta, k)
-    edges: set[Edge] = set()
     partner: dict[int, int] = {}
     side = try_bipartition(g) if assert_oracle else None    # one search for every i
     for i in range(1, k + 1):
-        _eliminate(g, edges, partner, i, delta, stats, side)
-    return frozenset(edges)
+        _eliminate(g, partner, i, delta, stats, side)
+    return _edges(partner)
 
 
 # -- per-node implementation -----------------------------------------------------

@@ -10,7 +10,6 @@ return its roots together with every node outside the core.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, NamedTuple, Sequence
 
 from .engine import RunResult, degree_bound
@@ -84,22 +83,6 @@ def centralized_weak_colouring(g: Graph) -> list[str]:
                       if colours[u] is not None), None)
         colours[v] = WHITE if prior is None else opposite(prior)
     return fixup_weak_colouring([g.neighbours(v) for v in g.nodes], colours)
-
-
-def colouring_provider_from_file(path) -> WeakColouringProvider:
-    """Provider returning a JSON document's ``colours`` value (or the whole
-    document, if it is not an object); the pipeline checks it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError as exc:
-            raise MalformedSolutionError("colour file is nested too deeply") from exc
-    colours = doc.get("colours") if isinstance(doc, dict) else doc
-
-    def provider(h2: Graph) -> Sequence[str]:
-        return colours
-
-    return provider
 
 
 # -- colour repair ---------------------------------------------------------------

@@ -255,16 +255,12 @@ def _augmenting_tree(g: Graph, match: list[int], root: int, parent: list[int],
 
 # -- augmenting paths ----------------------------------------------------------
 
-def _is_node_id(x) -> bool:
-    """An ``int`` itself: a bool or a float equal to a node id is not one."""
-    return type(x) is int
-
-
 def validate_matching(g: Graph, m: Iterable[Edge]) -> frozenset[Edge]:
     edges = frozenset(normalize_edge(u, v) for u, v in m)
     seen: set[int] = set()
     for u, v in edges:
-        if not (_is_node_id(u) and _is_node_id(v)) or (u, v) not in g.edges:
+        # a node id is an int itself: a bool or a float that equals one is not a node
+        if not (type(u) is int and type(v) is int) or (u, v) not in g.edges:
             raise MalformedSolutionError(f"({u}, {v}) is not an edge")
         if u in seen or v in seen:
             raise MalformedSolutionError(f"node reused by matching at ({u}, {v})")
@@ -353,7 +349,7 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
             except TypeError:       # not a pair, or a pair that cannot be ordered
                 violations.append(f"{item!r} is not an edge of the graph")
                 continue
-            if not (_is_node_id(u) and _is_node_id(v)) or (u, v) not in g.edges:
+            if not (type(u) is int and type(v) is int) or (u, v) not in g.edges:
                 violations.append(f"({u}, {v}) is not an edge of the graph")
                 continue
             if u in seen or v in seen:
@@ -362,9 +358,9 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
     else:
         members = set(s.members)
         for v in _sorted(members):
-            if not (_is_node_id(v) and 0 <= v < g.n):
+            if not (type(v) is int and 0 <= v < g.n):
                 violations.append(f"{v!r} is not a node")
-        members = {v for v in members if _is_node_id(v) and 0 <= v < g.n}
+        members = {v for v in members if type(v) is int and 0 <= v < g.n}
         if kind is SolutionKind.DOMINATING_SET:
             for v in g.nodes:
                 if v not in members and not any(u in members for u in g.neighbours(v)):

@@ -269,14 +269,14 @@ def _idle_stop_instances():
 
 def full_schedule(g, k):
     """The centralized scheme with every one of the t_i invocations run."""
-    edges, partner, stats = set(), {}, SchemeStats()
+    partner, stats = {}, SchemeStats()
     for i in range(1, k + 1):
         h = 2 * i - 1
         for _ in range(invocation_count(g.max_degree, i)):
             paths = proposal_phase(g, _flood(g, partner, h))
-            _augment(g, edges, partner, paths)
-            stats.record(i, len(paths), len(edges))
-    return frozenset(edges), stats
+            _augment(g, partner, paths)
+            stats.record(i, len(paths), len(partner) // 2)
+    return frozenset((u, v) for u, v in partner.items() if u < v), stats
 
 
 class TestIdleStop:
@@ -354,9 +354,9 @@ def test_assert_oracle_searches_once_per_distinct_matching(monkeypatch):
     lengths: list[int] = []         # the path index i of each _eliminate call
     searches: dict[int, int] = {}
 
-    def eliminate(g, edges, partner, i, *rest, _eliminate=matching._eliminate):
+    def eliminate(g, partner, i, *rest, _eliminate=matching._eliminate):
         lengths.append(i)
-        return _eliminate(g, edges, partner, i, *rest)
+        return _eliminate(g, partner, i, *rest)
 
     def search(g, partner, side, _search=matching._augmenting_distance):
         searches[lengths[-1]] = searches.get(lengths[-1], 0) + 1
