@@ -16,16 +16,13 @@ from localgraphs.graph import Graph, normalize_edge
 from localgraphs.starforest import StarForestAlgorithm
 
 
-_FLIP = {"uv": "vu", "vu": "uv"}
-
-
 def ascending_ports(n: int, pairs, colours=None, directions=None) -> Graph:
     """Build a graph with each node's ports in ascending neighbour order.
 
     ``directions`` maps every pair, as given, to "uv" or "vu".
     """
     if directions is not None:
-        directions = {normalize_edge(u, v): d if u < v else _FLIP[d]
+        directions = {normalize_edge(u, v): d if u < v else ("vu" if d == "uv" else "uv")
                       for (u, v), d in directions.items()}
     return build_graph(n, _ascending_port_specs(n, pairs, directions), colours)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from localgraphs import (BLACK, WHITE, classify_colouring,
+from localgraphs import (BLACK, WHITE, build_graph, classify_colouring,
                          ColouringClass, disjoint_union,
                          relabel, run_local_algorithm, with_colours)
 from localgraphs.baselines import AllNodesDominatingSet
@@ -36,8 +36,8 @@ from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  brute_min_dominating_set,
                                  shortest_augmenting_path_length,
                                  try_bipartition, verify_solution)
-from localgraphs.starforest import (StarForestAlgorithm, star_dominating_set,
-                                    star_forest, star_matching)
+from localgraphs.starforest import (StarForestAlgorithm, run_star_forest,
+                                    star_dominating_set, star_forest, star_matching)
 
 import _corpus
 from conftest import ColourEcho, ascending_ports
@@ -393,6 +393,64 @@ def test_criterion_8_extraction_procedures():
     _pass(8, started, f"layer merge meets the 1/(2*layers - 1) bound on "
           f"{RANDOM_MERGE_INPUTS} random inputs; matched-edge tails always "
           f"independent and size-preserving")
+
+
+# k -> the inner nodes of P_{2k+2} whose ports are flipped in a tight numbering
+TIGHT_PATH_FLIPS = {1: {1}, 2: {1, 3}, 3: {1, 5}, 4: {1, 5, 7}, 5: {1, 5, 9},
+                    6: {1, 5, 11}}
+
+
+def _tight_path(k, flipped):
+    """P_{2k+2}, node 0 black and colours alternating.  An end node has
+    one port; an inner node has port 1 toward its predecessor and port 2
+    toward its successor, or the reverse if it is flipped."""
+    n = 2 * k + 2
+
+    def port(v, toward_successor):
+        if v in (0, n - 1):
+            return 1
+        return 1 + ((v in flipped) != toward_successor)
+
+    specs = [(v, v + 1, port(v, True), port(v + 1, False)) for v in range(n - 1)]
+    return build_graph(n, specs, [BLACK if v % 2 == 0 else WHITE for v in range(n)])
+
+
+def _tight_k3_graph():
+    """The 8-node k = 3 witness with a cycle; black is node 0's side."""
+    specs = [(0, 1, 2, 1), (0, 2, 3, 1), (0, 3, 1, 1), (0, 4, 4, 1), (1, 5, 3, 1),
+             (1, 6, 2, 1), (2, 6, 3, 2), (2, 7, 2, 2), (3, 7, 2, 1)]
+    return build_graph(8, specs, [BLACK, WHITE, WHITE, WHITE, WHITE, BLACK, BLACK, BLACK])
+
+
+def _berge_optimum(g):
+    """The blossom optimum, checked by Berge's theorem on a bipartite g."""
+    best = brute_max_matching(g)
+    assert shortest_augmenting_path_length(g, best) is None
+    return best
+
+
+def test_criterion_9_tightness_witnesses():
+    started = time.perf_counter()
+    witnesses = [(k, _tight_path(k, flipped)) for k, flipped in TIGHT_PATH_FLIPS.items()]
+    witnesses.append((3, _tight_k3_graph()))
+    for k, g in witnesses:
+        m = approximate_maximum_matching(g, k)
+        assert run_matching_scheme(g, k)[0] == m
+        assert Fraction(len(_berge_optimum(g)), len(m)) == Fraction(k + 1, k)
+        assert shortest_augmenting_path_length(g, m) == 2 * k + 1
+    layered = 0
+    for delta in (3, 4, 5, 6):
+        for n in (4, 6, 8):
+            g = weak_layered(numbered_cycle(n), delta)
+            sf = star_forest(g)
+            assert run_star_forest(g)[0] == sf
+            ratio = Fraction(len(_berge_optimum(g)), len(star_matching(g, sf)))
+            assert ratio == Fraction(delta + 1, 2)
+            layered += 1
+    _pass(9, started, f"the scheme is exactly (k+1)/k from optimal on {len(witnesses)} "
+          f"witnesses for k = 1..6, each with a shortest augmenting path of 2k+1 "
+          f"edges; the star matching is exactly (delta+1)/2 from optimal on "
+          f"{layered} layered graphs, delta 3..6")
 
 
 def test_criterion_5_extra_simulated_extractions():

@@ -159,6 +159,15 @@ class TestRun:
         assert code == 0
         assert doc["ratio"] == 1.0 and doc["paper_bound"] == 1.5
 
+    def test_assert_oracle_refuses_disagreeing_schemes(self, capsys, monkeypatch, p4_file):
+        monkeypatch.setattr(cli, "approximate_maximum_matching",
+                            lambda g, k, assert_oracle: frozenset({(0, 1)}))
+        code, out = run_cli(capsys, "run", "--graph", p4_file, "--alg",
+                            "matching-scheme", "--k", "2", "--assert-oracle")
+        assert code == 4
+        assert json.loads(out) == {"error": "InvariantError",
+                                   "message": "simulated and centralized schemes disagree"}
+
     def test_star_matching(self, capsys, c4_file):
         code, out = run_cli(capsys, "run", "--graph", c4_file,
                             "--alg", "star-matching", "--oracle")

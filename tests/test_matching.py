@@ -77,6 +77,11 @@ class TestFloodPhase:
         chain = {0: 1, 1: 2, 2: 2}   # port toward the parent at each node
         assert f.parent_port == chain
 
+    @pytest.mark.parametrize("h", [0, -1, 2])
+    def test_refuses_a_length_that_is_not_positive_and_odd(self, single_edge, h):
+        with pytest.raises(ValueError, match=f"positive odd number, got {h}$"):
+            flood_phase(single_edge, frozenset(), h)
+
     def test_shorter_path_witness_raises(self, p4_coloured):
         with pytest.raises(InvariantError, match="unmatched white node after 1 < 3 hops"):
             flood_phase(p4_coloured, frozenset(), 3)

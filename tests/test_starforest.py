@@ -124,6 +124,14 @@ class TestExtraction:
         with pytest.raises(MalformedSolutionError):
             star_matching(numbered_cycle(6).graph, StarForest(stars))
 
+    @pytest.mark.parametrize("stars, message", [
+        ({1: frozenset({0, 2}), 4: frozenset({3, 5}), 2: frozenset({3})}, "stars overlap"),
+        ({1: frozenset({0, 2}), 4: frozenset({3})}, "stars do not cover every node"),
+    ], ids=["overlap", "uncovered"])
+    def test_star_matching_refuses_stars_that_do_not_partition(self, stars, message):
+        with pytest.raises(MalformedSolutionError, match=f"^{message}$"):
+            star_matching(numbered_cycle(6).graph, StarForest(stars))
+
     def test_p3_dominating_set_optimal(self, p3_wbw):
         ds = star_dominating_set(star_forest(p3_wbw))
         assert ds == {1}
