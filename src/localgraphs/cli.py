@@ -15,7 +15,7 @@ import sys
 
 from . import generators, graph as graphmod, oracles
 from .baselines import AllNodesDominatingSet
-from .engine import run_local_algorithm
+from .engine import RunResult, run_local_algorithm
 from .errors import (CapabilityError, InvariantError, LocalGraphError,
                      MalformedSolutionError, TooLargeError)
 from .graph import BLACK, Graph, edge_specs, normalize_edge
@@ -93,13 +93,13 @@ def _fraction_text(top: int, bottom: int) -> str:
 
 
 def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: tuple[int, int],
-            rounds_used: int, max_message_bits: int, delta: int,
-            optimal_size: int | None, minimization: bool) -> dict:
-    """The run report; ``paper_bound`` is a fraction (numerator, denominator)."""
+            run: RunResult, optimal_size: int | None, problem: str) -> dict:
+    """The run report; ``paper_bound`` is a fraction (numerator, denominator), and
+    ``problem`` is "ds" (a minimization) or "matching"."""
     top, bottom = paper_bound
     ratio = None
     if optimal_size is not None and optimal_size > 0 and solution_size > 0:
-        ratio = ((solution_size, optimal_size) if minimization
+        ratio = ((solution_size, optimal_size) if problem == "ds"
                  else (optimal_size, solution_size))
     if ratio is not None and ratio[0] * bottom > top * ratio[1]:
         raise InvariantError(f"ratio {_fraction_text(*ratio)} exceeds the guaranteed "
@@ -108,13 +108,13 @@ def _report(algorithm: str, g: Graph, solution_size: int, paper_bound: tuple[int
         "algorithm": algorithm,
         "n": g.n,
         "m": g.edge_count,
-        "delta": delta,
+        "delta": g.max_degree,
         "solution_size": solution_size,
         "optimal_size": optimal_size,
         "ratio": None if ratio is None else ratio[0] / ratio[1],
         "paper_bound": top / bottom,
-        "rounds_used": rounds_used,
-        "max_message_bits": max_message_bits,
+        "rounds_used": run.rounds_used,
+        "max_message_bits": run.max_message_bits,
     }
 
 
@@ -170,8 +170,7 @@ def _cmd_run(args) -> int:
         if trace_fh:
             trace_fh.close()
     opt = len(_optimum(problem, g)) if args.oracle else None
-    doc = _report(args.alg, g, len(members), bound,
-                  run.rounds_used, run.max_message_bits, delta, opt, problem == "ds")
+    doc = _report(args.alg, g, len(members), bound, run, opt, problem)
     doc["members"] = members
     _emit(doc)
     return EXIT_OK

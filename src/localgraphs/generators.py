@@ -35,10 +35,6 @@ class DirectedCycle(NamedTuple):
     def predecessor(self, v: int) -> int:
         return (v - 1) % self.n
 
-    def forward_distance(self, u: int, v: int) -> int:
-        """Edges on the directed path from u to v."""
-        return (v - u) % self.n
-
 
 @functools.lru_cache(maxsize=1)
 def _cycle_graph(n: int) -> Graph:
@@ -62,21 +58,20 @@ def _neighbour_lists(n: int, pairs: Iterable[Edge]) -> list[list[int]]:
     return [sorted(lst) for lst in nbrs]
 
 
-def _port_specs(pairs: Iterable[Edge], nbrs: Sequence[Sequence[int]],
-                directions: dict[Edge, str] | None = None):
-    """Edge specs for ``pairs`` that give node v port p toward ``nbrs[v][p-1]``.
+def _port_specs(nbrs: Sequence[Sequence[int]], directions: dict[Edge, str] | None = None):
+    """Edge specs, sorted by edge, that give node v port p toward ``nbrs[v][p-1]``.
 
     ``directions`` maps each normalized pair to its ``build_graph`` direction.
     """
     port = [{u: p for p, u in enumerate(lst, start=1)} for lst in nbrs]
-    return [(u, v, port[u][v], port[v][u], None if directions is None else directions[(u, v)])
-            for u, v in sorted(normalize_edge(a, b) for a, b in pairs)]
+    return sorted((u, v, pu, port[v][u], None if directions is None else directions[(u, v)])
+                  for u, lst in enumerate(nbrs) for pu, v in enumerate(lst, start=1) if u < v)
 
 
 def _ascending_port_specs(n: int, pairs: Sequence[Edge],
                           directions: dict[Edge, str] | None = None):
     """Edge specs with each node's ports in ascending neighbour-id order."""
-    return _port_specs(pairs, _neighbour_lists(n, pairs), directions)
+    return _port_specs(_neighbour_lists(n, pairs), directions)
 
 
 def cycle_power(c: DirectedCycle, k: int) -> Graph:
@@ -184,13 +179,15 @@ def symmetric_complete(delta: int) -> Graph:
 def matching_to_independent_set(c: DirectedCycle, m) -> frozenset[int]:
     """Tails of the matched directed cycle edges; same size, independent."""
     tails = set()
-    for a, b in m:
-        if c.forward_distance(a, b) == 1:
-            tails.add(a)
-        elif c.forward_distance(b, a) == 1:
-            tails.add(b)
-        else:
+    for item in m:
+        try:
+            a, b = item
+            tail = a if (b - a) % c.n == 1 else b if (a - b) % c.n == 1 else None
+        except (TypeError, ValueError):     # not a pair, or not a pair of numbers
+            raise MalformedSolutionError(f"{item!r} is not a cycle edge") from None
+        if tail is None:
             raise MalformedSolutionError(f"({a}, {b}) is not a cycle edge")
+        tails.add(tail)
     validate_matching(c.graph, m)
     return frozenset(tails)
 
@@ -330,7 +327,7 @@ def shuffle_ports(g: Graph, seed: int) -> Graph:
         return tuple(tuple(row[i] for i in order) for row, order in zip(rows, orders))
 
     directions = reordered(map(g.port_directions, g.nodes)) if g.has_orientation else None
-    return Graph(g.n, g.colours, reordered(map(g.neighbours, g.nodes)), directions, g.edges)
+    return Graph(g.colours, reordered(map(g.neighbours, g.nodes)), directions, g.edges)
 
 
 def random_bipartite(n: int, delta: int, seed: int) -> Graph:
@@ -347,7 +344,7 @@ def random_bipartite(n: int, delta: int, seed: int) -> Graph:
     pairs = _fill_random_edges(n, delta, rng, colours, cover)
     nbrs = _neighbour_lists(n, pairs)
     _shuffle_each(nbrs, rng.getrandbits(32))
-    return build_graph(n, _port_specs(pairs, nbrs), colours)
+    return build_graph(n, _port_specs(nbrs), colours)
 
 
 def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
@@ -370,7 +367,7 @@ def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
     nbrs = _neighbour_lists(n, pairs)
     colours = fixup_weak_colouring(nbrs, [rng.choice((BLACK, WHITE)) for _ in range(n)])
     _shuffle_each(nbrs, rng.getrandbits(32))
-    return build_graph(n, _port_specs(pairs, nbrs, directions), colours)
+    return build_graph(n, _port_specs(nbrs, directions), colours)
 
 
 def random_weak_colouring(g: Graph, seed: int) -> list[str]:

@@ -45,24 +45,25 @@ class ColouringClass(IntEnum):
 class Graph:
     """Immutable graph held as its port tables.
 
-    ``port_to[v]`` lists v's neighbours in port order.  ``directions[v]``
-    gives, in the same order, OUTGOING or INCOMING for the edge behind
-    each port; ``directions`` is None on an unoriented graph.  The
-    constructor trusts its arguments.  It takes the edge set (normalized
-    ``u < v`` pairs) from ``edges`` or derives it from ``port_to``.  The
-    route table ((neighbour, arrival port) per port, the one derived port
-    table), the node labels and the colouring class are derived on their
-    first read and kept.  New structure is validated by :func:`build_graph`,
-    which passes the edge set its validation built; copies of a valid
-    graph (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
+    ``port_to[v]`` lists v's neighbours in port order, one row per node,
+    so ``n`` is its length.  ``directions[v]`` gives, in the same order,
+    OUTGOING or INCOMING for the edge behind each port; ``directions`` is
+    None on an unoriented graph.  The constructor trusts its arguments.
+    It takes the edge set (normalized ``u < v`` pairs) from ``edges`` or
+    derives it from ``port_to``.  The route table ((neighbour, arrival
+    port) per port, the one derived port table), the node labels and the
+    colouring class are derived on their first read and kept.  New
+    structure is validated by :func:`build_graph`, which passes the edge
+    set its validation built; copies of a valid graph
+    (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
     :func:`induced_subgraph`) derive their tables from the source's.
     """
 
     __slots__ = ("n", "colours", "edges", "_port_to", "_directions", "_routes",
                  "_labels", "_colouring", "_max_degree")
 
-    def __init__(self, n, colours, port_to, directions, edges=None):
-        self.n = n
+    def __init__(self, colours, port_to, directions, edges=None):
+        self.n = len(port_to)
         self.colours = colours          # tuple[str, ...] | None
         self._port_to = port_to         # tuple[tuple[int, ...], ...]
         self._directions = directions or None   # tuple[tuple[str, ...], ...] | None
@@ -151,8 +152,7 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n == other.n and self.colours == other.colours
-                and self._port_to == other._port_to
+        return (self.colours == other.colours and self._port_to == other._port_to
                 and self._directions == other._directions)
 
     __hash__ = None  # mutable-free but identity hashing would be a trap
@@ -231,8 +231,8 @@ def build_graph(node_count: int,
                 f"node {v}: ports {sorted(at)} are not exactly 1..{len(at)}") from None
     if directed:
         port_to, directions = zip(*[zip(*row) for row in rows])
-        return Graph(node_count, colour_list, port_to, directions, frozenset(edge_set))
-    return Graph(node_count, colour_list, tuple(rows), None, frozenset(edge_set))
+        return Graph(colour_list, port_to, directions, frozenset(edge_set))
+    return Graph(colour_list, tuple(rows), None, frozenset(edge_set))
 
 
 def _normalize_colours(n, colours):
@@ -306,7 +306,7 @@ def with_colours(g: Graph, colours: Sequence[str] | None) -> Graph:
     The node labels and the colouring class depend on the colours, so
     the copy derives its own.
     """
-    h = Graph(g.n, _normalize_colours(g.n, colours), g._port_to, g._directions, g.edges)
+    h = Graph(_normalize_colours(g.n, colours), g._port_to, g._directions, g.edges)
     h._routes = g._routes
     return h
 
@@ -316,7 +316,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     if any(type(x) is not int for x in perm) or sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     port_to = _moved([tuple(perm[u] for u in nbrs) for nbrs in g._port_to], perm)
-    return Graph(g.n, _moved(g.colours, perm), port_to, _moved(g._directions, perm))
+    return Graph(_moved(g.colours, perm), port_to, _moved(g._directions, perm))
 
 
 def _moved(rows: Sequence | None, perm: Sequence[int]) -> tuple | None:
@@ -339,7 +339,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     port_to = g1._port_to + tuple(tuple(ids[u] for u in nbrs) for nbrs in g2._port_to)
     colours = g1.colours + g2.colours if g1.has_colours else None
     directions = g1._directions + g2._directions if g1.has_orientation else None
-    return Graph(g1.n + g2.n, colours, port_to, directions)
+    return Graph(colours, port_to, directions)
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -364,8 +364,8 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
         if directions is not None:
             directions.append(tuple(g._directions[old][i] for i in ports))
     colours = None if g.colours is None else tuple(g.colours[old] for old in kept)
-    return (Graph(len(kept), colours, tuple(port_to),
-                  None if directions is None else tuple(directions)), tuple(kept))
+    return (Graph(colours, tuple(port_to), None if directions is None else tuple(directions)),
+            tuple(kept))
 
 
 # -- JSON interchange ----------------------------------------------------------

@@ -12,6 +12,7 @@ times the maximum size.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Any, NamedTuple, Sequence
 
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
@@ -20,7 +21,7 @@ from .errors import InvariantError, MalformedSolutionError, TooLargeError
 from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
 # the bench target matching.classify_colouring looks the name up in this module
 from .graph import classify_colouring  # noqa: F401
-from .oracles import _augmenting_distance, partner_map, try_bipartition, validate_matching
+from .oracles import _augmenting_distance, try_bipartition, validate_matching
 
 Matching = frozenset[Edge]
 Path = tuple[int, ...]
@@ -63,7 +64,7 @@ def flood_phase(g: Graph, m, h: int) -> AugmentingForest:
     check_colouring(g, MatchingSchemeAlgorithm)
     if h < 1 or h % 2 == 0:
         raise ValueError(f"path length must be a positive odd number, got {h}")
-    return _flood(g, partner_map(validate_matching(g, m)), h)
+    return _flood(g, validate_matching(g, m), h)
 
 
 def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
@@ -144,7 +145,7 @@ def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
 
 def augment_phase(g: Graph, m, paths: Sequence[Path]) -> Matching:
     """Flip every path against the matching; grows it by one edge per path."""
-    partner = partner_map(validate_matching(g, m))
+    partner = validate_matching(g, m)
     _augment(g, partner, paths)
     return _edges(partner)
 
@@ -170,7 +171,7 @@ def _augment(g: Graph, partner: dict[int, int], paths: Sequence[Path]) -> None:
             raise MalformedSolutionError(f"path {path} does not join unmatched endpoints")
         for idx, (a, b) in enumerate(zip(path, path[1:])):
             e = normalize_edge(a, b)
-            if e not in g.edges:
+            if not (type(a) is int and type(b) is int) or e not in g.edges:
                 raise MalformedSolutionError(f"{e} is not an edge")
             if (partner.get(a) == b) != (idx % 2 == 1):
                 raise MalformedSolutionError(f"path {path} does not alternate at {e}")
@@ -182,27 +183,16 @@ def _augment(g: Graph, partner: dict[int, int], paths: Sequence[Path]) -> None:
         raise InvariantError("augmentation did not grow the matching by one edge per path")
 
 
-class SchemeStats:
+class SchemeStats(SimpleNamespace):
     """Counters the tests use to pin the invocation schedule.
 
     Not a ``NamedTuple`` like the other records: ``record`` updates it
-    in place.  Equal when all three counters are equal.
+    in place.  ``SimpleNamespace`` compares it by its three counters and
+    prints them.
     """
 
     def __init__(self) -> None:
-        self.invocations: dict[int, int] = {}
-        self.augmentations: list[int] = []
-        self.sizes: list[int] = []
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.invocations, self.augmentations, self.sizes)
-                == (other.invocations, other.augmentations, other.sizes))
-
-    def __repr__(self) -> str:
-        return (f"SchemeStats(invocations={self.invocations!r}, "
-                f"augmentations={self.augmentations!r}, sizes={self.sizes!r})")
+        super().__init__(invocations={}, augmentations=[], sizes=[])
 
     def record(self, i: int, paths: int, size: int, times: int = 1) -> None:
         self.invocations[i] = self.invocations.get(i, 0) + times
@@ -223,7 +213,7 @@ def eliminate_length(g: Graph, m, i: int, *,
     delta = degree_bound(g, max_degree)
     if i >= 1:      # an i < 1 is invocation_count's ValueError
         scheme_round_budget(delta, i)
-    partner = partner_map(validate_matching(g, m))
+    partner = validate_matching(g, m)
     side = try_bipartition(g) if assert_oracle else None    # g is properly coloured
     _eliminate(g, partner, i, delta, stats, side)
     return _edges(partner)
@@ -251,8 +241,7 @@ def _eliminate(g: Graph, partner: dict[int, int], i: int, delta: int,
     t = invocation_count(delta, i)
 
     def oracle() -> int | None:
-        return _augmenting_distance(g, partner_map(validate_matching(g, _edges(partner))),
-                                    side)
+        return _augmenting_distance(g, validate_matching(g, _edges(partner)), side)
 
     spl = None          # the oracle's answer for the current matching
     for done in range(1, t + 1):

@@ -66,8 +66,7 @@ def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
             if directions is not None:
                 directions[v] += (OUTGOING,)
                 directions.append((INCOMING,))
-    graph = Graph(len(port_to), None, tuple(port_to),
-                  None if directions is None else tuple(directions))
+    graph = Graph(None, tuple(port_to), None if directions is None else tuple(directions))
     if any(graph.degree(v) % 2 == 0 for v in graph.nodes):
         raise InvariantError("dummy-augmented core has an even-degree node")
     return DummyAugmentedGraph(graph=graph, base=base, original_ids=original_ids)

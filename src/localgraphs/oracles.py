@@ -255,23 +255,22 @@ def _augmenting_tree(g: Graph, match: list[int], root: int, parent: list[int],
 
 # -- augmenting paths ----------------------------------------------------------
 
-def validate_matching(g: Graph, m: Iterable[Edge]) -> frozenset[Edge]:
-    edges = frozenset(normalize_edge(u, v) for u, v in m)
-    seen: set[int] = set()
+def validate_matching(g: Graph, m: Iterable[Edge]) -> dict[int, int]:
+    """Each matched node's partner; a member of m that is not an edge of g,
+    or that shares a node with another, is a MalformedSolutionError."""
+    edges = set()
+    for item in m:
+        try:
+            edges.add(normalize_edge(*item))
+        except TypeError:       # not a pair, or a pair that cannot be ordered or hashed
+            raise MalformedSolutionError(f"{item!r} is not an edge") from None
+    partner: dict[int, int] = {}
     for u, v in edges:
         # a node id is an int itself: a bool or a float that equals one is not a node
         if not (type(u) is int and type(v) is int) or (u, v) not in g.edges:
             raise MalformedSolutionError(f"({u}, {v}) is not an edge")
-        if u in seen or v in seen:
+        if u in partner or v in partner:
             raise MalformedSolutionError(f"node reused by matching at ({u}, {v})")
-        seen.update((u, v))
-    return edges
-
-
-def partner_map(m: Iterable[Edge]) -> dict[int, int]:
-    """Each matched node's partner."""
-    partner: dict[int, int] = {}
-    for u, v in m:
         partner[u] = v
         partner[v] = u
     return partner
@@ -284,7 +283,7 @@ def shortest_augmenting_path_length(g: Graph, m: Iterable[Edge]) -> int | None:
     accepts; a non-bipartite graph raises ValueError.  An alternating
     breadth-first search from the free nodes of side 0 finds the length.
     """
-    partner = partner_map(validate_matching(g, m))
+    partner = validate_matching(g, m)
     side = try_bipartition(g)
     if side is None:
         raise ValueError("shortest augmenting path length needs a bipartite graph")

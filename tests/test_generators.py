@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -185,6 +186,12 @@ class TestMatchingToIndependentSet:
         c = numbered_cycle(6)
         with pytest.raises(MalformedSolutionError, match="is not a cycle edge"):
             matching_to_independent_set(c, {(0, 3)})
+
+    @pytest.mark.parametrize("member", [("a", 1), (0, 1, 2), (0,), 5])
+    def test_member_that_is_not_a_pair_of_numbers_rejected(self, member):
+        with pytest.raises(MalformedSolutionError,
+                           match=re.escape(f"{member!r} is not a cycle edge")):
+            matching_to_independent_set(numbered_cycle(6), [member])
 
 
 class TestMergeLayers:

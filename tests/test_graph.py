@@ -371,7 +371,7 @@ def test_tables_read_lazily_equal_an_eager_derivation(make, first):
     after = with_colours(g, g.colours)
     port_of, routes, edges = eager_tables(g)
     directions = None if not g.has_orientation else tuple(map(g.port_directions, g.nodes))
-    eager = Graph(g.n, g.colours, tuple(map(g.neighbours, g.nodes)), directions)
+    eager = Graph(g.colours, tuple(map(g.neighbours, g.nodes)), directions)
     for h in (g, after, before):
         assert h == g == eager
         assert h.edges == edges == eager.edges and isinstance(h.edges, frozenset)

@@ -206,6 +206,64 @@ class TestProposalAndAugment:
         with pytest.raises(MalformedSolutionError, match="even edge count"):
             augment_phase(p4_coloured, frozenset(), [(0, 1, 2)])
 
+    @pytest.mark.parametrize("path", [(0, 1.0), (0.0, 1), (0, True)])
+    def test_augment_refuses_a_value_equal_to_a_node_id(self, single_edge, path):
+        """A float or a bool that equals a node id is not that node, as in
+        ``validate_matching`` and ``verify_solution``."""
+        with pytest.raises(MalformedSolutionError, match="is not an edge"):
+            augment_phase(single_edge, frozenset(), [path])
+
+
+class TestPlantedFaults:
+    """Each InvariantError of the scheme, reached through a fault planted
+    in what the checked code trusts."""
+
+    def test_flood_reaching_a_black_node_over_two_edges(self):
+        # b w b w b: both whites name node 2 as their partner
+        with pytest.raises(InvariantError, match=r"^flood reached black node 2 other than "
+                                                 r"over one matched edge$"):
+            _flood(path_graph("bwbwb"), {1: 2, 2: 1, 3: 2}, 3)
+
+    def test_augmentation_that_does_not_grow_the_matching(self, p4_coloured):
+        partner = {1: 2}    # node 2 does not name node 1 back
+        with pytest.raises(InvariantError, match=r"^augmentation did not grow the matching "
+                                                 r"by one edge per path$"):
+            _augment(p4_coloured, partner, [(0, 1, 2, 3)])
+
+    def test_oracle_finding_a_shorter_path_after_an_invocation(self, monkeypatch,
+                                                                p4_coloured):
+        monkeypatch.setattr("localgraphs.matching._augmenting_distance",
+                            lambda g, partner, side: 1)
+        with pytest.raises(InvariantError,
+                           match=r"^invocation left an augmenting path of length 1 < 3$"):
+            eliminate_length(p4_coloured, {(1, 2)}, 2, assert_oracle=True)
+
+    def test_oracle_finding_a_path_that_survived(self, monkeypatch, p4_coloured):
+        monkeypatch.setattr("localgraphs.matching._augmenting_distance",
+                            lambda g, partner, side: 1)
+        with pytest.raises(InvariantError,
+                           match=r"^length-1 augmenting path survived elimination at h=1$"):
+            eliminate_length(p4_coloured, frozenset(), 1, assert_oracle=True)
+
+    def test_step_flood_reaching_an_unmatched_white_early(self):
+        alg = MatchingSchemeAlgorithm(2)
+        state, _ = alg.init(NodeView(degree=2, max_degree=2, colour=WHITE))
+        assert _position(2, 2, 7) == (3, 1, 2)      # hop 1 of the first h = 3 invocation
+        with pytest.raises(InvariantError, match=r"^flood reached an unmatched white node "
+                                                 r"after 1 < 3 hops$"):
+            alg.step(state, {1: b"\x01"}, 7)
+
+    def test_step_flood_reaching_an_unmatched_black(self):
+        alg = MatchingSchemeAlgorithm(2)
+        state, _ = alg.init(NodeView(degree=2, max_degree=2, colour=BLACK))
+        # in invocation 2 already, but not the root an unmatched black would be
+        state.update(invocation=2, joined=False, parent_port=None, depth=None,
+                     chosen_child_port=None)
+        with pytest.raises(InvariantError, match=r"^flood reached an unmatched black node; "
+                                                 r"floods reach blacks only over matched "
+                                                 r"edges$"):
+            alg.step(state, {1: b"\x01"}, 7)
+
 
 class TestEliminateLength:
     def test_invocation_formula(self):

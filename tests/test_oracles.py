@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from localgraphs.errors import MalformedSolutionError, TooLargeError
 from localgraphs.generators import numbered_cycle, random_bipartite, random_weak
 from localgraphs.graph import build_graph
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
-                                 brute_min_dominating_set, partner_map,
+                                 brute_min_dominating_set,
                                  shortest_augmenting_path_length,
                                  try_bipartition, validate_matching,
                                  verify_solution)
@@ -90,7 +91,7 @@ def _dfs_shortest_augmenting(g, partner):
 
 def dfs_shortest_augmenting_path_length(g, m):
     """The oracle's answer by exhaustive search, on bipartite graphs or not."""
-    return _dfs_shortest_augmenting(g, partner_map(validate_matching(g, m)))
+    return _dfs_shortest_augmenting(g, validate_matching(g, m))
 
 
 def enum_min_vertex_cover_size(g):
@@ -405,6 +406,11 @@ class TestVerify:
     def test_unknown_kind_is_one_violation(self):
         report = verify_solution(random_weak(10, 3, 1), Solution("bogus", frozenset({0})))
         assert report == (False, ["'bogus' is not a solution kind"])
+
+    @pytest.mark.parametrize("member", [(0, 1, 2), ("a", 2), (0,), 5, ([0], [1])])
+    def test_validate_matching_refuses_a_member_that_is_not_a_pair_of_ids(self, member):
+        with pytest.raises(MalformedSolutionError, match=re.escape(f"{member!r} is not an edge")):
+            validate_matching(numbered_cycle(4).graph, [(2, 3), member])
 
     def test_validate_matching_refuses_a_member_equal_to_a_node_id(self):
         g = numbered_cycle(4).graph
