@@ -333,15 +333,10 @@ def main(argv=None) -> int:
     except OSError as exc:      # a path named on the command line
         _emit({"error": "io-error", "message": str(exc)})
         return EXIT_INPUT
-    except CapabilityError as exc:
+    except (LocalGraphError, ValueError) as exc:   # the class decides the exit code
         _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_CAPABILITY
-    except InvariantError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_INTERNAL
-    except (LocalGraphError, ValueError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_INPUT
+        return (EXIT_CAPABILITY if isinstance(exc, CapabilityError)
+                else EXIT_INTERNAL if isinstance(exc, InvariantError) else EXIT_INPUT)
 
 
 if __name__ == "__main__":

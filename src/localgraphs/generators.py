@@ -178,6 +178,7 @@ def symmetric_complete(delta: int) -> Graph:
 
 def matching_to_independent_set(c: DirectedCycle, m) -> frozenset[int]:
     """Tails of the matched directed cycle edges; same size, independent."""
+    m = list(m)         # read once: the check below reads it again
     tails = set()
     for item in m:
         try:
@@ -203,12 +204,13 @@ def merge_layer_independent_sets(c: DirectedCycle,
     """
     working = []
     for i, s in enumerate(sets):
-        s = set(s)
-        for v in s:
+        s = list(s)
+        for v in s:     # checked before the set, so an unhashable member is refused
             if type(v) is not int or not 0 <= v < c.n:
                 raise MalformedSolutionError(f"{v} is not a cycle node")
-            if c.successor(v) in s:
-                raise MalformedSolutionError(f"layer {i} contains adjacent nodes")
+        s = set(s)
+        if any(c.successor(v) in s for v in s):
+            raise MalformedSolutionError(f"layer {i} contains adjacent nodes")
         working.append(s)
     result: set[int] = set()
     for i in range(len(working)):

@@ -348,10 +348,10 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
     Returns the subgraph and the original id of each new node.  The kept
     node set must leave no node isolated.
     """
-    kept = set(nodes)
+    kept = list(nodes)      # checked before the set, so an unhashable member is refused
     if not all(type(v) is int and 0 <= v < g.n for v in kept):
         raise ValueError(f"kept nodes must be ints in 0..{g.n - 1}")
-    kept = sorted(kept)
+    kept = sorted(set(kept))
     new_id = {old: i for i, old in enumerate(kept)}
     port_to = []
     directions = None if g._directions is None else []

@@ -18,7 +18,7 @@ from typing import Any, NamedTuple, Sequence
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
                      degree_bound, run_local_algorithm)
 from .errors import InvariantError, MalformedSolutionError, TooLargeError
-from .graph import BLACK, WHITE, ColouringClass, Edge, Graph, normalize_edge
+from .graph import BLACK, ColouringClass, Edge, Graph, normalize_edge
 # the bench target matching.classify_colouring looks the name up in this module
 from .graph import classify_colouring  # noqa: F401
 from .oracles import _augmenting_distance, try_bipartition, validate_matching
@@ -86,25 +86,22 @@ def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
         for v, ports in arrivals.items():
             if v in joined:
                 continue
-            port = min(ports)
-            if g.colour(v) == WHITE:
-                if v not in partner:
-                    if t < h:
-                        raise InvariantError(
-                            f"flood reached an unmatched white node after {t} < {h} hops")
-                    joined[v] = port
+            black = g.colour(v) == BLACK
+            mate = partner.get(v)
+            if black and (mate is None or len(ports) != 1):
+                raise InvariantError(
+                    f"flood reached black node {v} other than over one matched edge")
+            if mate is None and t < h:
+                raise InvariantError(
+                    f"flood reached an unmatched white node after {t} < {h} hops")
+            if black or mate is None or t < h:      # a matched white drops the last hop
+                joined[v] = min(ports)
+                if black:
+                    sends.extend(r for r in routes[v] if r[0] != mate)
+                elif mate is None:
                     leaves.add(v)
-                elif t < h:
-                    joined[v] = port
-                    sends.append(next(r for r in routes[v] if r[0] == partner[v]))
-                # matched white on the last hop: message discarded
-            else:
-                if v not in partner or len(ports) != 1:
-                    raise InvariantError(
-                        f"flood reached black node {v} other than over one matched edge")
-                joined[v] = port
-                mate = partner[v]
-                sends.extend(r for r in routes[v] if r[0] != mate)
+                else:
+                    sends.append(next(r for r in routes[v] if r[0] == mate))
 
     parent_port: dict[int, int] = {}
     roots: set[int] = set()
@@ -146,7 +143,7 @@ def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
 def augment_phase(g: Graph, m, paths: Sequence[Path]) -> Matching:
     """Flip every path against the matching; grows it by one edge per path."""
     partner = validate_matching(g, m)
-    _augment(g, partner, paths)
+    _augment(g, partner, tuple(paths))      # read once: _augment reads it twice
     return _edges(partner)
 
 
@@ -159,22 +156,25 @@ def _augment(g: Graph, partner: dict[int, int], paths: Sequence[Path]) -> None:
     """Check the paths against a valid matching's partner map, then flip them in place."""
     used: set[int] = set()
     for path in paths:
-        nodes = set(path)
-        if len(nodes) != len(path):
-            raise MalformedSolutionError(f"path {path} repeats a node")
-        if len(path) % 2 != 0:
-            raise MalformedSolutionError(f"path {path} has even edge count")
-        if used & nodes:
-            raise MalformedSolutionError(f"path {path} overlaps another path")
-        used |= nodes
-        if path[0] in partner or path[-1] in partner:
-            raise MalformedSolutionError(f"path {path} does not join unmatched endpoints")
-        for idx, (a, b) in enumerate(zip(path, path[1:])):
-            e = normalize_edge(a, b)
-            if not (type(a) is int and type(b) is int) or e not in g.edges:
-                raise MalformedSolutionError(f"{e} is not an edge")
-            if (partner.get(a) == b) != (idx % 2 == 1):
-                raise MalformedSolutionError(f"path {path} does not alternate at {e}")
+        try:
+            nodes = set(path)
+            if len(nodes) != len(path):
+                raise MalformedSolutionError(f"path {path} repeats a node")
+            if len(path) % 2 != 0:
+                raise MalformedSolutionError(f"path {path} has even edge count")
+            if used & nodes:
+                raise MalformedSolutionError(f"path {path} overlaps another path")
+            used |= nodes
+            if path[0] in partner or path[-1] in partner:
+                raise MalformedSolutionError(f"path {path} does not join unmatched endpoints")
+            for idx, (a, b) in enumerate(zip(path, path[1:])):
+                e = normalize_edge(a, b)
+                if not (type(a) is int and type(b) is int) or e not in g.edges:
+                    raise MalformedSolutionError(f"{e} is not an edge")
+                if (partner.get(a) == b) != (idx % 2 == 1):
+                    raise MalformedSolutionError(f"path {path} does not alternate at {e}")
+        except (TypeError, LookupError):    # reading it failed: not a non-empty sequence of ids
+            raise MalformedSolutionError(f"{path!r} is not a path") from None
     size = len(partner)
     for path in paths:      # the new pairs overwrite the old ones of every inner node
         for a, b in zip(path[::2], path[1::2]):
@@ -208,6 +208,7 @@ def eliminate_length(g: Graph, m, i: int, *,
 
     Refuses an i < 1 with a ValueError, and an i whose schedule
     ``run_matching_scheme(g, i)`` would refuse with its TooLargeError.
+    An augmenting path shorter than 2i-1 raises ``flood_phase``'s InvariantError.
     """
     check_colouring(g, MatchingSchemeAlgorithm)
     delta = degree_bound(g, max_degree)
@@ -420,7 +421,6 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
         _, _, (h, rho, invocation), wakeup_flood, _ = self._facts(state["delta"], round_no)
         sends: dict[int, bytes] = {}
         black = state["colour"] == BLACK
-        white = not black
 
         if invocation != state["invocation"]:     # the first step in a new invocation
             root = black and state["matched_port"] is None
@@ -445,32 +445,25 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
 
             if port is not None and not state["joined"]:
                 matched = state["matched_port"]
-                if white and matched is None:
-                    if rho < h:
-                        raise InvariantError(
-                            f"flood reached an unmatched white node after {rho} < {h} hops")
+                if black and matched is None:
+                    raise InvariantError(
+                        "flood reached an unmatched black node; floods reach "
+                        "blacks only over matched edges")
+                if matched is None and rho < h:
+                    raise InvariantError(
+                        f"flood reached an unmatched white node after {rho} < {h} hops")
+                if black or matched is None or rho < h:     # a matched white drops the last hop
                     state["joined"] = True
                     state["parent_port"] = port
                     state["depth"] = rho
-                    sends[port] = _PROPOSE
-                elif white:
-                    if rho < h:
-                        state["joined"] = True
-                        state["parent_port"] = port
-                        state["depth"] = rho
+                    if black:
+                        for p in range(1, state["degree"] + 1):
+                            if p != matched:
+                                sends[p] = _FLOOD
+                    elif matched is None:
+                        sends[port] = _PROPOSE
+                    else:
                         sends[matched] = _FLOOD
-                    # discarded on the last hop
-                else:
-                    if matched is None:
-                        raise InvariantError(
-                            "flood reached an unmatched black node; floods reach "
-                            "blacks only over matched edges")
-                    state["joined"] = True
-                    state["parent_port"] = port
-                    state["depth"] = rho
-                    for p in range(1, state["degree"] + 1):
-                        if p != matched:
-                            sends[p] = _FLOOD
 
             if child is not None:
                 state["chosen_child_port"] = child
@@ -481,10 +474,7 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                     sends[state["parent_port"]] = _PROPOSE
 
             if accepted:
-                if white:
-                    state["matched_port"] = state["parent_port"]
-                else:
-                    state["matched_port"] = state["chosen_child_port"]
+                state["matched_port"] = state["chosen_child_port" if black else "parent_port"]
                 if state["chosen_child_port"] is not None and state["depth"] != h:
                     sends[state["chosen_child_port"]] = _ACCEPT
 

@@ -2,7 +2,11 @@
 
 Every black node adopts a white parent, every childless white node adopts
 a black parent, and the resulting depth-(1-or-2) trees are normalized to
-stars.  Star roots form a dominating set of at most half the nodes; one
+stars by one rule: every child with children of its own heads its own
+star, the root keeps its leaf children as its star, and a root with no
+leaf child joins the star of its lowest-port child.  The paper's cases
+1-3 are a root with only leaf children, with both kinds and with no leaf
+child.  Star roots form a dominating set of at most half the nodes; one
 root-leaf edge per star forms a matching with at least n/(max degree + 1)
 edges.  All arbitrary choices resolve to the lowest eligible port index.
 """
@@ -53,8 +57,9 @@ def _lowest_port_with_colour(g: Graph, v: int, colour: str) -> int:
 
 
 def normalize_stars(g: Graph, parent_port: Mapping[int, int]) -> StarForest:
-    """Cases 1-3 on ``build_parent_forest``'s parent ports: detach non-leaf
-    children, or reverse one edge at the root.
+    """The module's star rule on ``build_parent_forest``'s parent ports:
+    each child with children heads its own star, the root keeps its leaf
+    children, and a root with none joins its lowest-port child's star.
 
     Refuses a bad port, a parent cycle, a node at depth > 2 and a
     childless root; any other map yields a star forest of ``g``, so the
@@ -81,21 +86,13 @@ def normalize_stars(g: Graph, parent_port: Mapping[int, int]) -> StarForest:
         kids = children[r]
         if not kids:
             raise MalformedSolutionError(f"parentless node {r} has no children")
-        leaf_kids = [c for c in kids if not children[c]]
-        branch_kids = [c for c in kids if children[c]]
-        if not branch_kids:                                  # case 1
-            stars[r] = frozenset(kids)
-        elif leaf_kids:                                      # case 2
-            stars[r] = frozenset(leaf_kids)
-            for c in branch_kids:
-                stars[c] = frozenset(children[c])
-        else:                                                # case 3
-            branch = set(branch_kids)
-            x = next(u for u in g.neighbours(r) if u in branch)
-            for c in branch_kids:
-                if c != x:
-                    stars[c] = frozenset(children[c])
-            stars[x] = frozenset(children[x]) | {r}
+        leaves = frozenset(c for c in kids if not children[c])
+        if leaves:
+            stars[r] = leaves
+        stars.update((c, frozenset(children[c])) for c in kids if children[c])
+        if not leaves:
+            x = next(u for u in g.neighbours(r) if u in kids)
+            stars[x] |= {r}
     return StarForest(stars)
 
 
@@ -149,6 +146,10 @@ class StarForestAlgorithm(LocalAlgorithm):
     a node is a star root iff its parent port is None, and roots report
     the port of their star's matched edge.
 
+    Round 4 is the module's star rule over ports: a root keeps the children
+    that reported no children as its leaf ports and detaches the others,
+    but with no leaf child it reverses its lowest child port, joining that star.
+
     A node is stepped only on mail or a requested wake-up.  Every node
     has mail in round 1, since a weakly coloured graph has no isolated
     node.  After it a white acts only in rounds 2 (adopt a parent if no
@@ -187,40 +188,28 @@ class StarForestAlgorithm(LocalAlgorithm):
         elif round_no == 1:
             state["black_ports"] = tuple(
                 sorted(p for p, msg in inbox.items() if msg == b"B"))
-        elif round_no == 2 and not black:
+        elif round_no == (3 if black else 2):
             claims = tuple(sorted(p for p, msg in inbox.items() if msg == _CLAIM))
             state["child_ports"] = claims
-            if not claims:
+            if black:
+                sends[state["parent_port"]] = _HAS_KIDS if claims else _NO_KIDS
+            elif not claims:
                 state["parent_port"] = state["black_ports"][0]
                 sends[state["parent_port"]] = _CLAIM
-        elif round_no == 3 and black:
-            claims = tuple(sorted(p for p, msg in inbox.items() if msg == _CLAIM))
-            state["child_ports"] = claims
-            sends[state["parent_port"]] = _HAS_KIDS if claims else _NO_KIDS
         elif round_no == 4 and not black and state["child_ports"]:
-            leaf_kids = sorted(p for p in state["child_ports"] if inbox.get(p) == _NO_KIDS)
-            branch_kids = sorted(p for p in state["child_ports"] if inbox.get(p) == _HAS_KIDS)
-            if not branch_kids:                               # case 1
-                state["leaf_ports"] = tuple(state["child_ports"])
-            elif leaf_kids:                                   # case 2
-                state["leaf_ports"] = tuple(leaf_kids)
-                for p in branch_kids:
-                    sends[p] = _DETACH
-            else:                                             # case 3
-                x = branch_kids[0]
-                state["parent_port"] = x
-                sends[x] = _REVERSE
-                for p in branch_kids[1:]:
-                    sends[p] = _DETACH
-        elif round_no == 5 and black:
-            order = next(((p, msg) for p, msg in inbox.items()), None)
-            if order is not None:
-                p, msg = order
-                leaf_ports = list(state["child_ports"])
-                if msg == _REVERSE:
-                    leaf_ports.append(state["parent_port"])
-                state["parent_port"] = None
-                state["leaf_ports"] = tuple(sorted(leaf_ports))
+            kids = state["child_ports"]
+            leaves = tuple(p for p in kids if inbox.get(p) == _NO_KIDS)
+            state["leaf_ports"] = leaves
+            sends.update((p, _DETACH) for p in kids if p not in leaves)
+            if not leaves:
+                state["parent_port"] = kids[0]
+                sends[kids[0]] = _REVERSE
+        elif round_no == 5 and black and inbox:        # the parent's detach or reverse order
+            leaf_ports = state["child_ports"]
+            if _REVERSE in inbox.values():
+                leaf_ports += (state["parent_port"],)
+            state["parent_port"] = None
+            state["leaf_ports"] = tuple(sorted(leaf_ports))
         return state, sends
 
     def next_wake(self, state: dict, round_no: int) -> int | None:

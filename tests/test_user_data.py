@@ -1,0 +1,117 @@
+"""One contract for user data at every public function that takes it.
+
+A malformed matching member, path, node or node set is refused with the
+class ``errors.py`` documents for it, never with a ``TypeError`` or an
+``IndexError`` from inside the function; and each matching argument or
+node set is read once, so a one-pass iterator gives the same answer as
+the same items in a list.
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from localgraphs import BLACK, WHITE, with_colours
+from localgraphs.errors import InvariantError, MalformedSolutionError
+from localgraphs.generators import (matching_to_independent_set,
+                                    merge_layer_independent_sets, numbered_cycle)
+from localgraphs.graph import induced_subgraph
+from localgraphs.matching import augment_phase, eliminate_length, flood_phase
+from localgraphs.oracles import shortest_augmenting_path_length, validate_matching
+
+CYCLE = numbered_cycle(6)
+G = with_colours(CYCLE.graph, [BLACK, WHITE] * 3)     # properly coloured, bipartite
+EDGES = sorted(G.edges) + [(v, u) for u, v in sorted(G.edges)]
+
+# node ids in and out of range, values equal to an id that are not ints, and nesting
+atoms = st.one_of(st.integers(-2, 8), st.sampled_from([0.0, 1.0, 2.0, True, False, None]))
+values = st.recursive(atoms, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                                     st.lists(inner, max_size=3).map(tuple)),
+                      max_leaves=6)
+matchings = st.lists(st.one_of(st.sampled_from(EDGES), values), max_size=4)
+paths = st.lists(st.one_of(st.sampled_from(EDGES + [(5, 0, 1, 2), (1, 2, 3, 4)]), values),
+                 max_size=3)
+node_sets = st.lists(st.one_of(st.integers(0, 5), values), max_size=6)
+
+# name -> (argument strategy, call reading each matching or node set through
+# ``once``, the classes the function documents for malformed user data)
+ENTRY_POINTS = {
+    "validate_matching": (
+        matchings, lambda m, once: validate_matching(G, once(m)),
+        (MalformedSolutionError,)),
+    "flood_phase": (      # InvariantError: a path shorter than h exists
+        st.tuples(matchings, st.sampled_from([1, 3, 5])),
+        lambda a, once: flood_phase(G, once(a[0]), a[1]),
+        (MalformedSolutionError, InvariantError)),
+    "augment_phase": (
+        st.tuples(matchings, paths),
+        lambda a, once: augment_phase(G, once(a[0]), a[1]),
+        (MalformedSolutionError,)),
+    "eliminate_length": (     # InvariantError: the flood's, for a path shorter than 2i-1
+        st.tuples(matchings, st.sampled_from([1, 2])),
+        lambda a, once: eliminate_length(G, once(a[0]), a[1]),
+        (MalformedSolutionError, InvariantError)),
+    "shortest_augmenting_path_length": (
+        matchings, lambda m, once: shortest_augmenting_path_length(G, once(m)),
+        (MalformedSolutionError,)),
+    "matching_to_independent_set": (
+        matchings, lambda m, once: matching_to_independent_set(CYCLE, once(m)),
+        (MalformedSolutionError,)),
+    "merge_layer_independent_sets": (
+        st.lists(node_sets, max_size=3),
+        lambda layers, once: merge_layer_independent_sets(CYCLE, [once(s) for s in layers]),
+        (MalformedSolutionError,)),
+    "induced_subgraph": (
+        node_sets, lambda nodes, once: induced_subgraph(G, once(nodes)),
+        (ValueError,)),
+}
+
+
+def outcome(call):
+    """("returned", value) or (exception class, message)."""
+    try:
+        return "returned", call()
+    except Exception as exc:    # the contract is about which classes escape
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_user_data_contract(name, data):
+    strategy, call, documented = ENTRY_POINTS[name]
+    arg = data.draw(strategy)
+    from_list = outcome(lambda: call(arg, list))
+    kind, detail = from_list
+    assert kind == "returned" or issubclass(kind, documented), (kind, detail)
+    assert outcome(lambda: call(arg, iter)) == from_list
+
+
+def test_matching_to_independent_set_checks_a_one_pass_iterator():
+    with pytest.raises(MalformedSolutionError, match=r"node reused by matching at \(1, 2\)"):
+        matching_to_independent_set(numbered_cycle(6), iter([(0, 1), (1, 2)]))
+
+
+@pytest.mark.parametrize("path", [(), [[0], [1]], 0, None, (0, None)],
+                         ids=["empty", "nested", "int", "none", "unorderable"])
+def test_augment_refuses_a_path_that_is_not_a_sequence_of_ids(single_edge, path):
+    with pytest.raises(MalformedSolutionError, match=f"^{re.escape(repr(path))} is not a path$"):
+        augment_phase(single_edge, frozenset(), [path])
+
+
+def test_augment_reads_its_paths_once(single_edge):
+    assert augment_phase(single_edge, frozenset(), iter([(0, 1)])) == {(0, 1)}
+
+
+def test_merge_refuses_a_member_that_cannot_be_hashed():
+    with pytest.raises(MalformedSolutionError, match=r"^\[0, 1\] is not a cycle node$"):
+        merge_layer_independent_sets(numbered_cycle(6), [[[0, 1]]])
+
+
+def test_induced_subgraph_refuses_a_member_that_cannot_be_hashed():
+    with pytest.raises(ValueError, match=r"^kept nodes must be ints in 0\.\.5$"):
+        induced_subgraph(G, [[0, 1]])
