@@ -58,34 +58,22 @@ def _neighbour_lists(n: int, pairs: Iterable[Edge]) -> list[list[int]]:
     return [sorted(lst) for lst in nbrs]
 
 
-def _port_specs(nbrs: Sequence[Sequence[int]], directions: dict[Edge, str] | None = None):
+def _port_specs(nbrs: Sequence[Sequence[int]], arcs: set[Edge] | None = None):
     """Edge specs, sorted by edge, that give node v port p toward ``nbrs[v][p-1]``.
 
-    ``directions`` maps each normalized pair to its ``build_graph`` direction.
+    ``arcs`` orients the graph: it holds each edge once, as (tail, head).
     """
     port = [{u: p for p, u in enumerate(lst, start=1)} for lst in nbrs]
-    return sorted((u, v, pu, port[v][u], None if directions is None else directions[(u, v)])
+    return sorted((u, v, pu, port[v][u], None if arcs is None else "uv" if (u, v) in arcs else "vu")
                   for u, lst in enumerate(nbrs) for pu, v in enumerate(lst, start=1) if u < v)
-
-
-def _ascending_port_specs(n: int, pairs: Sequence[Edge],
-                          directions: dict[Edge, str] | None = None):
-    """Edge specs with each node's ports in ascending neighbour-id order."""
-    return _port_specs(_neighbour_lists(n, pairs), directions)
 
 
 def cycle_power(c: DirectedCycle, k: int) -> Graph:
     """k-th power of the cycle: u ~ v iff their cycle distance is at most k."""
     if k < 1 or c.n <= 2 * k:
         raise ValueError(f"need n > 2k >= 2, got n={c.n}, k={k}")
-    pairs = []
-    directions = {}
-    for u in range(c.n):
-        for d in range(1, k + 1):
-            v = (u + d) % c.n
-            pairs.append((u, v))
-            directions[normalize_edge(u, v)] = "uv" if u < v else "vu"
-    return build_graph(c.n, _ascending_port_specs(c.n, pairs, directions))
+    arcs = {(u, (u + d) % c.n) for u in range(c.n) for d in range(1, k + 1)}
+    return build_graph(c.n, _port_specs(_neighbour_lists(c.n, arcs), arcs))
 
 
 def strong_blowup(c: DirectedCycle, delta: int) -> Graph:
@@ -102,7 +90,7 @@ def strong_blowup(c: DirectedCycle, delta: int) -> Graph:
         for d in range(delta):
             pairs.append((2 * u, 2 * ((u + d) % c.n) + 1))
     colours = [WHITE if x % 2 == 0 else BLACK for x in range(2 * c.n)]
-    return build_graph(2 * c.n, _ascending_port_specs(2 * c.n, pairs), colours)
+    return build_graph(2 * c.n, _port_specs(_neighbour_lists(2 * c.n, pairs)), colours)
 
 
 def _layer_id(v: int, layer: int, delta: int) -> int:
@@ -132,7 +120,7 @@ def weak_layered(c: DirectedCycle, delta: int) -> Graph:
                           _layer_id(c.successor(v), i, delta)))
     n = (delta + 1) * c.n
     colours = [BLACK if x % (delta + 1) == 0 else WHITE for x in range(n)]
-    return build_graph(n, _ascending_port_specs(n, pairs), colours)
+    return build_graph(n, _port_specs(_neighbour_lists(n, pairs)), colours)
 
 
 def weak_layered_perfect_matching(c: DirectedCycle, delta: int) -> frozenset[Edge]:
@@ -363,13 +351,11 @@ def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
         raise ValueError(f"no degree-{delta} graph without isolated nodes on {n} nodes")
     rng = random.Random(f"weak:{n}:{delta}:{seed}")
     pairs = _fill_random_edges(n, delta, rng, None, _pairing_cover(n, rng))
-    directions = None
-    if oriented:
-        directions = {(u, v): "uv" if rng.random() < 0.5 else "vu" for u, v in pairs}
+    arcs = {(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs} if oriented else None
     nbrs = _neighbour_lists(n, pairs)
     colours = fixup_weak_colouring(nbrs, [rng.choice((BLACK, WHITE)) for _ in range(n)])
     _shuffle_each(nbrs, rng.getrandbits(32))
-    return build_graph(n, _port_specs(nbrs, directions), colours)
+    return build_graph(n, _port_specs(nbrs, arcs), colours)
 
 
 def random_weak_colouring(g: Graph, seed: int) -> list[str]:

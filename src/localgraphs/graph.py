@@ -57,6 +57,8 @@ class Graph:
     set its validation built; copies of a valid graph
     (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
     :func:`induced_subgraph`) derive their tables from the source's.
+    Each check on outside data has one home: :meth:`port_neighbour` for a
+    port, :meth:`has_edge` for an edge, :func:`build_graph` for an edge spec.
     """
 
     __slots__ = ("n", "colours", "edges", "_port_to", "_directions", "_routes",
@@ -110,21 +112,20 @@ class Graph:
         return self._port_to[v]
 
     def port_neighbour(self, v: int, p: int) -> int:
-        """The unique neighbour reached from v through port p."""
-        if not 1 <= p <= len(self._port_to[v]):
-            raise self._no_port(v, p)
-        return self._port_to[v][p - 1]
+        """The unique neighbour reached from v through port p, an ``int`` in 1..deg(v)."""
+        nbrs = self._port_to[v]
+        if type(p) is not int or not 1 <= p <= len(nbrs):
+            raise MalformedSolutionError(f"node {v} has ports 1..{len(nbrs)}, got {p}")
+        return nbrs[p - 1]
 
     def route(self, v: int, p: int) -> tuple[int, int]:
         """(neighbour, arrival port) of v's port p: ``routes()[v][p-1]``, checked."""
-        out = (self._routes or self._route_table())[v]
-        if not 1 <= p <= len(out):
-            raise self._no_port(v, p)
-        return out[p - 1]
+        self.port_neighbour(v, p)
+        return (self._routes or self._route_table())[v][p - 1]
 
-    def _no_port(self, v: int, p) -> MalformedSolutionError:
-        return MalformedSolutionError(
-            f"node {v} has ports 1..{len(self._port_to[v])}, got {p}")
+    def has_edge(self, u, v) -> bool:
+        """True iff u and v are ``int`` ids joined by an edge; never raises."""
+        return type(u) is int and type(v) is int and ((u, v) if u < v else (v, u)) in self.edges
 
     def routes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """``routes()[v][p-1]`` is (neighbour, arrival port) of v's port p."""
@@ -172,6 +173,8 @@ def build_graph(node_count: int,
     ``{"uv", "vu", None}``.  Directions must be given for all edges or none.
     Every defect is a GraphFormatError.
     """
+    if type(node_count) is not int:
+        raise GraphFormatError(f"node_count must be an integer, got {node_count!r}")
     if node_count < 0:
         raise GraphFormatError("node_count must be non-negative")
     colour_list = _normalize_colours(node_count, colours)
@@ -183,13 +186,15 @@ def build_graph(node_count: int,
     directed = 0
 
     for spec in edges:
-        if len(spec) == 4:
-            u, v, pu, pv = spec
-            direction = None
-        elif len(spec) == 5:
-            u, v, pu, pv, direction = spec
-        else:
-            raise GraphFormatError(f"edge spec must have 4 or 5 fields, got {spec!r}")
+        try:
+            if len(spec) == 4:
+                (u, v, pu, pv), direction = spec, None
+            else:
+                u, v, pu, pv, direction = spec
+        except (TypeError, ValueError):     # no length, or not 4 or 5 fields
+            raise GraphFormatError(f"edge spec must have 4 or 5 fields, got {spec!r}") from None
+        if not type(u) is type(v) is type(pu) is type(pv) is int:
+            raise GraphFormatError(f"edge fields must be integers: {spec!r}")
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise GraphFormatError(f"edge ({u}, {v}) out of range for {node_count} nodes")
         if u == v:
@@ -418,8 +423,6 @@ def graph_from_json_dict(doc: dict) -> Graph:
             u, v, pu, pv = fields(ed)
         except KeyError as exc:
             raise GraphFormatError(f"bad edge document: {ed!r}") from exc
-        if not type(u) is type(v) is type(pu) is type(pv) is int:
-            raise GraphFormatError(f"edge fields must be integers: {ed!r}")
         specs.append((u, v, pu, pv, ed.get("dir")))
     return build_graph(n, specs, colours)
 

@@ -169,7 +169,7 @@ def _augment(g: Graph, partner: dict[int, int], paths: Sequence[Path]) -> None:
                 raise MalformedSolutionError(f"path {path} does not join unmatched endpoints")
             for idx, (a, b) in enumerate(zip(path, path[1:])):
                 e = normalize_edge(a, b)
-                if not (type(a) is int and type(b) is int) or e not in g.edges:
+                if not g.has_edge(a, b):
                     raise MalformedSolutionError(f"{e} is not an edge")
                 if (partner.get(a) == b) != (idx % 2 == 1):
                     raise MalformedSolutionError(f"path {path} does not alternate at {e}")

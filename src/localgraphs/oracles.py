@@ -266,8 +266,7 @@ def validate_matching(g: Graph, m: Iterable[Edge]) -> dict[int, int]:
             raise MalformedSolutionError(f"{item!r} is not an edge") from None
     partner: dict[int, int] = {}
     for u, v in edges:
-        # a node id is an int itself: a bool or a float that equals one is not a node
-        if not (type(u) is int and type(v) is int) or (u, v) not in g.edges:
+        if not g.has_edge(u, v):    # a bool or a float that equals a node id is not that node
             raise MalformedSolutionError(f"({u}, {v}) is not an edge")
         if u in partner or v in partner:
             raise MalformedSolutionError(f"node reused by matching at ({u}, {v})")
@@ -332,8 +331,9 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
     A member counts as a node only when it is an ``int`` itself, so a
     bool or a float that equals a node id is a violation, not that node.
     A matching member that is not a pair of comparable values is a
-    violation too.  The kind is looked up by value, so a plain string
-    names it, and an unknown kind is the one violation reported.
+    violation too, and (v, u) is the same member as (u, v).  The kind is
+    looked up by value, so a plain string names it, and an unknown kind
+    is the one violation reported.
     """
     try:
         kind = SolutionKind(s.kind)
@@ -342,13 +342,17 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
     violations: list[str] = []
     if kind is SolutionKind.MATCHING:
         seen: set[int] = set()
+        listed: set = set()         # the normalized members checked so far
         for item in _sorted(s.members):
             try:
-                u, v = normalize_edge(*item)
-            except TypeError:       # not a pair, or a pair that cannot be ordered
+                u, v = pair = normalize_edge(*item)
+                if pair in listed:
+                    continue
+                listed.add(pair)
+            except TypeError:       # not a pair, or a pair that cannot be ordered or hashed
                 violations.append(f"{item!r} is not an edge of the graph")
                 continue
-            if not (type(u) is int and type(v) is int) or (u, v) not in g.edges:
+            if not g.has_edge(u, v):
                 violations.append(f"({u}, {v}) is not an edge of the graph")
                 continue
             if u in seen or v in seen:

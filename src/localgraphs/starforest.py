@@ -13,6 +13,7 @@ edges.  All arbitrary choices resolve to the lowest eligible port index.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from typing import Any, Mapping, NamedTuple
 
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
@@ -99,10 +100,12 @@ def normalize_stars(g: Graph, parent_port: Mapping[int, int]) -> StarForest:
 def _check_star_forest(g: Graph, stars: Mapping[int, frozenset[int]]) -> None:
     assigned: set[int] = set()
     for root, leaves in stars.items():
+        if not isinstance(leaves, Collection):
+            raise MalformedSolutionError(f"star at {root} has leaves {leaves!r}, not a node set")
         if not leaves:
             raise MalformedSolutionError(f"star at {root} has no leaves")
         for leaf in leaves:
-            if normalize_edge(root, leaf) not in g.edges:
+            if not g.has_edge(root, leaf):
                 raise MalformedSolutionError(f"leaf {leaf} not adjacent to root {root}")
         members = {root, *leaves}
         if members & assigned:

@@ -11,8 +11,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from localgraphs import BLACK, WHITE, ColouringClass, LocalAlgorithm, build_graph
 from localgraphs.engine import view_classes
-from localgraphs.generators import _ascending_port_specs
-from localgraphs.graph import Graph, normalize_edge
+from localgraphs.generators import _neighbour_lists, _port_specs
+from localgraphs.graph import Graph
 from localgraphs.starforest import StarForestAlgorithm
 
 
@@ -21,10 +21,9 @@ def ascending_ports(n: int, pairs, colours=None, directions=None) -> Graph:
 
     ``directions`` maps every pair, as given, to "uv" or "vu".
     """
-    if directions is not None:
-        directions = {normalize_edge(u, v): d if u < v else ("vu" if d == "uv" else "uv")
-                      for (u, v), d in directions.items()}
-    return build_graph(n, _ascending_port_specs(n, pairs, directions), colours)
+    arcs = None if directions is None else {(u, v) if d == "uv" else (v, u)
+                                             for (u, v), d in directions.items()}
+    return build_graph(n, _port_specs(_neighbour_lists(n, pairs), arcs), colours)
 
 
 def greedy_random_matching(g: Graph, rng, keep: float = 0.7) -> frozenset:

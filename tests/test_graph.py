@@ -121,6 +121,34 @@ def test_build_graph_reports_the_first_defect(n, specs, message):
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("n, specs, message", [
+    (2, [None], "edge spec must have 4 or 5 fields, got None"),
+    (2, [5], "edge spec must have 4 or 5 fields, got 5"),
+    (2, [(0, 1, 1, 1, None, None)], "edge spec must have 4 or 5 fields, got (0, 1, 1, 1, None, None)"),
+    (True, [], "node_count must be an integer, got True"),
+    ("2", [], "node_count must be an integer, got '2'"),
+    (2.0, [], "node_count must be an integer, got 2.0"),
+    (None, [], "node_count must be an integer, got None"),
+], ids=["none-spec", "int-spec", "6-field spec", "bool-count", "str-count", "float-count",
+        "none-count"])
+def test_build_graph_refuses_a_spec_without_fields_and_a_count_that_is_not_an_int(
+        n, specs, message):
+    with pytest.raises(GraphFormatError) as caught:
+        build_graph(n, specs)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("field, value", [("u", False), ("v", True), ("port_u", 1.0),
+                                          ("port_v", "1"), ("u", None)])
+def test_json_edge_fields_must_be_integers(field, value):
+    edge = {"u": 0, "v": 1, "port_u": 1, "port_v": 1, "dir": None, field: value}
+    doc = {"nodes": [{"id": 0, "colour": None}, {"id": 1, "colour": None}], "edges": [edge]}
+    spec = (edge["u"], edge["v"], edge["port_u"], edge["port_v"], None)
+    with pytest.raises(GraphFormatError) as caught:
+        loads(json.dumps(doc))
+    assert str(caught.value) == f"edge fields must be integers: {spec!r}"
+
+
 class TestClassify:
     def test_single_edge_proper(self, single_edge):
         assert classify_colouring(single_edge) is ColouringClass.PROPER
@@ -159,6 +187,18 @@ class TestPorts:
     def test_out_of_range(self, single_edge):
         with pytest.raises(MalformedSolutionError, match=r"has ports 1\.\.1, got 2"):
             single_edge.port_neighbour(0, 2)
+
+    @pytest.mark.parametrize("port", [True, 1.0, "1", None])
+    def test_a_port_is_an_int(self, single_edge, port):
+        # route checks its port through port_neighbour, so both refuse the same values
+        for read in (single_edge.port_neighbour, single_edge.route):
+            with pytest.raises(MalformedSolutionError, match=rf"^node 0 has ports 1\.\.1, got {port}$"):
+                read(0, port)
+
+    def test_has_edge_takes_two_int_ids_in_either_order(self, single_edge):
+        assert single_edge.has_edge(0, 1) and single_edge.has_edge(1, 0)
+        for u, v in [(0, 0), (0, 2), (-1, 0), (False, 1), (0, 1.0), ("0", 1), ([0], 1), (None, 1)]:
+            assert not single_edge.has_edge(u, v)
 
     def test_p3_port_map(self, p3_wbw):
         assert p3_wbw.port_neighbour(1, 2) == 2

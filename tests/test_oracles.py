@@ -393,6 +393,17 @@ class TestVerify:
         assert report.violations == ["edge (2, 3) shares a node with another edge",
                                      "(8, 9) is not an edge of the graph"]
 
+    @pytest.mark.parametrize("members, violations", [
+        ({(0, 1), (1, 0)}, []),
+        ({(0, 1), (1, 0), (2, 1)}, ["edge (1, 2) shares a node with another edge"]),
+        ({(8, 9), (9, 8)}, ["(8, 9) is not an edge of the graph"]),
+    ], ids=["edge", "edge-and-neighbour", "non-edge"])
+    def test_a_pair_and_its_reverse_are_one_member(self, members, violations):
+        # validate_matching, and the CLI's solution reader, take them as one edge too
+        g = numbered_cycle(4).graph
+        report = verify_solution(g, Solution(SolutionKind.MATCHING, frozenset(members)))
+        assert report == (not violations, violations)
+
     def test_plain_string_kind_is_checked_as_that_kind(self):
         g = random_weak(10, 3, 1)
         report = verify_solution(g, Solution("dominating-set", frozenset()))

@@ -85,6 +85,11 @@ class TestNormalizeStars:
         with pytest.raises(MalformedSolutionError, match="has no children"):
             normalize_stars(c4_coloured, {})
 
+    @pytest.mark.parametrize("port", [1.0, "a", True])
+    def test_a_port_that_is_not_an_int_is_refused(self, port):
+        with pytest.raises(MalformedSolutionError, match=rf"^node 0 has ports 1\.\.2, got {port}$"):
+            normalize_stars(numbered_cycle(6).graph, {0: port, 2: 1, 4: 1})
+
     def test_every_accepted_parent_map_is_a_star_forest(self):
         # normalize_stars does not check its result: its four refusals must
         # leave nothing but star forests
@@ -122,6 +127,15 @@ class TestExtraction:
                              ids=["non-adjacent-leaf", "no-adjacent-leaf"])
     def test_star_matching_refuses_a_malformed_forest(self, stars):
         with pytest.raises(MalformedSolutionError):
+            star_matching(numbered_cycle(6).graph, StarForest(stars))
+
+    @pytest.mark.parametrize("stars, message", [
+        ({0: 5}, "star at 0 has leaves 5, not a node set"),
+        ({0: frozenset({1, 5}), 2: frozenset({3}), 4: [3, [5]]}, r"leaf \[5\] not adjacent to root 4"),
+        ({0: frozenset({1, 5}), 2: frozenset({1.0, 3})}, r"leaf 1\.0 not adjacent to root 2"),
+    ], ids=["int-leaves", "unorderable-leaf", "float-leaf"])
+    def test_star_matching_refuses_leaves_that_are_not_neighbour_ids(self, stars, message):
+        with pytest.raises(MalformedSolutionError, match=f"^{message}$"):
             star_matching(numbered_cycle(6).graph, StarForest(stars))
 
     @pytest.mark.parametrize("stars, message", [

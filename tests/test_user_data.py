@@ -1,10 +1,10 @@
 """One contract for user data at every public function that takes it.
 
-A malformed matching member, path, node or node set is refused with the
-class ``errors.py`` documents for it, never with a ``TypeError`` or an
-``IndexError`` from inside the function; and each matching argument or
-node set is read once, so a one-pass iterator gives the same answer as
-the same items in a list.
+A malformed matching member, path, node, node set, parent port, star or
+edge spec is refused with the class ``errors.py`` documents for it, never
+with a ``TypeError`` or an ``IndexError`` from inside the function; and
+each matching argument, node set or edge list is read once, so a one-pass
+iterator gives the same answer as the same items in a list.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localgraphs import BLACK, WHITE, with_colours
-from localgraphs.errors import InvariantError, MalformedSolutionError
+from localgraphs import BLACK, WHITE, build_graph, with_colours
+from localgraphs.errors import GraphFormatError, InvariantError, MalformedSolutionError
 from localgraphs.generators import (matching_to_independent_set,
                                     merge_layer_independent_sets, numbered_cycle)
 from localgraphs.graph import induced_subgraph
 from localgraphs.matching import augment_phase, eliminate_length, flood_phase
 from localgraphs.oracles import shortest_augmenting_path_length, validate_matching
+from localgraphs.starforest import StarForest, normalize_stars, star_matching
 
 CYCLE = numbered_cycle(6)
 G = with_colours(CYCLE.graph, [BLACK, WHITE] * 3)     # properly coloured, bipartite
@@ -36,6 +37,15 @@ matchings = st.lists(st.one_of(st.sampled_from(EDGES), values), max_size=4)
 paths = st.lists(st.one_of(st.sampled_from(EDGES + [(5, 0, 1, 2), (1, 2, 3, 4)]), values),
                  max_size=3)
 node_sets = st.lists(st.one_of(st.integers(0, 5), values), max_size=6)
+parent_maps = st.dictionaries(st.integers(0, 5), atoms, max_size=6)
+# stars of the cycle: leaf sets of the forest {0: {1, 5}, 3: {2, 4}}, and malformed ones
+forests = st.dictionaries(
+    st.integers(0, 5),
+    st.one_of(st.sampled_from([frozenset({1, 5}), frozenset({2, 4})]), node_sets, values),
+    max_size=3).map(StarForest)
+edge_specs = st.lists(st.one_of(st.sampled_from([(0, 1, 1, 1), (1, 2, 2, 1), (0, 2, 2, 2)]),
+                                st.lists(atoms, min_size=3, max_size=6).map(tuple), values),
+                      max_size=4)
 
 # name -> (argument strategy, call reading each matching or node set through
 # ``once``, the classes the function documents for malformed user data)
@@ -68,6 +78,16 @@ ENTRY_POINTS = {
     "induced_subgraph": (
         node_sets, lambda nodes, once: induced_subgraph(G, once(nodes)),
         (ValueError,)),
+    "normalize_stars": (
+        parent_maps, lambda parent_port, once: normalize_stars(CYCLE.graph, parent_port),
+        (MalformedSolutionError,)),
+    "star_matching": (
+        forests, lambda sf, once: star_matching(CYCLE.graph, sf),
+        (MalformedSolutionError,)),
+    "build_graph": (
+        st.tuples(st.one_of(st.integers(0, 4), atoms), edge_specs),
+        lambda a, once: build_graph(a[0], once(a[1])),
+        (GraphFormatError,)),
 }
 
 
@@ -89,6 +109,21 @@ def test_user_data_contract(name, data):
     kind, detail = from_list
     assert kind == "returned" or issubclass(kind, documented), (kind, detail)
     assert outcome(lambda: call(arg, iter)) == from_list
+
+
+# a bool or a float equal to an int would be read as that int and return, which
+# the class contract above cannot tell from a valid call
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: normalize_stars(CYCLE.graph, {0: True, 2: 1, 4: 1}),
+     MalformedSolutionError, r"node 0 has ports 1\.\.2, got True"),
+    (lambda: build_graph(2, [(False, True, 1, 1)]),
+     GraphFormatError, r"edge fields must be integers: \(False, True, 1, 1\)"),
+    (lambda: build_graph(2, [(0, 1, 1.0, True)]),
+     GraphFormatError, r"edge fields must be integers: \(0, 1, 1\.0, True\)"),
+], ids=["bool-parent-port", "bool-ids", "float-and-bool-ports"])
+def test_a_value_equal_to_an_int_is_refused_not_read_as_it(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_matching_to_independent_set_checks_a_one_pass_iterator():
