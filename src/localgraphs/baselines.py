@@ -15,8 +15,8 @@ class AllNodesDominatingSet(LocalAlgorithm):
     def round_budget(self, max_degree: int) -> int:
         return 0
 
-    def init(self, view: NodeView) -> tuple[Any, Sends]:
-        return None, {}
+    def init(self, view: NodeView) -> tuple[Any, Sends, int | None]:
+        return None, {}, None
 
     def finalize(self, state) -> bool:
         return True

@@ -36,21 +36,20 @@ class NodeView(NamedTuple):
 class LocalAlgorithm:
     """Behavioural contract for a deterministic per-node algorithm.
 
-    ``init`` maps the node's view to an initial state plus the messages
-    sent in round 0; ``step`` consumes one inbox and the round number;
-    ``finalize`` maps the final state to the node's output.  Sends map a
-    port, an ``int`` in 1..degree, to a ``bytes`` payload; the engine
-    raises :class:`InvariantError` on any other send.  A node is
-    stepped only in a round where it has mail or where ``next_wake``,
-    asked after ``init`` and each ``step``, said to wake it: a later
-    round, or None for only on mail; by default the next round.  Only
-    the latest answer counts.  ``needs_colouring`` is
-    the weakest colouring the algorithm is defined on; the engine refuses
-    a graph below it (``check_colouring``) before anything else, so
-    ``init`` and ``step`` may rely on it.  ``round_budget`` may depend
-    on the degree bound only, never on the node count; it is asked for before ``init``, so it may
-    refuse a run before round 0.  The engine keeps only the state
-    ``step`` returns, so ``step`` may update its argument in place.
+    ``init(view)`` starts a node and ``step(state, inbox, round_no)``
+    runs one round of it; each returns ``(state, sends, wake)``.  Sends
+    map a port, an ``int`` in 1..degree, to a ``bytes`` payload; the
+    engine raises :class:`InvariantError` on any other send.  ``wake``
+    is a later round in which to step the node with an empty inbox, or
+    None to step it only on mail; only the node's latest answer counts.
+    ``finalize`` maps the final state to the node's output.
+    ``needs_colouring`` is the weakest colouring the algorithm is
+    defined on; the engine refuses a graph below it
+    (``check_colouring``) before anything else, so ``init`` and ``step``
+    may rely on it.  ``round_budget`` may depend on the degree bound
+    only, never on the node count; it is asked for before ``init``, so
+    it may refuse a run before round 0.  The engine keeps only the
+    state ``step`` returns, so ``step`` may update its argument in place.
     """
 
     name = "local-algorithm"
@@ -59,14 +58,11 @@ class LocalAlgorithm:
     def round_budget(self, max_degree: int) -> int:
         raise NotImplementedError
 
-    def init(self, view: NodeView) -> tuple[Any, Sends]:
+    def init(self, view: NodeView) -> tuple[Any, Sends, int | None]:
         raise NotImplementedError
 
-    def step(self, state: Any, inbox: Inbox, round_no: int) -> tuple[Any, Sends]:
+    def step(self, state: Any, inbox: Inbox, round_no: int) -> tuple[Any, Sends, int | None]:
         raise NotImplementedError
-
-    def next_wake(self, state: Any, round_no: int) -> int | None:
-        return round_no + 1
 
     def finalize(self, state: Any) -> Any:
         raise NotImplementedError
@@ -114,92 +110,76 @@ def run_local_algorithm(g: Graph,
                         trace: Callable[[str], None] | None = None) -> RunResult:
     """Run ``alg`` on every node of ``g`` for exactly its round budget.
 
-    Each round visits only its agenda: the nodes with mail and the nodes
-    whose latest ``next_wake`` named it, in ascending id order.
-    ``trace`` receives one JSON line per ``init`` (round 0) and one per
-    ``step``, in that order; a node not stepped in a round writes none.
-    A send that breaks the contract, or a ``next_wake`` that names a
-    round not after the current one, raises :class:`InvariantError`.
-    ``check_colouring`` refuses a graph below ``alg.needs_colouring``
-    before round 0.  The colouring class, the route table and the node
-    labels the views are built from are the graph's own, derived on
-    its first run and kept for every later one.
+    Round 0 calls ``init`` at every node; each later round visits only
+    its agenda, the nodes with mail and the nodes whose latest ``wake``
+    named it, and calls ``step``.  Both go in ascending id order through
+    one tail: the wake check, the send checks and delivery, and the
+    trace line.  ``trace`` receives one JSON line per call; a node not
+    stepped in a round writes none.  A send that breaks the contract, or
+    a wake that names a round not after the current one, raises
+    :class:`InvariantError`.  ``check_colouring`` refuses a graph below
+    ``alg.needs_colouring`` before round 0.  The colouring class, the
+    route table and the node labels the views are built from are the
+    graph's own, derived on its first run and kept for every later one.
     """
     check_colouring(g, alg)
     delta = degree_bound(g, max_degree)
     budget = alg.round_budget(delta)
 
     routes = g.routes()
-    states: list[Any] = [None] * g.n
-    wake: list[int | None] = [None] * g.n     # the round each node last asked to wake
-    due: defaultdict[int, list[int]] = defaultdict(list)   # round -> nodes that named it
-    inboxes: dict[int, dict[int, bytes]] = {}               # only the nodes with mail
-    max_bits = 0
-
-    def deliver(v: int, sends: Sends) -> None:
-        """Validate v's sends and place them in the next round's inboxes."""
-        nonlocal max_bits
-        out = routes[v]
-        for port, payload in sends.items():
-            if not isinstance(payload, bytes):
-                raise InvariantError(f"{alg.name} sent a {type(payload).__name__} payload, "
-                                     f"not bytes, on port {port!r}")
-            if type(port) is not int or not 1 <= port <= len(out):
-                raise InvariantError(f"{alg.name} sent on invalid port {port!r}")
-            target, arrival = out[port - 1]
-            box = inboxes.get(target)
-            if box is None:
-                inboxes[target] = {arrival: payload}
-            else:
-                box[arrival] = payload
-            if 8 * len(payload) > max_bits:
-                max_bits = 8 * len(payload)
-
-    def record(v: int, sends: Sends, round_no: int) -> None:
-        """One trace line, byte for byte ``json.dumps(..., sort_keys=True)``."""
-        sent = ", ".join([f'[{p}, "{sends[p].hex()}"]' for p in sorted(sends)])
-        trace(f'{{"node": {v}, "round": {round_no}, "sent": [{sent}], '
-              f'"state_digest": "{_digest(states[v]).hex()}"}}')
-
-    step, next_wake, steps = alg.step, alg.next_wake, 0
     views: dict[tuple, NodeView] = {}     # one frozen view per distinct label
-    for v, label in enumerate(g.labels()):
+    states: list[Any] = []                # each node's view, until round 0 steps it
+    for label in g.labels():
         view = views.get(label)
         if view is None:
-            degree, colour, directions = label
-            view = views[label] = NodeView(degree, delta, colour, directions)
-        states[v], sends = alg.init(view)
-        w = wake[v] = next_wake(states[v], 0)
-        if w is not None:
-            if w <= 0:
-                raise InvariantError(f"next_wake named round {w} after round 0")
-            due[w].append(v)
-        if sends:
-            deliver(v, sends)
-        if trace is not None:
-            record(v, sends, 0)
+            view = views[label] = NodeView(label[0], delta, *label[1:])
+        states.append(view)
+    wake: list[int | None] = [0] * g.n      # round 0, then the round each node last asked for
+    due: defaultdict[int, list[int]] = defaultdict(list)   # round -> nodes that named it
+    inboxes: dict[int, dict[int, bytes]] = {}               # only the nodes with mail
+    max_bits = steps = 0
+    call = lambda view, inbox, round_no: alg.init(view)     # round 0; later rounds call step
 
-    for round_no in range(1, budget + 1):
+    for round_no in range(budget + 1):
         received, inboxes = inboxes, {}
-        for v in sorted(received.keys() | due.pop(round_no, ())):
+        agenda = sorted(received.keys() | due.pop(round_no, ())) if round_no else g.nodes
+        for v in agenda:
             box = received.get(v)
             if box is None and wake[v] != round_no:
                 continue                # a wake-up that a later answer replaced
-            states[v], sends = step(states[v], box or _EMPTY_INBOX, round_no)
-            w = wake[v] = next_wake(states[v], round_no)
+            states[v], sends, w = call(states[v], box or _EMPTY_INBOX, round_no)
+            steps += 1
             if w is not None:
                 if w <= round_no:
                     raise InvariantError(
-                        f"next_wake named round {w} after round {round_no}")
+                        f"{alg.name} asked to wake at round {w} after round {round_no}")
                 due[w].append(v)
-            steps += 1
+            wake[v] = w
             if sends:
-                deliver(v, sends)
-            if trace is not None:
-                record(v, sends, round_no)
+                out = routes[v]
+                for port, payload in sends.items():
+                    if not isinstance(payload, bytes):
+                        raise InvariantError(f"{alg.name} sent a {type(payload).__name__} "
+                                             f"payload, not bytes, on port {port!r}")
+                    if type(port) is not int or not 1 <= port <= len(out):
+                        raise InvariantError(f"{alg.name} sent on invalid port {port!r}")
+                    target, arrival = out[port - 1]
+                    mail = inboxes.get(target)
+                    if mail is None:
+                        inboxes[target] = {arrival: payload}
+                    else:
+                        mail[arrival] = payload
+                    if 8 * len(payload) > max_bits:
+                        max_bits = 8 * len(payload)
+            if trace is not None:       # byte for byte ``json.dumps(..., sort_keys=True)``
+                sent = ", ".join([f'[{p}, "{sends[p].hex()}"]' for p in sorted(sends)])
+                trace(f'{{"node": {v}, "round": {round_no}, "sent": [{sent}], '
+                      f'"state_digest": "{_digest(states[v]).hex()}"}}')
+        call = alg.step
 
     outputs = {v: alg.finalize(states[v]) for v in g.nodes}
-    return RunResult(outputs, rounds_used=budget, max_message_bits=max_bits, steps=steps)
+    return RunResult(outputs, rounds_used=budget, max_message_bits=max_bits,
+                     steps=steps - g.n)         # round 0's n calls are init's
 
 
 def _digest(value: Any) -> bytes:

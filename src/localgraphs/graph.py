@@ -12,7 +12,8 @@ import json
 from enum import IntEnum
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Sequence
+from collections.abc import Iterable
+from typing import Sequence
 
 from .errors import CapabilityError, GraphFormatError, MalformedSolutionError
 
@@ -178,6 +179,8 @@ def build_graph(node_count: int,
     if node_count < 0:
         raise GraphFormatError("node_count must be non-negative")
     colour_list = _normalize_colours(node_count, colours)
+    if not isinstance(edges, Iterable):
+        raise GraphFormatError(f"edges must be iterable, got {edges!r}")
 
     edge_set: set[Edge] = set()
     add_edge = edge_set.add
@@ -243,6 +246,8 @@ def build_graph(node_count: int,
 def _normalize_colours(n, colours):
     if colours is None:
         return None
+    if not isinstance(colours, Iterable):
+        raise GraphFormatError(f"colours must be iterable, got {colours!r}")
     colours = tuple(colours)
     if len(colours) != n:
         raise GraphFormatError(f"expected {n} colours, got {len(colours)}")

@@ -352,15 +352,15 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
     node reads its place in it from the round number and the degree
     bound, so phase boundaries need no coordination.  That place is the
     same for every node of a round, so it is computed once per round and
-    shared by ``step`` and ``next_wake``; the instance keeps only that
+    shared by every ``step`` of the round; the instance keeps only that
     lookup, never a node's state.  A node is stepped only on mail,
-    except that an unmatched black wakes at rho = 3h to send the next
-    wake-up flood; the first step in a new invocation resets the
-    per-invocation fields.  ``step`` writes the state dict item by item,
-    so its keys and their order are the ones ``init`` and that first
-    reset create.  Every message is one byte.  Output is the port of the
-    node's matched edge, or None.  ``k`` is checked with the round
-    budget, after the engine's colouring check.
+    except that ``init`` and ``step`` wake an unmatched black at rho = 3h
+    to send the next wake-up flood; the first step in a new invocation
+    resets the per-invocation fields.  ``step`` writes the state dict
+    item by item, so its keys and their order are the ones ``init`` and
+    that first reset create.  Every message is one byte.  Output is the
+    port of the node's matched edge, or None.  ``k`` is checked with the
+    round budget, after the engine's colouring check.
     """
 
     name = "matching-scheme"
@@ -378,11 +378,12 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
 
         ``position`` is ``_position``'s (h, rho, invocation), None for
         round 0; the wake-up flood is due at rho = 3h of every invocation
-        but the schedule's last; ``wake`` is what ``next_wake`` answers an
-        unmatched black.  The engine asks about one round for every node
-        it steps in it, so the last answer is kept, keyed on the degree
-        bound as well as the round: one instance may run on graphs with
-        different bounds.
+        but the schedule's last; ``wake`` is what ``init`` (round 0) and
+        ``step`` return for an unmatched black: rho = 3h of this or the
+        next invocation, or None if that is not before the budget's last
+        round.  Every node stepped in a round asks about it, so the last
+        answer is kept, keyed on the degree bound as well as the round:
+        one instance may run on graphs with different bounds.
         """
         last = self._last
         if last[1] == round_no and last[0] == delta:
@@ -400,7 +401,7 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
         self._last = (delta, round_no, position, flood, wake)
         return self._last
 
-    def init(self, view: NodeView) -> tuple[Any, Sends]:
+    def init(self, view: NodeView) -> tuple[Any, Sends, int | None]:
         state = {
             "colour": view.colour,
             "degree": view.degree,
@@ -409,16 +410,12 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
             "matched_port": None,
         }
         if view.colour == BLACK:        # every black starts unmatched: flood invocation 0
-            return state, {p: _FLOOD for p in range(1, view.degree + 1)}
-        return state, {}
+            return (state, {p: _FLOOD for p in range(1, view.degree + 1)},
+                    self._facts(view.max_degree, 0)[4])
+        return state, {}, None
 
-    def next_wake(self, state: dict, round_no: int) -> int | None:
-        if state["colour"] != BLACK or state["matched_port"] is not None:
-            return None
-        return self._facts(state["delta"], round_no)[4]
-
-    def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends]:
-        _, _, (h, rho, invocation), wakeup_flood, _ = self._facts(state["delta"], round_no)
+    def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends, int | None]:
+        _, _, (h, rho, invocation), wakeup_flood, wake = self._facts(state["delta"], round_no)
         sends: dict[int, bytes] = {}
         black = state["colour"] == BLACK
 
@@ -478,11 +475,13 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
                 if state["chosen_child_port"] is not None and state["depth"] != h:
                     sends[state["chosen_child_port"]] = _ACCEPT
 
+        if not black or state["matched_port"] is not None:
+            return state, sends, None
         # every invocation but the schedule's last ends with the next wake-up flood
-        if wakeup_flood and black and state["matched_port"] is None:
+        if wakeup_flood:
             for p in range(1, state["degree"] + 1):
                 sends[p] = _FLOOD
-        return state, sends
+        return state, sends, wake
 
     def finalize(self, state: dict) -> dict:
         return {"matched_port": state["matched_port"]}

@@ -19,7 +19,9 @@ from .graph import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass, Graph,
                     opposite, with_colours)
 from .starforest import run_star_forest
 
-WeakColouringProvider = Callable[[Graph], Sequence[str]]
+# "Graph" by name: typing caches each subscription, and a cached class would keep
+# every module of the package alive after it is dropped and imported again
+WeakColouringProvider = Callable[["Graph"], Sequence[str]]
 
 
 class AbcPartition(NamedTuple):

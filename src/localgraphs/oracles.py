@@ -12,7 +12,8 @@ recursion limit.  Independent sets are verified, never solved.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
+from typing import NamedTuple
 
 from .errors import MalformedSolutionError, TooLargeError
 from .graph import Edge, Graph, normalize_edge
@@ -258,6 +259,8 @@ def _augmenting_tree(g: Graph, match: list[int], root: int, parent: list[int],
 def validate_matching(g: Graph, m: Iterable[Edge]) -> dict[int, int]:
     """Each matched node's partner; a member of m that is not an edge of g,
     or that shares a node with another, is a MalformedSolutionError."""
+    if not isinstance(m, Iterable):
+        raise MalformedSolutionError(f"{m!r} is not a set of edges")
     edges = set()
     for item in m:
         try:
@@ -339,6 +342,8 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
         kind = SolutionKind(s.kind)
     except ValueError:
         return VerificationReport(ok=False, violations=[f"{s.kind!r} is not a solution kind"])
+    if not isinstance(s.members, Iterable):
+        return VerificationReport(ok=False, violations=[f"members {s.members!r} are not a set"])
     violations: list[str] = []
     if kind is SolutionKind.MATCHING:
         seen: set[int] = set()
@@ -377,6 +382,7 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
 
 def _sorted(members) -> list:
     """``sorted(members)``, or, when they cannot be compared, sorted by type and repr."""
+    members = list(members)     # a one-pass iterator would be spent by the first sort
     try:
         return sorted(members)
     except TypeError:

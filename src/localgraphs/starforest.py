@@ -13,8 +13,8 @@ edges.  All arbitrary choices resolve to the lowest eligible port index.
 
 from __future__ import annotations
 
-from collections.abc import Collection
-from typing import Any, Mapping, NamedTuple
+from collections.abc import Collection, Mapping
+from typing import Any, NamedTuple
 
 from .engine import (Inbox, LocalAlgorithm, NodeView, Sends, check_colouring,
                      run_local_algorithm)
@@ -65,6 +65,8 @@ def normalize_stars(g: Graph, parent_port: Mapping[int, int]) -> StarForest:
     Refuses a bad port, a parent cycle, a node at depth > 2 and a
     childless root; any other map yields a star forest of ``g``, so the
     result is not checked again."""
+    if not isinstance(parent_port, Mapping):
+        raise MalformedSolutionError(f"parent ports {parent_port!r} are not a mapping")
     children: dict[int, list[int]] = {v: [] for v in g.nodes}
     roots = []
     for v in g.nodes:
@@ -98,6 +100,8 @@ def normalize_stars(g: Graph, parent_port: Mapping[int, int]) -> StarForest:
 
 
 def _check_star_forest(g: Graph, stars: Mapping[int, frozenset[int]]) -> None:
+    if not isinstance(stars, Mapping):
+        raise MalformedSolutionError(f"stars {stars!r} are not a mapping")
     assigned: set[int] = set()
     for root, leaves in stars.items():
         if not isinstance(leaves, Collection):
@@ -158,7 +162,7 @@ class StarForestAlgorithm(LocalAlgorithm):
     node.  After it a white acts only in rounds 2 (adopt a parent if no
     black claimed it) and 4 (on its children's status), a black only in
     rounds 3 (report its status) and 5 (on a detach or reverse order).
-    So ``next_wake`` wakes a white at round 2 and a black at round 3,
+    So round 1's ``step`` wakes a white at round 2 and a black at round 3,
     where they act whatever their mail; rounds 4 and 5 act only on mail.
     Any other step would change no state and send nothing.
     """
@@ -169,7 +173,7 @@ class StarForestAlgorithm(LocalAlgorithm):
     def round_budget(self, max_degree: int) -> int:
         return ROUND_BUDGET
 
-    def init(self, view: NodeView) -> tuple[Any, Sends]:
+    def init(self, view: NodeView) -> tuple[Any, Sends, int | None]:
         state = {
             "colour": view.colour,
             "degree": view.degree,
@@ -178,9 +182,9 @@ class StarForestAlgorithm(LocalAlgorithm):
             "leaf_ports": (),
         }
         colour_byte = b"B" if view.colour == BLACK else b"W"
-        return state, {p: colour_byte for p in range(1, view.degree + 1)}
+        return state, {p: colour_byte for p in range(1, view.degree + 1)}, None
 
-    def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends]:
+    def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends, int | None]:
         black = state["colour"] == BLACK
         sends: dict[int, bytes] = {}
 
@@ -213,12 +217,7 @@ class StarForestAlgorithm(LocalAlgorithm):
                 leaf_ports += (state["parent_port"],)
             state["parent_port"] = None
             state["leaf_ports"] = tuple(sorted(leaf_ports))
-        return state, sends
-
-    def next_wake(self, state: dict, round_no: int) -> int | None:
-        if round_no != 1:
-            return None
-        return 3 if state["colour"] == BLACK else 2
+        return state, sends, (3 if black else 2) if round_no == 1 else None
 
     def finalize(self, state: dict) -> dict:
         parent = state["parent_port"]

@@ -61,19 +61,29 @@ class ColourEcho(LocalAlgorithm):
         return 0
 
     def init(self, view):
-        return view.colour, {}
+        return view.colour, {}, None
 
     def step(self, state, inbox, round_no):
-        return state, {}
+        return state, {}, None
 
     def finalize(self, state):
         return state
 
 
-class DenseStar(StarForestAlgorithm):
-    """The star forest stepped at every node in every round."""
+class Dense:
+    """Mixin for an algorithm: wake every node in every round, whatever it asks."""
 
-    next_wake = LocalAlgorithm.next_wake
+    def init(self, view):
+        state, sends, _ = super().init(view)
+        return state, sends, 1
+
+    def step(self, state, inbox, round_no):
+        state, sends, _ = super().step(state, inbox, round_no)
+        return state, sends, round_no + 1
+
+
+class DenseStar(Dense, StarForestAlgorithm):
+    """The star forest stepped at every node in every round."""
 
 
 @pytest.fixture

@@ -312,7 +312,7 @@ class InitCounter(AllNodesDominatingSet):
 
     def init(self, view):
         self.calls += 1
-        return self.calls, {}
+        return self.calls, {}, None
 
     def finalize(self, state):
         return state

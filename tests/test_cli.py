@@ -420,7 +420,7 @@ class TestRun:
         """A step that sends on anything but an int port in 1..deg, or sends a
         payload that is not bytes, is a bug in the algorithm."""
         monkeypatch.setattr(StarForestAlgorithm, "step",
-                            lambda self, state, inbox, round_no: (state, dict(sends)))
+                            lambda self, state, inbox, round_no: (state, dict(sends), None))
         code = main(["run", "--graph", c4_file, "--alg", "star-ds"])
         captured = capsys.readouterr()
         assert code == 4

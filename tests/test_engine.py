@@ -29,10 +29,10 @@ class CountEcho(LocalAlgorithm):
         return 1
 
     def init(self, view):
-        return 0, {p: b"x" for p in range(1, view.degree + 1)}
+        return 0, {p: b"x" for p in range(1, view.degree + 1)}, None
 
     def step(self, state, inbox, round_no):
-        return len(inbox), {}
+        return len(inbox), {}, None
 
     def finalize(self, state):
         return state
@@ -114,7 +114,7 @@ def test_determinism(c4_coloured):
 def test_payload_must_be_bytes(single_edge):
     class Bad(CountEcho):
         def init(self, view):
-            return 0, {1: "not-bytes"}
+            return 0, {1: "not-bytes"}, None
 
     with pytest.raises(InvariantError, match="not bytes"):
         run_local_algorithm(single_edge, Bad())
@@ -123,7 +123,7 @@ def test_payload_must_be_bytes(single_edge):
 def test_step_payload_must_be_bytes(single_edge):
     class Bad(CountEcho):
         def step(self, state, inbox, round_no):
-            return state, {1: "not-bytes"}
+            return state, {1: "not-bytes"}, None
 
     with pytest.raises(InvariantError, match="not bytes"):
         run_local_algorithm(single_edge, Bad())
@@ -134,13 +134,13 @@ def test_step_payload_must_be_bytes(single_edge):
 def test_send_outside_port_range(p3_wbw, phase, offset):
     class Bad(CountEcho):
         def init(self, view):
-            state, sends = super().init(view)
+            state, sends, wake = super().init(view)
             if phase == "init":
                 sends = {offset * (view.degree + 1): b"x"}
-            return view.degree, sends
+            return view.degree, sends, wake
 
         def step(self, state, inbox, round_no):
-            return state, {offset * (state + 1): b"x"}
+            return state, {offset * (state + 1): b"x"}, None
 
     with pytest.raises(InvariantError, match="invalid port"):
         run_local_algorithm(p3_wbw, Bad())
@@ -172,13 +172,15 @@ class Echo(LocalAlgorithm):
 
     def init(self, view):
         leaf = view.degree == 1
-        return {"leaf": leaf, "steps": []}, ({1: b"x"} if leaf else {})
+        state = {"leaf": leaf, "steps": []}
+        return state, ({1: b"x"} if leaf else {}), self.wake(state, 0)
 
     def step(self, state, inbox, round_no):
         state["steps"].append((round_no, dict(inbox)))
-        return state, {p: b"y" for p, msg in inbox.items() if msg == b"x"}
+        sends = {p: b"y" for p, msg in inbox.items() if msg == b"x"}
+        return state, sends, self.wake(state, round_no)
 
-    def next_wake(self, state, round_no):
+    def wake(self, state, round_no):
         wake = self.leaf_wake
         return wake if state["leaf"] and wake is not None and wake > round_no else None
 
@@ -201,13 +203,47 @@ def test_wake_steps_the_node_exactly_then_with_an_empty_inbox(p3_wbw):
     assert result.steps == 5
 
 
+class WakeOnce(LocalAlgorithm):
+    """Five rounds and no sends; ``init`` asks to wake at round ``at``, and
+    every node outputs the (round, inbox) of its steps."""
+
+    name = "wake-once"
+
+    def __init__(self, at):
+        self.at = at
+
+    def round_budget(self, max_degree):
+        return 5
+
+    def init(self, view):
+        return [], {}, self.at
+
+    def step(self, state, inbox, round_no):
+        state.append((round_no, dict(inbox)))
+        return state, {}, None
+
+    def finalize(self, state):
+        return state
+
+
+@pytest.mark.parametrize("at", [1, 3, 5])
+def test_init_wake_steps_a_node_without_mail_once_then(p3_wbw, at):
+    lines = []
+    result = run_local_algorithm(p3_wbw, WakeOnce(at), trace=lines.append)
+    assert result.outputs == {v: [(at, {})] for v in p3_wbw.nodes}
+    assert result.steps == p3_wbw.n
+    assert [(d["round"], d["node"]) for d in map(json.loads, lines)] == [
+        (0, 0), (0, 1), (0, 2), (at, 0), (at, 1), (at, 2)]
+
+
 @pytest.mark.parametrize("first", [0, 1], ids=["init", "step"])
 def test_wake_must_name_a_later_round(p3_wbw, first):
     class Bad(Echo):
-        def next_wake(self, state, round_no):
+        def wake(self, state, round_no):
             return round_no if round_no >= first else None
 
-    with pytest.raises(InvariantError, match="next_wake"):
+    with pytest.raises(InvariantError, match=f"^echo asked to wake at round {first} "
+                                             f"after round {first}$"):
         run_local_algorithm(p3_wbw, Bad())
 
 

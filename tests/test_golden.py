@@ -29,7 +29,7 @@ import random
 
 import pytest
 
-from localgraphs import BLACK, WHITE, LocalAlgorithm, build_graph, run_local_algorithm
+from localgraphs import BLACK, WHITE, build_graph, run_local_algorithm
 from localgraphs.baselines import AllNodesDominatingSet
 from localgraphs.generators import (numbered_cycle, random_bipartite,
                                     random_weak, random_weak_colouring,
@@ -40,7 +40,7 @@ from localgraphs.matching import MatchingSchemeAlgorithm
 from localgraphs.oddds import build_h2, odd_delta_pipeline, partition_abc
 from localgraphs.starforest import StarForestAlgorithm
 
-from conftest import DenseStar
+from conftest import Dense, DenseStar
 
 
 def run_digest(g, alg) -> str:
@@ -170,10 +170,8 @@ def test_golden_scheme_sends_unmatched_blacks(case, k, digest):
     assert sends_digest(g, MatchingSchemeAlgorithm(k)) == digest
 
 
-class DenseScheme(MatchingSchemeAlgorithm):
+class DenseScheme(Dense, MatchingSchemeAlgorithm):
     """The scheme stepped at every node in every round: what sparse stepping must match."""
-
-    next_wake = LocalAlgorithm.next_wake
 
 
 def scheme_pairs():

@@ -10,7 +10,8 @@ through a binary string.  Importing the generators loads neither the
 odd-Δ pipeline nor the star forest.  Importing the CLI loads no
 ``dataclasses``: the package's records are ``NamedTuple``s, immutable,
 with their field names, order and repr pinned here, and
-``SchemeStats`` is a plain class compared by value.
+``SchemeStats`` is a plain class compared by value.  A package dropped
+from ``sys.modules`` and imported again leaves no old module alive.
 """
 
 from __future__ import annotations
@@ -161,6 +162,20 @@ def test_generators_import_loads_no_odd_delta_pipeline():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False False\n"
+
+
+def test_reimport_leaves_no_old_module_alive():
+    # a package class inside a module-level typing alias would sit in typing's
+    # subscription cache, and keep the old class and every module it reaches;
+    # the CLI imports every module of the package
+    code = ("import gc, sys, weakref; sys.path.insert(0, sys.argv[1]); import localgraphs.cli; "
+            "old = weakref.ref(localgraphs.graph.Graph); "
+            "[sys.modules.pop(m) for m in list(sys.modules) if m.split('.')[0] == 'localgraphs']; "
+            "import localgraphs.cli; gc.collect(); print(old() is None)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
 
 
 def test_package_does_not_import_dataclasses():

@@ -247,7 +247,7 @@ class TestPlantedFaults:
 
     def test_step_flood_reaching_an_unmatched_white_early(self):
         alg = MatchingSchemeAlgorithm(2)
-        state, _ = alg.init(NodeView(degree=2, max_degree=2, colour=WHITE))
+        state, _, _ = alg.init(NodeView(degree=2, max_degree=2, colour=WHITE))
         assert _position(2, 2, 7) == (3, 1, 2)      # hop 1 of the first h = 3 invocation
         with pytest.raises(InvariantError, match=r"^flood reached an unmatched white node "
                                                  r"after 1 < 3 hops$"):
@@ -255,7 +255,7 @@ class TestPlantedFaults:
 
     def test_step_flood_reaching_an_unmatched_black(self):
         alg = MatchingSchemeAlgorithm(2)
-        state, _ = alg.init(NodeView(degree=2, max_degree=2, colour=BLACK))
+        state, _, _ = alg.init(NodeView(degree=2, max_degree=2, colour=BLACK))
         # in invocation 2 already, but not the root an unmatched black would be
         state.update(invocation=2, joined=False, parent_port=None, depth=None,
                      chosen_child_port=None)
@@ -573,25 +573,27 @@ class TestSimulatedScheme:
     @pytest.mark.parametrize("matched_port", [None, 2])
     def test_silent_round_changes_only_the_round(self, colour, matched_port):
         """Stepped in every round with an empty inbox, a node sends only the
-        wake-up flood, and only in the rounds its ``next_wake`` names; a
-        silent round after its invocation's first changes nothing."""
+        wake-up flood, and only in the rounds the wake its ``step`` returns
+        names; a silent round after its invocation's first changes nothing."""
         alg = MatchingSchemeAlgorithm(2)
-        state, _ = alg.init(NodeView(degree=3, max_degree=3, colour=colour))
+        state, _, wake = alg.init(NodeView(degree=3, max_degree=3, colour=colour))
+        # init sees every black unmatched: it wakes them all at rho = 3h = 3 of invocation 0
+        assert wake == (3 if colour == BLACK else None)
         state["matched_port"] = matched_port
         budget = alg.round_budget(3)
-        named = [alg.next_wake(state, 0)]
+        named = []
         floods = []
         for r in range(1, budget + 1):
             before = dict(state)
-            state, sends = alg.step(state, {}, r)
-            named.append(alg.next_wake(state, r))
+            state, sends, wake = alg.step(state, {}, r)
+            named.append(wake)
             if sends:
                 assert sends == {1: b"\x01", 2: b"\x01", 3: b"\x01"}
                 floods.append(r)
             elif state["invocation"] == before["invocation"]:
                 assert state == before
         assert named == [min((f for f in floods if f > r), default=None)
-                         for r in range(budget + 1)]
+                         for r in range(1, budget + 1)]
         # rho = 3h of each invocation but the last: t_1 = 3 with h = 1, t_2 = 6 with h = 3
         unmatched_black = colour == BLACK and matched_port is None
         assert floods == ([3, 6, 9, 18, 27, 36, 45, 54] if unmatched_black else [])
@@ -618,10 +620,9 @@ class TestSimulatedScheme:
         for r in range(1, scheme_round_budget(3, 2) + 1):
             for delta in (3, 4):
                 view = NodeView(degree=3, max_degree=delta, colour=BLACK)
-                state, _ = shared.init(view)
-                want, _ = fresh[delta].init(view)
+                state, _, _ = shared.init(view)
+                want, _, _ = fresh[delta].init(view)
                 assert shared.step(state, {}, r) == fresh[delta].step(want, {}, r)
-                assert shared.next_wake(state, r) == fresh[delta].next_wake(want, r)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_inbox_takes_the_lowest_port_of_each_kind(self, reverse):
@@ -632,7 +633,7 @@ class TestSimulatedScheme:
         alg = MatchingSchemeAlgorithm(2)
 
         def node(colour, matched_port=None):
-            state, _ = alg.init(NodeView(degree=4, max_degree=4, colour=colour))
+            state, _, _ = alg.init(NodeView(degree=4, max_degree=4, colour=colour))
             state["matched_port"] = matched_port
             return state
 
@@ -640,18 +641,18 @@ class TestSimulatedScheme:
             return dict(reversed(items) if reverse else items)
 
         # unmatched white at rho = h = 1: joins below port 1 and proposes there
-        state, sends = alg.step(node(WHITE), inbox((3, flood), (1, flood)), 1)
+        state, sends, _ = alg.step(node(WHITE), inbox((3, flood), (1, flood)), 1)
         assert (state["parent_port"], sends) == (1, {1: propose})
         # matched white at rho = 1 < h = 3: joins below port 1, floods its mate
-        white, sends = alg.step(node(WHITE, 3), inbox((3, flood), (1, flood)), 13)
+        white, sends, _ = alg.step(node(WHITE, 3), inbox((3, flood), (1, flood)), 13)
         assert (white["parent_port"], sends) == (1, {3: flood})
         # matched black at rho = 2: joins below port 1, floods all but its mate
-        state, sends = alg.step(node(BLACK, 2), inbox((3, flood), (1, flood)), 14)
+        state, sends, _ = alg.step(node(BLACK, 2), inbox((3, flood), (1, flood)), 14)
         assert (state["parent_port"], sends) == (1, {1: flood, 3: flood, 4: flood})
         # unmatched black root at rho = 2 of h = 1: accepts child port 2
-        state, sends = alg.step(node(BLACK), inbox((4, propose), (2, propose)), 2)
+        state, sends, _ = alg.step(node(BLACK), inbox((4, propose), (2, propose)), 2)
         assert (state["chosen_child_port"], state["matched_port"]) == (2, 2)
         assert sends == {2: accept}
         # the joined white at rho = 4: chooses child port 2, proposes to its parent
-        state, sends = alg.step(white, inbox((4, propose), (2, propose)), 16)
+        state, sends, _ = alg.step(white, inbox((4, propose), (2, propose)), 16)
         assert (state["chosen_child_port"], sends) == (2, {1: propose})

@@ -4,7 +4,10 @@ A malformed matching member, path, node, node set, parent port, star or
 edge spec is refused with the class ``errors.py`` documents for it, never
 with a ``TypeError`` or an ``IndexError`` from inside the function; and
 each matching argument, node set or edge list is read once, so a one-pass
-iterator gives the same answer as the same items in a list.
+iterator gives the same answer as the same items in a list.  A
+container that is not one (``None`` for a matching, an int for a colour
+list) is refused the same way, and ``verify_solution`` reports it as its
+one violation.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from localgraphs.generators import (matching_to_independent_set,
                                     merge_layer_independent_sets, numbered_cycle)
 from localgraphs.graph import induced_subgraph
 from localgraphs.matching import augment_phase, eliminate_length, flood_phase
-from localgraphs.oracles import shortest_augmenting_path_length, validate_matching
+from localgraphs.oracles import (Solution, VerificationReport, shortest_augmenting_path_length,
+                                 validate_matching, verify_solution)
 from localgraphs.starforest import StarForest, normalize_stars, star_matching
 
 CYCLE = numbered_cycle(6)
@@ -138,6 +142,15 @@ def test_augment_refuses_a_path_that_is_not_a_sequence_of_ids(single_edge, path)
         augment_phase(single_edge, frozenset(), [path])
 
 
+def test_verify_solution_reads_a_one_pass_iterator_once():
+    # the members cannot be ordered, so they are sorted a second time, by type and repr
+    items = [(0, 1), (None, 1)]
+    report = verify_solution(CYCLE.graph, Solution("matching", iter(items)))
+    assert report == verify_solution(CYCLE.graph, Solution("matching", items))
+    assert report == VerificationReport(
+        ok=False, violations=["(None, 1) is not an edge of the graph"])
+
+
 def test_augment_reads_its_paths_once(single_edge):
     assert augment_phase(single_edge, frozenset(), iter([(0, 1)])) == {(0, 1)}
 
@@ -150,3 +163,28 @@ def test_merge_refuses_a_member_that_cannot_be_hashed():
 def test_induced_subgraph_refuses_a_member_that_cannot_be_hashed():
     with pytest.raises(ValueError, match=r"^kept nodes must be ints in 0\.\.5$"):
         induced_subgraph(G, [[0, 1]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_graph(2, None), GraphFormatError, "edges must be iterable, got None"),
+    (lambda: build_graph(2, [(0, 1, 1, 1)], 5), GraphFormatError,
+     "colours must be iterable, got 5"),
+    (lambda: normalize_stars(CYCLE.graph, None), MalformedSolutionError,
+     "parent ports None are not a mapping"),
+    (lambda: star_matching(CYCLE.graph, StarForest(None)), MalformedSolutionError,
+     "stars None are not a mapping"),
+    (lambda: validate_matching(CYCLE.graph, None), MalformedSolutionError,
+     "None is not a set of edges"),
+    # verify_solution reports a violation and never raises one
+    (lambda: verify_solution(CYCLE.graph, Solution("matching", None)), None,
+     "members None are not a set"),
+    (lambda: verify_solution(CYCLE.graph, Solution("dominating-set", 3)), None,
+     "members 3 are not a set"),
+], ids=["build_graph-edges", "build_graph-colours", "normalize_stars", "star_matching",
+        "validate_matching", "verify_solution-matching", "verify_solution-dominating-set"])
+def test_a_malformed_container_is_refused_with_its_documented_class(call, error, message):
+    if error is None:
+        assert call() == VerificationReport(ok=False, violations=[message])
+    else:
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
