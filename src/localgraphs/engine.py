@@ -10,8 +10,9 @@ algorithm.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import CapabilityError, InvariantError
 from .graph import ColouringClass, Graph, classify_colouring
@@ -37,11 +38,12 @@ class LocalAlgorithm:
     """Behavioural contract for a deterministic per-node algorithm.
 
     ``init(view)`` starts a node and ``step(state, inbox, round_no)``
-    runs one round of it; each returns ``(state, sends, wake)``.  Sends
-    map a port, an ``int`` in 1..degree, to a ``bytes`` payload; the
-    engine raises :class:`InvariantError` on any other send.  ``wake``
-    is a later round in which to step the node with an empty inbox, or
-    None to step it only on mail; only the node's latest answer counts.
+    runs one round of it; each returns the tuple ``(state, sends, wake)``.
+    Sends are a mapping from a port, an ``int`` in 1..degree, to a
+    ``bytes`` payload.  ``wake`` is an ``int``, a later round in which to
+    step the node with an empty inbox, or None to step it only on mail;
+    only the node's latest answer counts.  The engine raises
+    :class:`InvariantError` on any other result.
     ``finalize`` maps the final state to the node's output.
     ``needs_colouring`` is the weakest colouring the algorithm is
     defined on; the engine refuses a graph below it
@@ -113,14 +115,16 @@ def run_local_algorithm(g: Graph,
     Round 0 calls ``init`` at every node; each later round visits only
     its agenda, the nodes with mail and the nodes whose latest ``wake``
     named it, and calls ``step``.  Both go in ascending id order through
-    one tail: the wake check, the send checks and delivery, and the
-    trace line.  ``trace`` receives one JSON line per call; a node not
-    stepped in a round writes none.  A send that breaks the contract, or
-    a wake that names a round not after the current one, raises
-    :class:`InvariantError`.  ``check_colouring`` refuses a graph below
-    ``alg.needs_colouring`` before round 0.  The colouring class, the
-    route table and the node labels the views are built from are the
-    graph's own, derived on its first run and kept for every later one.
+    one tail: the result check, the wake check, the send checks and
+    delivery, and the trace line.  ``trace`` receives one JSON line per
+    call; a node not stepped in a round writes none.  A result that is
+    not a ``(state, sends, wake)`` tuple, sends that are not a mapping
+    or break its contract, and a wake that is not an ``int`` round after
+    the current one raise :class:`InvariantError`.  ``check_colouring``
+    refuses a graph below ``alg.needs_colouring`` before round 0.  The
+    colouring class, the route table and the node labels the views are
+    built from are the graph's own, derived on its first run and kept
+    for every later one.
     """
     check_colouring(g, alg)
     delta = degree_bound(g, max_degree)
@@ -147,9 +151,18 @@ def run_local_algorithm(g: Graph,
             box = received.get(v)
             if box is None and wake[v] != round_no:
                 continue                # a wake-up that a later answer replaced
-            states[v], sends, w = call(states[v], box or _EMPTY_INBOX, round_no)
+            result = call(states[v], box or _EMPTY_INBOX, round_no)
+            if type(result) is not tuple or len(result) != 3:
+                got = f"{len(result)}-tuple" if type(result) is tuple else type(result).__name__
+                raise InvariantError(f"{alg.name} returned a {got}, not (state, sends, wake)")
+            states[v], sends, w = result
             steps += 1
+            if type(sends) is not dict and not isinstance(sends, Mapping):
+                raise InvariantError(f"{alg.name} sent a {type(sends).__name__}, "
+                                     f"not a port -> payload mapping")
             if w is not None:
+                if type(w) is not int:
+                    raise InvariantError(f"{alg.name} asked to wake at {w!r}, not a round number")
                 if w <= round_no:
                     raise InvariantError(
                         f"{alg.name} asked to wake at round {w} after round {round_no}")

@@ -44,6 +44,8 @@ def _cycle_graph(n: int) -> Graph:
 
 def numbered_cycle(n: int) -> DirectedCycle:
     """The directed n-cycle; its graph is built only when read."""
+    if type(n) is not int:
+        raise ValueError(f"cycle needs an integer node count, got {n!r}")
     if n < 3:
         raise ValueError(f"cycle needs at least 3 nodes, got {n}")
     return DirectedCycle(n)
@@ -190,8 +192,12 @@ def merge_layer_independent_sets(c: DirectedCycle,
     then delete it and its cycle neighbours from this and all later
     layers.
     """
+    if not isinstance(sets, Iterable):
+        raise MalformedSolutionError(f"layers {sets!r} are not a sequence of node sets")
     working = []
     for i, s in enumerate(sets):
+        if not isinstance(s, Iterable):
+            raise MalformedSolutionError(f"layer {i} is {s!r}, not a node set")
         s = list(s)
         for v in s:     # checked before the set, so an unhashable member is refused
             if type(v) is not int or not 0 <= v < c.n:

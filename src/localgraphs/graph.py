@@ -12,7 +12,7 @@ import json
 from enum import IntEnum
 from itertools import repeat
 from operator import itemgetter
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from typing import Sequence
 
 from .errors import CapabilityError, GraphFormatError, MalformedSolutionError
@@ -323,7 +323,9 @@ def with_colours(g: Graph, colours: Sequence[str] | None) -> Graph:
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Copy of g with node v renamed perm[v]; ports travel with their node."""
-    if any(type(x) is not int for x in perm) or sorted(perm) != list(range(g.n)):
+    # read once; a mapping is refused, as both its keys and its values look like ids
+    perm = list(perm) if isinstance(perm, Iterable) and not isinstance(perm, Mapping) else None
+    if perm is None or any(type(x) is not int for x in perm) or sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     port_to = _moved([tuple(perm[u] for u in nbrs) for nbrs in g._port_to], perm)
     return Graph(_moved(g.colours, perm), port_to, _moved(g._directions, perm))
@@ -358,6 +360,8 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
     Returns the subgraph and the original id of each new node.  The kept
     node set must leave no node isolated.
     """
+    if not isinstance(nodes, Iterable):
+        raise ValueError(f"kept nodes {nodes!r} are not a node set")
     kept = list(nodes)      # checked before the set, so an unhashable member is refused
     if not all(type(v) is int and 0 <= v < g.n for v in kept):
         raise ValueError(f"kept nodes must be ints in 0..{g.n - 1}")

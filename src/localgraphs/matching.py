@@ -11,6 +11,7 @@ times the maximum size.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Any, NamedTuple, Sequence
@@ -123,6 +124,8 @@ def _flood(g: Graph, partner: dict[int, int], h: int) -> AugmentingForest:
 def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
     """One root-leaf path per tree; competing branches lose to a lower port.
     A root without a path of ``forest.height`` edges to a leaf is malformed."""
+    if not isinstance(forest, AugmentingForest):
+        raise MalformedSolutionError(f"{forest!r} is not an AugmentingForest")
     children: dict[int, set[int]] = {}
     for v, p in forest.parent_port.items():
         children.setdefault(g.port_neighbour(v, p), set()).add(v)
@@ -143,6 +146,8 @@ def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
 def augment_phase(g: Graph, m, paths: Sequence[Path]) -> Matching:
     """Flip every path against the matching; grows it by one edge per path."""
     partner = validate_matching(g, m)
+    if not isinstance(paths, Iterable):
+        raise MalformedSolutionError(f"paths {paths!r} are not a sequence of paths")
     _augment(g, partner, tuple(paths))      # read once: _augment reads it twice
     return _edges(partner)
 
@@ -311,8 +316,6 @@ def _schedule(max_degree: int, k: int) -> tuple[int, tuple[tuple[int, int, int],
     loop stops at the first t_i = 0, since every later t_i is 0 too, or
     once the budget passes the cap, so no large power is ever raised.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     cap = MAX_SCHEME_ROUNDS
     lengths = []
     total = invocations = 0
@@ -332,7 +335,12 @@ def _schedule(max_degree: int, k: int) -> tuple[int, tuple[tuple[int, int, int],
 
 
 def scheme_round_budget(max_degree: int, k: int) -> int:
-    """Sum over i = 1..k of 3(2i-1) t_i, refused above MAX_SCHEME_ROUNDS."""
+    """Sum over i = 1..k of 3(2i-1) t_i, refused above MAX_SCHEME_ROUNDS.
+    k is checked here, before ``_schedule``'s cache reads True as 1."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     return _schedule(max_degree, k)[0]
 
 
@@ -344,16 +352,39 @@ def _position(max_degree: int, k: int, round_no: int) -> tuple[int, int, int]:
             return h, rho + 1, invocation + done
 
 
+@lru_cache(maxsize=4)
+def _round_facts(max_degree: int, k: int, round_no: int) -> tuple:
+    """(position, wake-up flood, wake) of a round 0..budget of the schedule.
+
+    ``position`` is ``_position``'s (h, rho, invocation), None for round
+    0; the wake-up flood is due at rho = 3h of every invocation but the
+    schedule's last; ``wake`` is what ``init`` (round 0) and ``step``
+    return for an unmatched black: rho = 3h of this or the next
+    invocation, or None if that is not before the budget's last round.
+    Every node stepped in a round asks for the same facts; a few entries
+    let runs with different degree bounds alternate.
+    """
+    budget = scheme_round_budget(max_degree, k)
+    position = _position(max_degree, k, round_no)
+    flood = position is not None and position[1] == 3 * position[0] and round_no < budget
+    wake = None
+    if round_no + 1 < budget:
+        h, rho, _ = _position(max_degree, k, round_no + 1)
+        wake = round_no + 1 + 3 * h - rho   # rho = 3h of this or the next invocation
+        if wake >= budget:
+            wake = None
+    return position, flood, wake
+
+
 class MatchingSchemeAlgorithm(LocalAlgorithm):
     """Port-numbering implementation of the whole scheme for a fixed k.
 
     For h = 2i-1 the schedule runs t_i invocations of 3h rounds: h of
     flooding, h of proposals going up, h of acceptances going down.  Each
     node reads its place in it from the round number and the degree
-    bound, so phase boundaries need no coordination.  That place is the
-    same for every node of a round, so it is computed once per round and
-    shared by every ``step`` of the round; the instance keeps only that
-    lookup, never a node's state.  A node is stepped only on mail,
+    bound, so phase boundaries need no coordination: ``_round_facts``,
+    a pure function of the degree bound, k and the round, gives it, and
+    the instance holds only k.  A node is stepped only on mail,
     except that ``init`` and ``step`` wake an unmatched black at rho = 3h
     to send the next wake-up flood; the first step in a new invocation
     resets the per-invocation fields.  ``step`` writes the state dict
@@ -368,38 +399,9 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
 
     def __init__(self, k: int):
         self.k = k
-        self._last = (None, None, None, False, None)    # see _facts
 
     def round_budget(self, max_degree: int) -> int:
         return scheme_round_budget(max_degree, self.k)
-
-    def _facts(self, delta: int, round_no: int) -> tuple:
-        """(delta, round_no, position, wake-up flood, wake) of a round.
-
-        ``position`` is ``_position``'s (h, rho, invocation), None for
-        round 0; the wake-up flood is due at rho = 3h of every invocation
-        but the schedule's last; ``wake`` is what ``init`` (round 0) and
-        ``step`` return for an unmatched black: rho = 3h of this or the
-        next invocation, or None if that is not before the budget's last
-        round.  Every node stepped in a round asks about it, so the last
-        answer is kept, keyed on the degree bound as well as the round:
-        one instance may run on graphs with different bounds.
-        """
-        last = self._last
-        if last[1] == round_no and last[0] == delta:
-            return last
-        budget = scheme_round_budget(delta, self.k)
-        position = _position(delta, self.k, round_no)
-        flood = (position is not None and position[1] == 3 * position[0]
-                 and round_no < budget)
-        wake = None
-        if round_no + 1 < budget:
-            h, rho, _ = _position(delta, self.k, round_no + 1)
-            wake = round_no + 1 + 3 * h - rho   # rho = 3h of this or the next invocation
-            if wake >= budget:
-                wake = None
-        self._last = (delta, round_no, position, flood, wake)
-        return self._last
 
     def init(self, view: NodeView) -> tuple[Any, Sends, int | None]:
         state = {
@@ -411,11 +413,11 @@ class MatchingSchemeAlgorithm(LocalAlgorithm):
         }
         if view.colour == BLACK:        # every black starts unmatched: flood invocation 0
             return (state, {p: _FLOOD for p in range(1, view.degree + 1)},
-                    self._facts(view.max_degree, 0)[4])
+                    _round_facts(view.max_degree, self.k, 0)[2])
         return state, {}, None
 
     def step(self, state: dict, inbox: Inbox, round_no: int) -> tuple[Any, Sends, int | None]:
-        _, _, (h, rho, invocation), wakeup_flood, wake = self._facts(state["delta"], round_no)
+        (h, rho, invocation), wakeup_flood, wake = _round_facts(state["delta"], self.k, round_no)
         sends: dict[int, bytes] = {}
         black = state["colour"] == BLACK
 

@@ -19,10 +19,6 @@ from .graph import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass, Graph,
                     opposite, with_colours)
 from .starforest import run_star_forest
 
-# "Graph" by name: typing caches each subscription, and a cached class would keep
-# every module of the package alive after it is dropped and imported again
-WeakColouringProvider = Callable[["Graph"], Sequence[str]]
-
 
 class AbcPartition(NamedTuple):
     """Odd-degree nodes, even-degree nodes next to them, and the rest."""
@@ -119,7 +115,7 @@ class OddDeltaResult(NamedTuple):
 
 
 def odd_delta_pipeline(g: Graph,
-                       provider: WeakColouringProvider | None = None,
+                       provider: Callable[[Graph], Sequence[str]] | None = None,
                        max_degree: int | None = None, *,
                        trace: Callable[[str], None] | None = None) -> OddDeltaResult:
     """Dominating set within ``delta`` of optimal; ``trace`` goes to the star phase's run."""

@@ -227,18 +227,11 @@ class StarForestAlgorithm(LocalAlgorithm):
 
 def star_forest_from_outputs(g: Graph, outputs: Mapping[int, dict]) -> StarForest:
     """Reassemble the StarForest from per-node simulation outputs, and check it."""
-    stars: dict[int, set[int]] = {}
-    for v, out in outputs.items():
-        if out["parent_port"] is None:
-            stars.setdefault(v, set())
-    for v, out in outputs.items():
-        p = out["parent_port"]
-        if p is None:
-            continue
-        root = g.port_neighbour(v, p)
-        if root not in stars:
-            raise MalformedSolutionError(f"node {v} points at non-root {root}")
-        stars[root].add(v)
+    stars: dict[int, set[int]] = {v: set() for v, out in outputs.items()
+                                  if out["parent_port"] is None}
+    for v, out in outputs.items():      # a pointer at a non-root makes two stars overlap
+        if out["parent_port"] is not None:
+            stars.setdefault(g.port_neighbour(v, out["parent_port"]), set()).add(v)
     forest = {r: frozenset(leaves) for r, leaves in stars.items()}
     _check_star_forest(g, forest)
     return StarForest(forest)

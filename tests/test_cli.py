@@ -427,6 +427,19 @@ class TestRun:
         assert json.loads(captured.out)["error"] == "InvariantError"
         assert "Traceback" not in captured.err
 
+    def test_step_without_its_wake_exit_4(self, capsys, monkeypatch, c4_file):
+        """A step that returns (state, sends) breaks the engine's contract, not
+        the input's: exit 4, where unpacking it raised a ValueError (exit 2)."""
+        monkeypatch.setattr(StarForestAlgorithm, "step",
+                            lambda self, state, inbox, round_no: (state, {}))
+        code = main(["run", "--graph", c4_file, "--alg", "star-ds"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out) == {
+            "error": "InvariantError",
+            "message": "star-forest returned a 2-tuple, not (state, sends, wake)"}
+        assert "Traceback" not in captured.err
+
 
 class TestOracleVerifyExport:
     def test_oracle_sizes(self, capsys, c4_file):

@@ -146,6 +146,25 @@ def test_send_outside_port_range(p3_wbw, phase, offset):
         run_local_algorithm(p3_wbw, Bad())
 
 
+@pytest.mark.parametrize("result, message", [
+    ((0, {}), r"returned a 2-tuple, not \(state, sends, wake\)"),
+    (None, r"returned a NoneType, not \(state, sends, wake\)"),
+    ((0, [(1, b"y")], None), "sent a list, not a port -> payload mapping"),
+    ((0, {}, "2"), "asked to wake at '2', not a round number"),
+    ((0, {}, 2.5), "asked to wake at 2.5, not a round number"),
+    ((0, {}, True), "asked to wake at True, not a round number"),
+], ids=["pair", "none", "list-of-sends", "str-wake", "float-wake", "bool-wake"])
+def test_a_result_of_the_wrong_shape_is_refused(single_edge, result, message):
+    """A step result is refused by its shape, not by what reading it raises:
+    a float wake would never fire, and a bool one would read as round 0 or 1."""
+    class Bad(CountEcho):
+        def step(self, state, inbox, round_no):
+            return result
+
+    with pytest.raises(InvariantError, match=f"^count-echo {message}$"):
+        run_local_algorithm(single_edge, Bad())
+
+
 def test_trace_lines(single_edge):
     lines = []
     run_local_algorithm(single_edge, CountEcho(), trace=lines.append)

@@ -21,7 +21,8 @@ from localgraphs.matching import (AugmentingForest, MatchingSchemeAlgorithm,
                                   augment_phase, eliminate_length, flood_phase,
                                   invocation_count, matching_from_outputs,
                                   proposal_phase, run_matching_scheme,
-                                  scheme_round_budget, _augment, _flood, _position)
+                                  scheme_round_budget, _augment, _flood, _position,
+                                  _round_facts)
 from localgraphs.oracles import (Solution, SolutionKind, brute_max_matching,
                                  shortest_augmenting_path_length,
                                  try_bipartition, verify_solution)
@@ -556,16 +557,28 @@ class TestSimulatedScheme:
 
     def test_round_budget_closed_form(self):
         """At every round of the budget the schedule lookup gives (h, rho,
-        invocation) of t_i invocations of 3h rounds for each h = 2i-1."""
+        invocation) of t_i invocations of 3h rounds for each h = 2i-1; the
+        wake-up flood is due at rho = 3h of every invocation but the last,
+        and the wake of rounds 0..budget is the next such round."""
         for delta in range(0, 7):
             for k in range(1, 7):
                 lengths = [2 * i - 1 for i in range(1, k + 1)
                            for _ in range(invocation_count(delta, i))]
                 reference = [(h, rho, invocation) for invocation, h in enumerate(lengths)
                              for rho in range(1, 3 * h + 1)]
-                assert scheme_round_budget(delta, k) == len(reference)
-                assert [_position(delta, k, r)
-                        for r in range(1, len(reference) + 1)] == reference
+                budget = len(reference)
+                assert scheme_round_budget(delta, k) == budget
+                assert [_position(delta, k, r) for r in range(1, budget + 1)] == reference
+                floods = {r for r, (h, rho, invocation) in enumerate(reference, start=1)
+                          if rho == 3 * h and invocation < len(lengths) - 1}
+                wakes, upcoming = [], None      # the first flood after each round, backwards
+                for r in range(budget, -1, -1):
+                    wakes.append(upcoming)
+                    if r in floods:
+                        upcoming = r
+                wakes.reverse()
+                assert [_round_facts(delta, k, r) for r in range(budget + 1)] == list(
+                    zip([None, *reference], [r in floods for r in range(budget + 1)], wakes))
         with pytest.raises(ValueError):
             scheme_round_budget(3, 0)
 
@@ -602,8 +615,8 @@ class TestSimulatedScheme:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_one_instance_across_degree_bounds(self, seed):
         """An instance reused on runs with degree bounds 3, 4, then 3 again
-        gives every run what a fresh instance gives: its per-round schedule
-        lookup is keyed on the bound as well as the round."""
+        gives every run what a fresh instance gives: the per-round schedule
+        lookup is a function of the bound as well as the round."""
         g = random_bipartite(40, 3, seed)
         shared = MatchingSchemeAlgorithm(2)
         for delta in (3, 4, 3):

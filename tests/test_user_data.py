@@ -1,13 +1,13 @@
 """One contract for user data at every public function that takes it.
 
-A malformed matching member, path, node, node set, parent port, star or
-edge spec is refused with the class ``errors.py`` documents for it, never
-with a ``TypeError`` or an ``IndexError`` from inside the function; and
-each matching argument, node set or edge list is read once, so a one-pass
-iterator gives the same answer as the same items in a list.  A
-container that is not one (``None`` for a matching, an int for a colour
-list) is refused the same way, and ``verify_solution`` reports it as its
-one violation.
+A malformed matching member, path, node, node set, permutation, colour,
+parent port, star or edge spec is refused with the class ``errors.py``
+documents for it, never with a ``TypeError`` or an ``IndexError`` from
+inside the function; and each matching argument, node set, permutation,
+colour list or edge list is read once, so a one-pass iterator gives the
+same answer as the same items in a list.  A container that is not one
+(``None`` for a matching, an int for a colour list) is refused the same
+way, and ``verify_solution`` reports it as its one violation.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localgraphs import BLACK, WHITE, build_graph, with_colours
+from localgraphs import BLACK, WHITE, build_graph, relabel, with_colours
 from localgraphs.errors import GraphFormatError, InvariantError, MalformedSolutionError
 from localgraphs.generators import (matching_to_independent_set,
                                     merge_layer_independent_sets, numbered_cycle)
 from localgraphs.graph import induced_subgraph
-from localgraphs.matching import augment_phase, eliminate_length, flood_phase
+from localgraphs.matching import (approximate_maximum_matching, augment_phase, eliminate_length,
+                                  flood_phase, proposal_phase, run_matching_scheme)
 from localgraphs.oracles import (Solution, VerificationReport, shortest_augmenting_path_length,
                                  validate_matching, verify_solution)
 from localgraphs.starforest import StarForest, normalize_stars, star_matching
@@ -47,6 +48,8 @@ forests = st.dictionaries(
     st.integers(0, 5),
     st.one_of(st.sampled_from([frozenset({1, 5}), frozenset({2, 4})]), node_sets, values),
     max_size=3).map(StarForest)
+colour_lists = st.lists(st.one_of(st.sampled_from([BLACK, WHITE]), values), min_size=5,
+                        max_size=7)
 edge_specs = st.lists(st.one_of(st.sampled_from([(0, 1, 1, 1), (1, 2, 2, 1), (0, 2, 2, 2)]),
                                 st.lists(atoms, min_size=3, max_size=6).map(tuple), values),
                       max_size=4)
@@ -92,6 +95,13 @@ ENTRY_POINTS = {
         st.tuples(st.one_of(st.integers(0, 4), atoms), edge_specs),
         lambda a, once: build_graph(a[0], once(a[1])),
         (GraphFormatError,)),
+    "relabel": (
+        st.one_of(st.permutations(range(6)), node_sets),
+        lambda perm, once: relabel(G, once(perm)),
+        (ValueError,)),
+    "with_colours": (
+        colour_lists, lambda colours, once: with_colours(G, once(colours)),
+        (GraphFormatError,)),
 }
 
 
@@ -124,7 +134,12 @@ def test_user_data_contract(name, data):
      GraphFormatError, r"edge fields must be integers: \(False, True, 1, 1\)"),
     (lambda: build_graph(2, [(0, 1, 1.0, True)]),
      GraphFormatError, r"edge fields must be integers: \(0, 1, 1\.0, True\)"),
-], ids=["bool-parent-port", "bool-ids", "float-and-bool-ports"])
+    (lambda: numbered_cycle(6.0), ValueError, r"cycle needs an integer node count, got 6\.0"),
+    (lambda: run_matching_scheme(G, True), ValueError, "k must be an integer, got True"),
+    (lambda: approximate_maximum_matching(G, True), ValueError,
+     "k must be an integer, got True"),
+], ids=["bool-parent-port", "bool-ids", "float-and-bool-ports", "float-cycle-length",
+        "bool-k-simulated", "bool-k-centralized"])
 def test_a_value_equal_to_an_int_is_refused_not_read_as_it(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
@@ -180,8 +195,22 @@ def test_induced_subgraph_refuses_a_member_that_cannot_be_hashed():
      "members None are not a set"),
     (lambda: verify_solution(CYCLE.graph, Solution("dominating-set", 3)), None,
      "members 3 are not a set"),
+    (lambda: relabel(G, None), ValueError, r"perm must be a permutation of 0\.\.n-1"),
+    (lambda: relabel(G, {v: (v + 1) % 6 for v in range(6)}), ValueError,
+     r"perm must be a permutation of 0\.\.n-1"),
+    (lambda: induced_subgraph(G, None), ValueError, "kept nodes None are not a node set"),
+    (lambda: merge_layer_independent_sets(CYCLE, None), MalformedSolutionError,
+     "layers None are not a sequence of node sets"),
+    (lambda: merge_layer_independent_sets(CYCLE, [{0}, None]), MalformedSolutionError,
+     "layer 1 is None, not a node set"),
+    (lambda: proposal_phase(G, None), MalformedSolutionError,
+     "None is not an AugmentingForest"),
+    (lambda: augment_phase(G, frozenset(), None), MalformedSolutionError,
+     "paths None are not a sequence of paths"),
 ], ids=["build_graph-edges", "build_graph-colours", "normalize_stars", "star_matching",
-        "validate_matching", "verify_solution-matching", "verify_solution-dominating-set"])
+        "validate_matching", "verify_solution-matching", "verify_solution-dominating-set",
+        "relabel", "relabel-mapping", "induced_subgraph", "merge-layers", "merge-layer", "proposal_phase",
+        "augment_phase"])
 def test_a_malformed_container_is_refused_with_its_documented_class(call, error, message):
     if error is None:
         assert call() == VerificationReport(ok=False, violations=[message])
