@@ -99,6 +99,8 @@ def check_colouring(g: Graph, alg: LocalAlgorithm | type[LocalAlgorithm]) -> Non
 
 def degree_bound(g: Graph, max_degree: int | None) -> int:
     """The declared degree bound, or the graph's maximum degree if none is declared."""
+    if max_degree is not None and type(max_degree) is not int:
+        raise ValueError(f"declared degree bound must be an integer, got {max_degree!r}")
     delta = g.max_degree if max_degree is None else max_degree
     if delta < g.max_degree:
         raise ValueError(f"declared degree bound {delta} below actual {g.max_degree}")

@@ -15,7 +15,8 @@ import random
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MalformedSolutionError
-from .graph import BLACK, WHITE, Edge, Graph, build_graph, fixup_weak_colouring, normalize_edge
+from .graph import (BLACK, WHITE, Edge, Graph, build_graph, fixup_weak_colouring, normalize_edge,
+                    port_specs)
 from .oracles import validate_matching
 
 
@@ -60,22 +61,12 @@ def _neighbour_lists(n: int, pairs: Iterable[Edge]) -> list[list[int]]:
     return [sorted(lst) for lst in nbrs]
 
 
-def _port_specs(nbrs: Sequence[Sequence[int]], arcs: set[Edge] | None = None):
-    """Edge specs, sorted by edge, that give node v port p toward ``nbrs[v][p-1]``.
-
-    ``arcs`` orients the graph: it holds each edge once, as (tail, head).
-    """
-    port = [{u: p for p, u in enumerate(lst, start=1)} for lst in nbrs]
-    return sorted((u, v, pu, port[v][u], None if arcs is None else "uv" if (u, v) in arcs else "vu")
-                  for u, lst in enumerate(nbrs) for pu, v in enumerate(lst, start=1) if u < v)
-
-
 def cycle_power(c: DirectedCycle, k: int) -> Graph:
     """k-th power of the cycle: u ~ v iff their cycle distance is at most k."""
     if k < 1 or c.n <= 2 * k:
         raise ValueError(f"need n > 2k >= 2, got n={c.n}, k={k}")
     arcs = {(u, (u + d) % c.n) for u in range(c.n) for d in range(1, k + 1)}
-    return build_graph(c.n, _port_specs(_neighbour_lists(c.n, arcs), arcs))
+    return build_graph(c.n, port_specs(_neighbour_lists(c.n, arcs), arcs))
 
 
 def strong_blowup(c: DirectedCycle, delta: int) -> Graph:
@@ -92,7 +83,7 @@ def strong_blowup(c: DirectedCycle, delta: int) -> Graph:
         for d in range(delta):
             pairs.append((2 * u, 2 * ((u + d) % c.n) + 1))
     colours = [WHITE if x % 2 == 0 else BLACK for x in range(2 * c.n)]
-    return build_graph(2 * c.n, _port_specs(_neighbour_lists(2 * c.n, pairs)), colours)
+    return build_graph(2 * c.n, port_specs(_neighbour_lists(2 * c.n, pairs)), colours)
 
 
 def _layer_id(v: int, layer: int, delta: int) -> int:
@@ -122,7 +113,7 @@ def weak_layered(c: DirectedCycle, delta: int) -> Graph:
                           _layer_id(c.successor(v), i, delta)))
     n = (delta + 1) * c.n
     colours = [BLACK if x % (delta + 1) == 0 else WHITE for x in range(n)]
-    return build_graph(n, _port_specs(_neighbour_lists(n, pairs)), colours)
+    return build_graph(n, port_specs(_neighbour_lists(n, pairs)), colours)
 
 
 def weak_layered_perfect_matching(c: DirectedCycle, delta: int) -> frozenset[Edge]:
@@ -315,15 +306,10 @@ def _shuffle_each(nbrs: Sequence[list[int]], seed: int) -> None:
 
 
 def shuffle_ports(g: Graph, seed: int) -> Graph:
-    """Same graph with freshly randomized port numberings; directions move with their ports."""
-    orders = [list(range(g.degree(v))) for v in g.nodes]
-    _shuffle_each(orders, seed)     # same draws as shuffling the neighbour lists
-
-    def reordered(rows):
-        return tuple(tuple(row[i] for i in order) for row, order in zip(rows, orders))
-
-    directions = reordered(map(g.port_directions, g.nodes)) if g.has_orientation else None
-    return Graph(g.colours, reordered(map(g.neighbours, g.nodes)), directions, g.edges)
+    """Same graph with freshly randomized port numberings; every edge keeps its orientation."""
+    nbrs = [list(row) for row in map(g.neighbours, g.nodes)]
+    _shuffle_each(nbrs, seed)
+    return Graph(g.colours, tuple(map(tuple, nbrs)), g._arcs, g.edges)
 
 
 def random_bipartite(n: int, delta: int, seed: int) -> Graph:
@@ -340,7 +326,7 @@ def random_bipartite(n: int, delta: int, seed: int) -> Graph:
     pairs = _fill_random_edges(n, delta, rng, colours, cover)
     nbrs = _neighbour_lists(n, pairs)
     _shuffle_each(nbrs, rng.getrandbits(32))
-    return build_graph(n, _port_specs(nbrs), colours)
+    return build_graph(n, port_specs(nbrs), colours)
 
 
 def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
@@ -361,7 +347,7 @@ def random_weak(n: int, delta: int, seed: int, oriented: bool = True) -> Graph:
     nbrs = _neighbour_lists(n, pairs)
     colours = fixup_weak_colouring(nbrs, [rng.choice((BLACK, WHITE)) for _ in range(n)])
     _shuffle_each(nbrs, rng.getrandbits(32))
-    return build_graph(n, _port_specs(nbrs, arcs), colours)
+    return build_graph(n, port_specs(nbrs, arcs), colours)
 
 
 def random_weak_colouring(g: Graph, seed: int) -> list[str]:

@@ -3,7 +3,7 @@
 Node ids are dense integers 0..n-1 used by the harness and the oracles only;
 simulated algorithms never see them.  Ports are 1-based: at every node the
 ports form a bijection {1..deg(v)} -> neighbours(v), and an orientation
-gives each port the direction of the edge behind it.
+gives each edge a tail and a head.
 """
 
 from __future__ import annotations
@@ -47,29 +47,29 @@ class Graph:
     """Immutable graph held as its port tables.
 
     ``port_to[v]`` lists v's neighbours in port order, one row per node,
-    so ``n`` is its length.  ``directions[v]`` gives, in the same order,
-    OUTGOING or INCOMING for the edge behind each port; ``directions`` is
-    None on an unoriented graph.  The constructor trusts its arguments.
-    It takes the edge set (normalized ``u < v`` pairs) from ``edges`` or
-    derives it from ``port_to``.  The route table ((neighbour, arrival
-    port) per port, the one derived port table), the node labels and the
-    colouring class are derived on their first read and kept.  New
-    structure is validated by :func:`build_graph`, which passes the edge
-    set its validation built; copies of a valid graph
-    (:func:`with_colours`, :func:`relabel`, :func:`disjoint_union`,
-    :func:`induced_subgraph`) derive their tables from the source's.
+    so ``n`` is its length.  ``arcs``, the orientation, holds each edge
+    once as (tail, head); it is None on an unoriented graph.  The
+    constructor trusts its arguments.  It takes the edge set (normalized
+    ``u < v`` pairs) from ``edges`` or derives it from ``port_to``.  The
+    route table ((neighbour, arrival port) per port), the node labels
+    (the one place per-port directions are derived) and the colouring
+    class are derived on their first read and kept.  New structure is
+    validated by :func:`build_graph`, which passes the edge and arc sets
+    its validation built; copies of a valid graph (:func:`with_colours`,
+    :func:`relabel`, :func:`disjoint_union`, :func:`induced_subgraph`)
+    derive their port tables from the source's and carry its arc set.
     Each check on outside data has one home: :meth:`port_neighbour` for a
     port, :meth:`has_edge` for an edge, :func:`build_graph` for an edge spec.
     """
 
-    __slots__ = ("n", "colours", "edges", "_port_to", "_directions", "_routes",
+    __slots__ = ("n", "colours", "edges", "_port_to", "_arcs", "_routes",
                  "_labels", "_colouring", "_max_degree")
 
-    def __init__(self, colours, port_to, directions, edges=None):
+    def __init__(self, colours, port_to, arcs, edges=None):
         self.n = len(port_to)
         self.colours = colours          # tuple[str, ...] | None
         self._port_to = port_to         # tuple[tuple[int, ...], ...]
-        self._directions = directions or None   # tuple[tuple[str, ...], ...] | None
+        self._arcs = arcs or None       # frozenset[(tail, head)] | None
         self._routes = None             # read as `self._routes or self._route_table()`
         self._labels = None             # read as `self._labels or self._label_table()`
         self._colouring = None          # ColouringClass of ``colours``, set by classify_colouring
@@ -79,16 +79,19 @@ class Graph:
 
     def _route_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Derive and keep the route table: (neighbour, arrival port), per port."""
-        # port[u][v] is u's port toward v: transient, the route table is all that is kept
-        port = [{u: p for p, u in enumerate(nbrs, start=1)} for nbrs in self._port_to]
+        port = _port_maps(self._port_to)    # transient: the route table is all that is kept
         self._routes = tuple([tuple([(u, port[u][v]) for u in nbrs])
                               for v, nbrs in enumerate(self._port_to)])
         return self._routes
 
     def _label_table(self) -> tuple[tuple, ...]:
         """Derive and keep the node labels: (degree, colour, port directions)."""
+        arcs = self._arcs
+        directions = repeat(None) if arcs is None else [
+            tuple([OUTGOING if (v, u) in arcs else INCOMING for u in nbrs])
+            for v, nbrs in enumerate(self._port_to)]
         self._labels = tuple(zip(map(len, self._port_to), self.colours or repeat(None),
-                                 self._directions or repeat(None)))
+                                 directions))
         return self._labels
 
     # -- structure accessors --------------------------------------------
@@ -138,7 +141,7 @@ class Graph:
 
     def port_directions(self, v: int) -> tuple[str, ...] | None:
         """OUTGOING or INCOMING per port of v, in port order; None if unoriented."""
-        return None if self._directions is None else self._directions[v]
+        return (self._labels or self._label_table())[v][2]
 
     def colour(self, v: int) -> str | None:
         return None if self.colours is None else self.colours[v]
@@ -149,13 +152,13 @@ class Graph:
 
     @property
     def has_orientation(self) -> bool:
-        return self._directions is not None
+        return self._arcs is not None
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.colours == other.colours and self._port_to == other._port_to
-                and self._directions == other._directions)
+                and self._arcs == other._arcs)
 
     __hash__ = None  # mutable-free but identity hashing would be a trap
 
@@ -184,9 +187,8 @@ def build_graph(node_count: int,
 
     edge_set: set[Edge] = set()
     add_edge = edge_set.add
-    # port -> neighbour, or -> (neighbour, direction) on an oriented edge
-    ports: list[dict] = [{} for _ in range(node_count)]
-    directed = 0
+    arcs: set[Edge] = set()         # (tail, head) of each oriented edge
+    ports: list[dict[int, int]] = [{} for _ in range(node_count)]   # port -> neighbour
 
     for spec in edges:
         try:
@@ -211,21 +213,16 @@ def build_graph(node_count: int,
             raise GraphFormatError(f"port {pu} reused at node {u}")
         if pv in at_v:
             raise GraphFormatError(f"port {pv} reused at node {v}")
-        if direction is None:
-            at_u[pu] = v
-            at_v[pv] = u
-        elif direction == "uv":
-            at_u[pu] = (v, OUTGOING)
-            at_v[pv] = (u, INCOMING)
-            directed += 1
+        at_u[pu] = v
+        at_v[pv] = u
+        if direction == "uv":
+            arcs.add((u, v))
         elif direction == "vu":
-            at_u[pu] = (v, INCOMING)
-            at_v[pv] = (u, OUTGOING)
-            directed += 1
-        else:
+            arcs.add((v, u))
+        elif direction is not None:
             raise GraphFormatError(f"direction must be 'uv', 'vu' or None, got {direction!r}")
 
-    if directed not in (0, len(edge_set)):
+    if arcs and len(arcs) != len(edge_set):
         raise GraphFormatError("orientation must be given for all edges or none")
 
     rows = []
@@ -237,10 +234,7 @@ def build_graph(node_count: int,
         except KeyError:
             raise GraphFormatError(
                 f"node {v}: ports {sorted(at)} are not exactly 1..{len(at)}") from None
-    if directed:
-        port_to, directions = zip(*[zip(*row) for row in rows])
-        return Graph(colour_list, port_to, directions, frozenset(edge_set))
-    return Graph(colour_list, tuple(rows), None, frozenset(edge_set))
+    return Graph(colour_list, tuple(rows), frozenset(arcs), frozenset(edge_set))
 
 
 def _normalize_colours(n, colours):
@@ -296,39 +290,50 @@ def fixup_weak_colouring(neighbours: Sequence[Sequence[int]],
 
 # -- structural utilities -----------------------------------------------------
 
-def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
-    """``(u, v, port_u, port_v, direction)`` per edge, sorted: build_graph's input."""
-    dirs = g._directions        # None on an unoriented graph
-    # port[v][u] is v's port toward u: transient, so a fresh graph derives no route table
-    port = [{u: p for p, u in enumerate(nbrs, start=1)} for nbrs in g._port_to]
-    specs = [(u, v, pu, port[v][u], dirs and ("uv" if dirs[u][pu - 1] == OUTGOING else "vu"))
-             for u, nbrs in enumerate(g._port_to) for pu, v in enumerate(nbrs, start=1)
-             if u < v]
+def _port_maps(rows: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """``_port_maps(rows)[v][u]`` is v's port toward u, when ``rows[v]`` lists v's neighbours."""
+    return [{u: p for p, u in enumerate(row, start=1)} for row in rows]
+
+
+def port_specs(nbrs: Sequence[Sequence[int]], arcs: set[Edge] | frozenset[Edge] | None = None):
+    """Edge specs, sorted by edge, that give node v port p toward ``nbrs[v][p-1]``.
+
+    ``arcs`` orients the graph: it holds each edge once, as (tail, head).
+    """
+    port = _port_maps(nbrs)
+    specs = [(u, v, pu, port[v][u], None if arcs is None else "uv" if (u, v) in arcs else "vu")
+             for u, row in enumerate(nbrs) for pu, v in enumerate(row, start=1) if u < v]
     specs.sort()    # by (u, v), which no two specs share
     return specs
+
+
+def edge_specs(g: Graph) -> list[tuple[int, int, int, int, str | None]]:
+    """``(u, v, port_u, port_v, direction)`` per edge, sorted: build_graph's input."""
+    return port_specs(g._port_to, g._arcs)     # a fresh graph derives no route table
 
 
 def with_colours(g: Graph, colours: Sequence[str] | None) -> Graph:
     """Copy of g with the colour map replaced (or removed), built from g's tables.
 
-    The copy shares g's port tables, edge set and, if g has derived it,
-    route table; otherwise each graph derives its own on its first read.
+    The copy shares g's port table, arc set, edge set and, if g has
+    derived it, route table; otherwise each derives its own on first read.
     The node labels and the colouring class depend on the colours, so
     the copy derives its own.
     """
-    h = Graph(_normalize_colours(g.n, colours), g._port_to, g._directions, g.edges)
+    h = Graph(_normalize_colours(g.n, colours), g._port_to, g._arcs, g.edges)
     h._routes = g._routes
     return h
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Copy of g with node v renamed perm[v]; ports travel with their node."""
+    """Copy of g with node v renamed perm[v]; its ports and the ends of its arcs go with it."""
     # read once; a mapping is refused, as both its keys and its values look like ids
     perm = list(perm) if isinstance(perm, Iterable) and not isinstance(perm, Mapping) else None
     if perm is None or any(type(x) is not int for x in perm) or sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     port_to = _moved([tuple(perm[u] for u in nbrs) for nbrs in g._port_to], perm)
-    return Graph(_moved(g.colours, perm), port_to, _moved(g._directions, perm))
+    arcs = None if g._arcs is None else frozenset((perm[t], perm[h]) for t, h in g._arcs)
+    return Graph(_moved(g.colours, perm), port_to, arcs)
 
 
 def _moved(rows: Sequence | None, perm: Sequence[int]) -> tuple | None:
@@ -350,8 +355,8 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     ids = list(range(g1.n, g1.n + g2.n))  # one int object per node, shared by all tables
     port_to = g1._port_to + tuple(tuple(ids[u] for u in nbrs) for nbrs in g2._port_to)
     colours = g1.colours + g2.colours if g1.has_colours else None
-    directions = g1._directions + g2._directions if g1.has_orientation else None
-    return Graph(colours, port_to, directions)
+    arcs = g1._arcs.union((ids[t], ids[h]) for t, h in g2._arcs) if g1.has_orientation else None
+    return Graph(colours, port_to, arcs)
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -368,18 +373,15 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
     kept = sorted(set(kept))
     new_id = {old: i for i, old in enumerate(kept)}
     port_to = []
-    directions = None if g._directions is None else []
     for old in kept:
-        nbrs = g._port_to[old]
-        ports = [i for i, u in enumerate(nbrs) if u in new_id]   # kept, 0-based
-        if not ports:
+        row = tuple(new_id[u] for u in g._port_to[old] if u in new_id)
+        if not row:
             raise ValueError(f"node {old} has no neighbours among the kept nodes")
-        port_to.append(tuple(new_id[nbrs[i]] for i in ports))
-        if directions is not None:
-            directions.append(tuple(g._directions[old][i] for i in ports))
+        port_to.append(row)
     colours = None if g.colours is None else tuple(g.colours[old] for old in kept)
-    return (Graph(colours, tuple(port_to), None if directions is None else tuple(directions)),
-            tuple(kept))
+    arcs = None if g._arcs is None else frozenset(
+        (new_id[t], new_id[h]) for t, h in g._arcs if t in new_id and h in new_id)
+    return Graph(colours, tuple(port_to), arcs), tuple(kept)
 
 
 # -- JSON interchange ----------------------------------------------------------

@@ -211,12 +211,14 @@ def eliminate_length(g: Graph, m, i: int, *,
                      assert_oracle: bool = False) -> Matching:
     """Remove every length-(2i-1) augmenting path: t_i invocations, see ``_eliminate``.
 
-    Refuses an i < 1 with a ValueError, and an i whose schedule
-    ``run_matching_scheme(g, i)`` would refuse with its TooLargeError.
+    Refuses an i that is not an ``int`` or is below 1 with a ValueError, and an i whose
+    schedule ``run_matching_scheme(g, i)`` would refuse with its TooLargeError.
     An augmenting path shorter than 2i-1 raises ``flood_phase``'s InvariantError.
     """
     check_colouring(g, MatchingSchemeAlgorithm)
     delta = degree_bound(g, max_degree)
+    if type(i) is not int:
+        raise ValueError(f"path index i must be an integer, got {i!r}")
     if i >= 1:      # an i < 1 is invocation_count's ValueError
         scheme_round_budget(delta, i)
     partner = validate_matching(g, m)

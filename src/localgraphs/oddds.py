@@ -14,9 +14,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .engine import RunResult, degree_bound
 from .errors import CapabilityError, InvariantError, MalformedSolutionError
-from .graph import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass, Graph,
-                    classify_colouring, fixup_weak_colouring, induced_subgraph,
-                    opposite, with_colours)
+from .graph import (BLACK, WHITE, ColouringClass, Graph, classify_colouring,
+                    fixup_weak_colouring, induced_subgraph, opposite, with_colours)
 from .starforest import run_star_forest
 
 
@@ -51,20 +50,19 @@ class DummyAugmentedGraph(NamedTuple):
 
 
 def build_h2(g: Graph, part: AbcPartition) -> DummyAugmentedGraph:
-    """Induce the core on a + b and give every even-degree node a dummy."""
+    """Induce the core on a + b and give every even-degree node a dummy, oriented host -> dummy."""
     core = sorted(part.a | part.b)
     base, original_ids = induced_subgraph(g, core)
     port_to = list(map(base.neighbours, base.nodes))
-    directions = list(map(base.port_directions, base.nodes)) if base.has_orientation else None
+    dummy_arcs = []     # (host, dummy)
     for v in base.nodes:
         if base.degree(v) % 2 == 0:
             dummy = len(port_to)
             port_to[v] += (dummy,)
             port_to.append((v,))
-            if directions is not None:
-                directions[v] += (OUTGOING,)
-                directions.append((INCOMING,))
-    graph = Graph(None, tuple(port_to), None if directions is None else tuple(directions))
+            dummy_arcs.append((v, dummy))
+    arcs = None if base._arcs is None else base._arcs.union(dummy_arcs)
+    graph = Graph(None, tuple(port_to), arcs)
     if any(graph.degree(v) % 2 == 0 for v in graph.nodes):
         raise InvariantError("dummy-augmented core has an even-degree node")
     return DummyAugmentedGraph(graph=graph, base=base, original_ids=original_ids)

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localgraphs import (BLACK, OUTGOING, WHITE, ColouringClass, build_graph,
+from localgraphs import (BLACK, INCOMING, OUTGOING, WHITE, ColouringClass, build_graph,
                          classify_colouring)
 from localgraphs.errors import CapabilityError, GraphFormatError, MalformedSolutionError
 from localgraphs.graph import (Graph, disjoint_union, dumps, edge_specs, fixup_weak_colouring,
                                graph_from_json_dict, graph_to_json_dict,
                                induced_subgraph, loads, normalize_edge, relabel,
                                with_colours)
-from localgraphs.generators import (random_bipartite, random_weak,
+from localgraphs.generators import (numbered_cycle, random_bipartite, random_weak,
                                     random_weak_colouring, shuffle_ports)
 from localgraphs.matching import eliminate_length, flood_phase, proposal_phase
 from localgraphs.oddds import build_h2, partition_abc
@@ -385,6 +385,48 @@ def test_derived_copies_stay_valid(family, n, delta, seed, oriented):
     assert relabel(g, range(n)) == g
 
 
+def oriented_copies(g, seed):
+    """(name, copy, source id of each copy node or None for a dummy) per copy of g."""
+    rng = random.Random(seed)
+    perm = rng.sample(range(g.n), g.n)
+    # the ends of half the edges: every kept node keeps the neighbour it was drawn with
+    kept = {x for e in rng.sample(sorted(g.edges), g.edge_count // 2) for x in e}
+    sub, sub_ids = induced_subgraph(g, kept)
+    h2 = build_h2(g, partition_abc(g))
+    return [
+        ("with_colours", with_colours(g, random_weak_colouring(g, seed)), list(g.nodes)),
+        ("relabel", relabel(g, perm), [perm.index(v) for v in g.nodes]),
+        ("shuffle_ports", shuffle_ports(g, seed), list(g.nodes)),
+        ("disjoint_union", disjoint_union(g, g), list(g.nodes) * 2),
+        ("induced_subgraph", sub, list(sub_ids)),
+        ("build_h2", h2.graph,
+         list(h2.original_ids) + [None] * (h2.graph.n - h2.base.n)),
+    ]
+
+
+@pytest.mark.parametrize("make", [lambda: random_weak(12, 3, 1), lambda: random_weak(30, 3, 2),
+                                  lambda: random_weak(25, 4, 3), lambda: random_weak(41, 5, 4),
+                                  lambda: numbered_cycle(7).graph],
+                         ids=["weak-12-3", "weak-30-3", "weak-25-4", "weak-41-5", "cycle-7"])
+def test_every_copy_keeps_each_edges_orientation(make):
+    g = make()
+    tail = {normalize_edge(u, v): u if d == "uv" else v for u, v, _, _, d in edge_specs(g)}
+    for name, h, source in oriented_copies(g, g.n):
+        assert h.has_orientation == (h.n > 0), name    # at an even Δ build_h2's core is empty
+        for v in h.nodes:
+            directions = h.port_directions(v)
+            assert len(directions) == h.degree(v), name
+            for p, u in enumerate(h.neighbours(v), start=1):
+                if source[v] is None:       # a dummy: its one edge comes from its host
+                    want = INCOMING
+                elif source[u] is None:
+                    want = OUTGOING
+                else:
+                    want = OUTGOING if tail[normalize_edge(source[v], source[u])] == source[v] \
+                        else INCOMING
+                assert directions[p - 1] == want, (name, v, p)
+
+
 def eager_tables(g):
     """Reverse table, routes and edge set derived from the port tables alone."""
     rows = [g.neighbours(v) for v in g.nodes]
@@ -410,8 +452,10 @@ def test_tables_read_lazily_equal_an_eager_derivation(make, first):
     FIRST_READS[first](g)
     after = with_colours(g, g.colours)
     port_of, routes, edges = eager_tables(g)
-    directions = None if not g.has_orientation else tuple(map(g.port_directions, g.nodes))
-    eager = Graph(g.colours, tuple(map(g.neighbours, g.nodes)), directions)
+    arcs = None if not g.has_orientation else frozenset(
+        (v, u) for v in g.nodes for u, d in zip(g.neighbours(v), g.port_directions(v))
+        if d == OUTGOING)
+    eager = Graph(g.colours, tuple(map(g.neighbours, g.nodes)), arcs)
     for h in (g, after, before):
         assert h == g == eager
         assert h.edges == edges == eager.edges and isinstance(h.edges, frozenset)

@@ -20,14 +20,15 @@ from hypothesis import strategies as st
 
 from localgraphs import BLACK, WHITE, build_graph, relabel, with_colours
 from localgraphs.errors import GraphFormatError, InvariantError, MalformedSolutionError
-from localgraphs.generators import (matching_to_independent_set,
-                                    merge_layer_independent_sets, numbered_cycle)
+from localgraphs.generators import (matching_to_independent_set, merge_layer_independent_sets,
+                                    numbered_cycle, random_bipartite, random_weak)
 from localgraphs.graph import induced_subgraph
 from localgraphs.matching import (approximate_maximum_matching, augment_phase, eliminate_length,
                                   flood_phase, proposal_phase, run_matching_scheme)
+from localgraphs.oddds import odd_delta_pipeline
 from localgraphs.oracles import (Solution, VerificationReport, shortest_augmenting_path_length,
                                  validate_matching, verify_solution)
-from localgraphs.starforest import StarForest, normalize_stars, star_matching
+from localgraphs.starforest import StarForest, normalize_stars, run_star_forest, star_matching
 
 CYCLE = numbered_cycle(6)
 G = with_colours(CYCLE.graph, [BLACK, WHITE] * 3)     # properly coloured, bipartite
@@ -138,8 +139,36 @@ def test_user_data_contract(name, data):
     (lambda: run_matching_scheme(G, True), ValueError, "k must be an integer, got True"),
     (lambda: approximate_maximum_matching(G, True), ValueError,
      "k must be an integer, got True"),
+    # a declared degree bound: a float or str escaped as TypeError or ran as Δ = 3.0
+    (lambda: run_matching_scheme(random_bipartite(20, 3, 1), 1, max_degree=3.0), ValueError,
+     r"declared degree bound must be an integer, got 3\.0"),
+    (lambda: approximate_maximum_matching(random_bipartite(20, 3, 1), 1, max_degree=3.0),
+     ValueError, r"declared degree bound must be an integer, got 3\.0"),
+    (lambda: run_star_forest(random_bipartite(20, 3, 1), max_degree=3.0), ValueError,
+     r"declared degree bound must be an integer, got 3\.0"),
+    (lambda: odd_delta_pipeline(random_weak(20, 3, 1), None, 3.0), ValueError,
+     r"declared degree bound must be an integer, got 3\.0"),
+    (lambda: run_matching_scheme(random_bipartite(20, 3, 1), 1, max_degree="3"), ValueError,
+     "declared degree bound must be an integer, got '3'"),
+    (lambda: approximate_maximum_matching(build_graph(2, [(0, 1, 1, 1)], [BLACK, WHITE]), 1,
+                                          max_degree=True), ValueError,
+     "declared degree bound must be an integer, got True"),
+    # eliminate_length's path index: checked before its i >= 1 test, and named i
+    (lambda: eliminate_length(random_bipartite(20, 3, 1), frozenset(), "1"), ValueError,
+     "path index i must be an integer, got '1'"),
+    (lambda: eliminate_length(random_bipartite(20, 3, 1), frozenset(), None), ValueError,
+     "path index i must be an integer, got None"),
+    (lambda: eliminate_length(G, frozenset(), True), ValueError,
+     "path index i must be an integer, got True"),
+    (lambda: eliminate_length(G, frozenset(), 1.0), ValueError,
+     r"path index i must be an integer, got 1\.0"),
+    (lambda: eliminate_length(G, frozenset(), 0), ValueError,
+     "path index i must be at least 1, got 0"),
 ], ids=["bool-parent-port", "bool-ids", "float-and-bool-ports", "float-cycle-length",
-        "bool-k-simulated", "bool-k-centralized"])
+        "bool-k-simulated", "bool-k-centralized", "float-degree-bound-simulated",
+        "float-degree-bound-centralized", "float-degree-bound-star", "float-degree-bound-odd-ds",
+        "str-degree-bound", "bool-degree-bound", "str-path-index", "none-path-index",
+        "bool-path-index", "float-path-index", "zero-path-index"])
 def test_a_value_equal_to_an_int_is_refused_not_read_as_it(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
