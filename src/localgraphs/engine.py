@@ -215,8 +215,8 @@ def view_classes(graphs: Sequence[Graph], radius: int) -> list[list[int]]:
     last, so refinement stops once the class count stops growing; the
     partition is then final, and at most n rounds run.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if type(radius) is not int or radius < 0:
+        raise ValueError(f"radius must be an integer >= 0, got {radius!r}")
     tables = [(g.labels(), g.routes()) for g in graphs]
 
     def numbered(keys_per_graph) -> tuple[list[list[int]], int]:

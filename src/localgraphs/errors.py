@@ -8,10 +8,11 @@ value it prints.  A bad parameter (a cycle length, a degree bound, a
 * :class:`GraphFormatError`: ``build_graph``, the JSON readers and
   ``disjoint_union`` refuse a malformed graph or graph document; exit 2.
 * :class:`MalformedSolutionError`: a forest, matching, path set, output
-  port, cycle-node set or provider colouring handed to a function, or a
-  ``--solution`` file, does not fit the graph; exit 2.  Where a shipped
-  algorithm built the structure itself (the simulated star forest's and
-  scheme's outputs, the paths the scheme's proposal phase chose), the
+  port, node set or provider colouring handed to a function, or a
+  ``--solution`` file, does not fit the graph; exit 2.  A matching or a
+  layer's node set is refused with the first violation ``verify_solution``
+  reports.  Where a shipped algorithm built the structure (the simulated
+  star forest's and scheme's outputs, the proposal phase's paths), the
   one place that reads it re-raises it as an :class:`InvariantError`.
 * :class:`TooLargeError`: an exact search passed its work budget, or the
   matching scheme's round cap or ``gen``'s size cap refused the work

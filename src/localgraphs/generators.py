@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import MalformedSolutionError
 from .graph import (BLACK, WHITE, Edge, Graph, build_graph, fixup_weak_colouring, normalize_edge,
                     port_specs)
-from .oracles import validate_matching
+from .oracles import Solution, SolutionKind, validate_matching, verify_solution
 
 
 class DirectedCycle(NamedTuple):
@@ -159,19 +159,7 @@ def symmetric_complete(delta: int) -> Graph:
 
 def matching_to_independent_set(c: DirectedCycle, m) -> frozenset[int]:
     """Tails of the matched directed cycle edges; same size, independent."""
-    m = list(m)         # read once: the check below reads it again
-    tails = set()
-    for item in m:
-        try:
-            a, b = item
-            tail = a if (b - a) % c.n == 1 else b if (a - b) % c.n == 1 else None
-        except (TypeError, ValueError):     # not a pair, or not a pair of numbers
-            raise MalformedSolutionError(f"{item!r} is not a cycle edge") from None
-        if tail is None:
-            raise MalformedSolutionError(f"({a}, {b}) is not a cycle edge")
-        tails.add(tail)
-    validate_matching(c.graph, m)
-    return frozenset(tails)
+    return frozenset(u for u, v in validate_matching(c.graph, m).items() if v == c.successor(u))
 
 
 def merge_layer_independent_sets(c: DirectedCycle,
@@ -181,7 +169,8 @@ def merge_layer_independent_sets(c: DirectedCycle,
 
     Iterate over the layers; adopt every survivor of the current layer,
     then delete it and its cycle neighbours from this and all later
-    layers.
+    layers.  A layer is refused with the first violation ``verify_solution``
+    reports for it as an independent set of the cycle.
     """
     if not isinstance(sets, Iterable):
         raise MalformedSolutionError(f"layers {sets!r} are not a sequence of node sets")
@@ -189,14 +178,11 @@ def merge_layer_independent_sets(c: DirectedCycle,
     for i, s in enumerate(sets):
         if not isinstance(s, Iterable):
             raise MalformedSolutionError(f"layer {i} is {s!r}, not a node set")
-        s = list(s)
-        for v in s:     # checked before the set, so an unhashable member is refused
-            if type(v) is not int or not 0 <= v < c.n:
-                raise MalformedSolutionError(f"{v} is not a cycle node")
-        s = set(s)
-        if any(c.successor(v) in s for v in s):
-            raise MalformedSolutionError(f"layer {i} contains adjacent nodes")
-        working.append(s)
+        s = list(s)     # read once: the check below reads it, and the merge after it
+        violations = verify_solution(c.graph, Solution(SolutionKind.INDEPENDENT_SET, s)).violations
+        if violations:
+            raise MalformedSolutionError(f"layer {i}: {violations[0]}")
+        working.append(set(s))
     result: set[int] = set()
     for i in range(len(working)):
         survivors = sorted(working[i])

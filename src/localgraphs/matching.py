@@ -63,8 +63,8 @@ def flood_phase(g: Graph, m, h: int) -> AugmentingForest:
     shortest augmenting path.  Reached before hop ``h``, it raises.
     """
     check_colouring(g, MatchingSchemeAlgorithm)
-    if h < 1 or h % 2 == 0:
-        raise ValueError(f"path length must be a positive odd number, got {h}")
+    if type(h) is not int or h < 1 or h % 2 == 0:
+        raise ValueError(f"path length must be a positive odd number, got {h!r}")
     return _flood(g, validate_matching(g, m), h)
 
 
@@ -126,6 +126,8 @@ def proposal_phase(g: Graph, forest: AugmentingForest) -> tuple[Path, ...]:
     A root without a path of ``forest.height`` edges to a leaf is malformed."""
     if not isinstance(forest, AugmentingForest):
         raise MalformedSolutionError(f"{forest!r} is not an AugmentingForest")
+    if type(forest.height) is not int:
+        raise MalformedSolutionError(f"forest height {forest.height!r} is not an integer")
     children: dict[int, set[int]] = {}
     for v, p in forest.parent_port.items():
         children.setdefault(g.port_neighbour(v, p), set()).add(v)

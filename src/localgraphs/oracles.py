@@ -257,24 +257,13 @@ def _augmenting_tree(g: Graph, match: list[int], root: int, parent: list[int],
 # -- augmenting paths ----------------------------------------------------------
 
 def validate_matching(g: Graph, m: Iterable[Edge]) -> dict[int, int]:
-    """Each matched node's partner; a member of m that is not an edge of g,
-    or that shares a node with another, is a MalformedSolutionError."""
+    """Each matched node's partner; the first violation ``verify_solution``
+    reports for m is raised as a MalformedSolutionError."""
     if not isinstance(m, Iterable):
         raise MalformedSolutionError(f"{m!r} is not a set of edges")
-    edges = set()
-    for item in m:
-        try:
-            edges.add(normalize_edge(*item))
-        except TypeError:       # not a pair, or a pair that cannot be ordered or hashed
-            raise MalformedSolutionError(f"{item!r} is not an edge") from None
-    partner: dict[int, int] = {}
-    for u, v in edges:
-        if not g.has_edge(u, v):    # a bool or a float that equals a node id is not that node
-            raise MalformedSolutionError(f"({u}, {v}) is not an edge")
-        if u in partner or v in partner:
-            raise MalformedSolutionError(f"node reused by matching at ({u}, {v})")
-        partner[u] = v
-        partner[v] = u
+    partner, violations = _read_matching(g, m)
+    if violations:
+        raise MalformedSolutionError(violations[0])
     return partner
 
 
@@ -331,12 +320,12 @@ class VerificationReport(NamedTuple):
 def verify_solution(g: Graph, s: Solution) -> VerificationReport:
     """Check validity; violations are reported, never raised.
 
-    A member counts as a node only when it is an ``int`` itself, so a
-    bool or a float that equals a node id is a violation, not that node.
-    A matching member that is not a pair of comparable values is a
-    violation too, and (v, u) is the same member as (u, v).  The kind is
-    looked up by value, so a plain string names it, and an unknown kind
-    is the one violation reported.
+    The members are read once, in ``_sorted`` order; ``_read_matching``
+    reads a matching.  A member counts as a node only when it is an
+    ``int`` itself, so a bool, a float that equals a node id or an
+    unhashable value is a violation, not that node.  The kind is looked
+    up by value, so a plain string names it, and an unknown kind is the
+    one violation reported.
     """
     try:
         kind = SolutionKind(s.kind)
@@ -344,40 +333,50 @@ def verify_solution(g: Graph, s: Solution) -> VerificationReport:
         return VerificationReport(ok=False, violations=[f"{s.kind!r} is not a solution kind"])
     if not isinstance(s.members, Iterable):
         return VerificationReport(ok=False, violations=[f"members {s.members!r} are not a set"])
-    violations: list[str] = []
     if kind is SolutionKind.MATCHING:
-        seen: set[int] = set()
-        listed: set = set()         # the normalized members checked so far
-        for item in _sorted(s.members):
-            try:
-                u, v = pair = normalize_edge(*item)
-                if pair in listed:
-                    continue
-                listed.add(pair)
-            except TypeError:       # not a pair, or a pair that cannot be ordered or hashed
-                violations.append(f"{item!r} is not an edge of the graph")
-                continue
-            if not g.has_edge(u, v):
-                violations.append(f"({u}, {v}) is not an edge of the graph")
-                continue
-            if u in seen or v in seen:
-                violations.append(f"edge ({u}, {v}) shares a node with another edge")
-            seen.update((u, v))
+        violations = _read_matching(g, s.members)[1]
+        return VerificationReport(ok=not violations, violations=violations)
+    items = _sorted(s.members)
+    members = {v for v in items if type(v) is int and 0 <= v < g.n}
+    violations = list(dict.fromkeys(f"{v!r} is not a node" for v in items
+                                    if type(v) is not int or v not in members))
+    if kind is SolutionKind.DOMINATING_SET:
+        violations += [f"node {v} is not dominated" for v in g.nodes
+                       if v not in members and not any(u in members for u in g.neighbours(v))]
     else:
-        members = set(s.members)
-        for v in _sorted(members):
-            if not (type(v) is int and 0 <= v < g.n):
-                violations.append(f"{v!r} is not a node")
-        members = {v for v in members if type(v) is int and 0 <= v < g.n}
-        if kind is SolutionKind.DOMINATING_SET:
-            for v in g.nodes:
-                if v not in members and not any(u in members for u in g.neighbours(v)):
-                    violations.append(f"node {v} is not dominated")
-        else:
-            for u, v in sorted(g.edges):
-                if u in members and v in members:
-                    violations.append(f"edge ({u}, {v}) lies inside the set")
+        violations += [f"edge ({u}, {v}) lies inside the set" for u, v in sorted(g.edges)
+                       if u in members and v in members]
     return VerificationReport(ok=not violations, violations=violations)
+
+
+def _read_matching(g: Graph, members: Iterable) -> tuple[dict[int, int], list[str]]:
+    """Each matched node's partner, and the violations of a matching's members.
+
+    Reads the members once, in ``_sorted`` order, (v, u) as (u, v).  A
+    member that is not an edge of g is a violation; so is an edge that
+    shares a node with an earlier one, which still uses its nodes.  The
+    map is a matching only without violations.
+    """
+    partner: dict[int, int] = {}
+    violations: list[str] = []
+    listed: set = set()         # the normalized members read so far
+    for item in _sorted(members):
+        try:
+            u, v = pair = normalize_edge(*item)
+            if pair in listed:
+                continue
+            listed.add(pair)
+        except TypeError:       # not a pair, or a pair that cannot be ordered or hashed
+            violations.append(f"{item!r} is not an edge of the graph")
+            continue
+        if not g.has_edge(u, v):    # a bool or a float that equals a node id is not that node
+            violations.append(f"({u}, {v}) is not an edge of the graph")
+            continue
+        if u in partner or v in partner:
+            violations.append(f"edge ({u}, {v}) shares a node with another edge")
+        partner[u] = v
+        partner[v] = u
+    return partner, violations
 
 
 def _sorted(members) -> list:

@@ -132,6 +132,8 @@ def star_dominating_set(sf: StarForest) -> frozenset[int]:
 def star_matching(g: Graph, sf: StarForest) -> frozenset[Edge]:
     """One root-leaf edge per star, chosen through the root's lowest port;
     ``MalformedSolutionError`` if ``sf`` is not a star forest of ``g``."""
+    if not isinstance(sf, StarForest):
+        raise MalformedSolutionError(f"{sf!r} is not a StarForest")
     _check_star_forest(g, sf.stars)
     return frozenset(normalize_edge(root, next(u for u in g.neighbours(root) if u in leaves))
                      for root, leaves in sf.stars.items())

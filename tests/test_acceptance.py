@@ -429,6 +429,27 @@ def _berge_optimum(g):
     return best
 
 
+_STAR_3 = [(0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (1, 3, 2, 2)]
+_STAR_5 = [(0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (0, 4, 4, 1), (0, 5, 5, 1), (1, 4, 2, 2),
+           (2, 5, 2, 2)]
+# (delta, problem, edge specs, colours of nodes 0..n-1 with w white and b black): the
+# smallest graphs of criteria 1 and 2's 8-node corpus on which the star construction is
+# exactly (delta+1)/2 from optimal.  The delta = 7 ones are corpus graph 1392 (colour
+# sample 1, port sample 1, so its ports are shuffled) and corpus graph 2132 (variant 0).
+STAR_TIGHT_WITNESSES = [
+    (3, "ds", _STAR_3, "wwbb"),
+    (3, "matching", _STAR_3, "wbbb"),
+    (5, "ds", _STAR_5, "wbbbww"),
+    (5, "matching", _STAR_5, "wbbbbb"),
+    (7, "ds", [(0, 1, 5, 3), (0, 2, 3, 3), (0, 3, 2, 2), (0, 4, 4, 1), (0, 6, 6, 1),
+               (0, 7, 1, 5), (1, 5, 1, 2), (1, 7, 2, 1), (2, 6, 1, 3), (2, 7, 2, 4),
+               (3, 7, 1, 2), (4, 7, 2, 7), (5, 7, 1, 6), (6, 7, 2, 3)], "wbbbbwww"),
+    (7, "matching", [(0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (0, 4, 4, 1), (0, 5, 5, 1),
+                     (0, 6, 6, 1), (0, 7, 7, 1), (1, 5, 2, 2), (2, 6, 2, 2), (3, 7, 2, 2)],
+     "wbbbbbbb"),
+]
+
+
 def test_criterion_9_tightness_witnesses():
     started = time.perf_counter()
     witnesses = [(k, _tight_path(k, flipped)) for k, flipped in TIGHT_PATH_FLIPS.items()]
@@ -447,10 +468,21 @@ def test_criterion_9_tightness_witnesses():
             ratio = Fraction(len(_berge_optimum(g)), len(star_matching(g, sf)))
             assert ratio == Fraction(delta + 1, 2)
             layered += 1
+    for delta, problem, specs, colours in STAR_TIGHT_WITNESSES:
+        g = build_graph(len(colours), specs, [WHITE if c == "w" else BLACK for c in colours])
+        assert g.max_degree == delta
+        sf = star_forest(g)
+        assert run_star_forest(g)[0] == sf
+        if problem == "ds":
+            ratio = Fraction(len(star_dominating_set(sf)), len(brute_min_dominating_set(g)))
+        else:
+            ratio = Fraction(len(brute_max_matching(g)), len(star_matching(g, sf)))
+        assert ratio == Fraction(delta + 1, 2), (delta, problem)
     _pass(9, started, f"the scheme is exactly (k+1)/k from optimal on {len(witnesses)} "
           f"witnesses for k = 1..6, each with a shortest augmenting path of 2k+1 "
           f"edges; the star matching is exactly (delta+1)/2 from optimal on "
-          f"{layered} layered graphs, delta 3..6")
+          f"{layered} layered graphs, delta 3..6, and both star solutions on "
+          f"{len(STAR_TIGHT_WITNESSES)} corpus graphs, delta 3, 5 and 7")
 
 
 def test_criterion_5_extra_simulated_extractions():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -372,6 +373,13 @@ def test_view_classes_match_full_depth_refinement():
 def test_view_classes_refuse_a_negative_radius(c4_coloured):
     with pytest.raises(ValueError):
         view_classes([c4_coloured], -1)
+
+
+@pytest.mark.parametrize("radius", ["2", 1.5, 1.0, True, None, -1])
+def test_view_classes_refuse_a_radius_that_is_not_a_non_negative_int(c4_coloured, radius):
+    with pytest.raises(ValueError,
+                       match=f"^radius must be an integer >= 0, got {re.escape(repr(radius))}$"):
+        view_classes([c4_coloured], radius)
 
 
 def test_relabelling_invariance(c4_coloured):

@@ -201,9 +201,11 @@ class TestShortestAugmentingPath:
             shortest_augmenting_path_length(cycle(5), {(1, 2)})
 
     def test_invalid_matching(self, p4_coloured):
-        with pytest.raises(MalformedSolutionError, match="node reused by matching"):
+        with pytest.raises(MalformedSolutionError,
+                           match=r"^edge \(1, 2\) shares a node with another edge$"):
             shortest_augmenting_path_length(p4_coloured, {(0, 1), (1, 2)})
-        with pytest.raises(MalformedSolutionError, match="is not an edge"):
+        with pytest.raises(MalformedSolutionError,
+                           match=r"^\(0, 2\) is not an edge of the graph$"):
             shortest_augmenting_path_length(p4_coloured, {(0, 2)})
 
     def test_none_iff_maximum(self):

@@ -23,8 +23,9 @@ from localgraphs.errors import GraphFormatError, InvariantError, MalformedSoluti
 from localgraphs.generators import (matching_to_independent_set, merge_layer_independent_sets,
                                     numbered_cycle, random_bipartite, random_weak)
 from localgraphs.graph import induced_subgraph
-from localgraphs.matching import (approximate_maximum_matching, augment_phase, eliminate_length,
-                                  flood_phase, proposal_phase, run_matching_scheme)
+from localgraphs.matching import (AugmentingForest, approximate_maximum_matching, augment_phase,
+                                  eliminate_length, flood_phase, proposal_phase,
+                                  run_matching_scheme)
 from localgraphs.oddds import odd_delta_pipeline
 from localgraphs.oracles import (Solution, VerificationReport, shortest_augmenting_path_length,
                                  validate_matching, verify_solution)
@@ -164,18 +165,34 @@ def test_user_data_contract(name, data):
      r"path index i must be an integer, got 1\.0"),
     (lambda: eliminate_length(G, frozenset(), 0), ValueError,
      "path index i must be at least 1, got 0"),
+    # the flood's path length h: a bool ran as h = 1, a str or a float escaped as TypeError
+    (lambda: flood_phase(random_bipartite(10, 3, 1), frozenset(), True), ValueError,
+     "path length must be a positive odd number, got True"),
+    (lambda: flood_phase(random_bipartite(10, 3, 1), frozenset(), "1"), ValueError,
+     "path length must be a positive odd number, got '1'"),
+    (lambda: flood_phase(random_bipartite(10, 3, 1), frozenset(), 1.0), ValueError,
+     r"path length must be a positive odd number, got 1\.0"),
+    # a forest's height is user data: a str escaped as TypeError
+    (lambda: proposal_phase(random_bipartite(10, 3, 1),
+                            AugmentingForest("1", {}, frozenset({0}), frozenset({0}))),
+     MalformedSolutionError, "forest height '1' is not an integer"),
+    (lambda: proposal_phase(random_bipartite(10, 3, 1),
+                            AugmentingForest(True, {}, frozenset({0}), frozenset({0}))),
+     MalformedSolutionError, "forest height True is not an integer"),
 ], ids=["bool-parent-port", "bool-ids", "float-and-bool-ports", "float-cycle-length",
         "bool-k-simulated", "bool-k-centralized", "float-degree-bound-simulated",
         "float-degree-bound-centralized", "float-degree-bound-star", "float-degree-bound-odd-ds",
         "str-degree-bound", "bool-degree-bound", "str-path-index", "none-path-index",
-        "bool-path-index", "float-path-index", "zero-path-index"])
+        "bool-path-index", "float-path-index", "zero-path-index", "bool-path-length",
+        "str-path-length", "float-path-length", "str-forest-height", "bool-forest-height"])
 def test_a_value_equal_to_an_int_is_refused_not_read_as_it(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
 
 
 def test_matching_to_independent_set_checks_a_one_pass_iterator():
-    with pytest.raises(MalformedSolutionError, match=r"node reused by matching at \(1, 2\)"):
+    with pytest.raises(MalformedSolutionError,
+                       match=r"^edge \(1, 2\) shares a node with another edge$"):
         matching_to_independent_set(numbered_cycle(6), iter([(0, 1), (1, 2)]))
 
 
@@ -195,12 +212,22 @@ def test_verify_solution_reads_a_one_pass_iterator_once():
         ok=False, violations=["(None, 1) is not an edge of the graph"])
 
 
+@pytest.mark.parametrize("kind, violations", [
+    ("dominating-set", ["[0] is not a node", "node 3 is not dominated",
+                        "node 4 is not dominated", "node 5 is not dominated"]),
+    ("independent-set", ["[0] is not a node"]),
+])
+def test_verify_solution_reports_a_member_that_cannot_be_hashed(kind, violations):
+    report = verify_solution(CYCLE.graph, Solution(kind, [[0], 1]))
+    assert report == VerificationReport(ok=False, violations=violations)
+
+
 def test_augment_reads_its_paths_once(single_edge):
     assert augment_phase(single_edge, frozenset(), iter([(0, 1)])) == {(0, 1)}
 
 
 def test_merge_refuses_a_member_that_cannot_be_hashed():
-    with pytest.raises(MalformedSolutionError, match=r"^\[0, 1\] is not a cycle node$"):
+    with pytest.raises(MalformedSolutionError, match=r"^layer 0: \[0, 1\] is not a node$"):
         merge_layer_independent_sets(numbered_cycle(6), [[[0, 1]]])
 
 
@@ -217,8 +244,14 @@ def test_induced_subgraph_refuses_a_member_that_cannot_be_hashed():
      "parent ports None are not a mapping"),
     (lambda: star_matching(CYCLE.graph, StarForest(None)), MalformedSolutionError,
      "stars None are not a mapping"),
+    (lambda: star_matching(CYCLE.graph, None), MalformedSolutionError,
+     "None is not a StarForest"),
     (lambda: validate_matching(CYCLE.graph, None), MalformedSolutionError,
      "None is not a set of edges"),
+    (lambda: matching_to_independent_set(CYCLE, None), MalformedSolutionError,
+     "None is not a set of edges"),
+    (lambda: matching_to_independent_set(CYCLE, 5), MalformedSolutionError,
+     "5 is not a set of edges"),
     # verify_solution reports a violation and never raises one
     (lambda: verify_solution(CYCLE.graph, Solution("matching", None)), None,
      "members None are not a set"),
@@ -237,7 +270,8 @@ def test_induced_subgraph_refuses_a_member_that_cannot_be_hashed():
     (lambda: augment_phase(G, frozenset(), None), MalformedSolutionError,
      "paths None are not a sequence of paths"),
 ], ids=["build_graph-edges", "build_graph-colours", "normalize_stars", "star_matching",
-        "validate_matching", "verify_solution-matching", "verify_solution-dominating-set",
+        "star_matching-forest", "validate_matching", "matching_to_independent_set-none",
+        "matching_to_independent_set-int", "verify_solution-matching", "verify_solution-dominating-set",
         "relabel", "relabel-mapping", "induced_subgraph", "merge-layers", "merge-layer", "proposal_phase",
         "augment_phase"])
 def test_a_malformed_container_is_refused_with_its_documented_class(call, error, message):
